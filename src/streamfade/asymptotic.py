@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .channel import ChannelParams, mean_capacity, sample_capacity_matrix
-from .engine import chunk_ranges, pb_count_sums
+from .engine import chunk_ranges, optimize_pb_window, sample_point
 
 
 def alpha_opt(params: ChannelParams) -> float:
@@ -81,9 +79,6 @@ def optimal_prebuffer_fraction(
     params: ChannelParams, trials: int, seed: int
 ) -> tuple[int, float]:
     """Throughput-maximizing buffer depth and its fraction of the messages."""
-    totals = np.zeros(params.blocks, dtype=np.int64)
-    for lo, hi in chunk_ranges(trials):
-        caps = sample_capacity_matrix(params, seed, lo, hi)
-        totals += pb_count_sums(caps, params.rate)
-    window = int(np.argmax(totals)) + 1
+    tables = sample_point(params, {}, trials, seed, pb_table=True)
+    window, _ = optimize_pb_window(tables.pb_counts, trials)
     return window, window / params.blocks

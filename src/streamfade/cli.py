@@ -30,6 +30,7 @@ from .experiments import (
     emit_svg,
     parse_config,
     parse_scheme_token,
+    parse_sweep_values,
     render_csv,
     run_experiment,
 )
@@ -168,15 +169,7 @@ def _default_sweep(variable: str):
 
 
 def _cmd_sweep(args) -> int:
-    values = None
-    if args.values:
-        try:
-            floats = [float(v) for v in args.values.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"bad sweep values {args.values!r}", "sweep.values")
-        values = (
-            tuple(int(v) for v in floats) if args.variable == "messages" else tuple(floats)
-        )
+    values = parse_sweep_values(args.variable, args.values) if args.values else None
     config = _config_from_args(args, args.variable, values or _default_sweep(args.variable))
     rows = run_experiment(config)
     _write_outputs(rows, config)
@@ -188,7 +181,9 @@ def _cmd_analyze(args) -> int:
     try:
         windows = tuple(int(w) for w in args.windows.split(",") if w.strip())
     except ValueError:
-        raise ConfigError(f"bad window list {args.windows!r}", "windows")
+        raise ConfigError(f"bad window list {args.windows!r}", "analyze.windows")
+    if any(w < 1 for w in windows):
+        raise ConfigError(f"windows must be >= 1, got {args.windows!r}", "analyze.windows")
     rows = analytic_rows(config, windows)
     _write_outputs(rows, config)
     return 0

@@ -1,10 +1,20 @@
 """Vectorized Monte Carlo evaluation of the transmission schemes.
 
 Evaluators operate on a (trials, blocks) capacity matrix and return integer
-per-trial statistics; chunked drivers accumulate exact integer sums so that
-results are bit-identical regardless of worker count.  All schemes at one
-sweep point share the same traces (common random numbers), which makes
+per-trial statistics.  A sweep point is one pass over fixed-size chunks of
+trials (`sample_point`): each chunk samples its capacity matrix once, and
+every consumer reads that one matrix -- the fixed-window schemes, the
+per-window wTS table from which T-wTS and D-wTS select their window, and the
+per-depth PB count sums from which an optimized buffer depth is chosen.
+Chunks are keyed by absolute trial index and reduce to exact integer sums,
+so results are bit-identical regardless of worker count.  All schemes at one
+point share the same traces (common random numbers), which makes
 per-realization dominance comparisons exact.
+
+Only an optimized PB depth costs a second pass: the depth search counts
+decodes from sums taken in a different order from `evaluate_pb`, so reading
+the PB row off the search could change a decode bit by rounding; the row is
+evaluated afresh at the chosen depth instead.
 """
 from __future__ import annotations
 
@@ -15,9 +25,12 @@ import numpy as np
 
 from .channel import ChannelParams, sample_capacity_matrix
 from .informed import informed_counts_and_delays
-from .metrics import max_zero_run_rows
+from .metrics import max_zero_run_at, max_zero_run_rows
 
 CHUNK = 4096
+# Rows per pb_count_sums block are capped so that a block's working set
+# (about 70 bytes per capacity element) stays near 2 MB whatever M is.
+_PB_BLOCK_ELEMENTS = 1 << 15
 
 
 def evaluate_mt(caps: np.ndarray, rate: float):
@@ -33,7 +46,8 @@ def _equal_share_weights(m: int) -> np.ndarray:
 
 def ets_mi_matrix(caps: np.ndarray) -> np.ndarray:
     """Running equal-share MI; column m-1 is message m's total."""
-    return np.cumsum(caps * _equal_share_weights(caps.shape[1]), axis=1)
+    mi = caps * _equal_share_weights(caps.shape[1])
+    return np.cumsum(mi, axis=1, out=mi)  # in place: one (trials, M) array, not two
 
 
 def evaluate_ets(caps: np.ndarray, rate: float):
@@ -85,15 +99,17 @@ def evaluate_wts(caps: np.ndarray, rate: float, window: int):
     consecutive failed full windows — the statistic bounded by the floor/ceil
     substitution into the run-length closed form.
     """
-    n, m = caps.shape
+    m = caps.shape[1]
     full, short = wts_decode_bits(caps, rate, window)
-    v = np.zeros((n, m), dtype=bool)
-    v[:, window - 1 : full.shape[1] * window : window] = full
     counts = full.sum(axis=1).astype(np.int64)
+    # Only messages kB, and M after a short last window, are ever sent.
+    slots = np.arange(window - 1, full.shape[1] * window, window)
+    bits = full
     if short is not None:
-        v[:, m - 1] = short
+        slots = np.append(slots, m - 1)
+        bits = np.column_stack([full, short])
         counts = counts + short
-    delays = max_zero_run_rows(v)
+    delays = max_zero_run_at(bits, slots, m)
     window_delays = window * max_zero_run_rows(full)
     return counts, delays, window_delays
 
@@ -105,28 +121,44 @@ def evaluate_informed(caps: np.ndarray, rate: float):
 def pb_count_sums(caps: np.ndarray, rate: float) -> np.ndarray:
     """Decoded-count sums over trials for every buffer depth 1..M.
 
-    Used for the common-random-numbers sweep; entry B-1 is the total decoded
-    count when only the last B messages are transmitted.
+    Entry B-1 is the total decoded count when only the last B messages are
+    transmitted.  Message j (0-based, j >= M-B) then decodes iff its
+    equal-share total W_j reaches tau_B = rate - S_{M-B}/B + W_{M-B}, where S
+    is the capacity prefix sum.  W is nondecreasing along a row, so the count
+    is min(B, M - L_B) with L_B = #{W_j < tau_B}; one stable argsort of
+    [tau, W] per row, which puts tau first on ties, yields every L_B.
     """
     n, m = caps.shape
     weights = _equal_share_weights(m)
-    running = np.cumsum(caps * weights, axis=1)  # equal-share totals W_m
-    prefix_sums = np.cumsum(caps, axis=1)
+    depths = np.arange(1, m + 1)
     sums = np.zeros(m, dtype=np.int64)
-    for b in range(1, m + 1):
-        pref = prefix_sums[:, m - b] / b
-        tau = rate - pref + running[:, m - b]
-        # W is nondecreasing along a row, so a suffix comparison counts all
-        # transmitted messages whose MI clears the rate.
-        sums[b - 1] = int((running[:, m - b :] >= tau[:, None]).sum())
+    step = max(1, _PB_BLOCK_ELEMENTS // m)
+    for lo in range(0, n, step):
+        block = caps[lo : lo + step]
+        keys = np.empty((block.shape[0], 2 * m))
+        tau, running = keys[:, :m], keys[:, m:]
+        np.multiply(block, weights, out=running)
+        np.cumsum(running, axis=1, out=running)  # equal-share totals W
+        # Column B-1 holds tau_B, with the arithmetic of evaluating each B alone.
+        np.divide(np.cumsum(block, axis=1)[:, ::-1], depths, out=tau)
+        np.subtract(rate, tau, out=tau)
+        np.add(tau, running[:, ::-1], out=tau)
+        order = np.argsort(keys, axis=1, kind="stable")
+        # W entries at or before each sorted position; at a tau entry, L_B.
+        below = np.cumsum(order >= m, axis=1, dtype=np.int32)
+        ranks = np.empty_like(below)
+        np.put_along_axis(ranks, order, below, axis=1)
+        sums += np.minimum(depths, m - ranks[:, :m]).sum(axis=0)
     return sums
 
 
 @dataclass
 class Accumulator:
-    """Exact integer reductions of per-trial statistics."""
+    """Exact integer reductions of per-trial statistics at one window B
+    (`window` is None for MT, eTS and IT)."""
 
     blocks: int
+    window: int | None = None
     trials: int = 0
     count_sum: int = 0
     count_sqsum: int = 0
@@ -152,6 +184,18 @@ class Accumulator:
             self.wdelay_sqsum = (self.wdelay_sqsum or 0) + int(
                 (window_delays.astype(np.int64) ** 2).sum()
             )
+
+    def merge(self, other: "Accumulator") -> None:
+        """Add the sums of `other`, gathered on other trials."""
+        self.trials += other.trials
+        self.count_sum += other.count_sum
+        self.count_sqsum += other.count_sqsum
+        self.delay_sum += other.delay_sum
+        self.delay_sqsum += other.delay_sqsum
+        self.hist += other.hist
+        if other.wdelay_sum is not None:
+            self.wdelay_sum = (self.wdelay_sum or 0) + other.wdelay_sum
+            self.wdelay_sqsum = (self.wdelay_sqsum or 0) + other.wdelay_sqsum
 
     def mean_count(self) -> float:
         return self.count_sum / self.trials
@@ -195,6 +239,99 @@ def _map_chunks(task, trials: int, threads: int):
         return list(pool.map(lambda r: task(*r), ranges))
 
 
+def _evaluate(tag: str, caps: np.ndarray, rate: float, window: int | None):
+    if tag == "mt":
+        return (*evaluate_mt(caps, rate), None)
+    if tag == "ets":
+        return (*evaluate_ets(caps, rate), None)
+    if tag == "pb":
+        return (*evaluate_pb(caps, rate, window), None)
+    if tag == "wts":
+        return evaluate_wts(caps, rate, window)
+    if tag == "it":
+        return (*evaluate_informed(caps, rate), None)
+    raise ValueError(f"unknown scheme tag {tag!r}")
+
+
+@dataclass
+class PointTables:
+    """Exact sums of one sampling pass over a sweep point's trials."""
+
+    fixed: dict  # key -> Accumulator of a scheme with a fixed window (or none)
+    wts: list | None  # entry B-1: Accumulator of wTS at window B
+    pb_counts: np.ndarray | None  # entry B-1: total decoded count at PB depth B
+
+    def merge(self, other: "PointTables") -> None:
+        for key, acc in other.fixed.items():
+            self.fixed[key].merge(acc)
+        if other.wts is not None:
+            for acc, more in zip(self.wts, other.wts):
+                acc.merge(more)
+        if other.pb_counts is not None:
+            self.pb_counts += other.pb_counts
+
+
+def sample_point(
+    params: ChannelParams,
+    fixed: dict,
+    trials: int,
+    seed: int,
+    threads: int = 1,
+    *,
+    wts_table: bool = False,
+    pb_table: bool = False,
+) -> PointTables:
+    """One sampling pass: each chunk draws its capacity matrix once and feeds it
+    to every scheme in `fixed` (key -> (tag, window), tag one of "mt", "ets",
+    "pb", "wts", "it"), to wTS at every window B = 1..M when `wts_table`, and
+    to `pb_count_sums` when `pb_table`.
+    """
+    m, rate = params.blocks, params.rate
+
+    def empty():
+        return PointTables(
+            {key: Accumulator(m, window) for key, (_, window) in fixed.items()},
+            [Accumulator(m, b) for b in range(1, m + 1)] if wts_table else None,
+            np.zeros(m, dtype=np.int64) if pb_table else None,
+        )
+
+    def task(lo, hi):
+        caps = sample_capacity_matrix(params, seed, lo, hi)
+        part = empty()
+        for key, (tag, window) in fixed.items():
+            part.fixed[key].add(*_evaluate(tag, caps, rate, window))
+        if wts_table:
+            for b, acc in enumerate(part.wts, start=1):
+                acc.add(*evaluate_wts(caps, rate, b))
+        if pb_table:
+            part.pb_counts += pb_count_sums(caps, rate)
+        return part
+
+    total = empty()
+    for part in _map_chunks(task, trials, threads):
+        total.merge(part)
+    return total
+
+
+def optimize_pb_window(count_sums: np.ndarray, trials: int) -> tuple[int, float]:
+    """Buffer depth maximizing mean decoded count (equivalently minimizing
+    mean delay, since delay = M - count per realization), selected from the
+    per-depth count sums of `sample_point`.  Ties break low."""
+    best = int(np.argmax(count_sums)) + 1
+    return best, float(count_sums[best - 1] / trials)
+
+
+def optimize_wts_window(table: list, maximize_throughput: bool) -> tuple[int, float]:
+    """Window optimizing throughput (T-variant) or block-level delay
+    (D-variant), selected from the per-window table of `sample_point`; ties
+    break toward smaller windows."""
+    if maximize_throughput:
+        best = int(np.argmax([acc.count_sum for acc in table])) + 1
+        return best, table[best - 1].mean_count()
+    best = int(np.argmin([acc.delay_sum for acc in table])) + 1
+    return best, table[best - 1].mean_delay()
+
+
 def evaluate_point(
     params: ChannelParams,
     schemes: dict,
@@ -204,79 +341,28 @@ def evaluate_point(
 ) -> dict:
     """Run all requested schemes on shared traces.
 
-    `schemes` maps an arbitrary key to ("mt"|"ets"|"pb"|"wts"|"it", window);
-    returns key -> Accumulator.  Chunks are fixed-size and keyed by absolute
-    trial index, so the result is independent of `threads`.
+    `schemes` maps an arbitrary key to (tag, window): "mt", "ets" or "it"
+    with window None, "pb" or "wts" with a fixed window, ("pb", None) for the
+    throughput-optimal buffer depth, or ("twts" | "dwts", None) for wTS at the
+    window maximizing throughput or minimizing delay.  Returns key ->
+    Accumulator, whose `window` is the B the statistics were taken at.
+    Chunks are fixed-size and keyed by absolute trial index, so the result is
+    independent of `threads`.
     """
-    rate = params.rate
-
-    def task(lo, hi):
-        caps = sample_capacity_matrix(params, seed, lo, hi)
-        out = {}
-        for key, (tag, window) in schemes.items():
-            if tag == "mt":
-                out[key] = (*evaluate_mt(caps, rate), None)
-            elif tag == "ets":
-                out[key] = (*evaluate_ets(caps, rate), None)
-            elif tag == "pb":
-                out[key] = (*evaluate_pb(caps, rate, window), None)
-            elif tag == "wts":
-                out[key] = evaluate_wts(caps, rate, window)
-            elif tag == "it":
-                out[key] = (*evaluate_informed(caps, rate), None)
-            else:
-                raise ValueError(f"unknown scheme tag {tag!r}")
-        return out
-
-    results = _map_chunks(task, trials, threads)
-    accums = {key: Accumulator(blocks=params.blocks) for key in schemes}
-    for chunk_out in results:
-        for key, (counts, delays, wdelays) in chunk_out.items():
-            accums[key].add(counts, delays, wdelays)
-    return accums
-
-
-def optimize_pb_window(
-    params: ChannelParams, trials: int, seed: int, threads: int = 1
-) -> tuple[int, float]:
-    """Buffer depth maximizing mean decoded count (equivalently minimizing
-    mean delay, since delay = M - count per realization).  Ties break low."""
-
-    def task(lo, hi):
-        caps = sample_capacity_matrix(params, seed, lo, hi)
-        return pb_count_sums(caps, params.rate)
-
-    totals = sum(_map_chunks(task, trials, threads))
-    best = int(np.argmax(totals)) + 1
-    return best, float(totals[best - 1] / trials)
-
-
-def optimize_wts_window(
-    params: ChannelParams,
-    maximize_throughput: bool,
-    trials: int,
-    seed: int,
-    threads: int = 1,
-) -> tuple[int, float]:
-    """Window length optimizing throughput (T-variant) or block-level delay
-    (D-variant) over a shared trace set; ties break toward smaller windows."""
-    m = params.blocks
-
-    def task(lo, hi):
-        caps = sample_capacity_matrix(params, seed, lo, hi)
-        counts = np.zeros(m, dtype=np.int64)
-        delays = np.zeros(m, dtype=np.int64)
-        for b in range(1, m + 1):
-            c, d, _ = evaluate_wts(caps, params.rate, b)
-            counts[b - 1] = int(c.sum())
-            delays[b - 1] = int(d.sum())
-        return counts, delays
-
-    results = _map_chunks(task, trials, threads)
-    counts = sum(r[0] for r in results)
-    delays = sum(r[1] for r in results)
-    if maximize_throughput:
-        best = int(np.argmax(counts)) + 1
-        return best, float(counts[best - 1] / trials)
-    best = int(np.argmin(delays)) + 1
-    return best, float(delays[best - 1] / trials)
+    best_pb = [key for key, (tag, window) in schemes.items() if tag == "pb" and window is None]
+    best_wts = {key: tag == "twts" for key, (tag, _) in schemes.items() if tag in ("twts", "dwts")}
+    fixed = {key: s for key, s in schemes.items() if key not in best_wts and key not in best_pb}
+    tables = sample_point(
+        params, fixed, trials, seed, threads, wts_table=bool(best_wts), pb_table=bool(best_pb)
+    )
+    out = dict(tables.fixed)
+    for key, maximize in best_wts.items():
+        window, _ = optimize_wts_window(tables.wts, maximize)
+        out[key] = tables.wts[window - 1]
+    if best_pb:
+        window, _ = optimize_pb_window(tables.pb_counts, trials)
+        # Second pass: see the module docstring for why the depth search's
+        # counts are not reused.
+        again = sample_point(params, {key: ("pb", window) for key in best_pb}, trials, seed, threads)
+        out.update(again.fixed)
+    return {key: out[key] for key in schemes}

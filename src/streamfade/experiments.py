@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,8 +124,10 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1", "run.threads")
         if self.messages < 1:
             raise ConfigError("messages must be >= 1", "channel.messages")
-        if not self.rate > 0:
-            raise ConfigError("rate must be positive", "channel.rate")
+        if not math.isfinite(self.snr_db):
+            raise ConfigError("snr_db must be finite", "channel.snr_db")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ConfigError("rate must be positive and finite", "channel.rate")
         if not self.schemes and not self.include_it_bound:
             raise ConfigError("no schemes requested", "schemes.list")
         if self.sweep_variable is not None:
@@ -135,6 +138,8 @@ class ExperimentConfig:
             values = self.sweep_values
             if not values:
                 raise ConfigError("sweep values must be non-empty", "sweep.values")
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError("sweep values must be finite", "sweep.values")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError("sweep values must be strictly increasing", "sweep.values")
             if self.sweep_variable == "messages" and any(
@@ -146,6 +151,19 @@ class ExperimentConfig:
 
     def base_params(self) -> ChannelParams:
         return ChannelParams(snr_db=self.snr_db, rate=self.rate, blocks=self.messages)
+
+
+def parse_sweep_values(variable: str, raw: str) -> tuple:
+    """A comma-separated sweep grid.  Message counts become ints only when
+    every value is integral; otherwise the floats are kept, so that
+    `ExperimentConfig` rejects them instead of truncating them."""
+    try:
+        values = tuple(float(v) for v in raw.split(",") if v.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad value list {raw!r}", "sweep.values") from exc
+    if variable == "messages" and all(v.is_integer() for v in values):
+        return tuple(int(v) for v in values)
+    return values
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -190,15 +208,7 @@ def parse_config(text: str) -> ExperimentConfig:
     sweep_values = None
     if parser.has_section("sweep"):
         sweep_variable = need("sweep", "variable", str)
-        raw_values = need("sweep", "values", str)
-        try:
-            floats = [float(v) for v in raw_values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad value list {raw_values!r}", "sweep.values") from exc
-        if sweep_variable == "messages":
-            sweep_values = tuple(int(v) for v in floats)
-        else:
-            sweep_values = tuple(floats)
+        sweep_values = parse_sweep_values(sweep_variable, need("sweep", "values", str))
 
     csv_path = parser.get("output", "csv", fallback=None)
     svg_path = parser.get("output", "svg", fallback=None)
@@ -278,19 +288,13 @@ def _analytic_columns(params: ChannelParams, req: SchemeRequest, window: int | N
     return None, None, None
 
 
-def _resolve_window(params, req, trials, seed, threads):
-    if req.kind in (SchemeKind.MT, SchemeKind.ETS):
-        return None
-    if req.window is not None:
-        if req.window > params.blocks:
-            raise ConfigError(
-                f"window {req.window} exceeds messages {params.blocks}", "schemes.list"
-            )
-        return req.window
-    if req.kind is SchemeKind.PB:
-        return engine.optimize_pb_window(params, trials, seed, threads)[0]
-    maximize = req.optimize is Objective.MAX_THROUGHPUT
-    return engine.optimize_wts_window(params, maximize, trials, seed, threads)[0]
+def _engine_spec(params: ChannelParams, req: SchemeRequest) -> tuple[str, int | None]:
+    """The (tag, window) form of a request that `engine.evaluate_point` takes."""
+    if req.window is not None and req.window > params.blocks:
+        raise ConfigError(f"window {req.window} exceeds messages {params.blocks}", "schemes.list")
+    if req.kind is SchemeKind.WTS and req.optimize is not None:
+        return ("twts" if req.optimize is Objective.MAX_THROUGHPUT else "dwts"), None
+    return req.kind.value, req.window
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -309,33 +313,28 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
     rows: list[ResultRow] = []
     for sweep_name, sweep_value, params in points:
-        resolved: dict[int, tuple[str, int | None]] = {}
         reqs = list(config.schemes)
-        for idx, req in enumerate(reqs):
-            window = _resolve_window(params, req, config.trials, config.seed, config.threads)
-            tag = req.kind.value
-            resolved[idx] = (tag, window)
+        specs = {idx: _engine_spec(params, req) for idx, req in enumerate(reqs)}
         if config.include_it_bound:
-            resolved[len(reqs)] = ("it", None)
+            specs[len(reqs)] = ("it", None)
         accums = engine.evaluate_point(
-            params, resolved, config.trials, config.seed, config.threads
+            params, specs, config.trials, config.seed, config.threads
         )
         scale = params.rate / params.blocks
-        for idx, (tag, window) in resolved.items():
-            acc = accums[idx]
-            if tag == "it":
-                label, req = "IT", None
+        for idx, acc in accums.items():
+            if idx == len(reqs):
+                label = "IT"
                 analytic = (None, None, None)
             else:
                 req = reqs[idx]
                 label = req.label
-                analytic = _analytic_columns(params, req, window)
+                analytic = _analytic_columns(params, req, acc.window)
             rows.append(
                 ResultRow(
                     sweep_variable=sweep_name,
                     sweep_value=sweep_value,
                     scheme=label,
-                    window=window,
+                    window=acc.window,
                     avg_throughput_bpcu=scale * acc.mean_count(),
                     avg_decoded_msgs=acc.mean_count(),
                     avg_max_delay=acc.mean_delay(),

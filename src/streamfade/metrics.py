@@ -25,16 +25,32 @@ def max_zero_run(v) -> int:
     return best
 
 
+def max_zero_run_at(bits, slots, length: int) -> np.ndarray:
+    """Row-wise longest zero-run of length-`length` bit vectors that are zero
+    everywhere except at the increasing positions `slots`, where row i holds
+    `bits[i]` (shape (trials, len(slots))).
+
+    A run ends on the slot before a listed position or on the last slot; its
+    length is that end minus the last one before it, which a running maximum
+    over the columns gives without a per-column loop.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    n, k = bits.shape
+    # last[:, j] = 1 + position of the last one in columns < j, or 0 if none
+    last = np.zeros((n, k + 1), dtype=np.int32)
+    np.multiply(bits, np.asarray(slots, dtype=np.int32) + 1, out=last[:, 1:])
+    np.maximum.accumulate(last, axis=1, out=last)
+    # one past the last slot of each candidate run
+    ends = np.append(np.asarray(slots, dtype=np.int32), np.int32(length))
+    np.subtract(ends, last, out=last)
+    return last.max(axis=1).astype(np.int64)
+
+
 def max_zero_run_rows(v: np.ndarray) -> np.ndarray:
     """Row-wise longest zero-run for a (trials, M) boolean matrix."""
-    arr = np.asarray(v).astype(bool)
-    n, m = arr.shape
-    run = np.zeros(n, dtype=np.int64)
-    best = np.zeros(n, dtype=np.int64)
-    for t in range(m):
-        run = np.where(arr[:, t], 0, run + 1)
-        np.maximum(best, run, out=best)
-    return best
+    arr = np.asarray(v, dtype=bool)
+    m = arr.shape[1]
+    return max_zero_run_at(arr, np.arange(m), m)
 
 
 @dataclass(frozen=True)

@@ -132,12 +132,12 @@ def optimize_window(
         raise ValueError("trials must be >= 1")
     if kind is SchemeKind.PB:
         # Per realization delay = M - count, so one sweep serves both aims.
-        window, mean_count = engine.optimize_pb_window(params, trials, seed, threads)
+        tables = engine.sample_point(params, {}, trials, seed, threads, pb_table=True)
+        window, mean_count = engine.optimize_pb_window(tables.pb_counts, trials)
         if objective is Objective.MAX_THROUGHPUT:
             return window, mean_count
         return window, params.blocks - mean_count
     if kind is SchemeKind.WTS:
-        return engine.optimize_wts_window(
-            params, objective is Objective.MAX_THROUGHPUT, trials, seed, threads
-        )
+        tables = engine.sample_point(params, {}, trials, seed, threads, wts_table=True)
+        return engine.optimize_wts_window(tables.wts, objective is Objective.MAX_THROUGHPUT)
     raise ValueError("only PB and wTS have a window to optimize")

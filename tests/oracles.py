@@ -1,0 +1,46 @@
+"""Loop versions of the engine kernels, kept as references for the fast paths.
+
+Each function is the implementation the package used before its kernel was
+rewritten without per-column loops; the property tests require the fast
+kernels to return exactly the same integers.
+"""
+import numpy as np
+
+from streamfade.engine import _equal_share_weights, wts_decode_bits
+
+
+def max_zero_run_rows_loop(v) -> np.ndarray:
+    """Row-wise longest zero-run by a scan over the columns."""
+    arr = np.asarray(v).astype(bool)
+    n, m = arr.shape
+    run = np.zeros(n, dtype=np.int64)
+    best = np.zeros(n, dtype=np.int64)
+    for t in range(m):
+        run = np.where(arr[:, t], 0, run + 1)
+        np.maximum(best, run, out=best)
+    return best
+
+
+def pb_count_sums_loop(caps: np.ndarray, rate: float) -> np.ndarray:
+    """Decoded-count sums for every buffer depth by a suffix compare per depth."""
+    n, m = caps.shape
+    weights = _equal_share_weights(m)
+    running = np.cumsum(caps * weights, axis=1)
+    prefix_sums = np.cumsum(caps, axis=1)
+    sums = np.zeros(m, dtype=np.int64)
+    for b in range(1, m + 1):
+        pref = prefix_sums[:, m - b] / b
+        tau = rate - pref + running[:, m - b]
+        sums[b - 1] = int((running[:, m - b :] >= tau[:, None]).sum())
+    return sums
+
+
+def wts_literal_delay_expanded(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
+    """Literal wTS delay from the decode bits expanded to all M message slots."""
+    n, m = caps.shape
+    full, short = wts_decode_bits(caps, rate, window)
+    v = np.zeros((n, m), dtype=bool)
+    v[:, window - 1 : full.shape[1] * window : window] = full
+    if short is not None:
+        v[:, m - 1] = short
+    return max_zero_run_rows_loop(v)

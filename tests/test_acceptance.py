@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is also part of the default `pytest` run.
 """
 import math
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import streamfade
 from streamfade.asymptotic import optimal_prebuffer_fraction, verify_threshold
 from streamfade.channel import (
     ChannelParams,
@@ -45,6 +47,13 @@ SEED = 20250808
 BLOCKS = 40
 TRIALS = 100_000
 REPO = Path(__file__).resolve().parents[1]
+# Child interpreters import the same streamfade package as this test process.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(streamfade.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def params_at(snr_db, blocks=BLOCKS, rate=1.0):
@@ -292,6 +301,7 @@ def test_criterion_9_byte_identical_csv_across_threads(tmp_path):
             capture_output=True,
             text=True,
             cwd=REPO,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())

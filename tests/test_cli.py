@@ -1,10 +1,22 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import streamfade
 from streamfade import cli
 from streamfade.errors import NumericFailure
+
+DATA = Path(__file__).resolve().parent / "data"
+# Child interpreters import the same streamfade package as this test process.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(streamfade.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_main(args):
@@ -125,6 +137,39 @@ class TestVerify:
         assert "FAIL" not in out
 
 
+class TestBadInputExits2:
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["simulate", "--snr-db", "nan"], "channel.snr_db"),
+            (["simulate", "--rate", "inf"], "channel.rate"),
+            (["analyze", "--windows", "0"], "analyze.windows"),
+            (["sweep", "--variable", "messages", "--values", "8.7,16"], "sweep.values"),
+        ],
+    )
+    def test_names_the_field(self, argv, field, capsys):
+        assert run_main([*argv, "--trials", "10", "--scheme", "mt"]) == 2
+        assert field in capsys.readouterr().err
+
+
+class TestGoldenCsv:
+    """Output recorded before the one-pass engine, byte for byte."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_matches_recorded_sweep(self, threads, tmp_path):
+        out = tmp_path / "golden.csv"
+        code = run_main(
+            [
+                "sweep", "--variable", "messages", "--values", "8,16",
+                "--trials", "2000", "--seed", "12345", "--snr-db", "-5", "--rate", "1",
+                "--scheme", "mt,ets,pb,pb:2,wts:3,twts,dwts",
+                "--threads", threads, "--out-csv", str(out),
+            ]
+        )
+        assert code == 0
+        assert out.read_bytes() == (DATA / "golden_sweep_m8_m16.csv").read_bytes()
+
+
 class TestExitCodes:
     def test_numeric_failure_maps_to_3(self, monkeypatch):
         def boom(config):
@@ -138,6 +183,7 @@ class TestExitCodes:
             [sys.executable, "-m", "streamfade.cli", "--help"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout

@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import pb_count_sums_loop, wts_literal_delay_expanded
+from streamfade import engine
 from streamfade.channel import ChannelParams, decode_success_prob, sample_capacity_matrix
 from streamfade.engine import (
+    CHUNK,
     Accumulator,
     chunk_ranges,
     evaluate_point,
@@ -15,6 +21,7 @@ from streamfade.engine import (
     optimize_wts_window,
     pb_count_sums,
     pb_mi_matrix,
+    sample_point,
 )
 
 
@@ -70,6 +77,58 @@ class TestDeterminism:
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
 
+class TestOnePass:
+    """Each chunk is sampled once per point; only an optimized PB depth
+    needs a second pass."""
+
+    FIXED = {
+        "mt": ("mt", None),
+        "ets": ("ets", None),
+        "pb2": ("pb", 2),
+        "wts3": ("wts", 3),
+        "twts": ("twts", None),
+        "dwts": ("dwts", None),
+        "it": ("it", None),
+    }
+
+    def count_samples(self, monkeypatch, schemes):
+        calls = []
+        real = engine.sample_capacity_matrix
+
+        def counted(*args):
+            calls.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(engine, "sample_capacity_matrix", counted)
+        evaluate_point(params(blocks=6), schemes, trials=2 * CHUNK + 1, seed=5)
+        return calls
+
+    def test_one_sample_per_chunk(self, monkeypatch):
+        calls = self.count_samples(monkeypatch, self.FIXED)
+        assert len(calls) == 3 and len(set(calls)) == 3
+
+    def test_optimized_pb_samples_twice(self, monkeypatch):
+        calls = self.count_samples(monkeypatch, {**self.FIXED, "pb": ("pb", None)})
+        assert len(calls) == 6 and len(set(calls)) == 3
+
+    def test_optimized_rows_equal_fixed_rows_at_their_window(self):
+        p = params(blocks=9)
+        best = evaluate_point(
+            p, {"pb": ("pb", None), "twts": ("twts", None), "dwts": ("dwts", None)}, 3000, 8
+        )
+        fixed = evaluate_point(
+            p,
+            {
+                "pb": ("pb", best["pb"].window),
+                "twts": ("wts", best["twts"].window),
+                "dwts": ("wts", best["dwts"].window),
+            },
+            3000,
+            8,
+        )
+        assert snapshot(best) == snapshot(fixed)
+
+
 class TestAccumulator:
     def test_stderr_matches_numpy(self):
         rng = np.random.default_rng(0)
@@ -93,6 +152,23 @@ class TestPbSweepHelpers:
             counts, _ = evaluate_pb(caps, p.rate, b)
             assert sums[b - 1] == counts.sum()
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_count_sums_match_suffix_compare(self, data):
+        shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12)))
+        # Integer capacities give exact tau/W ties; zero rows give a flat W.
+        values = st.sampled_from([0.0, 1.0, 2.0, 3.0]) | st.floats(0.0, 4.0)
+        caps = data.draw(arrays(np.float64, shape, elements=values))
+        rate = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        assert pb_count_sums(caps, rate).tolist() == pb_count_sums_loop(caps, rate).tolist()
+
+    def test_count_sums_blocks_are_transparent(self, monkeypatch):
+        caps = sample_capacity_matrix(params(blocks=10), 17, 0, 50)
+        whole = pb_count_sums(caps, 1.0)
+        monkeypatch.setattr(engine, "_PB_BLOCK_ELEMENTS", 30)  # 3 rows a block
+        assert pb_count_sums(caps, 1.0).tolist() == whole.tolist()
+        assert whole.tolist() == pb_count_sums_loop(caps, 1.0).tolist()
+
     def test_mi_matrix_monotone_over_transmitted(self):
         p = params(blocks=10)
         caps = sample_capacity_matrix(p, 19, 0, 200)
@@ -102,12 +178,29 @@ class TestPbSweepHelpers:
     def test_optimizers_tie_break_low(self):
         # blocks=1 leaves a single candidate
         p = params(blocks=1)
-        assert optimize_pb_window(p, 128, 3)[0] == 1
-        assert optimize_wts_window(p, True, 128, 3)[0] == 1
-        assert optimize_wts_window(p, False, 128, 3)[0] == 1
+        tables = sample_point(p, {}, 128, 3, wts_table=True, pb_table=True)
+        assert optimize_pb_window(tables.pb_counts, 128)[0] == 1
+        assert optimize_wts_window(tables.wts, True)[0] == 1
+        assert optimize_wts_window(tables.wts, False)[0] == 1
+        # equal objectives at B=2 and B=3 select B=2
+        assert optimize_pb_window(np.array([5, 7, 7]), 10) == (2, 0.7)
+        table = [Accumulator(3, b, trials=10, count_sum=c, delay_sum=d)
+                 for b, c, d in ((1, 5, 9), (2, 7, 4), (3, 7, 4))]
+        assert optimize_wts_window(table, True) == (2, 0.7)
+        assert optimize_wts_window(table, False) == (2, 0.4)
 
 
 class TestWtsWindowUnits:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_literal_delay_matches_expanded_slots(self, data):
+        m = data.draw(st.integers(1, 16))
+        window = data.draw(st.integers(1, m))
+        values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+        caps = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), m), elements=values))
+        _, delays, _ = evaluate_wts(caps, 1.0, window)
+        assert delays.tolist() == wts_literal_delay_expanded(caps, 1.0, window).tolist()
+
     def test_window_stat_equals_block_stat_for_unit_window(self):
         p = params(blocks=12)
         caps = sample_capacity_matrix(p, 29, 0, 400)

@@ -99,6 +99,11 @@ class TestConfigRoundTrip:
             parse_config(broken)
         assert "run.seed" in str(err.value)
 
+    def test_fractional_message_values_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(CONFIG_TEXT.replace("values = 8, 12", "values = 8.7, 16"))
+        assert err.value.field == "sweep.values"
+
     def test_bad_sweep_order(self):
         with pytest.raises(ConfigError):
             small_config(sweep_variable="messages", sweep_values=(12, 8))

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import max_zero_run_rows_loop
 from streamfade.metrics import (
     TrialMetrics,
     aggregate,
     aggregate_arrays,
     max_zero_run,
+    max_zero_run_at,
     max_zero_run_rows,
     trial_metrics,
 )
@@ -41,6 +44,18 @@ class TestMaxZeroRun:
         mat = rng.integers(0, 2, size=(n, m)).astype(bool)
         rows = max_zero_run_rows(mat)
         assert [max_zero_run(row) for row in mat] == rows.tolist()
+        assert max_zero_run_rows_loop(mat).tolist() == rows.tolist()
+
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_slots_match_expanded_vector(self, data):
+        m = data.draw(st.integers(1, 30))
+        slots = np.array(sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))))
+        bits = data.draw(arrays(np.bool_, (3, slots.size)))
+        expanded = np.zeros((3, m), dtype=bool)
+        expanded[:, slots] = bits
+        assert max_zero_run_at(bits, slots, m).tolist() == max_zero_run_rows_loop(expanded).tolist()
 
 
 class TestTrialMetrics:
