@@ -33,9 +33,9 @@ from .runstats import (
     mt_mean_max_delay,
     partial_fraction,
     q_polynomial,
-    run_tail,
     run_tail_matrix_power,
     run_tail_partial_fraction,
+    run_tails,
     run_transition_matrix,
     wts_delay_bounds,
 )

@@ -42,7 +42,7 @@ def decode_all_probability(
     if not (1 <= window <= m):
         raise ValueError("window out of range")
     hits = 0
-    for lo, hi in chunk_ranges(trials):
+    for lo, hi in chunk_ranges(trials, m):
         caps = sample_capacity_matrix(params, seed, lo, hi)
         first_mi = caps[:, : m - window + 1].sum(axis=1) / window
         hits += int((first_mi >= params.rate).sum())

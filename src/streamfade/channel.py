@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -81,8 +82,15 @@ class ChannelTrace:
         return self.gains.shape[0]
 
 
+def _capacities_in_place(g: np.ndarray, power: float) -> np.ndarray:
+    # log2(1 + power * g), overwriting g: one (n, M) array instead of three.
+    g *= power
+    g += 1.0
+    return np.log2(g, out=g)
+
+
 def capacities_from_gains(gains: np.ndarray, power: float) -> np.ndarray:
-    return np.log2(1.0 + power * np.asarray(gains, dtype=np.float64))
+    return _capacities_in_place(np.array(gains, dtype=np.float64), power)
 
 
 def trace_from_gains(params: ChannelParams, gains) -> ChannelTrace:
@@ -108,7 +116,7 @@ def sample_gain_matrix(params: ChannelParams, seed: int, start: int, stop: int) 
 
 
 def sample_capacity_matrix(params: ChannelParams, seed: int, start: int, stop: int) -> np.ndarray:
-    return capacities_from_gains(sample_gain_matrix(params, seed, start, stop), params.power)
+    return _capacities_in_place(sample_gain_matrix(params, seed, start, stop), params.power)
 
 
 def sample_trace(params: ChannelParams, seed: int, trial_index: int) -> ChannelTrace:
@@ -204,10 +212,17 @@ def window_decode_prob(params: ChannelParams, window: int, grid_size: int = 1 <<
 
     Evaluated by self-convolving the single-block capacity density on a
     uniform grid (FFT); deterministic, no sampling.  For window == 1 this
-    reduces to decode_success_prob.
+    reduces to decode_success_prob.  The value does not depend on
+    `params.blocks`, so it is memoized on the other link parameters: a sweep
+    over M computes each window's probability once.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    return _window_decode_prob(replace(params, blocks=1), window, grid_size)
+
+
+@lru_cache(maxsize=1024)
+def _window_decode_prob(params: ChannelParams, window: int, grid_size: int) -> float:
     if params.fading is Fading.UNIT_GAIN:
         return 1.0 if window * math.log2(1.0 + params.power) >= params.rate else 0.0
     if window == 1:

@@ -1,15 +1,15 @@
 """Vectorized Monte Carlo evaluation of the transmission schemes.
 
 Evaluators operate on a (trials, blocks) capacity matrix and return integer
-per-trial statistics.  A sweep point is one pass over fixed-size chunks of
-trials (`sample_point`): each chunk samples its capacity matrix once, and
-every consumer reads that one matrix -- the fixed-window schemes, the
-per-window wTS table from which T-wTS and D-wTS select their window, and the
-per-depth PB count sums from which an optimized buffer depth is chosen.
-Chunks are keyed by absolute trial index and reduce to exact integer sums,
-so results are bit-identical regardless of worker count.  All schemes at one
-point share the same traces (common random numbers), which makes
-per-realization dominance comparisons exact.
+per-trial statistics.  A sweep point is one pass over chunks of trials
+(`sample_point`, sized by `chunk_rows`): each chunk samples its capacity
+matrix once, and every consumer reads that one matrix -- the fixed-window
+schemes, the per-window wTS table from which T-wTS and D-wTS select their
+window, and the per-depth PB count sums from which an optimized buffer depth
+is chosen.  Chunks are keyed by absolute trial index and reduce to exact
+integer sums, so results are bit-identical regardless of worker count and
+chunk size.  All schemes at one point share the same traces (common random
+numbers), which makes per-realization dominance comparisons exact.
 
 Only an optimized PB depth costs a second pass: the depth search counts
 decodes from sums taken in a different order from `evaluate_pb`, so reading
@@ -19,7 +19,7 @@ evaluated afresh at the chosen depth instead.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .informed import informed_counts_and_delays
 from .metrics import max_zero_run_at, max_zero_run_rows
 
 CHUNK = 4096
+# Rows per chunk are capped so that one capacity matrix holds at most this
+# many elements (32 MB of float64) whatever M is.
+CHUNK_ELEMENTS = 1 << 22
 # Rows per pb_count_sums block are capped so that a block's working set
 # (about 70 bytes per capacity element) stays near 2 MB whatever M is.
 _PB_BLOCK_ELEMENTS = 1 << 15
@@ -157,7 +160,6 @@ class Accumulator:
     """Exact integer reductions of per-trial statistics at one window B
     (`window` is None for MT, eTS and IT)."""
 
-    blocks: int
     window: int | None = None
     trials: int = 0
     count_sum: int = 0
@@ -166,11 +168,6 @@ class Accumulator:
     delay_sqsum: int = 0
     wdelay_sum: int | None = None
     wdelay_sqsum: int | None = None
-    hist: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.hist is None:
-            self.hist = np.zeros(self.blocks + 1, dtype=np.int64)
 
     def add(self, counts, delays, window_delays=None):
         self.trials += counts.size
@@ -178,7 +175,6 @@ class Accumulator:
         self.count_sqsum += int((counts.astype(np.int64) ** 2).sum())
         self.delay_sum += int(delays.sum())
         self.delay_sqsum += int((delays.astype(np.int64) ** 2).sum())
-        self.hist += np.bincount(counts, minlength=self.blocks + 1)
         if window_delays is not None:
             self.wdelay_sum = (self.wdelay_sum or 0) + int(window_delays.sum())
             self.wdelay_sqsum = (self.wdelay_sqsum or 0) + int(
@@ -192,7 +188,6 @@ class Accumulator:
         self.count_sqsum += other.count_sqsum
         self.delay_sum += other.delay_sum
         self.delay_sqsum += other.delay_sqsum
-        self.hist += other.hist
         if other.wdelay_sum is not None:
             self.wdelay_sum = (self.wdelay_sum or 0) + other.wdelay_sum
             self.wdelay_sqsum = (self.wdelay_sqsum or 0) + other.wdelay_sqsum
@@ -223,16 +218,19 @@ class Accumulator:
     def stderr_window_delay(self) -> float:
         return self._stderr(self.wdelay_sum, self.wdelay_sqsum)
 
-    def eta_hist(self) -> np.ndarray:
-        return self.hist / self.trials
+
+def chunk_rows(blocks: int) -> int:
+    """Trials per chunk: CHUNK rows, fewer when a row has many blocks."""
+    return min(CHUNK, max(1, CHUNK_ELEMENTS // blocks))
 
 
-def chunk_ranges(trials: int, chunk: int = CHUNK):
-    return [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+def chunk_ranges(trials: int, blocks: int):
+    step = chunk_rows(blocks)
+    return [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
-def _map_chunks(task, trials: int, threads: int):
-    ranges = chunk_ranges(trials)
+def _map_chunks(task, trials: int, blocks: int, threads: int):
+    ranges = chunk_ranges(trials, blocks)
     if threads <= 1 or len(ranges) <= 1:
         return [task(lo, hi) for lo, hi in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -290,8 +288,8 @@ def sample_point(
 
     def empty():
         return PointTables(
-            {key: Accumulator(m, window) for key, (_, window) in fixed.items()},
-            [Accumulator(m, b) for b in range(1, m + 1)] if wts_table else None,
+            {key: Accumulator(window) for key, (_, window) in fixed.items()},
+            [Accumulator(b) for b in range(1, m + 1)] if wts_table else None,
             np.zeros(m, dtype=np.int64) if pb_table else None,
         )
 
@@ -308,7 +306,7 @@ def sample_point(
         return part
 
     total = empty()
-    for part in _map_chunks(task, trials, threads):
+    for part in _map_chunks(task, trials, m, threads):
         total.merge(part)
     return total
 
@@ -346,8 +344,8 @@ def evaluate_point(
     throughput-optimal buffer depth, or ("twts" | "dwts", None) for wTS at the
     window maximizing throughput or minimizing delay.  Returns key ->
     Accumulator, whose `window` is the B the statistics were taken at.
-    Chunks are fixed-size and keyed by absolute trial index, so the result is
-    independent of `threads`.
+    Chunks are keyed by absolute trial index and reduce to exact integer
+    sums, so the result is independent of `threads` and of the chunk size.
     """
     best_pb = [key for key, (tag, window) in schemes.items() if tag == "pb" and window is None]
     best_wts = {key: tag == "twts" for key, (tag, _) in schemes.items() if tag in ("twts", "dwts")}

@@ -18,9 +18,13 @@ _INV_2_53 = float(2.0**-53)
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer; overwrites `z` when it is an array."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def stream_base(seed: int, streams: np.ndarray) -> np.ndarray:
@@ -42,7 +46,10 @@ def uniform_matrix(seed: int, start: int, stop: int, count: int) -> np.ndarray:
         base = stream_base(seed, np.arange(start, stop, dtype=np.uint64))[:, None]
         ctr = np.arange(1, count + 1, dtype=np.uint64)[None, :]
         z = _finalize(base + ctr * _GOLDEN)
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    np.right_shift(z, np.uint64(11), out=z)
+    u = z.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def uniform_stream(seed: int, stream: int, count: int) -> np.ndarray:
@@ -52,4 +59,7 @@ def uniform_stream(seed: int, stream: int, count: int) -> np.ndarray:
 
 def exponential_matrix(seed: int, start: int, stop: int, count: int) -> np.ndarray:
     """Unit-mean exponentials via the inverse CDF, -ln(1 - u)."""
-    return -np.log1p(-uniform_matrix(seed, start, stop, count))
+    u = uniform_matrix(seed, start, stop, count)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)

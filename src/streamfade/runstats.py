@@ -1,18 +1,31 @@
 """Distribution of the longest failure run in an i.i.d. Bernoulli decode sequence.
 
 Pr{longest zero-run >= d} over M trials with per-trial success probability p
-is computed three independent ways:
+is computed four independent ways:
 
+* the exact run-tail recurrence (`run_tails`), the production path: with
+  q = 1 - p and T_n the tail over n trials, T_n = 0 for n < d, T_d = q^d and
+  T_n = T_{n-1} + p q^d (1 - T_{n-d-1}), the tail form of Feller's
+  A_n = A_{n-1} - p q^d A_{n-d-1} for A_n = 1 - T_n (Feller, Vol. I
+  XIII.7; Schilling, "The Longest Run of Heads", 1990).  One loop over n,
+  vectorized over d, gives every d = 1..M in O(M^2) flops; the term added
+  at n is the probability that the first run of d failures ends at trial n,
+  so the tails only grow by nonnegative terms and keep their relative accuracy,
 * exhaustive weighted enumeration over all 2^M sequences (small M oracle),
 * absorbing Markov chain raised to the M-th power,
 * closed form from the partial-fraction expansion of the run generating
   function ((1-p) z)^d / ((1-z) q_d(z)), where
   q_d(z) = 1 - p * sum_{j=1..d} z^j (1-p)^(j-1).
 
-The z = 1 pole always has residue exactly 1 (q_d(1) = (1-p)^d), so it is
-peeled off in closed form before any numerics; the remaining expansion only
-involves the roots of q_d, which all lie outside the unit circle.  This keeps
-the evaluation stable even when q_d's real root approaches 1 for large d.
+The last three are cross-checks of the recurrence; every analytic column of
+the CSV (`mt_mean_max_delay`, `delay_distribution`, `wts_delay_bounds`) reads
+from `run_tails`.
+
+In the partial-fraction expansion the z = 1 pole always has residue exactly 1
+(q_d(1) = (1-p)^d), so it is peeled off in closed form before any numerics;
+the remaining expansion only involves the roots of q_d, which all lie outside
+the unit circle.  This keeps the evaluation stable even when q_d's real root
+approaches 1 for large d.
 """
 from __future__ import annotations
 
@@ -286,44 +299,38 @@ def run_tail_partial_fraction(M: int, p: float, d: int) -> float:
     return partial_fraction(d, p).tail(M)
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    value: float
-    method: str  # "partial-fraction", "matrix-power" (fallback), or "degenerate"
+def run_tails(M: int, p: float) -> np.ndarray:
+    """Pr{longest zero-run >= d} over M Bernoulli(p) trials; entry d-1 for d = 1..M.
 
-    @property
-    def degraded(self) -> bool:
-        return self.method == "matrix-power"
-
-
-def run_tail(M: int, p: float, d: int) -> TailEstimate:
-    """Tail probability with the partial-fraction path preferred."""
-    _validate(M, p, d)
-    if p == 0.0:
-        return TailEstimate(1.0, "degenerate")
-    if p == 1.0:
-        return TailEstimate(0.0, "degenerate")
-    try:
-        return TailEstimate(run_tail_partial_fraction(M, p, d), "partial-fraction")
-    except NumericFailure:
-        return TailEstimate(run_tail_matrix_power(M, p, d), "matrix-power")
+    Row n of the table holds the tails over n trials.  Tails of run lengths
+    d < n grow by p q^d (1 - T_{n-d-1}(d)), where T_{n-d-1}(d) sits on the
+    anti-diagonal of the rows before; d = n starts at q^n, and d > n stays 0.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"success probability must lie in [0, 1], got {p}")
+    q_pow = (1.0 - p) ** np.arange(1, M + 1, dtype=np.float64)
+    step = p * q_pow
+    table = np.zeros((M + 1, M))
+    for n in range(1, M + 1):
+        k = n - 1  # run lengths d < n
+        if k:
+            earlier = np.diagonal(table[k - 1 :: -1, :k])  # T_{n-d-1}(d)
+            np.add(table[k, :k], step[:k] * (1.0 - earlier), out=table[n, :k])
+        table[n, k] = q_pow[k]
+    # Rounding can lift a tail near 1 (small p) a few ulps above it.
+    return np.minimum(table[M], 1.0)
 
 
 def mt_mean_max_delay(M: int, p: float) -> float:
     """Mean longest zero-run over M Bernoulli(p) decode events.
 
-    Sum of the tail probabilities for d = 1..M; this is the exact average
-    maximum inter-decoding delay of per-block memoryless transmission.
+    Sum of the tail probabilities for d = 1..M, taken left to right; this is
+    the exact average maximum inter-decoding delay of per-block memoryless
+    transmission.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("success probability must lie in [0, 1]")
-    if p == 0.0:
-        return float(M)
-    if p == 1.0:
-        return 0.0
-    return float(sum(run_tail(M, p, d).value for d in range(1, M + 1)))
+    return float(sum(run_tails(M, p).tolist()))
 
 
 @dataclass(frozen=True)
@@ -335,9 +342,7 @@ class DelayDistribution:
 
 
 def delay_distribution(M: int, p: float) -> DelayDistribution:
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    tails = np.array([run_tail(M, p, d).value for d in range(1, M + 1)])
+    tails = run_tails(M, p)
     if np.any(np.diff(tails) > 1e-9):
         raise NumericFailure("tail probabilities must be nonincreasing in d")
     tails = np.minimum.accumulate(tails)

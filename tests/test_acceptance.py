@@ -40,6 +40,7 @@ from streamfade.runstats import (
     mt_mean_max_delay,
     run_tail_matrix_power,
     run_tail_partial_fraction,
+    run_tails,
     wts_delay_bounds,
 )
 
@@ -75,22 +76,23 @@ def _mean_se(values):
 
 
 def test_criterion_1_run_length_agreement_triangle():
-    """Partial fraction == matrix power == enumeration, |err| < 1e-9, < 60 s."""
+    """Recurrence == partial fraction == matrix power == enumeration, |err| < 1e-9, < 60 s."""
     start = time.perf_counter()
     worst = 0.0
     for m in range(2, 15):
         for p100 in range(5, 100, 5):
             p = p100 / 100.0
             enum = enumerate_run_tails(m, p)
+            rec = run_tails(m, p)
             for d in range(1, m + 1):
                 pf = run_tail_partial_fraction(m, p, d)
                 mat = run_tail_matrix_power(m, p, d)
-                worst = max(worst, abs(pf - enum[d - 1]), abs(mat - enum[d - 1]))
-                assert abs(pf - enum[d - 1]) < 1e-9, (m, p, d)
-                assert abs(mat - enum[d - 1]) < 1e-9, (m, p, d)
+                devs = [abs(x - enum[d - 1]) for x in (rec[d - 1], pf, mat)]
+                worst = max(worst, *devs)
+                assert max(devs) < 1e-9, (m, p, d, devs)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    print(f"\n[criterion 1] PASS - triangle worst deviation {worst:.2e}, {elapsed:.1f}s")
+    print(f"\n[criterion 1] PASS - four-method worst deviation {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_2_mean_delay_spot_values():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from streamfade import channel
 from streamfade.channel import (
     ChannelParams,
     ChannelTrace,
@@ -213,3 +214,13 @@ class TestWindowDecodeProb:
         p = params(snr=-5.0, rate=1.0, blocks=10)
         probs = [window_decode_prob(p, b) for b in range(1, 8)]
         assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
+
+    def test_independent_of_blocks(self):
+        by_blocks = [
+            [window_decode_prob(params(snr=-5.0, rate=1.0, blocks=m), b) for b in range(1, 6)]
+            for m in (5, 8, 64)
+        ]
+        assert by_blocks[0] == by_blocks[1] == by_blocks[2]
+        # the memoized float is the one a fresh convolution computes
+        link = params(snr=-5.0, rate=1.0, blocks=1)
+        assert by_blocks[2][4] == channel._window_decode_prob.__wrapped__(link, 5, 1 << 13)

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from streamfade.engine import (
     CHUNK,
     Accumulator,
     chunk_ranges,
+    chunk_rows,
+    evaluate_mt,
     evaluate_point,
     evaluate_pb,
     evaluate_wts,
@@ -23,6 +27,7 @@ from streamfade.engine import (
     pb_mi_matrix,
     sample_point,
 )
+from streamfade.experiments import ExperimentConfig, parse_scheme_token, render_csv, run_experiment
 
 
 def params(snr=-5.0, rate=1.0, blocks=20):
@@ -49,7 +54,6 @@ def snapshot(accums):
             acc.delay_sqsum,
             acc.wdelay_sum,
             acc.wdelay_sqsum,
-            tuple(acc.hist.tolist()),
         )
     return out
 
@@ -72,9 +76,58 @@ class TestDeterminism:
         assert accums["pb"].trials == 9_000
 
     def test_chunk_ranges_cover(self):
-        ranges = chunk_ranges(10_000)
+        ranges = chunk_ranges(10_000, 20)
         assert ranges[0][0] == 0 and ranges[-1][1] == 10_000
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+class TestChunkBudget:
+    """Chunks hold at most CHUNK_ELEMENTS capacities; the sums they reduce to
+    are exact integers keyed by trial index, so no result depends on them."""
+
+    SCHEMES = {
+        "mt": ("mt", None),
+        "ets": ("ets", None),
+        "pb1": ("pb", 1),
+        "wts1": ("wts", 1),
+        "pb": ("pb", None),
+        "twts": ("twts", None),
+        "dwts": ("dwts", None),
+        "it": ("it", None),
+    }
+
+    def test_rows_per_chunk(self):
+        assert chunk_rows(1) == CHUNK
+        assert chunk_rows(64) == CHUNK  # sweep-sized points keep 4096 rows
+        assert chunk_rows(2000) == 2097  # 1024 trials at M=2000 stay one chunk
+        assert chunk_rows(10**5) == 41
+        assert chunk_rows(10**8) == 1
+
+    @given(
+        blocks=st.integers(1, 9),
+        budget=st.integers(1, 120),
+        threads=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_results_independent_of_budget_and_threads(self, blocks, budget, threads):
+        config = ExperimentConfig(
+            snr_db=0.0,
+            rate=1.0,
+            messages=blocks,
+            schemes=tuple(
+                parse_scheme_token(t) for t in ("mt", "ets", "pb", "pb:1", "wts:1", "twts", "dwts")
+            ),
+            include_it_bound=True,
+            trials=97,
+            seed=23,
+        )
+        p = params(snr=0.0, blocks=blocks)
+        whole = snapshot(evaluate_point(p, self.SCHEMES, 97, 23))
+        csv = render_csv(run_experiment(config))
+        with mock.patch.object(engine, "CHUNK_ELEMENTS", budget):
+            assert len(chunk_ranges(97, blocks)) == -(-97 // max(1, budget // blocks))
+            assert snapshot(evaluate_point(p, self.SCHEMES, 97, 23, threads)) == whole
+            assert render_csv(run_experiment(replace(config, threads=threads))) == csv
 
 
 class TestOnePass:
@@ -134,13 +187,12 @@ class TestAccumulator:
         rng = np.random.default_rng(0)
         counts = rng.integers(0, 12, size=5000)
         delays = rng.integers(0, 12, size=5000)
-        acc = Accumulator(blocks=11)
+        acc = Accumulator()
         for lo in range(0, 5000, 1000):
             acc.add(counts[lo : lo + 1000], delays[lo : lo + 1000])
         assert acc.mean_count() == pytest.approx(counts.mean())
         assert acc.stderr_count() == pytest.approx(counts.std(ddof=1) / math.sqrt(5000))
         assert acc.stderr_delay() == pytest.approx(delays.std(ddof=1) / math.sqrt(5000))
-        assert np.array_equal(acc.hist, np.bincount(counts, minlength=12))
 
 
 class TestPbSweepHelpers:
@@ -184,7 +236,7 @@ class TestPbSweepHelpers:
         assert optimize_wts_window(tables.wts, False)[0] == 1
         # equal objectives at B=2 and B=3 select B=2
         assert optimize_pb_window(np.array([5, 7, 7]), 10) == (2, 0.7)
-        table = [Accumulator(3, b, trials=10, count_sum=c, delay_sum=d)
+        table = [Accumulator(b, trials=10, count_sum=c, delay_sum=d)
                  for b, c, d in ((1, 5, 9), (2, 7, 4), (3, 7, 4))]
         assert optimize_wts_window(table, True) == (2, 0.7)
         assert optimize_wts_window(table, False) == (2, 0.4)
@@ -221,14 +273,19 @@ class TestWtsWindowUnits:
         assert delays[0] == 8
 
 
+def mt_count_hist(p: ChannelParams, trials: int, seed: int) -> np.ndarray:
+    """Histogram of per-trial MT decode counts over trials 0..trials-1."""
+    counts, _ = evaluate_mt(sample_capacity_matrix(p, seed, 0, trials), p.rate)
+    return np.bincount(counts, minlength=p.blocks + 1)
+
+
 class TestMtStatistics:
     def test_counts_are_binomial(self):
         # chi-square goodness of fit at the 1% level, 1e5 trials
         p = params(snr=-5.0, blocks=10)
-        acc = evaluate_point(p, {"mt": ("mt", None)}, trials=100_000, seed=321)["mt"]
         prob = decode_success_prob(p)
         expected = 100_000 * scipy.stats.binom.pmf(np.arange(11), 10, prob)
-        observed = acc.hist.astype(float)
+        observed = mt_count_hist(p, 100_000, 321).astype(float)
         # merge sparse bins (expected >= 5) from the right tail
         while expected[-1] < 5 and expected.size > 2:
             expected[-2] += expected[-1]
@@ -240,10 +297,10 @@ class TestMtStatistics:
 
     def test_eta_close_to_binomial_in_total_variation(self):
         p = params(snr=5.0, blocks=10)
-        acc = evaluate_point(p, {"mt": ("mt", None)}, trials=100_000, seed=654)["mt"]
         prob = decode_success_prob(p)
         pmf = scipy.stats.binom.pmf(np.arange(11), 10, prob)
-        tv = 0.5 * float(np.abs(acc.eta_hist() - pmf).sum())
+        eta = mt_count_hist(p, 100_000, 654) / 100_000
+        tv = 0.5 * float(np.abs(eta - pmf).sum())
         assert tv < 0.01
 
     def test_lag_one_independence(self):

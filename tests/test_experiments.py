@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from streamfade import runstats
 from streamfade.channel import ChannelParams, decode_success_prob
 from streamfade.errors import ConfigError
 from streamfade.experiments import (
@@ -193,6 +194,23 @@ class TestAnalyticRows:
         assert [r.scheme for r in rows] == ["MT", "wTS", "wTS"]
         assert all(r.avg_throughput_bpcu is None for r in rows)
         assert rows[0].analytic_throughput is not None
+
+    def test_columns_come_from_the_recurrence_alone(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("analytic columns must not use this method")
+
+        for name in ("partial_fraction", "run_tail_partial_fraction", "run_tail_matrix_power"):
+            monkeypatch.setattr(runstats, name, unreachable)
+        config = small_config(
+            schemes=tuple(parse_scheme_token(t) for t in ("mt", "wts:3", "twts", "dwts")),
+            sweep_variable="messages",
+            sweep_values=(6, 40),
+            include_it_bound=False,
+            trials=200,
+        )
+        rows = run_experiment(config) + analytic_rows(config, windows=(1, 2, 5, 40))
+        assert len(rows) == 2 * 4 + 2 * 5 - 1  # wTS B=40 exceeds M=6
+        assert all(r.analytic_delay_upper is not None for r in rows)
 
 
 class TestSimulationWithinAnalyticBounds:

@@ -2,22 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamfade.errors import NumericFailure
-from streamfade import runstats
 from streamfade.runstats import (
     delay_distribution,
     enumerate_run_tails,
     mt_mean_max_delay,
     partial_fraction,
     q_polynomial,
-    run_tail,
     run_tail_matrix_power,
     run_tail_partial_fraction,
+    run_tails,
     run_transition_matrix,
     wts_delay_bounds,
     _laurent_coefficients,
 )
+
+# Success probabilities with the degenerate ends, exactly and nearly.
+PROBS = st.sampled_from([0.0, 1.0, 1e-12, 1e-6, 1 - 1e-6, 1 - 1e-12]) | st.floats(0.0, 1.0)
 
 
 class TestTransitionMatrix:
@@ -133,26 +136,42 @@ class TestPartialFraction:
         assert coeffs[1] == pytest.approx(3.0, abs=1e-8)
 
 
-class TestRunTailDispatch:
-    def test_prefers_partial_fraction(self):
-        est = run_tail(12, 0.4, 3)
-        assert est.method == "partial-fraction"
-        assert not est.degraded
+class TestRunTails:
+    def test_degenerate_probabilities(self):
+        assert run_tails(5, 0.0).tolist() == [1.0] * 5
+        assert run_tails(5, 1.0).tolist() == [0.0] * 5
 
-    def test_degenerate_shortcuts(self):
-        assert run_tail(5, 0.0, 2).value == 1.0
-        assert run_tail(5, 1.0, 2).value == 0.0
-        assert run_tail(5, 0.0, 2).method == "degenerate"
+    def test_enumerated_example(self):
+        # M=3, p=0.5: tails 7/8, 3/8, 1/8
+        assert run_tails(3, 0.5).tolist() == [0.875, 0.375, 0.125]
 
-    def test_fallback_flags_degraded(self, monkeypatch):
-        def broken(M, p, d):
-            raise NumericFailure("forced")
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            run_tails(0, 0.5)
+        with pytest.raises(ValueError):
+            run_tails(3, 1.5)
+        with pytest.raises(ValueError):
+            run_tails(3, float("nan"))
 
-        monkeypatch.setattr(runstats, "run_tail_partial_fraction", broken)
-        est = runstats.run_tail(12, 0.4, 3)
-        assert est.method == "matrix-power"
-        assert est.degraded
-        assert est.value == pytest.approx(run_tail_matrix_power(12, 0.4, 3), abs=1e-15)
+    @given(m=st.integers(1, 12), p=PROBS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration(self, m, p):
+        tails = run_tails(m, p)
+        assert np.all((tails >= 0.0) & (tails <= 1.0))
+        assert np.max(np.abs(tails - enumerate_run_tails(m, p))) < 1e-13
+
+    @given(m=st.integers(1, 200), p=PROBS, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_matrix_power(self, m, p, data):
+        tails = run_tails(m, p)
+        for d in data.draw(st.lists(st.integers(1, m), min_size=1, max_size=4)):
+            assert abs(tails[d - 1] - run_tail_matrix_power(m, p, d)) < 1e-12, d
+
+    def test_tails_grow_with_horizon(self):
+        # tails over M trials are nondecreasing in M for every d
+        short, long = run_tails(30, 0.4), run_tails(31, 0.4)
+        assert np.all(long[:30] >= short)
+        assert long[30] == pytest.approx(0.6**31, rel=1e-12)
 
 
 class TestMeanMaxDelay:
@@ -188,7 +207,7 @@ class TestDelayDistribution:
 
     def test_tail_monotone_in_p(self):
         for d in (1, 3, 6):
-            values = [run_tail(8, p, d).value for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+            values = [run_tails(8, p)[d - 1] for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -244,7 +263,7 @@ class TestWideAgreement:
                     )
 
     def test_matrix_power_agreement_up_to_two_hundred(self):
-        # the closed-form path must track the chain for every size up to 200
+        # the recurrence must track the chain for every size up to 200
         cases = [
             (50, 0.3, 7),
             (120, 0.5, 20),
@@ -255,9 +274,10 @@ class TestWideAgreement:
             (175, 0.05, 12),
         ]
         for m, p, d in cases:
-            est = run_tail(m, p, d)
-            assert abs(est.value - run_tail_matrix_power(m, p, d)) < 1e-9, (m, p, d)
-        # the route stays genuinely dual (no fallback) on the moderate grid
+            mat = run_tail_matrix_power(m, p, d)
+            assert abs(run_tails(m, p)[d - 1] - mat) < 1e-9, (m, p, d)
+        # the closed form stays a working cross-check on the moderate grid
         for m, p, d in cases:
             if d <= 60 and p <= 0.9:
-                assert run_tail(m, p, d).method == "partial-fraction"
+                mat = run_tail_matrix_power(m, p, d)
+                assert abs(run_tail_partial_fraction(m, p, d) - mat) < 1e-9, (m, p, d)
