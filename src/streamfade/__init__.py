@@ -24,7 +24,7 @@ from .informed import (
     min_delay_max_rate,
     oracle_exhaustive,
 )
-from .metrics import AggregateMetrics, TrialMetrics, aggregate, max_zero_run, trial_metrics
+from .metrics import max_zero_run
 from .runstats import (
     DelayDistribution,
     PartialFraction,
@@ -40,19 +40,18 @@ from .runstats import (
     wts_delay_bounds,
 )
 from .schemes import (
-    Objective,
-    SchemeKind,
-    SchemeSpec,
+    SCHEMES,
+    Scheme,
     accumulate_mi,
     build_allocation,
     decode,
-    optimize_window,
+    format_scheme_token,
+    parse_scheme_token,
     transmitted_mask,
 )
 from .asymptotic import AsymptoticReport, alpha_opt, optimal_prebuffer_fraction, verify_threshold
 from .experiments import (
     ExperimentConfig,
-    SchemeRequest,
     emit_csv,
     emit_svg,
     parse_config,

@@ -82,6 +82,13 @@ class ChannelTrace:
         return self.gains.shape[0]
 
 
+def trace_capacities(trace) -> np.ndarray:
+    """The capacities of a `ChannelTrace`, or a capacity vector as float64."""
+    if isinstance(trace, ChannelTrace):
+        return trace.capacities
+    return np.asarray(trace, dtype=np.float64)
+
+
 def _capacities_in_place(g: np.ndarray, power: float) -> np.ndarray:
     # log2(1 + power * g), overwriting g: one (n, M) array instead of three.
     g *= power

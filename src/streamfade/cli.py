@@ -8,7 +8,9 @@ verify (quick oracle-equivalence self-checks).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,20 +31,20 @@ from .experiments import (
     emit_csv,
     emit_svg,
     parse_config,
-    parse_scheme_token,
     parse_sweep_values,
     render_csv,
     run_experiment,
 )
+from .schemes import parse_scheme_list
 
-_DEFAULTS = dict(
+_DEFAULTS = ExperimentConfig(
     snr_db=-5.0,
     rate=1.0,
     messages=40,
+    schemes=parse_scheme_list("mt,ets,pb,twts,dwts"),
+    include_it_bound=True,
     trials=10_000,
     seed=12345,
-    threads=1,
-    schemes="mt,ets,pb,twts,dwts",
 )
 
 
@@ -85,74 +87,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, sweep_variable=None, sweep_values=None) -> ExperimentConfig:
+def _read_config(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read the file: {exc}", "config") from exc
+
+
+def _config_from_args(args, **sweep) -> ExperimentConfig:
+    overrides = {
+        field: value
+        for field, value in (
+            ("snr_db", args.snr_db),
+            ("rate", args.rate),
+            ("messages", args.messages),
+            ("trials", args.trials),
+            ("seed", args.seed),
+            ("threads", args.threads),
+            ("schemes", parse_scheme_list(args.scheme) if args.scheme else None),
+            ("csv_path", args.out_csv or None),
+            ("svg_path", args.out_svg or None),
+        )
+        if value is not None
+    }
+    overrides.update(sweep)
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = parse_config(fh.read())
-        fields = dict(
-            snr_db=base.snr_db,
-            rate=base.rate,
-            messages=base.messages,
-            schemes=base.schemes,
-            include_it_bound=base.include_it_bound,
-            trials=base.trials,
-            seed=base.seed,
-            threads=base.threads,
-            sweep_variable=base.sweep_variable,
-            sweep_values=base.sweep_values,
-            csv_path=base.csv_path,
-            svg_path=base.svg_path,
-        )
+        config = parse_config(_read_config(args.config), **overrides)
     else:
-        fields = dict(
-            snr_db=_DEFAULTS["snr_db"],
-            rate=_DEFAULTS["rate"],
-            messages=_DEFAULTS["messages"],
-            schemes=tuple(
-                parse_scheme_token(t) for t in _DEFAULTS["schemes"].split(",")
-            ),
-            include_it_bound=True,
-            trials=_DEFAULTS["trials"],
-            seed=_DEFAULTS["seed"],
-            threads=_DEFAULTS["threads"],
-            sweep_variable=None,
-            sweep_values=None,
-            csv_path=None,
-            svg_path=None,
-        )
-    if args.snr_db is not None:
-        fields["snr_db"] = args.snr_db
-    if args.rate is not None:
-        fields["rate"] = args.rate
-    if args.messages is not None:
-        fields["messages"] = args.messages
-    if args.trials is not None:
-        fields["trials"] = args.trials
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.threads is not None:
-        fields["threads"] = args.threads
-    if args.scheme:
-        fields["schemes"] = tuple(
-            parse_scheme_token(t) for t in args.scheme.split(",") if t.strip()
-        )
-    if args.out_csv:
-        fields["csv_path"] = args.out_csv
-    if getattr(args, "out_svg", None):
-        fields["svg_path"] = args.out_svg
-    if sweep_variable is not None:
-        fields["sweep_variable"] = sweep_variable
-        fields["sweep_values"] = sweep_values
-    return ExperimentConfig(**fields)
+        config = replace(_DEFAULTS, **overrides)
+    # Fail before sampling rather than after it.
+    for field, path in (("output.csv", config.csv_path), ("output.svg", config.svg_path)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"the directory of {path!r} does not exist", field)
+    return config
+
+
+def _write(emit, rows, path: str, field: str, *args) -> None:
+    try:
+        emit(rows, path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the file: {exc}", field) from exc
 
 
 def _write_outputs(rows, config, default_metric="throughput"):
     if config.csv_path:
-        emit_csv(rows, config.csv_path)
+        _write(emit_csv, rows, config.csv_path, "output.csv")
     else:
         sys.stdout.write(render_csv(rows))
     if config.svg_path:
-        emit_svg(rows, config.svg_path, metric=default_metric)
+        _write(emit_svg, rows, config.svg_path, "output.svg", default_metric)
 
 
 def _cmd_simulate(args) -> int:
@@ -170,7 +154,9 @@ def _default_sweep(variable: str):
 
 def _cmd_sweep(args) -> int:
     values = parse_sweep_values(args.variable, args.values) if args.values else None
-    config = _config_from_args(args, args.variable, values or _default_sweep(args.variable))
+    config = _config_from_args(
+        args, sweep_variable=args.variable, sweep_values=values or _default_sweep(args.variable)
+    )
     rows = run_experiment(config)
     _write_outputs(rows, config)
     return 0
@@ -178,6 +164,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_analyze(args) -> int:
     config = _config_from_args(args)
+    if config.svg_path:
+        raise ConfigError("analyze writes no chart: it has no simulated columns", "output.svg")
     try:
         windows = tuple(int(w) for w in args.windows.split(",") if w.strip())
     except ValueError:
@@ -190,10 +178,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    config = _config_from_args(args)
-    fields = dict(config.__dict__)
-    fields.update(schemes=(), include_it_bound=True)
-    config = ExperimentConfig(**fields)
+    config = replace(_config_from_args(args), schemes=(), include_it_bound=True)
     rows = run_experiment(config)
     _write_outputs(rows, config)
     return 0

@@ -19,11 +19,13 @@ evaluated afresh at the chosen depth instead.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelParams, sample_capacity_matrix
+# The informed bound is the IT row's evaluator; the scheme table reaches it
+# here, next to the other evaluators.
 from .informed import informed_counts_and_delays
 from .metrics import max_zero_run_at, max_zero_run_rows
 
@@ -94,13 +96,10 @@ def wts_decode_bits(caps: np.ndarray, rate: float, window: int):
 
 
 def evaluate_wts(caps: np.ndarray, rate: float, window: int):
-    """Windowed time-sharing.
-
-    Returns (counts, delays, window_delays): `delays` is the literal longest
-    zero-run over all M message slots (untransmitted messages count as
-    failures), while `window_delays` is `window` times the longest run of
-    consecutive failed full windows — the statistic bounded by the floor/ceil
-    substitution into the run-length closed form.
+    """Windowed time-sharing: (counts, delays), where `delays` is the literal
+    longest zero-run over all M message slots (untransmitted messages count
+    as failures); see `wts_window_delays` for the statistic that the wTS
+    delay bounds bound.
     """
     m = caps.shape[1]
     full, short = wts_decode_bits(caps, rate, window)
@@ -112,13 +111,19 @@ def evaluate_wts(caps: np.ndarray, rate: float, window: int):
         slots = np.append(slots, m - 1)
         bits = np.column_stack([full, short])
         counts = counts + short
-    delays = max_zero_run_at(bits, slots, m)
-    window_delays = window * max_zero_run_rows(full)
-    return counts, delays, window_delays
+    return counts, max_zero_run_at(bits, slots, m)
 
 
-def evaluate_informed(caps: np.ndarray, rate: float):
-    return informed_counts_and_delays(caps, rate)
+def wts_window_delays(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
+    """Per-trial wTS delay in whole windows: `window` times the longest run of
+    consecutive failed full windows (a trailing short window is not counted).
+
+    This is the statistic bracketed by the floor/ceil substitution into the
+    run-length closed form (`runstats.wts_delay_bounds`), not the literal
+    delay of `evaluate_wts`; the two coincide at window 1.
+    """
+    full, _ = wts_decode_bits(caps, rate, window)
+    return window * max_zero_run_rows(full)
 
 
 def pb_count_sums(caps: np.ndarray, rate: float) -> np.ndarray:
@@ -166,20 +171,13 @@ class Accumulator:
     count_sqsum: int = 0
     delay_sum: int = 0
     delay_sqsum: int = 0
-    wdelay_sum: int | None = None
-    wdelay_sqsum: int | None = None
 
-    def add(self, counts, delays, window_delays=None):
+    def add(self, counts, delays):
         self.trials += counts.size
         self.count_sum += int(counts.sum())
         self.count_sqsum += int((counts.astype(np.int64) ** 2).sum())
         self.delay_sum += int(delays.sum())
         self.delay_sqsum += int((delays.astype(np.int64) ** 2).sum())
-        if window_delays is not None:
-            self.wdelay_sum = (self.wdelay_sum or 0) + int(window_delays.sum())
-            self.wdelay_sqsum = (self.wdelay_sqsum or 0) + int(
-                (window_delays.astype(np.int64) ** 2).sum()
-            )
 
     def merge(self, other: "Accumulator") -> None:
         """Add the sums of `other`, gathered on other trials."""
@@ -188,18 +186,12 @@ class Accumulator:
         self.count_sqsum += other.count_sqsum
         self.delay_sum += other.delay_sum
         self.delay_sqsum += other.delay_sqsum
-        if other.wdelay_sum is not None:
-            self.wdelay_sum = (self.wdelay_sum or 0) + other.wdelay_sum
-            self.wdelay_sqsum = (self.wdelay_sqsum or 0) + other.wdelay_sqsum
 
     def mean_count(self) -> float:
         return self.count_sum / self.trials
 
     def mean_delay(self) -> float:
         return self.delay_sum / self.trials
-
-    def mean_window_delay(self) -> float:
-        return self.wdelay_sum / self.trials
 
     def _stderr(self, total: int, sqtotal: int) -> float:
         n = self.trials
@@ -214,9 +206,6 @@ class Accumulator:
 
     def stderr_delay(self) -> float:
         return self._stderr(self.delay_sum, self.delay_sqsum)
-
-    def stderr_window_delay(self) -> float:
-        return self._stderr(self.wdelay_sum, self.wdelay_sqsum)
 
 
 def chunk_rows(blocks: int) -> int:
@@ -235,20 +224,6 @@ def _map_chunks(task, trials: int, blocks: int, threads: int):
         return [task(lo, hi) for lo, hi in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda r: task(*r), ranges))
-
-
-def _evaluate(tag: str, caps: np.ndarray, rate: float, window: int | None):
-    if tag == "mt":
-        return (*evaluate_mt(caps, rate), None)
-    if tag == "ets":
-        return (*evaluate_ets(caps, rate), None)
-    if tag == "pb":
-        return (*evaluate_pb(caps, rate, window), None)
-    if tag == "wts":
-        return evaluate_wts(caps, rate, window)
-    if tag == "it":
-        return (*evaluate_informed(caps, rate), None)
-    raise ValueError(f"unknown scheme tag {tag!r}")
 
 
 @dataclass
@@ -280,15 +255,15 @@ def sample_point(
     pb_table: bool = False,
 ) -> PointTables:
     """One sampling pass: each chunk draws its capacity matrix once and feeds it
-    to every scheme in `fixed` (key -> (tag, window), tag one of "mt", "ets",
-    "pb", "wts", "it"), to wTS at every window B = 1..M when `wts_table`, and
-    to `pb_count_sums` when `pb_table`.
+    to every scheme in `fixed` (key -> `schemes.Scheme` whose window is fixed
+    or absent from its row), to wTS at every window B = 1..M when
+    `wts_table`, and to `pb_count_sums` when `pb_table`.
     """
     m, rate = params.blocks, params.rate
 
     def empty():
         return PointTables(
-            {key: Accumulator(window) for key, (_, window) in fixed.items()},
+            {key: Accumulator(scheme.window) for key, scheme in fixed.items()},
             [Accumulator(b) for b in range(1, m + 1)] if wts_table else None,
             np.zeros(m, dtype=np.int64) if pb_table else None,
         )
@@ -296,8 +271,8 @@ def sample_point(
     def task(lo, hi):
         caps = sample_capacity_matrix(params, seed, lo, hi)
         part = empty()
-        for key, (tag, window) in fixed.items():
-            part.fixed[key].add(*_evaluate(tag, caps, rate, window))
+        for key, scheme in fixed.items():
+            part.fixed[key].add(*scheme.evaluate(caps, rate))
         if wts_table:
             for b, acc in enumerate(part.wts, start=1):
                 acc.add(*evaluate_wts(caps, rate, b))
@@ -339,28 +314,32 @@ def evaluate_point(
 ) -> dict:
     """Run all requested schemes on shared traces.
 
-    `schemes` maps an arbitrary key to (tag, window): "mt", "ets" or "it"
-    with window None, "pb" or "wts" with a fixed window, ("pb", None) for the
-    throughput-optimal buffer depth, or ("twts" | "dwts", None) for wTS at the
-    window maximizing throughput or minimizing delay.  Returns key ->
-    Accumulator, whose `window` is the B the statistics were taken at.
-    Chunks are keyed by absolute trial index and reduce to exact integer
-    sums, so the result is independent of `threads` and of the chunk size.
+    `schemes` maps an arbitrary key to a `schemes.Scheme`.  A scheme whose
+    row has a `table` and that has no fixed window gets the window its row
+    chooses from that table.  Returns key -> Accumulator, whose `window` is
+    the B the statistics were taken at.  Chunks are keyed by absolute trial
+    index and reduce to exact integer sums, so the result is independent of
+    `threads` and of the chunk size.
     """
-    best_pb = [key for key, (tag, window) in schemes.items() if tag == "pb" and window is None]
-    best_wts = {key: tag == "twts" for key, (tag, _) in schemes.items() if tag in ("twts", "dwts")}
-    fixed = {key: s for key, s in schemes.items() if key not in best_wts and key not in best_pb}
-    tables = sample_point(
-        params, fixed, trials, seed, threads, wts_table=bool(best_wts), pb_table=bool(best_pb)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    chosen = {key: s for key, s in schemes.items() if s.window is None and s.row.table}
+    fixed = {key: s for key, s in schemes.items() if key not in chosen}
+    tables = {s.row.table for s in chosen.values()}
+    point = sample_point(
+        params, fixed, trials, seed, threads, wts_table="wts" in tables, pb_table="pb" in tables
     )
-    out = dict(tables.fixed)
-    for key, maximize in best_wts.items():
-        window, _ = optimize_wts_window(tables.wts, maximize)
-        out[key] = tables.wts[window - 1]
-    if best_pb:
-        window, _ = optimize_pb_window(tables.pb_counts, trials)
+    out = dict(point.fixed)
+    again = {}
+    for key, scheme in chosen.items():
+        if scheme.row.table == "wts":
+            window, _ = optimize_wts_window(point.wts, scheme.row.maximize)
+            out[key] = point.wts[window - 1]
+        else:
+            window, _ = optimize_pb_window(point.pb_counts, trials)
+            again[key] = replace(scheme, window=window)
+    if again:
         # Second pass: see the module docstring for why the depth search's
         # counts are not reused.
-        again = sample_point(params, {key: ("pb", window) for key in best_pb}, trials, seed, threads)
-        out.update(again.fixed)
+        out.update(sample_point(params, again, trials, seed, threads).fixed)
     return {key: out[key] for key in schemes}

@@ -19,7 +19,7 @@ from . import engine
 from .channel import ChannelParams, decode_success_prob, window_decode_prob
 from .errors import ConfigError
 from .runstats import mt_mean_max_delay, wts_delay_bounds
-from .schemes import Objective, SchemeKind
+from .schemes import Scheme, format_scheme_token, parse_scheme_list
 
 _SWEEP_VARIABLES = ("messages", "snr_db")
 
@@ -28,78 +28,6 @@ CSV_HEADER = (
     "stderr_throughput,stderr_delay,analytic_throughput,analytic_delay_lower,"
     "analytic_delay_upper,trials,seed"
 )
-
-
-@dataclass(frozen=True)
-class SchemeRequest:
-    """One requested scheme: fixed window, optimized window, or neither."""
-
-    kind: SchemeKind
-    window: int | None = None
-    optimize: Objective | None = None
-
-    def __post_init__(self):
-        if self.window is not None and self.optimize is not None:
-            raise ConfigError("scheme cannot both fix and optimize its window")
-        if self.kind in (SchemeKind.MT, SchemeKind.ETS):
-            if self.window is not None or self.optimize is not None:
-                raise ConfigError(f"{self.kind.value} takes no window settings")
-        else:
-            if self.window is None and self.optimize is None:
-                raise ConfigError(f"{self.kind.value} needs a window or an objective")
-
-    @property
-    def label(self) -> str:
-        if self.kind is SchemeKind.MT:
-            return "MT"
-        if self.kind is SchemeKind.ETS:
-            return "eTS"
-        if self.kind is SchemeKind.PB:
-            return "PB"
-        if self.optimize is Objective.MAX_THROUGHPUT:
-            return "T-wTS"
-        if self.optimize is Objective.MIN_MAX_DELAY:
-            return "D-wTS"
-        return "wTS"
-
-
-def parse_scheme_token(token: str) -> SchemeRequest:
-    tok = token.strip().lower()
-    if tok == "mt":
-        return SchemeRequest(SchemeKind.MT)
-    if tok == "ets":
-        return SchemeRequest(SchemeKind.ETS)
-    if tok == "twts":
-        return SchemeRequest(SchemeKind.WTS, optimize=Objective.MAX_THROUGHPUT)
-    if tok == "dwts":
-        return SchemeRequest(SchemeKind.WTS, optimize=Objective.MIN_MAX_DELAY)
-    if tok == "pb" or tok == "pb:opt":
-        # The delay- and throughput-optimal buffer depths coincide.
-        return SchemeRequest(SchemeKind.PB, optimize=Objective.MAX_THROUGHPUT)
-    for prefix, kind in (("pb:", SchemeKind.PB), ("wts:", SchemeKind.WTS)):
-        if tok.startswith(prefix):
-            try:
-                window = int(tok[len(prefix) :])
-            except ValueError:
-                raise ConfigError(f"bad window in scheme token {token!r}", "schemes.list")
-            if window < 1:
-                raise ConfigError(f"window must be >= 1 in {token!r}", "schemes.list")
-            return SchemeRequest(kind, window=window)
-    raise ConfigError(f"unknown scheme token {token!r}", "schemes.list")
-
-
-def format_scheme_token(req: SchemeRequest) -> str:
-    if req.kind is SchemeKind.MT:
-        return "mt"
-    if req.kind is SchemeKind.ETS:
-        return "ets"
-    if req.kind is SchemeKind.PB:
-        return "pb" if req.window is None else f"pb:{req.window}"
-    if req.optimize is Objective.MAX_THROUGHPUT:
-        return "twts"
-    if req.optimize is Objective.MIN_MAX_DELAY:
-        return "dwts"
-    return f"wts:{req.window}"
 
 
 @dataclass(frozen=True)
@@ -148,9 +76,24 @@ class ExperimentConfig:
                 raise ConfigError("message sweep values must be positive integers", "sweep.values")
         elif self.sweep_values is not None:
             raise ConfigError("sweep values given without a sweep variable", "sweep.variable")
+        if self.svg_path and len(self.sweep_values or ()) < 2:
+            raise ConfigError("a chart needs at least two sweep points", "output.svg")
 
-    def base_params(self) -> ChannelParams:
-        return ChannelParams(snr_db=self.snr_db, rate=self.rate, blocks=self.messages)
+    def sweep_points(self) -> list:
+        """(sweep variable, value, channel parameters) of every sweep point."""
+        base = ChannelParams(snr_db=self.snr_db, rate=self.rate, blocks=self.messages)
+        if self.sweep_variable is None:
+            return [("messages", float(base.blocks), base)]
+        return [
+            (
+                self.sweep_variable,
+                float(v),
+                replace(base, blocks=int(v))
+                if self.sweep_variable == "messages"
+                else replace(base, snr_db=float(v)),
+            )
+            for v in self.sweep_values
+        ]
 
 
 def parse_sweep_values(variable: str, raw: str) -> tuple:
@@ -166,8 +109,10 @@ def parse_sweep_values(variable: str, raw: str) -> tuple:
     return values
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse the INI experiment format (see README for the schema)."""
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """Parse the INI experiment format (see README for the schema).  Keyword
+    arguments replace fields of the file before the whole is validated, so
+    that flags may complete a file (say, a sweep for its `[output] svg`)."""
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
@@ -201,7 +146,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValueError(raw)
 
     tokens = need("schemes", "list", str)
-    schemes = tuple(parse_scheme_token(t) for t in tokens.split(",") if t.strip())
+    schemes = parse_scheme_list(tokens)
     include_it = need("schemes", "include_it_bound", to_bool, fallback=False)
 
     sweep_variable = None
@@ -212,7 +157,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     csv_path = parser.get("output", "csv", fallback=None)
     svg_path = parser.get("output", "svg", fallback=None)
-    return ExperimentConfig(
+    fields = dict(
         snr_db=snr_db,
         rate=rate,
         messages=messages,
@@ -226,6 +171,7 @@ def parse_config(text: str) -> ExperimentConfig:
         csv_path=csv_path,
         svg_path=svg_path,
     )
+    return ExperimentConfig(**{**fields, **overrides})
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -275,74 +221,47 @@ class ResultRow:
     seed: int
 
 
-def _analytic_columns(params: ChannelParams, req: SchemeRequest, window: int | None):
+def _analytic_columns(params: ChannelParams, scheme: Scheme, window: int | None):
     """(analytic throughput bpcu, delay lower, delay upper) where closed forms exist."""
-    if req.kind is SchemeKind.MT:
+    form = scheme.row.analytic
+    if form == "exact":
         p = decode_success_prob(params)
         exact_delay = mt_mean_max_delay(params.blocks, p)
         return params.rate * p, exact_delay, exact_delay
-    if req.kind is SchemeKind.WTS and window is not None:
+    if form == "bounds":
         p_b = window_decode_prob(params, window)
         bounds = wts_delay_bounds(params.blocks, window, p_b)
         return None, bounds.delay_lower, bounds.delay_upper
     return None, None, None
 
 
-def _engine_spec(params: ChannelParams, req: SchemeRequest) -> tuple[str, int | None]:
-    """The (tag, window) form of a request that `engine.evaluate_point` takes."""
-    if req.window is not None and req.window > params.blocks:
-        raise ConfigError(f"window {req.window} exceeds messages {params.blocks}", "schemes.list")
-    if req.kind is SchemeKind.WTS and req.optimize is not None:
-        return ("twts" if req.optimize is Objective.MAX_THROUGHPUT else "dwts"), None
-    return req.kind.value, req.window
-
-
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every (sweep point, scheme) cell; deterministic in the seed."""
-    base = config.base_params()
-    if config.sweep_variable is None:
-        points = [("messages", float(base.blocks), base)]
-    else:
-        points = []
-        for value in config.sweep_values:
-            if config.sweep_variable == "messages":
-                params = replace(base, blocks=int(value))
-            else:
-                params = replace(base, snr_db=float(value))
-            points.append((config.sweep_variable, float(value), params))
-
+    schemes = config.schemes + ((Scheme("it"),) if config.include_it_bound else ())
     rows: list[ResultRow] = []
-    for sweep_name, sweep_value, params in points:
-        reqs = list(config.schemes)
-        specs = {idx: _engine_spec(params, req) for idx, req in enumerate(reqs)}
-        if config.include_it_bound:
-            specs[len(reqs)] = ("it", None)
+    for sweep_name, sweep_value, params in config.sweep_points():
+        for scheme in schemes:
+            scheme.check_window(params.blocks)
         accums = engine.evaluate_point(
-            params, specs, config.trials, config.seed, config.threads
+            params, dict(enumerate(schemes)), config.trials, config.seed, config.threads
         )
         scale = params.rate / params.blocks
         for idx, acc in accums.items():
-            if idx == len(reqs):
-                label = "IT"
-                analytic = (None, None, None)
-            else:
-                req = reqs[idx]
-                label = req.label
-                analytic = _analytic_columns(params, req, acc.window)
+            thr, lo, hi = _analytic_columns(params, schemes[idx], acc.window)
             rows.append(
                 ResultRow(
                     sweep_variable=sweep_name,
                     sweep_value=sweep_value,
-                    scheme=label,
+                    scheme=schemes[idx].label,
                     window=acc.window,
                     avg_throughput_bpcu=scale * acc.mean_count(),
                     avg_decoded_msgs=acc.mean_count(),
                     avg_max_delay=acc.mean_delay(),
                     stderr_throughput=scale * acc.stderr_count(),
                     stderr_delay=acc.stderr_delay(),
-                    analytic_throughput=analytic[0],
-                    analytic_delay_lower=analytic[1],
-                    analytic_delay_upper=analytic[2],
+                    analytic_throughput=thr,
+                    analytic_delay_lower=lo,
+                    analytic_delay_upper=hi,
                     trials=config.trials,
                     seed=config.seed,
                 )
@@ -352,36 +271,17 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
 def analytic_rows(config: ExperimentConfig, windows=(2, 3, 5)) -> list[ResultRow]:
     """Closed-form-only table: per-block exact values plus windowed bounds."""
-    base = config.base_params()
-    if config.sweep_variable is None:
-        points = [("messages", float(base.blocks), base)]
-    else:
-        points = [
-            (
-                config.sweep_variable,
-                float(v),
-                replace(base, blocks=int(v))
-                if config.sweep_variable == "messages"
-                else replace(base, snr_db=float(v)),
-            )
-            for v in config.sweep_values
-        ]
     rows = []
-    for sweep_name, sweep_value, params in points:
-        reqs = [("MT", None)] + [("wTS", w) for w in windows if w <= params.blocks]
-        for label, window in reqs:
-            req = (
-                SchemeRequest(SchemeKind.MT)
-                if label == "MT"
-                else SchemeRequest(SchemeKind.WTS, window=window)
-            )
-            thr, lo, hi = _analytic_columns(params, req, window)
+    for sweep_name, sweep_value, params in config.sweep_points():
+        schemes = [Scheme("mt")] + [Scheme("wts", w) for w in windows if w <= params.blocks]
+        for scheme in schemes:
+            thr, lo, hi = _analytic_columns(params, scheme, scheme.window)
             rows.append(
                 ResultRow(
                     sweep_variable=sweep_name,
                     sweep_value=sweep_value,
-                    scheme=label,
-                    window=window,
+                    scheme=scheme.label,
+                    window=scheme.window,
                     avg_throughput_bpcu=None,
                     avg_decoded_msgs=None,
                     avg_max_delay=None,

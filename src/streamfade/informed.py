@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .channel import ChannelTrace
-
-
-def _capacities(trace) -> np.ndarray:
-    if isinstance(trace, ChannelTrace):
-        return trace.capacities
-    return np.asarray(trace, dtype=np.float64)
+from .channel import trace_capacities
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,7 @@ def greedy_allocate(trace, rate: float) -> GreedyResult:
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    caps = _capacities(trace)
+    caps = trace_capacities(trace)
     i_tot = np.cumsum(caps)
     m = caps.shape[0]
     v = np.zeros(m, dtype=np.int8)
@@ -131,7 +125,7 @@ def oracle_exhaustive(trace, rate: float) -> tuple[int, int]:
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    caps = _capacities(trace)
+    caps = trace_capacities(trace)
     m = caps.shape[0]
     if m > _bits.MAX_ENUM_BITS:
         raise ValueError(f"exhaustive oracle limited to M <= {_bits.MAX_ENUM_BITS}")

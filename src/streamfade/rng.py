@@ -52,11 +52,6 @@ def uniform_matrix(seed: int, start: int, stop: int, count: int) -> np.ndarray:
     return u
 
 
-def uniform_stream(seed: int, stream: int, count: int) -> np.ndarray:
-    """Uniforms in [0, 1) for a single substream."""
-    return uniform_matrix(seed, stream, stream + 1, count)[0]
-
-
 def exponential_matrix(seed: int, start: int, stop: int, count: int) -> np.ndarray:
     """Unit-mean exponentials via the inverse CDF, -ln(1 - u)."""
     u = uniform_matrix(seed, start, stop, count)

@@ -1,5 +1,11 @@
-"""The four time-sharing transmission schemes as explicit allocation matrices.
+"""The schemes compared on shared channel draws, in one table.
 
+A `Scheme` is a row name of `SCHEMES` plus, for PB and wTS, an optional
+fixed window B (PB's buffer depth, wTS's window length).  Scheme tokens,
+CSV labels, the engine's evaluation and window choice, and the analytic CSV
+columns all read the table.
+
+`build_allocation` is the reference path for the fixed-window schemes:
 alpha[m-1, t-1] is the fraction of block t's channel uses spent on message m.
 Nothing is ever sent for a message after its deadline (t > m), and every
 block's fractions sum to one (or zero if the block carries no message).
@@ -7,85 +13,155 @@ block's fractions sum to one (or zero if the block carries no message).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from . import engine
-from .channel import ChannelParams, ChannelTrace
+from .channel import trace_capacities
+from .errors import ConfigError
 
-
-class SchemeKind(Enum):
-    MT = "mt"    # memoryless: message t only in block t
-    ETS = "ets"  # equal time-sharing among all unexpired messages
-    PB = "pb"    # pre-buffering: only the last B messages are sent
-    WTS = "wts"  # windowed: one message per window of B blocks
-
-
-class Objective(Enum):
-    MAX_THROUGHPUT = "throughput"
-    MIN_MAX_DELAY = "delay"
+# Window rules: a scheme takes no B, needs a fixed B, or takes a fixed B or
+# none, in which case B is chosen at each sweep point.
+NONE, REQUIRED, OPTIONAL = "none", "required", "optional"
 
 
 @dataclass(frozen=True)
-class SchemeSpec:
-    """A scheme choice; `window` is B for PB (buffer depth) and wTS (window)."""
+class SchemeRow:
+    """One scheme of the table.
 
-    kind: SchemeKind
+    label     the CSV `scheme` cell
+    window    the window rule: NONE, REQUIRED or OPTIONAL
+    evaluate  (caps, rate, B) -> per-trial (decoded counts, longest zero-runs)
+    table     where an absent B is chosen from at each point: "wts" (the
+              per-window wTS table, whose row at the chosen B is the result)
+              or "pb" (the PB count sums; the row is evaluated again at the
+              chosen depth); None when B is never chosen
+    maximize  the choice maximizes throughput, else it minimizes delay (PB's
+              two choices coincide, since delay = M - count per realization)
+    analytic  the closed form behind the analytic CSV cells: "exact" (MT
+              throughput and delay) or "bounds" (wTS floor/ceil delay bounds
+              at the row's B); None where no closed form exists
+    token     accepted as a scheme token; the IT bound is requested by
+              `include_it_bound` only
+    """
+
+    label: str
+    window: str
+    evaluate: Callable
+    table: str | None = None
+    maximize: bool = True
+    analytic: str | None = None
+    token: bool = True
+
+
+# Evaluators are looked up on the engine module at call time, so that a
+# wrapper installed there (a tracer or a test double) sees every call.
+def _wts(caps, rate, window):
+    return engine.evaluate_wts(caps, rate, window)
+
+
+SCHEMES = {
+    "mt": SchemeRow(
+        "MT", NONE, lambda caps, rate, _: engine.evaluate_mt(caps, rate), analytic="exact"
+    ),
+    "ets": SchemeRow("eTS", NONE, lambda caps, rate, _: engine.evaluate_ets(caps, rate)),
+    "pb": SchemeRow(
+        "PB", OPTIONAL, lambda caps, rate, b: engine.evaluate_pb(caps, rate, b), table="pb"
+    ),
+    "wts": SchemeRow("wTS", REQUIRED, _wts, analytic="bounds"),
+    "twts": SchemeRow("T-wTS", NONE, _wts, table="wts", maximize=True, analytic="bounds"),
+    "dwts": SchemeRow("D-wTS", NONE, _wts, table="wts", maximize=False, analytic="bounds"),
+    "it": SchemeRow(
+        "IT", NONE, lambda caps, rate, _: engine.informed_counts_and_delays(caps, rate), token=False
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """A row of `SCHEMES` by name, with a fixed window B where its rule allows
+    one; no B on a row with a `table` means B is chosen at each point."""
+
+    name: str
     window: int | None = None
 
     def __post_init__(self):
-        if self.kind in (SchemeKind.PB, SchemeKind.WTS):
-            if self.window is None or int(self.window) != self.window or self.window < 1:
-                raise ValueError(f"{self.kind.value} requires a positive integer window")
-        elif self.window is not None:
-            raise ValueError(f"{self.kind.value} takes no window parameter")
-
-    @classmethod
-    def mt(cls):
-        return cls(SchemeKind.MT)
-
-    @classmethod
-    def ets(cls):
-        return cls(SchemeKind.ETS)
-
-    @classmethod
-    def pb(cls, window: int):
-        return cls(SchemeKind.PB, window)
-
-    @classmethod
-    def wts(cls, window: int):
-        return cls(SchemeKind.WTS, window)
-
-    def validate_for(self, blocks: int) -> None:
-        if self.window is not None and self.window > blocks:
-            raise ValueError(
-                f"window {self.window} exceeds the number of blocks {blocks}"
+        if self.name not in SCHEMES:
+            raise ConfigError(f"unknown scheme {self.name!r}", "schemes.list")
+        rule = SCHEMES[self.name].window
+        if self.window is None:
+            if rule == REQUIRED:
+                raise ConfigError(f"{self.name} requires a window", "schemes.list")
+        elif rule == NONE:
+            raise ConfigError(f"{self.name} takes no window", "schemes.list")
+        elif int(self.window) != self.window or self.window < 1:
+            raise ConfigError(
+                f"window must be a positive integer, got {self.window!r}", "schemes.list"
             )
 
+    @property
+    def row(self) -> SchemeRow:
+        return SCHEMES[self.name]
 
-def build_allocation(spec: SchemeSpec, blocks: int) -> np.ndarray:
-    """Construct the (blocks, blocks) time-fraction matrix for a scheme."""
-    spec.validate_for(blocks)
-    m = blocks
+    @property
+    def label(self) -> str:
+        return self.row.label
+
+    def evaluate(self, caps: np.ndarray, rate: float):
+        return self.row.evaluate(caps, rate, self.window)
+
+    def check_window(self, blocks: int) -> None:
+        if self.window is not None and self.window > blocks:
+            raise ConfigError(f"window {self.window} exceeds messages {blocks}", "schemes.list")
+
+
+def parse_scheme_token(token: str) -> Scheme:
+    """`name`, `name:B`, or `pb:opt` (the same as `pb`)."""
+    name, sep, arg = token.strip().lower().partition(":")
+    row = SCHEMES.get(name)
+    if row is None or not row.token:
+        raise ConfigError(f"unknown scheme token {token!r}", "schemes.list")
+    if not sep or (arg == "opt" and row.window == OPTIONAL):
+        return Scheme(name)
+    try:
+        window = int(arg)
+    except ValueError:
+        raise ConfigError(f"bad window in scheme token {token!r}", "schemes.list") from None
+    return Scheme(name, window)
+
+
+def parse_scheme_list(text: str) -> tuple:
+    return tuple(parse_scheme_token(t) for t in text.split(",") if t.strip())
+
+
+def format_scheme_token(scheme: Scheme) -> str:
+    return scheme.name if scheme.window is None else f"{scheme.name}:{scheme.window}"
+
+
+def build_allocation(scheme: Scheme, blocks: int) -> np.ndarray:
+    """Construct the (blocks, blocks) time-fraction matrix of a scheme with a
+    fixed window (or none): MT, eTS, `pb:B` or `wts:B`."""
+    scheme.check_window(blocks)
+    m, b = blocks, scheme.window
     alpha = np.zeros((m, m))
-    if spec.kind is SchemeKind.MT:
+    if scheme.name == "mt":
         np.fill_diagonal(alpha, 1.0)
-    elif spec.kind is SchemeKind.ETS:
+    elif scheme.name == "ets":
         for j in range(m):  # block j+1 shared by messages j+1..M
             alpha[j:, j] = 1.0 / (m - j)
-    elif spec.kind is SchemeKind.PB:
-        b = spec.window
+    elif scheme.name == "pb" and b is not None:
         first = m - b  # transmitted rows are first..m-1 (messages M-B+1..M)
         alpha[first:, : first + 1] = 1.0 / b
         for j in range(first + 1, m):  # later blocks shared by survivors
             alpha[j:, j] = 1.0 / (m - j)
-    else:  # WTS
-        b = spec.window
+    elif scheme.name == "wts":
         windows = -(-m // b)
         for k in range(1, windows + 1):
             msg = min(k * b, m)
             alpha[msg - 1, (k - 1) * b : msg] = 1.0
+    else:
+        raise ValueError(f"{format_scheme_token(scheme)} has no fixed allocation matrix")
     return alpha
 
 
@@ -93,15 +169,9 @@ def transmitted_mask(alpha: np.ndarray) -> np.ndarray:
     return alpha.sum(axis=1) > 0
 
 
-def _capacities(trace) -> np.ndarray:
-    if isinstance(trace, ChannelTrace):
-        return trace.capacities
-    return np.asarray(trace, dtype=np.float64)
-
-
 def accumulate_mi(alpha: np.ndarray, trace) -> np.ndarray:
     """Total mutual information per message (zero for untransmitted ones)."""
-    caps = _capacities(trace)
+    caps = trace_capacities(trace)
     if caps.shape[0] != alpha.shape[1]:
         raise ValueError("trace length does not match the allocation matrix")
     return alpha @ caps
@@ -112,32 +182,3 @@ def decode(alpha: np.ndarray, trace, rate: float) -> np.ndarray:
     if rate <= 0:
         raise ValueError("rate must be positive")
     return (accumulate_mi(alpha, trace) >= rate) & transmitted_mask(alpha)
-
-
-def optimize_window(
-    kind: SchemeKind,
-    objective: Objective,
-    params: ChannelParams,
-    trials: int,
-    seed: int,
-    threads: int = 1,
-) -> tuple[int, float]:
-    """Exhaustive window sweep 1..M on common random numbers.
-
-    Returns (best window, estimated objective value); value is mean decoded
-    count for throughput and mean longest zero-run (in blocks) for delay.
-    Ties break toward the smaller window.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if kind is SchemeKind.PB:
-        # Per realization delay = M - count, so one sweep serves both aims.
-        tables = engine.sample_point(params, {}, trials, seed, threads, pb_table=True)
-        window, mean_count = engine.optimize_pb_window(tables.pb_counts, trials)
-        if objective is Objective.MAX_THROUGHPUT:
-            return window, mean_count
-        return window, params.blocks - mean_count
-    if kind is SchemeKind.WTS:
-        tables = engine.sample_point(params, {}, trials, seed, threads, wts_table=True)
-        return engine.optimize_wts_window(tables.wts, objective is Objective.MAX_THROUGHPUT)
-    raise ValueError("only PB and wTS have a window to optimize")

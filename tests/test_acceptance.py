@@ -25,15 +25,20 @@ from streamfade.channel import (
 )
 from streamfade.engine import (
     evaluate_ets,
-    evaluate_informed,
     evaluate_mt,
     evaluate_pb,
     evaluate_wts,
     ets_mi_matrix,
     pb_count_sums,
     pb_mi_matrix,
+    wts_window_delays,
 )
-from streamfade.informed import informed_trial, min_delay_max_rate, oracle_exhaustive
+from streamfade.informed import (
+    informed_counts_and_delays,
+    informed_trial,
+    min_delay_max_rate,
+    oracle_exhaustive,
+)
 from streamfade.metrics import max_zero_run_rows
 from streamfade.runstats import (
     enumerate_run_tails,
@@ -171,7 +176,8 @@ def test_criterion_6_windowed_bounds(caps_m40):
     for snr, caps in caps_m40.items():
         point = params_at(snr)
         for window in (2, 3, 5):
-            counts, _, window_delays = evaluate_wts(caps, 1.0, window)
+            counts, _ = evaluate_wts(caps, 1.0, window)
+            window_delays = wts_window_delays(caps, 1.0, window)
             p_b = window_decode_prob(point, window)
             bounds = wts_delay_bounds(BLOCKS, window, p_b)
             d_mean, d_se = _mean_se(window_delays)
@@ -223,14 +229,14 @@ def _point_results(caps, rate=1.0):
     wts_counts = np.zeros(m, dtype=np.int64)
     wts_delays = np.zeros(m, dtype=np.int64)
     for b in range(1, m + 1):
-        c, d, _ = evaluate_wts(caps, rate, b)
+        c, d = evaluate_wts(caps, rate, b)
         wts_counts[b - 1] = c.sum()
         wts_delays[b - 1] = d.sum()
     b_t = int(np.argmax(wts_counts)) + 1
     b_d = int(np.argmin(wts_delays)) + 1
-    out["T-wTS"] = evaluate_wts(caps, rate, b_t)[:2]
-    out["D-wTS"] = evaluate_wts(caps, rate, b_d)[:2]
-    out["IT"] = evaluate_informed(caps, rate)
+    out["T-wTS"] = evaluate_wts(caps, rate, b_t)
+    out["D-wTS"] = evaluate_wts(caps, rate, b_d)
+    out["IT"] = informed_counts_and_delays(caps, rate)
     return out, {"PB": b_pb, "T-wTS": b_t, "D-wTS": b_d}
 
 

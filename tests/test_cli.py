@@ -91,6 +91,18 @@ class TestSweep:
         svg = out_svg.read_text()
         assert svg.count("<polyline") == 3  # MT, D-wTS, IT
 
+    def test_flags_complete_an_ini_chart(self, tmp_path):
+        # the file's chart needs the sweep that the command line adds
+        cfg = tmp_path / "exp.ini"
+        out_svg = tmp_path / "chart.svg"
+        cfg.write_text(
+            "[channel]\nsnr_db = 5.0\nrate = 1.0\nmessages = 6\n"
+            "[run]\ntrials = 50\nseed = 3\n[schemes]\nlist = mt\n"
+            f"[output]\nsvg = {out_svg}\n"
+        )
+        assert run_main(["sweep", "--config", str(cfg), "--values", "4,8"]) == 0
+        assert out_svg.read_text().count("<polyline") == 1
+
     def test_snr_sweep_values(self, tmp_path):
         out_csv = tmp_path / "snr.csv"
         code = run_main(
@@ -145,11 +157,43 @@ class TestBadInputExits2:
             (["simulate", "--rate", "inf"], "channel.rate"),
             (["analyze", "--windows", "0"], "analyze.windows"),
             (["sweep", "--variable", "messages", "--values", "8.7,16"], "sweep.values"),
+            (["simulate", "--config", "/nonexistent/exp.ini"], "config"),
+            (["simulate", "--out-csv", "/nonexistent/dir/x.csv"], "output.csv"),
+            (["sweep", "--values", "4,8", "--out-svg", "/nonexistent/dir/x.svg"], "output.svg"),
+            (["simulate", "--out-csv", "."], "output.csv"),  # a directory
+            (["sweep", "--values", "4,8", "--out-svg", "."], "output.svg"),
+            (["simulate", "--out-svg", "one-point.svg"], "output.svg"),
+            (["sweep", "--values", "8", "--out-svg", "one-point.svg"], "output.svg"),
+            (["analyze", "--out-svg", "one-point.svg"], "output.svg"),
         ],
     )
     def test_names_the_field(self, argv, field, capsys):
         assert run_main([*argv, "--trials", "10", "--scheme", "mt"]) == 2
-        assert field in capsys.readouterr().err
+        assert f"{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,output,field",
+        [
+            ("simulate", "csv = /nonexistent/dir/x.csv", "output.csv"),
+            ("simulate", "svg = one-point.svg", "output.svg"),
+            ("analyze", "svg = chart.svg", "output.svg"),
+            ("simulate", None, "config"),
+        ],
+    )
+    def test_ini_names_the_field(self, command, output, field, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        if output is None:  # not UTF-8
+            cfg.write_bytes(b"[channel]\nsnr_db = \xff\n")
+        else:
+            sweep = "[sweep]\nvariable = messages\nvalues = 4, 8\n" if command == "analyze" else ""
+            cfg.write_text(
+                "[channel]\nsnr_db = 5.0\nrate = 1.0\nmessages = 6\n"
+                "[run]\ntrials = 20\nseed = 3\n[schemes]\nlist = mt\n"
+                f"{sweep}[output]\n{output}\n"
+            )
+        assert run_main([command, "--config", str(cfg)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (tmp_path / "one-point.svg").exists()
 
 
 class TestGoldenCsv:

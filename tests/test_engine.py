@@ -26,8 +26,10 @@ from streamfade.engine import (
     pb_count_sums,
     pb_mi_matrix,
     sample_point,
+    wts_window_delays,
 )
-from streamfade.experiments import ExperimentConfig, parse_scheme_token, render_csv, run_experiment
+from streamfade.experiments import ExperimentConfig, render_csv, run_experiment
+from streamfade.schemes import Scheme, parse_scheme_list
 
 
 def params(snr=-5.0, rate=1.0, blocks=20):
@@ -35,11 +37,11 @@ def params(snr=-5.0, rate=1.0, blocks=20):
 
 
 SCHEMES = {
-    "mt": ("mt", None),
-    "ets": ("ets", None),
-    "pb8": ("pb", 8),
-    "wts3": ("wts", 3),
-    "it": ("it", None),
+    "mt": Scheme("mt"),
+    "ets": Scheme("ets"),
+    "pb8": Scheme("pb", 8),
+    "wts3": Scheme("wts", 3),
+    "it": Scheme("it"),
 }
 
 
@@ -52,8 +54,6 @@ def snapshot(accums):
             acc.count_sqsum,
             acc.delay_sum,
             acc.delay_sqsum,
-            acc.wdelay_sum,
-            acc.wdelay_sqsum,
         )
     return out
 
@@ -68,7 +68,7 @@ class TestDeterminism:
     def test_chunking_transparent(self):
         # accumulator over fixed chunks equals one-shot evaluation
         p = params(blocks=9)
-        accums = evaluate_point(p, {"pb": ("pb", 4)}, trials=9_000, seed=7, threads=2)
+        accums = evaluate_point(p, {"pb": Scheme("pb", 4)}, trials=9_000, seed=7, threads=2)
         caps = sample_capacity_matrix(p, 7, 0, 9_000)
         counts, delays = evaluate_pb(caps, p.rate, 4)
         assert accums["pb"].count_sum == counts.sum()
@@ -86,14 +86,14 @@ class TestChunkBudget:
     are exact integers keyed by trial index, so no result depends on them."""
 
     SCHEMES = {
-        "mt": ("mt", None),
-        "ets": ("ets", None),
-        "pb1": ("pb", 1),
-        "wts1": ("wts", 1),
-        "pb": ("pb", None),
-        "twts": ("twts", None),
-        "dwts": ("dwts", None),
-        "it": ("it", None),
+        "mt": Scheme("mt"),
+        "ets": Scheme("ets"),
+        "pb1": Scheme("pb", 1),
+        "wts1": Scheme("wts", 1),
+        "pb": Scheme("pb"),
+        "twts": Scheme("twts"),
+        "dwts": Scheme("dwts"),
+        "it": Scheme("it"),
     }
 
     def test_rows_per_chunk(self):
@@ -114,9 +114,7 @@ class TestChunkBudget:
             snr_db=0.0,
             rate=1.0,
             messages=blocks,
-            schemes=tuple(
-                parse_scheme_token(t) for t in ("mt", "ets", "pb", "pb:1", "wts:1", "twts", "dwts")
-            ),
+            schemes=parse_scheme_list("mt,ets,pb,pb:1,wts:1,twts,dwts"),
             include_it_bound=True,
             trials=97,
             seed=23,
@@ -135,13 +133,13 @@ class TestOnePass:
     needs a second pass."""
 
     FIXED = {
-        "mt": ("mt", None),
-        "ets": ("ets", None),
-        "pb2": ("pb", 2),
-        "wts3": ("wts", 3),
-        "twts": ("twts", None),
-        "dwts": ("dwts", None),
-        "it": ("it", None),
+        "mt": Scheme("mt"),
+        "ets": Scheme("ets"),
+        "pb2": Scheme("pb", 2),
+        "wts3": Scheme("wts", 3),
+        "twts": Scheme("twts"),
+        "dwts": Scheme("dwts"),
+        "it": Scheme("it"),
     }
 
     def count_samples(self, monkeypatch, schemes):
@@ -161,20 +159,20 @@ class TestOnePass:
         assert len(calls) == 3 and len(set(calls)) == 3
 
     def test_optimized_pb_samples_twice(self, monkeypatch):
-        calls = self.count_samples(monkeypatch, {**self.FIXED, "pb": ("pb", None)})
+        calls = self.count_samples(monkeypatch, {**self.FIXED, "pb": Scheme("pb")})
         assert len(calls) == 6 and len(set(calls)) == 3
 
     def test_optimized_rows_equal_fixed_rows_at_their_window(self):
         p = params(blocks=9)
         best = evaluate_point(
-            p, {"pb": ("pb", None), "twts": ("twts", None), "dwts": ("dwts", None)}, 3000, 8
+            p, {"pb": Scheme("pb"), "twts": Scheme("twts"), "dwts": Scheme("dwts")}, 3000, 8
         )
         fixed = evaluate_point(
             p,
             {
-                "pb": ("pb", best["pb"].window),
-                "twts": ("wts", best["twts"].window),
-                "dwts": ("wts", best["dwts"].window),
+                "pb": Scheme("pb", best["pb"].window),
+                "twts": Scheme("wts", best["twts"].window),
+                "dwts": Scheme("wts", best["dwts"].window),
             },
             3000,
             8,
@@ -250,14 +248,14 @@ class TestWtsWindowUnits:
         window = data.draw(st.integers(1, m))
         values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
         caps = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), m), elements=values))
-        _, delays, _ = evaluate_wts(caps, 1.0, window)
+        _, delays = evaluate_wts(caps, 1.0, window)
         assert delays.tolist() == wts_literal_delay_expanded(caps, 1.0, window).tolist()
 
     def test_window_stat_equals_block_stat_for_unit_window(self):
         p = params(blocks=12)
         caps = sample_capacity_matrix(p, 29, 0, 400)
-        counts, delays, wdelays = evaluate_wts(caps, p.rate, 1)
-        assert np.array_equal(delays, wdelays)
+        _, delays = evaluate_wts(caps, p.rate, 1)
+        assert np.array_equal(delays, wts_window_delays(caps, p.rate, 1))
 
     def test_window_stat_scales_full_window_runs(self):
         caps = np.array(
@@ -266,9 +264,9 @@ class TestWtsWindowUnits:
                 [9.0, 0, 0, 0, 0, 0, 0, 0, 0, 9.0, 0, 0],
             ]
         )
-        counts, delays, wdelays = evaluate_wts(caps, 1.0, 3)
+        counts, delays = evaluate_wts(caps, 1.0, 3)
         assert counts[0] == 2
-        assert wdelays[0] == 6
+        assert wts_window_delays(caps, 1.0, 3)[0] == 6
         # literal zero-run spans blocks 4..11 between the decoded slots 3, 12
         assert delays[0] == 8
 
@@ -317,3 +315,44 @@ class TestMtStatistics:
         )
         _, pvalue, _, _ = scipy.stats.chi2_contingency(table)
         assert pvalue > 0.01
+
+
+class TestBenchmarkSpans:
+    """The benchmark's tracer (`bench/spans.py`) wraps module attributes, so
+    it sees only calls made through them at call time."""
+
+    def test_every_engine_span_records_calls(self, monkeypatch):
+        import importlib
+        from pathlib import Path
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        spans = importlib.import_module("spans")
+        # Register every traced binding so that monkeypatch restores it afterwards.
+        for bindings, _ in spans.SPANS.values():
+            for module_name, attr in bindings:
+                module = importlib.import_module(module_name)
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, getattr(module, attr))
+        tracer = spans.Tracer("test")
+        tracer.install()
+        config = ExperimentConfig(
+            snr_db=-5.0,
+            rate=1.0,
+            messages=6,
+            schemes=parse_scheme_list("mt,ets,pb,pb:3,wts:2,twts,dwts"),
+            include_it_bound=True,
+            trials=50,
+            seed=1,
+        )
+        run_experiment(config)
+        dump = tracer.dump()
+        summary = spans.summarise(dump)
+        traced = [
+            name
+            for name in spans.SPANS
+            if name.startswith(("engine.evaluate_", "engine.optimize_"))
+            or name in ("engine.pb_count_sums", "informed.informed_counts_and_delays")
+        ]
+        assert len(traced) == 9
+        assert [name for name in traced if summary[f"{name}.calls"] == 0] == []
+        assert dump["absent"] == ["streamfade.runstats.run_tail"]

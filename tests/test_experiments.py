@@ -7,19 +7,16 @@ from streamfade.errors import ConfigError
 from streamfade.experiments import (
     CSV_HEADER,
     ExperimentConfig,
-    SchemeRequest,
     analytic_rows,
     emit_csv,
     parse_config,
-    parse_scheme_token,
-    format_scheme_token,
     render_csv,
     render_svg,
     run_experiment,
     serialize_config,
 )
 from streamfade.runstats import mt_mean_max_delay
-from streamfade.schemes import Objective, SchemeKind
+from streamfade.schemes import Scheme, format_scheme_token, parse_scheme_list, parse_scheme_token
 
 CONFIG_TEXT = """
 [channel]
@@ -50,12 +47,7 @@ def small_config(**overrides):
         snr_db=-5.0,
         rate=1.0,
         messages=10,
-        schemes=(
-            SchemeRequest(SchemeKind.MT),
-            SchemeRequest(SchemeKind.ETS),
-            SchemeRequest(SchemeKind.PB, optimize=Objective.MAX_THROUGHPUT),
-            SchemeRequest(SchemeKind.WTS, window=3),
-        ),
+        schemes=(Scheme("mt"), Scheme("ets"), Scheme("pb"), Scheme("wts", 3)),
         include_it_bound=True,
         trials=500,
         seed=7,
@@ -72,10 +64,30 @@ class TestSchemeTokens:
     def test_round_trip(self, token):
         assert format_scheme_token(parse_scheme_token(token)) == token
 
+    @pytest.mark.parametrize(
+        "token,formatted,label,window",
+        [
+            ("mt", "mt", "MT", None),
+            ("ets", "ets", "eTS", None),
+            ("pb", "pb", "PB", None),
+            ("pb:opt", "pb", "PB", None),
+            ("pb:8", "pb:8", "PB", 8),
+            ("wts:3", "wts:3", "wTS", 3),
+            ("twts", "twts", "T-wTS", None),
+            ("dwts", "dwts", "D-wTS", None),
+        ],
+    )
+    def test_token_surface(self, token, formatted, label, window):
+        scheme = parse_scheme_token(token)
+        assert format_scheme_token(scheme) == formatted
+        assert (scheme.label, scheme.window) == (label, window)
+
     def test_bad_tokens(self):
-        for bad in ("xyz", "pb:0", "wts:", "wts:x"):
-            with pytest.raises(ConfigError):
+        # IT is added by include_it_bound only; wTS needs a window, T-/D-wTS take none
+        for bad in ("xyz", "it", "wts", "twts:3", "pb:0", "wts:", "wts:x", "mt:opt", "wts:opt"):
+            with pytest.raises(ConfigError) as err:
                 parse_scheme_token(bad)
+            assert err.value.field == "schemes.list"
 
     def test_labels(self):
         assert parse_scheme_token("twts").label == "T-wTS"
@@ -126,6 +138,8 @@ class TestRunExperiment:
         assert len(rows) == 5
         labels = [r.scheme for r in rows]
         assert labels == ["MT", "eTS", "PB", "wTS", "IT"]
+        for r in rows:  # bits per channel use: rate / M times the decoded count
+            assert r.avg_throughput_bpcu == pytest.approx(config.rate / 10 * r.avg_decoded_msgs)
         csv_text = render_csv(rows)
         lines = csv_text.strip().split("\n")
         assert lines[0] == CSV_HEADER
@@ -167,7 +181,7 @@ class TestRunExperiment:
 
     def test_window_cannot_exceed_sweep_point(self):
         config = small_config(
-            schemes=(SchemeRequest(SchemeKind.WTS, window=9),),
+            schemes=(Scheme("wts", 9),),
             include_it_bound=False,
             sweep_variable="messages",
             sweep_values=(4, 16),
@@ -177,7 +191,7 @@ class TestRunExperiment:
 
     def test_snr_sweep(self):
         config = small_config(
-            schemes=(SchemeRequest(SchemeKind.MT),),
+            schemes=(Scheme("mt"),),
             include_it_bound=False,
             trials=200,
             sweep_variable="snr_db",
@@ -202,7 +216,7 @@ class TestAnalyticRows:
         for name in ("partial_fraction", "run_tail_partial_fraction", "run_tail_matrix_power"):
             monkeypatch.setattr(runstats, name, unreachable)
         config = small_config(
-            schemes=tuple(parse_scheme_token(t) for t in ("mt", "wts:3", "twts", "dwts")),
+            schemes=parse_scheme_list("mt,wts:3,twts,dwts"),
             sweep_variable="messages",
             sweep_values=(6, 40),
             include_it_bound=False,
@@ -218,11 +232,11 @@ class TestSimulationWithinAnalyticBounds:
         # every simulated MT/wTS point within the analytic values +- 4 stderr;
         # the wTS delay bound applies to the whole-window run statistic
         from streamfade.channel import sample_capacity_matrix, window_decode_prob
-        from streamfade.engine import evaluate_wts
+        from streamfade.engine import evaluate_wts, wts_window_delays
         from streamfade.runstats import wts_delay_bounds
 
         config = small_config(
-            schemes=(SchemeRequest(SchemeKind.MT), SchemeRequest(SchemeKind.WTS, window=3)),
+            schemes=(Scheme("mt"), Scheme("wts", 3)),
             include_it_bound=False,
             trials=20_000,
             messages=12,
@@ -234,7 +248,8 @@ class TestSimulationWithinAnalyticBounds:
 
         point = ChannelParams(config.snr_db, config.rate, config.messages)
         caps = sample_capacity_matrix(point, config.seed, 0, config.trials)
-        counts, _, window_delays = evaluate_wts(caps, config.rate, 3)
+        counts, _ = evaluate_wts(caps, config.rate, 3)
+        window_delays = wts_window_delays(caps, config.rate, 3)
         bounds = wts_delay_bounds(12, 3, window_decode_prob(point, 3))
         se = window_delays.std(ddof=1) / np.sqrt(config.trials)
         assert bounds.delay_lower - 4 * se <= window_delays.mean() <= bounds.delay_upper + 4 * se
@@ -258,7 +273,7 @@ class TestSvg:
         return run_experiment(config)
 
     def test_single_scheme_two_points_one_polyline(self):
-        rows = self._sweep_rows((SchemeRequest(SchemeKind.MT),))
+        rows = self._sweep_rows((Scheme("mt"),))
         svg = render_svg(rows, metric="throughput")
         assert svg.count("<polyline") == 1
         assert "messages M" in svg
@@ -267,7 +282,7 @@ class TestSvg:
 
     def test_one_series_per_scheme(self):
         rows = self._sweep_rows(
-            (SchemeRequest(SchemeKind.MT), SchemeRequest(SchemeKind.ETS)), include_it=True
+            (Scheme("mt"), Scheme("ets")), include_it=True
         )
         svg = render_svg(rows, metric="delay")
         assert svg.count("<polyline") == 3

@@ -5,15 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import max_zero_run_rows_loop
-from streamfade.metrics import (
-    TrialMetrics,
-    aggregate,
-    aggregate_arrays,
-    max_zero_run,
-    max_zero_run_at,
-    max_zero_run_rows,
-    trial_metrics,
-)
+from streamfade.channel import ChannelParams
+from streamfade.engine import Accumulator, evaluate_point
+from streamfade.metrics import max_zero_run, max_zero_run_at, max_zero_run_rows
+from streamfade.schemes import Scheme
 
 
 class TestMaxZeroRun:
@@ -58,59 +53,77 @@ class TestMaxZeroRun:
         assert max_zero_run_at(bits, slots, m).tolist() == max_zero_run_rows_loop(expanded).tolist()
 
 
+def reduce_trials(vectors):
+    """Per-trial (decoded count, longest zero-run) of decode vectors, the pair
+    every scheme evaluator returns."""
+    bits = np.asarray(vectors, dtype=bool)
+    return bits.sum(axis=1), max_zero_run_rows(bits)
+
+
+def accumulate(counts, delays) -> Accumulator:
+    acc = Accumulator()
+    acc.add(np.asarray(counts, dtype=np.int64), np.asarray(delays, dtype=np.int64))
+    return acc
+
+
 class TestTrialMetrics:
     def test_counts_and_run(self):
-        t = trial_metrics([1, 1, 0, 0, 1])
-        assert t == TrialMetrics(decoded_count=3, max_run0=2)
+        counts, delays = reduce_trials([[1, 1, 0, 0, 1]])
+        assert (counts.tolist(), delays.tolist()) == ([3], [2])
+        acc = accumulate(counts, delays)
+        assert (acc.count_sum, acc.delay_sum) == (3, 2)
 
     def test_all_zero(self):
-        t = trial_metrics([0] * 7)
-        assert t.decoded_count == 0 and t.max_run0 == 7
+        counts, delays = reduce_trials([[0] * 7])
+        assert counts[0] == 0 and delays[0] == 7
 
 
 class TestAggregate:
+    """`engine.Accumulator` is the one reduction over trials; a CSV row scales
+    its mean count by rate / M into bits per channel use."""
+
     def test_single_all_ones_trial(self):
-        agg = aggregate([trial_metrics([1, 1, 1, 1])], rate=2.0, blocks=4)
-        assert agg.avg_throughput_bpcu == 2.0
-        assert agg.avg_max_delay_blocks == 0.0
-        assert agg.trials == 1
-        assert agg.stderr_throughput == 0.0
+        acc = accumulate(*reduce_trials([[1, 1, 1, 1]]))
+        assert 2.0 / 4 * acc.mean_count() == 2.0
+        assert acc.mean_delay() == 0.0
+        assert acc.trials == 1
+        assert acc.stderr_count() == 0.0 and acc.stderr_delay() == 0.0
 
     def test_two_extreme_trials(self):
         m = 6
-        trials = [trial_metrics([1] * m), trial_metrics([0] * m)]
-        agg = aggregate(trials, rate=1.0, blocks=m)
-        assert agg.avg_throughput_bpcu == pytest.approx(0.5)
-        assert agg.avg_max_delay_blocks == pytest.approx(m / 2)
+        acc = accumulate(*reduce_trials([[1] * m, [0] * m]))
+        assert 1.0 / m * acc.mean_count() == pytest.approx(0.5)
+        assert acc.mean_delay() == pytest.approx(m / 2)
 
     def test_eta_identity(self):
         # (R/M) * sum m*eta(m) must equal the direct throughput mean
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 11, size=5000)
         delays = rng.integers(0, 11, size=5000)
-        agg = aggregate_arrays(counts, delays, rate=1.5, blocks=10)
-        via_hist = 1.5 / 10 * np.dot(np.arange(11), agg.eta_hist)
-        assert abs(agg.avg_throughput_bpcu - via_hist) < 1e-12
-        assert agg.eta_hist.sum() == pytest.approx(1.0, abs=1e-12)
+        acc = accumulate(counts, delays)
+        eta_hist = np.bincount(counts, minlength=11) / acc.trials
+        via_hist = 1.5 / 10 * np.dot(np.arange(11), eta_hist)
+        assert abs(1.5 / 10 * acc.mean_count() - via_hist) < 1e-12
+        assert eta_hist.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_bounds(self):
         rng = np.random.default_rng(4)
         counts = rng.integers(0, 9, size=1000)
         delays = rng.integers(0, 9, size=1000)
-        agg = aggregate_arrays(counts, delays, rate=1.0, blocks=8)
-        assert 0.0 <= agg.avg_throughput_bpcu <= 1.0
-        assert 0.0 <= agg.avg_max_delay_blocks <= 8.0
+        acc = accumulate(counts, delays)
+        assert 0.0 <= 1.0 / 8 * acc.mean_count() <= 1.0
+        assert 0.0 <= acc.mean_delay() <= 8.0
 
     def test_stderr_matches_numpy(self):
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 5, size=400)
         delays = rng.integers(0, 5, size=400)
-        agg = aggregate_arrays(counts, delays, rate=1.0, blocks=4)
-        assert agg.stderr_delay == pytest.approx(delays.std(ddof=1) / np.sqrt(400))
-        assert agg.stderr_throughput == pytest.approx(
+        acc = accumulate(counts, delays)
+        assert acc.stderr_delay() == pytest.approx(delays.std(ddof=1) / np.sqrt(400))
+        assert 1.0 / 4 * acc.stderr_count() == pytest.approx(
             counts.std(ddof=1) / np.sqrt(400) / 4
         )
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([], rate=1.0, blocks=4)
+            evaluate_point(ChannelParams(0.0, 1.0, 4), {"mt": Scheme("mt")}, 0, 1)

@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 from streamfade.channel import ChannelParams, sample_capacity_matrix, trace_from_capacities
-from streamfade.engine import evaluate_ets, evaluate_mt, evaluate_pb, evaluate_wts
+from streamfade.engine import (
+    evaluate_ets,
+    evaluate_mt,
+    evaluate_pb,
+    evaluate_point,
+    evaluate_wts,
+    optimize_pb_window,
+    sample_point,
+)
 from streamfade.metrics import max_zero_run
 from streamfade.schemes import (
-    Objective,
-    SchemeKind,
-    SchemeSpec,
+    SCHEMES,
+    Scheme,
     accumulate_mi,
     build_allocation,
     decode,
-    optimize_window,
     transmitted_mask,
 )
 
@@ -21,41 +27,44 @@ def params(snr=5.0, rate=1.0, blocks=4):
 
 
 ALL_SPECS_FOR = lambda m: (
-    [SchemeSpec.mt(), SchemeSpec.ets()]
-    + [SchemeSpec.pb(b) for b in range(1, m + 1)]
-    + [SchemeSpec.wts(b) for b in range(1, m + 1)]
+    [Scheme("mt"), Scheme("ets")]
+    + [Scheme("pb", b) for b in range(1, m + 1)]
+    + [Scheme("wts", b) for b in range(1, m + 1)]
 )
 
 
 class TestSpecValidation:
     def test_window_required(self):
+        # wTS needs a window; PB without one has no allocation matrix
         with pytest.raises(ValueError):
-            SchemeSpec(SchemeKind.PB)
+            build_allocation(Scheme("pb"), 4)
         with pytest.raises(ValueError):
-            SchemeSpec(SchemeKind.WTS, 0)
+            Scheme("wts")
         with pytest.raises(ValueError):
-            SchemeSpec(SchemeKind.MT, 3)
+            Scheme("wts", 0)
+        with pytest.raises(ValueError):
+            Scheme("mt", 3)
 
     def test_window_bounded_by_blocks(self):
         with pytest.raises(ValueError):
-            build_allocation(SchemeSpec.pb(5), 4)
+            build_allocation(Scheme("pb", 5), 4)
         with pytest.raises(ValueError):
-            build_allocation(SchemeSpec.wts(9), 8)
+            build_allocation(Scheme("wts", 9), 8)
 
 
 class TestAllocationMatrices:
     def test_mt_is_identity(self):
-        assert np.array_equal(build_allocation(SchemeSpec.mt(), 3), np.eye(3))
+        assert np.array_equal(build_allocation(Scheme("mt"), 3), np.eye(3))
 
     def test_ets_example(self):
-        alpha = build_allocation(SchemeSpec.ets(), 3)
+        alpha = build_allocation(Scheme("ets"), 3)
         assert alpha[2, 0] == pytest.approx(1 / 3)
         assert alpha[2, 1] == pytest.approx(1 / 2)
         assert alpha[2, 2] == 1.0
         assert np.allclose(alpha.sum(axis=0), 1.0, atol=1e-12)
 
     def test_pb_example(self):
-        alpha = build_allocation(SchemeSpec.pb(2), 3)
+        alpha = build_allocation(Scheme("pb", 2), 3)
         assert np.allclose(alpha[1], [0.5, 0.5, 0.0])
         assert np.allclose(alpha[2], [0.5, 0.5, 1.0])
         assert np.all(alpha[0] == 0.0)
@@ -63,13 +72,13 @@ class TestAllocationMatrices:
     def test_pb_with_full_buffer_equals_ets(self):
         for m in (1, 2, 5, 9):
             assert np.allclose(
-                build_allocation(SchemeSpec.pb(m), m),
-                build_allocation(SchemeSpec.ets(), m),
+                build_allocation(Scheme("pb", m), m),
+                build_allocation(Scheme("ets"), m),
                 atol=1e-15,
             )
 
     def test_wts_window_layout(self):
-        alpha = build_allocation(SchemeSpec.wts(3), 7)
+        alpha = build_allocation(Scheme("wts", 3), 7)
         # windows: blocks 1-3 carry message 3, 4-6 message 6, block 7 message 7
         assert np.allclose(alpha[2, 0:3], 1.0)
         assert np.allclose(alpha[5, 3:6], 1.0)
@@ -93,15 +102,15 @@ class TestAccumulateAndDecode:
     def test_mt_reads_own_block(self):
         p = params(blocks=3)
         tr = trace_from_capacities(p, [1.5, 0.2, 3.0])
-        mi = accumulate_mi(build_allocation(SchemeSpec.mt(), 3), tr)
+        mi = accumulate_mi(build_allocation(Scheme("mt"), 3), tr)
         assert np.allclose(mi, [1.5, 0.2, 3.0])
-        v = decode(build_allocation(SchemeSpec.mt(), 3), tr, 1.0)
+        v = decode(build_allocation(Scheme("mt"), 3), tr, 1.0)
         assert v.tolist() == [True, False, True]
 
     def test_ets_hand_example(self):
         p = params(blocks=2)
         tr = trace_from_capacities(p, [2.0, 2.0])
-        mi = accumulate_mi(build_allocation(SchemeSpec.ets(), 2), tr)
+        mi = accumulate_mi(build_allocation(Scheme("ets"), 2), tr)
         assert np.allclose(mi, [1.0, 3.0])
 
     def test_zero_trace(self):
@@ -113,7 +122,7 @@ class TestAccumulateAndDecode:
     def test_untransmitted_messages_stay_zero(self):
         p = params(blocks=6)
         tr = trace_from_capacities(p, [9.0] * 6)
-        alpha = build_allocation(SchemeSpec.pb(2), 6)
+        alpha = build_allocation(Scheme("pb", 2), 6)
         v = decode(alpha, tr, 1.0)
         assert v[:4].tolist() == [False] * 4
         mask = transmitted_mask(alpha)
@@ -123,12 +132,12 @@ class TestAccumulateAndDecode:
         p = params(blocks=3)
         tr = trace_from_capacities(p, [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            accumulate_mi(build_allocation(SchemeSpec.mt(), 4), tr)
+            accumulate_mi(build_allocation(Scheme("mt"), 4), tr)
 
     def test_ets_decodes_a_suffix(self):
         p = params(snr=-5.0, blocks=12)
         caps = sample_capacity_matrix(p, 3, 0, 200)
-        alpha = build_allocation(SchemeSpec.ets(), 12)
+        alpha = build_allocation(Scheme("ets"), 12)
         for row in caps:
             v = decode(alpha, row, 1.0)
             decoded = np.flatnonzero(v)
@@ -138,7 +147,7 @@ class TestAccumulateAndDecode:
     def test_pb_decodes_a_suffix_of_transmitted(self):
         p = params(snr=-5.0, blocks=12)
         caps = sample_capacity_matrix(p, 4, 0, 200)
-        alpha = build_allocation(SchemeSpec.pb(5), 12)
+        alpha = build_allocation(Scheme("pb", 5), 12)
         for row in caps:
             v = decode(alpha, row, 1.0)
             decoded = np.flatnonzero(v)
@@ -161,11 +170,11 @@ class TestEngineMatchesAllocationPath:
         fast = {"mt": evaluate_mt(caps, rate), "ets": evaluate_ets(caps, rate)}
         for b in range(1, blocks + 1):
             fast[("pb", b)] = evaluate_pb(caps, rate, b)
-            fast[("wts", b)] = evaluate_wts(caps, rate, b)[:2]
-        specs = {"mt": SchemeSpec.mt(), "ets": SchemeSpec.ets()}
+            fast[("wts", b)] = evaluate_wts(caps, rate, b)
+        specs = {"mt": Scheme("mt"), "ets": Scheme("ets")}
         for b in range(1, blocks + 1):
-            specs[("pb", b)] = SchemeSpec.pb(b)
-            specs[("wts", b)] = SchemeSpec.wts(b)
+            specs[("pb", b)] = Scheme("pb", b)
+            specs[("wts", b)] = Scheme("wts", b)
         for key, spec in specs.items():
             alpha = build_allocation(spec, blocks)
             counts = np.array([decode(alpha, row, rate).sum() for row in caps])
@@ -175,36 +184,44 @@ class TestEngineMatchesAllocationPath:
 
 
 class TestOptimizeWindow:
+    """Windows chosen per point by `evaluate_point` from its one sampling pass."""
+
+    CHOSEN = {"pb": Scheme("pb"), "twts": Scheme("twts"), "dwts": Scheme("dwts")}
+
     def test_single_message(self):
         p = params(blocks=1)
-        for kind in (SchemeKind.PB, SchemeKind.WTS):
-            for objective in Objective:
-                window, _ = optimize_window(kind, objective, p, trials=64, seed=1)
-                assert window == 1
+        accums = evaluate_point(p, self.CHOSEN, trials=64, seed=1)
+        assert [acc.window for acc in accums.values()] == [1, 1, 1]
 
     def test_rejects_windowless_kinds(self):
-        with pytest.raises(ValueError):
-            optimize_window(SchemeKind.MT, Objective.MAX_THROUGHPUT, params(), 10, 1)
+        # MT, eTS and IT take no window, neither fixed nor chosen
+        for name in ("mt", "ets", "it"):
+            assert SCHEMES[name].table is None
+            with pytest.raises(ValueError):
+                Scheme(name, 3)
+        accums = evaluate_point(params(), {n: Scheme(n) for n in ("mt", "ets", "it")}, 10, 1)
+        assert [acc.window for acc in accums.values()] == [None, None, None]
 
     def test_requires_trials(self):
         with pytest.raises(ValueError):
-            optimize_window(SchemeKind.PB, Objective.MAX_THROUGHPUT, params(), 0, 1)
+            evaluate_point(params(), {"pb": Scheme("pb")}, 0, 1)
 
     def test_pb_objectives_agree(self):
         # delay = blocks - count per realization, so both objectives pick the
         # same window on a common trace set
         p = params(snr=-5.0, blocks=16)
-        w_t, thr = optimize_window(SchemeKind.PB, Objective.MAX_THROUGHPUT, p, 2000, 9)
-        w_d, dly = optimize_window(SchemeKind.PB, Objective.MIN_MAX_DELAY, p, 2000, 9)
-        assert w_t == w_d
-        assert thr + dly == pytest.approx(16.0)
+        w_t, _ = optimize_pb_window(sample_point(p, {}, 2000, 9, pb_table=True).pb_counts, 2000)
+        depths = evaluate_point(p, {b: Scheme("pb", b) for b in range(1, 17)}, 2000, 9)
+        w_d = min(depths, key=lambda b: depths[b].delay_sum)
+        best = evaluate_point(p, {"pb": Scheme("pb")}, 2000, 9)["pb"]
+        assert w_t == w_d == best.window
+        assert best.mean_count() + best.mean_delay() == pytest.approx(16.0)
 
     def test_dwts_window_nondecreasing_in_blocks(self):
         windows = []
         for m in (7, 8):
             p = params(snr=5.0, blocks=m)
-            w, _ = optimize_window(SchemeKind.WTS, Objective.MIN_MAX_DELAY, p, 20_000, 33)
-            windows.append(w)
+            windows.append(evaluate_point(p, {"d": Scheme("dwts")}, 20_000, 33)["d"].window)
         assert windows[0] <= windows[1]
 
 
@@ -213,7 +230,7 @@ class TestWtsStructure:
         # only messages min(kB, M) can ever decode
         p = params(snr=5.0, blocks=11)
         caps = sample_capacity_matrix(p, 41, 0, 100)
-        alpha = build_allocation(SchemeSpec.wts(4), 11)
+        alpha = build_allocation(Scheme("wts", 4), 11)
         allowed = {3, 7, 10}  # 0-indexed ends of windows 1..3 (last shortened)
         for row in caps:
             v = decode(alpha, row, 1.0)
