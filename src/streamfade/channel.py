@@ -14,7 +14,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from . import rng
 from .errors import NumericFailure
@@ -182,10 +181,16 @@ def exp1(x: float) -> float:
 
 
 def mean_capacity(params: ChannelParams) -> float:
-    """Average per-block capacity E[log2(1 + g*P)] by adaptive quadrature."""
+    """Average per-block capacity E[log2(1 + g*P)] by adaptive quadrature.
+
+    The cross-check of `mean_capacity_closed_form`.  scipy is imported here,
+    not at module level, so that the commands which never integrate (all but
+    `verify`) start without loading it.
+    """
     power = params.power
     if params.fading is Fading.UNIT_GAIN:
         return math.log2(1.0 + power)
+    from scipy import integrate
 
     def integrand(g):
         return math.log2(1.0 + power * g) * math.exp(-g)

@@ -109,15 +109,34 @@ def parse_sweep_values(variable: str, raw: str) -> tuple:
     return values
 
 
+# Every section and key of the INI format; anything else is a typo.
+_INI_KEYS = {
+    "channel": ("snr_db", "rate", "messages"),
+    "run": ("trials", "seed", "threads"),
+    "schemes": ("list", "include_it_bound"),
+    "sweep": ("variable", "values"),
+    "output": ("csv", "svg"),
+}
+
+
 def parse_config(text: str, **overrides) -> ExperimentConfig:
     """Parse the INI experiment format (see README for the schema).  Keyword
     arguments replace fields of the file before the whole is validated, so
     that flags may complete a file (say, a sweep for its `[output] svg`)."""
-    parser = configparser.ConfigParser()
+    # No default section: a [DEFAULT] is an unknown section like any other.
+    # `; comment` may end a line, as in the README's example.
+    parser = configparser.ConfigParser(default_section="", inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    for section in parser.sections():
+        keys = parser.options(section)
+        if section not in _INI_KEYS:
+            raise ConfigError(f"unknown section [{section}]", ".".join([section, *keys[:1]]))
+        for key in keys:
+            if key not in _INI_KEYS[section]:
+                raise ConfigError(f"unknown key {key!r}", f"{section}.{key}")
 
     def need(section, key, cast, fallback=None):
         if not parser.has_option(section, key):

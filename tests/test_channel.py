@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 from streamfade import channel
@@ -20,6 +22,7 @@ from streamfade.channel import (
     trace_from_gains,
     window_decode_prob,
 )
+from streamfade.errors import NumericFailure
 
 # Values computed ahead of the build with an independent high-resolution
 # trapezoid rule (20M+ panels) over the unit-mean exponential density.
@@ -168,6 +171,27 @@ class TestMeanCapacity:
     def test_point_mass_law(self):
         p = params(snr=5.0, fading=Fading.UNIT_GAIN)
         assert mean_capacity(p) == math.log2(1.0 + p.power)
+
+    def test_integration_warning_is_a_numeric_failure(self, monkeypatch):
+        def quad(*args, **kwargs):
+            warnings.warn("roundoff error is detected", scipy.integrate.IntegrationWarning)
+            return 1.0, 0.0
+
+        monkeypatch.setattr(scipy.integrate, "quad", quad)
+        with pytest.raises(NumericFailure, match="did not converge"):
+            mean_capacity(params(snr=5.0))
+
+    def test_error_estimate_above_tolerance_is_a_numeric_failure(self, monkeypatch):
+        calls = []
+
+        def quad(func, a, b, **kwargs):
+            calls.append((a, b, kwargs))
+            return 2.0, 1e-6
+
+        monkeypatch.setattr(scipy.integrate, "quad", quad)
+        with pytest.raises(NumericFailure, match="above tolerance"):
+            mean_capacity(params(snr=5.0))
+        assert calls == [(0.0, np.inf, dict(epsabs=1e-14, epsrel=1e-10, limit=200))]
 
 
 class TestExp1:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -195,6 +196,27 @@ class TestBadInputExits2:
         assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "one-point.svg").exists()
 
+    @pytest.mark.parametrize(
+        "after,typo,field",
+        [
+            ("list = mt\n", "[output]\ncvs = out.csv\n", "output.cvs"),
+            ("list = mt\n", "[ouput]\ncsv = out.csv\n", "ouput.csv"),  # misspelled section
+            ("seed = 3\n", "thread = 4\n", "run.thread"),
+            ("list = mt\n", "include_it = true\n", "schemes.include_it"),
+        ],
+    )
+    def test_ini_unknown_key(self, after, typo, field, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        text = (
+            "[channel]\nsnr_db = 5.0\nrate = 1.0\nmessages = 6\n"
+            "[run]\ntrials = 20\nseed = 3\n[schemes]\nlist = mt\n"
+        )
+        cfg.write_text(text.replace(after, after + typo))
+        assert run_main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"{field}:" in captured.err
+        assert captured.out == ""  # no CSV on standard output either
+
 
 class TestGoldenCsv:
     """Output recorded before the one-pass engine, byte for byte."""
@@ -231,3 +253,38 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+
+# Runs in a fresh interpreter: prints the scipy modules loaded after every
+# command but `verify`, then whether `verify` loaded the quadrature.
+_IMPORT_PROBE = """
+import json, sys
+from streamfade import cli
+out = sys.argv[1]
+common = ["--trials", "50", "--seed", "5", "--threads", "1"]
+for argv in (
+    ["simulate", "--messages", "6", *common, "--out-csv", out],
+    ["sweep", "--values", "4,6", "--scheme", "twts,dwts", *common, "--out-csv", out],
+    ["analyze", "--messages", "8", "--out-csv", out],
+    ["bound", "--messages", "6", *common, "--out-csv", out],
+):
+    assert cli.main(argv) == 0, argv
+before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+code = cli.main(["verify"])
+print(json.dumps([before, code, "scipy.integrate" in sys.modules]))
+"""
+
+
+class TestImportSet:
+    def test_only_verify_loads_scipy(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, verify_code, integrate_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert before == []
+        assert verify_code == 0
+        assert integrate_loaded

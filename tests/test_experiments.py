@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from streamfade.experiments import (
 )
 from streamfade.runstats import mt_mean_max_delay
 from streamfade.schemes import Scheme, format_scheme_token, parse_scheme_list, parse_scheme_token
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG_TEXT = """
 [channel]
@@ -128,6 +132,29 @@ class TestConfigRoundTrip:
     def test_unknown_sweep_variable(self):
         with pytest.raises(ConfigError):
             small_config(sweep_variable="power", sweep_values=(1.0, 2.0))
+
+    # The CLI tests cover the typos of [output], [run] and [schemes].
+    @pytest.mark.parametrize(
+        "old,new,field",
+        [
+            ("[sweep]", "[sweeps]", "sweeps.variable"),
+            ("[channel]", "[DEFAULT]\nmessages = 12\n[channel]", "DEFAULT.messages"),
+            ("[output]\ncsv = out.csv", "[output]\ncsv = out.csv\n[extra]", "extra"),
+        ],
+    )
+    def test_unknown_section_or_key_names_it(self, old, new, field):
+        with pytest.raises(ConfigError) as err:
+            parse_config(CONFIG_TEXT.replace(old, new))
+        assert err.value.field == field
+
+    def test_shipped_examples_parse(self):
+        acceptance = (ROOT / "configs" / "acceptance.ini").read_text()
+        assert parse_config(acceptance).trials == 5000
+        readme = (ROOT / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        config = parse_config(example)  # with its `; optional` line comments
+        assert config.sweep_variable == "messages"
+        assert config.svg_path == "results.svg"
 
 
 class TestRunExperiment:
