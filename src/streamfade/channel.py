@@ -20,6 +20,21 @@ from .errors import NumericFailure
 
 _LN2 = math.log(2.0)
 _EULER_GAMMA = 0.5772156649015328606065
+# The capacity grid of the window probabilities stops at log2(1 + 37 P): the
+# gain law's survival function is ~1e-16 there, and the sampler never draws a
+# gain above -ln(2^-53) ~ 36.7.
+_GAIN_CAP = 37.0
+_GRID = 1 << 13
+
+
+def usable_snr(snr_db: float) -> bool:
+    """Whether `snr_db` gives a positive, finite transmit power 10**(snr_db/10)
+    whose capacity grid log2(1 + 37 P) is finite too."""
+    try:
+        power = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return False
+    return power > 0.0 and math.isfinite(power * _GAIN_CAP)
 
 
 class Fading(Enum):
@@ -46,8 +61,8 @@ class ChannelParams:
     fading: Fading = Fading.RAYLEIGH_UNIT_MEAN
 
     def __post_init__(self):
-        if not math.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        if not usable_snr(self.snr_db):
+            raise ValueError("snr_db must give a positive, finite transmit power")
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ValueError("rate must be positive and finite")
         if int(self.blocks) != self.blocks or self.blocks < 1:
@@ -131,8 +146,12 @@ def sample_trace(params: ChannelParams, seed: int, trial_index: int) -> ChannelT
 
 
 def decode_success_prob(params: ChannelParams) -> float:
-    """Pr{per-block capacity >= rate} for a single block."""
-    threshold = (2.0**params.rate - 1.0) / params.power
+    """Pr{per-block capacity >= rate} for a single block; 0, the limit, for a
+    rate so large that 2**rate overflows."""
+    try:
+        threshold = (2.0**params.rate - 1.0) / params.power
+    except OverflowError:
+        return 0.0
     if params.fading is Fading.RAYLEIGH_UNIT_MEAN:
         return math.exp(-threshold)
     return 1.0 if 1.0 >= threshold else 0.0
@@ -219,7 +238,7 @@ def mean_capacity_closed_form(params: ChannelParams) -> float:
     return math.exp(inv) * exp1(inv) / _LN2
 
 
-def window_decode_prob(params: ChannelParams, window: int, grid_size: int = 1 << 13) -> float:
+def window_decode_prob(params: ChannelParams, window: int, grid_size: int = _GRID) -> float:
     """Pr{sum of `window` consecutive block capacities >= rate}.
 
     Evaluated by self-convolving the single-block capacity density on a
@@ -233,21 +252,26 @@ def window_decode_prob(params: ChannelParams, window: int, grid_size: int = 1 <<
     return _window_decode_prob(replace(params, blocks=1), window, grid_size)
 
 
-@lru_cache(maxsize=1024)
-def _window_decode_prob(params: ChannelParams, window: int, grid_size: int) -> float:
-    if params.fading is Fading.UNIT_GAIN:
-        return 1.0 if window * math.log2(1.0 + params.power) >= params.rate else 0.0
-    if window == 1:
-        return decode_success_prob(params)
-    power = params.power
-    # Truncate the gain law where the survival function is ~1e-16.
-    c_max = math.log2(1.0 + power * 37.0)
+def _capacity_masses(power: float, grid_size: int):
+    """(bin masses, bin width) of the single-block capacity on `grid_size`
+    uniform bins over [0, log2(1 + 37 P)]; the last bin takes the tail."""
+    c_max = math.log2(1.0 + power * _GAIN_CAP)
     dc = c_max / grid_size
     # Exact bin masses from the capacity CDF: F(c) = 1 - exp(-(2^c - 1)/P).
     edges = np.arange(grid_size + 1) * dc
     cdf = 1.0 - np.exp(-(np.exp2(edges) - 1.0) / power)
     mass = np.diff(cdf)
     mass[-1] += 1.0 - cdf[-1]
+    return mass, dc
+
+
+@lru_cache(maxsize=1024)
+def _window_decode_prob(params: ChannelParams, window: int, grid_size: int) -> float:
+    if params.fading is Fading.UNIT_GAIN:
+        return 1.0 if window * math.log2(1.0 + params.power) >= params.rate else 0.0
+    if window == 1:
+        return decode_success_prob(params)
+    mass, dc = _capacity_masses(params.power, grid_size)
     # window-fold self-convolution by FFT powering
     out_len = window * (grid_size - 1) + 1
     spectrum = np.fft.rfft(mass, n=out_len)
@@ -257,3 +281,72 @@ def _window_decode_prob(params: ChannelParams, window: int, grid_size: int) -> f
     sums = (np.arange(out_len) + window * 0.5) * dc
     prob = float(conv[sums >= params.rate].sum())
     return min(1.0, max(0.0, prob))
+
+
+def window_decode_probs(params: ChannelParams, windows: int) -> np.ndarray:
+    """`window_decode_prob` for every window B = 1..`windows`, entry B-1.
+
+    The same grid and bin masses, but one chain of convolutions: only the
+    cells that can lie below the rate are carried from B to B + 1, by one FFT
+    product, and p_B is one minus their mass.  The chain is memoized on the
+    link parameters other than `blocks` and extended, not recomputed, when a
+    later call asks for more windows.  Where even `windows` blocks at the
+    grid's top capacity fall short of the rate, every p_B beyond the first
+    is 0 and no grid is built.
+    """
+    if windows < 1:
+        raise ValueError("windows must be >= 1")
+    link = replace(params, blocks=1)
+    if link.fading is Fading.UNIT_GAIN:
+        cap = math.log2(1.0 + link.power)
+        return np.array([1.0 if b * cap >= link.rate else 0.0 for b in range(1, windows + 1)])
+    if windows * math.log2(1.0 + link.power * _GAIN_CAP) <= link.rate:
+        probs = np.zeros(windows)
+        probs[0] = decode_success_prob(link)
+        return probs
+    chain = _failure_chain(link)
+    chain.extend(windows)
+    return np.array(chain.probs[:windows])
+
+
+class _FailureChain:
+    """The B-fold capacity-sum mass on the grid cells that can lie below the
+    rate, `below`, and p_1..p_B.
+
+    A convolution never moves mass to a lower cell, so the cells kept are
+    exact after dropping all higher ones; an FFT of at least 2 * cells - 1
+    points then has no wrap-around on them.
+    """
+
+    def __init__(self, link: ChannelParams):
+        mass, self.dc = _capacity_masses(link.power, _GRID)
+        self.rate = link.rate
+        cells = int(math.ceil(link.rate / self.dc)) + 1
+        self.below = np.zeros(cells)
+        self.below[: min(cells, _GRID)] = mass[:cells]
+        # The smallest 2^j, 3 * 2^j or 9 * 2^j points >= 2 * cells - 1.
+        need = 2 * cells - 1
+        self.size = min(f << (-(-need // f) - 1).bit_length() for f in (1, 3, 9))
+        self.spectrum = np.fft.rfft(self.below, self.size)
+        self.probs = [decode_success_prob(link)]
+
+    def extend(self, windows: int) -> None:
+        while len(self.probs) < windows:
+            if self.probs[-1] == 1.0:
+                # A further block only adds capacity: the failure mass only
+                # shrinks, and p stays 1 to double precision.
+                self.probs.append(1.0)
+                continue
+            window = len(self.probs) + 1
+            cells = self.below.size
+            product = np.fft.rfft(self.below, self.size) * self.spectrum
+            self.below = np.fft.irfft(product, self.size)[:cells].copy()
+            # As in `window_decode_prob`: cell k sits at (k + window/2)*dc.
+            failure = self.below[(np.arange(cells) + window * 0.5) * self.dc < self.rate].sum()
+            self.probs.append(min(1.0, max(0.0, 1.0 - float(failure))))
+
+
+# A message sweep reuses one link; an SNR sweep never revisits one.
+@lru_cache(maxsize=8)
+def _failure_chain(link: ChannelParams) -> _FailureChain:
+    return _FailureChain(link)

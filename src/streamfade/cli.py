@@ -35,6 +35,7 @@ from .experiments import (
     render_csv,
     run_experiment,
 )
+from .rng import SEED_BOUND
 from .schemes import parse_scheme_list
 
 _DEFAULTS = ExperimentConfig(
@@ -187,6 +188,8 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     """Fast oracle-equivalence suite; prints one PASS/FAIL line per check."""
     seed = args.seed
+    if not 0 <= seed < SEED_BOUND:
+        raise ConfigError("seed must lie in [0, 2**64)", "run.seed")
     failures = 0
 
     def report(name, ok):

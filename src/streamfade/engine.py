@@ -4,9 +4,10 @@ Evaluators operate on a (trials, blocks) capacity matrix and return integer
 per-trial statistics.  A sweep point is one pass over chunks of trials
 (`sample_point`, sized by `chunk_rows`): each chunk samples its capacity
 matrix once, and every consumer reads that one matrix -- the fixed-window
-schemes, the per-window wTS table from which T-wTS and D-wTS select their
-window, and the per-depth PB count sums from which an optimized buffer depth
-is chosen.  Chunks are keyed by absolute trial index and reduce to exact
+schemes and the per-depth PB count sums from which an optimized buffer depth
+is chosen.  T-wTS and D-wTS choose their window before sampling, from exact
+objectives (`optimize_wts_window`), and are evaluated as a fixed `wts:B` row
+in that pass.  Chunks are keyed by absolute trial index and reduce to exact
 integer sums, so results are bit-identical regardless of worker count and
 chunk size.  All schemes at one point share the same traces (common random
 numbers), which makes per-realization dominance comparisons exact.
@@ -23,11 +24,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, sample_capacity_matrix
+from .channel import ChannelParams, sample_capacity_matrix, window_decode_probs
 # The informed bound is the IT row's evaluator; the scheme table reaches it
 # here, next to the other evaluators.
 from .informed import informed_counts_and_delays
 from .metrics import max_zero_run_at, max_zero_run_rows
+from .runstats import wts_mean_delay
 
 CHUNK = 4096
 # Rows per chunk are capped so that one capacity matrix holds at most this
@@ -231,15 +233,11 @@ class PointTables:
     """Exact sums of one sampling pass over a sweep point's trials."""
 
     fixed: dict  # key -> Accumulator of a scheme with a fixed window (or none)
-    wts: list | None  # entry B-1: Accumulator of wTS at window B
     pb_counts: np.ndarray | None  # entry B-1: total decoded count at PB depth B
 
     def merge(self, other: "PointTables") -> None:
         for key, acc in other.fixed.items():
             self.fixed[key].merge(acc)
-        if other.wts is not None:
-            for acc, more in zip(self.wts, other.wts):
-                acc.merge(more)
         if other.pb_counts is not None:
             self.pb_counts += other.pb_counts
 
@@ -251,20 +249,17 @@ def sample_point(
     seed: int,
     threads: int = 1,
     *,
-    wts_table: bool = False,
     pb_table: bool = False,
 ) -> PointTables:
     """One sampling pass: each chunk draws its capacity matrix once and feeds it
     to every scheme in `fixed` (key -> `schemes.Scheme` whose window is fixed
-    or absent from its row), to wTS at every window B = 1..M when
-    `wts_table`, and to `pb_count_sums` when `pb_table`.
+    or absent from its row) and to `pb_count_sums` when `pb_table`.
     """
     m, rate = params.blocks, params.rate
 
     def empty():
         return PointTables(
             {key: Accumulator(scheme.window) for key, scheme in fixed.items()},
-            [Accumulator(b) for b in range(1, m + 1)] if wts_table else None,
             np.zeros(m, dtype=np.int64) if pb_table else None,
         )
 
@@ -273,9 +268,6 @@ def sample_point(
         part = empty()
         for key, scheme in fixed.items():
             part.fixed[key].add(*scheme.evaluate(caps, rate))
-        if wts_table:
-            for b, acc in enumerate(part.wts, start=1):
-                acc.add(*evaluate_wts(caps, rate, b))
         if pb_table:
             part.pb_counts += pb_count_sums(caps, rate)
         return part
@@ -294,15 +286,34 @@ def optimize_pb_window(count_sums: np.ndarray, trials: int) -> tuple[int, float]
     return best, float(count_sums[best - 1] / trials)
 
 
-def optimize_wts_window(table: list, maximize_throughput: bool) -> tuple[int, float]:
-    """Window optimizing throughput (T-variant) or block-level delay
-    (D-variant), selected from the per-window table of `sample_point`; ties
-    break toward smaller windows."""
+def optimize_wts_window(params: ChannelParams, maximize_throughput: bool) -> tuple[int, float]:
+    """(window B, objective at B) for T-wTS (maximum mean decoded count) or
+    D-wTS (minimum mean literal delay), from exact objectives: no sampling.
+
+    The k = M // B full windows decode i.i.d. with probability p_B and the
+    short last window of r = M % B blocks with p_r (`window_decode_probs`).
+    The mean count is k p_B + [r > 0] p_r; the mean delay is
+    `runstats.wts_mean_delay`.  The delay is at least B - 1 on every
+    realization (the slots before window 1's message), so the search stops
+    at the first B whose B - 1 reaches the best mean so far.  Ties break low.
+    """
+    m = params.blocks
+    probs = window_decode_probs(params, m)
+    windows = np.arange(1, m + 1)
+    short = m % windows
+    p_short = np.where(short > 0, probs[short - 1], 0.0)
     if maximize_throughput:
-        best = int(np.argmax([acc.count_sum for acc in table])) + 1
-        return best, table[best - 1].mean_count()
-    best = int(np.argmin([acc.delay_sum for acc in table])) + 1
-    return best, table[best - 1].mean_delay()
+        counts = (m // windows) * probs + p_short
+        best = int(np.argmax(counts)) + 1
+        return best, float(counts[best - 1])
+    best, best_delay = 1, wts_mean_delay(m, 1, probs[0])
+    for b in range(2, m + 1):
+        if b - 1 >= best_delay:
+            break
+        delay = wts_mean_delay(m, b, probs[b - 1], p_short[b - 1])
+        if delay < best_delay:
+            best, best_delay = b, delay
+    return best, best_delay
 
 
 def evaluate_point(
@@ -316,30 +327,29 @@ def evaluate_point(
 
     `schemes` maps an arbitrary key to a `schemes.Scheme`.  A scheme whose
     row has a `table` and that has no fixed window gets the window its row
-    chooses from that table.  Returns key -> Accumulator, whose `window` is
-    the B the statistics were taken at.  Chunks are keyed by absolute trial
-    index and reduce to exact integer sums, so the result is independent of
-    `threads` and of the chunk size.
+    chooses: T-/D-wTS before sampling, PB from the count sums of the pass.
+    Returns key -> Accumulator, whose `window` is the B the statistics were
+    taken at.  Chunks are keyed by absolute trial index and reduce to exact
+    integer sums, so the result is independent of `threads` and of the chunk
+    size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    chosen = {key: s for key, s in schemes.items() if s.window is None and s.row.table}
-    fixed = {key: s for key, s in schemes.items() if key not in chosen}
-    tables = {s.row.table for s in chosen.values()}
-    point = sample_point(
-        params, fixed, trials, seed, threads, wts_table="wts" in tables, pb_table="pb" in tables
-    )
-    out = dict(point.fixed)
-    again = {}
-    for key, scheme in chosen.items():
-        if scheme.row.table == "wts":
-            window, _ = optimize_wts_window(point.wts, scheme.row.maximize)
-            out[key] = point.wts[window - 1]
+    fixed, chosen_pb = {}, {}
+    for key, scheme in schemes.items():
+        if scheme.window is not None or scheme.row.table is None:
+            fixed[key] = scheme
+        elif scheme.row.table == "wts":
+            window, _ = optimize_wts_window(params, scheme.row.maximize)
+            fixed[key] = replace(scheme, name="wts", window=window)
         else:
-            window, _ = optimize_pb_window(point.pb_counts, trials)
-            again[key] = replace(scheme, window=window)
-    if again:
+            chosen_pb[key] = scheme
+    point = sample_point(params, fixed, trials, seed, threads, pb_table=bool(chosen_pb))
+    out = point.fixed
+    if chosen_pb:
         # Second pass: see the module docstring for why the depth search's
         # counts are not reused.
+        window, _ = optimize_pb_window(point.pb_counts, trials)
+        again = {key: replace(scheme, window=window) for key, scheme in chosen_pb.items()}
         out.update(sample_point(params, again, trials, seed, threads).fixed)
     return {key: out[key] for key in schemes}

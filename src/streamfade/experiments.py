@@ -16,12 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .channel import ChannelParams, decode_success_prob, window_decode_prob
+from .channel import ChannelParams, decode_success_prob, usable_snr, window_decode_prob
 from .errors import ConfigError
+from .rng import SEED_BOUND
 from .runstats import mt_mean_max_delay, wts_delay_bounds
 from .schemes import Scheme, format_scheme_token, parse_scheme_list
 
 _SWEEP_VARIABLES = ("messages", "snr_db")
+_SNR_RULE = "snr_db must be finite and give a positive, finite transmit power"
 
 CSV_HEADER = (
     "sweep_var,scheme,B,avg_throughput_bpcu,avg_decoded_msgs,avg_max_delay,"
@@ -50,10 +52,12 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1", "run.trials")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1", "run.threads")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise ConfigError("seed must lie in [0, 2**64)", "run.seed")
         if self.messages < 1:
             raise ConfigError("messages must be >= 1", "channel.messages")
-        if not math.isfinite(self.snr_db):
-            raise ConfigError("snr_db must be finite", "channel.snr_db")
+        if not usable_snr(self.snr_db):
+            raise ConfigError(_SNR_RULE, "channel.snr_db")
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ConfigError("rate must be positive and finite", "channel.rate")
         if not self.schemes and not self.include_it_bound:
@@ -74,6 +78,8 @@ class ExperimentConfig:
                 int(v) != v or v < 1 for v in values
             ):
                 raise ConfigError("message sweep values must be positive integers", "sweep.values")
+            if self.sweep_variable == "snr_db" and not all(usable_snr(v) for v in values):
+                raise ConfigError(f"SNR sweep values: {_SNR_RULE}", "sweep.values")
         elif self.sweep_values is not None:
             raise ConfigError("sweep values given without a sweep variable", "sweep.variable")
         if self.svg_path and len(self.sweep_values or ()) < 2:

@@ -27,10 +27,16 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z
 
 
+# Seeds are unsigned 64-bit integers: 0 <= seed < SEED_BOUND.
+SEED_BOUND = 1 << 64
+
+
 def stream_base(seed: int, streams: np.ndarray) -> np.ndarray:
     """Mix a 64-bit seed with stream indices into independent base states."""
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     with np.errstate(over="ignore"):
-        s = _finalize(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * _MIX1 + _SEED_SALT)
+        s = _finalize(np.uint64(seed) * _MIX1 + _SEED_SALT)
         return _finalize(s ^ (streams.astype(np.uint64) * _GOLDEN + _MIX2))
 
 

@@ -19,7 +19,8 @@ is computed four independent ways:
 
 The last three are cross-checks of the recurrence; every analytic column of
 the CSV (`mt_mean_max_delay`, `delay_distribution`, `wts_delay_bounds`) reads
-from `run_tails`.
+from `run_tails`.  `wts_mean_delay`, the D-wTS window objective, reads the
+same recurrence one run length at a time (`run_tail_column`).
 
 In the partial-fraction expansion the z = 1 pole always has residue exactly 1
 (q_d(1) = (1-p)^d), so it is peeled off in closed form before any numerics;
@@ -377,6 +378,74 @@ def wts_delay_bounds(M: int, B: int, p_B: float) -> WtsBounds:
         decoded_lower=floor_w * p_B,
         decoded_upper=ceil_w * p_B,
     )
+
+
+def run_tail_column(length: int, p: float, d: int) -> np.ndarray:
+    """T_n(d) = Pr{longest zero-run >= d} over n Bernoulli(p) trials for
+    n = 0..length-1, by the recurrence of `run_tails` for one run length d.
+
+    T_n reads T_{n-d-1}, so the tails of n in one block of d + 1 trials follow
+    from the block before by one cumulative sum.
+    """
+    if d < 1:
+        raise ValueError("run length d must be >= 1")
+    q = 1.0 - p
+    tails = np.zeros(length)
+    if d >= length:
+        return tails
+    tails[d] = q**d
+    step = p * q**d
+    for lo in range(d + 1, length, d + 1):
+        hi = min(lo + d + 1, length)
+        block = tails[lo:hi]
+        np.subtract(1.0, tails[lo - d - 1 : hi - d - 1], out=block)
+        block *= step
+        np.cumsum(block, out=block)
+        block += tails[lo - 1]
+    return tails
+
+
+def wts_mean_delay(M: int, B: int, p_B: float, p_r: float = 0.0) -> float:
+    """Exact mean literal wTS delay: the longest zero-run over all M message
+    slots (the statistic of `engine.evaluate_wts`) when the k = M // B full
+    windows decode i.i.d. with probability p_B and the short last window of
+    r = M % B blocks decodes with probability p_r.
+
+    Only slots jB and, for r > 0, slot M can decode.  A run of f failed full
+    windows ended by a success is a gap of (f+1)B - 1 slots; after the last
+    full success, f failed windows leave fB + r - s slots, where s is the
+    short window's bit.  So for x >= 1, with a = x // B,
+    b = ceil((x - r + s) / B), m = min(max(b, 0), k) and q = 1 - p_B,
+
+        Pr{L >= x | s} = [b <= k] q^m + sum_{f < m} p_B q^f T_{k-f-1}(a),
+
+    summed over the index k - f of the last successful full window; T_n(a)
+    is the run tail of `run_tail_column` (T_n(0) = 1: at x < B the gap before
+    any success is already too long).  Every term is nonnegative.  The mean
+    is the sum over x = 1..M, averaged over s.  Memory is O(M): one tail
+    column at a time.
+    """
+    if not (1 <= B <= M):
+        raise ValueError(f"need 1 <= B <= M, got B={B}, M={M}")
+    if not (0.0 <= p_B <= 1.0 and 0.0 <= p_r <= 1.0):
+        raise ValueError("window decode probabilities must lie in [0, 1]")
+    k, r = divmod(M, B)
+    q_pow = (1.0 - p_B) ** np.arange(k + 1, dtype=np.float64)
+    weights = p_B * q_pow[:k]
+    # (short window's bit s, its probability); s = 0 when B divides M
+    shorts = [(0, 1.0 - p_r), (1, p_r)] if r else [(0, 1.0)]
+    shorts = [(s, w) for s, w in shorts if w]
+    x = np.arange(1, M + 1)
+    b = np.array([-((r - s - x) // B) for s, _ in shorts])
+    m = np.clip(b, 0, k)
+    tails = np.where(b <= k, q_pow[m], 0.0)
+    prefix = np.zeros(k + 1)
+    for a in range(k):  # a = k adds nothing: T_n(k) = 0 for n < k
+        column = np.ones(k) if a == 0 else run_tail_column(k, p_B, a)
+        np.cumsum(weights * column[::-1], out=prefix[1:])
+        xs = slice(max(a * B, 1) - 1, (a + 1) * B - 1)
+        tails[:, xs] += prefix[m[:, xs]]
+    return float(sum(w * row.sum() for (_, w), row in zip(shorts, tails)))
 
 
 def enumerate_run_tails(M: int, p: float) -> np.ndarray:

@@ -33,10 +33,11 @@ class SchemeRow:
     label     the CSV `scheme` cell
     window    the window rule: NONE, REQUIRED or OPTIONAL
     evaluate  (caps, rate, B) -> per-trial (decoded counts, longest zero-runs)
-    table     where an absent B is chosen from at each point: "wts" (the
-              per-window wTS table, whose row at the chosen B is the result)
-              or "pb" (the PB count sums; the row is evaluated again at the
-              chosen depth); None when B is never chosen
+    table     how an absent B is chosen at each point: "wts" (from exact
+              objectives before sampling, `engine.optimize_wts_window`; the
+              row is then evaluated as `wts:B` in the point's one pass) or
+              "pb" (from the PB count sums of that pass; the row is evaluated
+              again at the chosen depth); None when B is never chosen
     maximize  the choice maximizes throughput, else it minimizes delay (PB's
               two choices coincide, since delay = M - count per realization)
     analytic  the closed form behind the analytic CSV cells: "exact" (MT

@@ -44,3 +44,20 @@ def wts_literal_delay_expanded(caps: np.ndarray, rate: float, window: int) -> np
     if short is not None:
         v[:, m - 1] = short
     return max_zero_run_rows_loop(v)
+
+
+def wts_mean_delay_enumerated(M: int, B: int, p_B: float, p_r: float = 0.0) -> float:
+    """Mean literal wTS delay by weighting all 2^k full-window decode patterns
+    (and both bits of a short last window) with their probabilities."""
+    k, r = divmod(M, B)
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    ones = bits.sum(axis=1)
+    weights = p_B**ones * (1.0 - p_B) ** (k - ones)
+    total = 0.0
+    for short, weight in ((0, 1.0 - p_r), (1, p_r)) if r else ((0, 1.0),):
+        v = np.zeros((1 << k, M), dtype=bool)
+        v[:, B - 1 : k * B : B] = bits
+        if r:
+            v[:, M - 1] = bool(short)
+        total += weight * float((weights * max_zero_run_rows_loop(v)).sum())
+    return total

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from streamfade.channel import (
     trace_from_capacities,
     trace_from_gains,
     window_decode_prob,
+    window_decode_probs,
 )
+from streamfade.rng import stream_base
 from streamfade.errors import NumericFailure
 
 # Values computed ahead of the build with an independent high-resolution
@@ -52,6 +55,8 @@ class TestParams:
             dict(snr_db=5.0, rate=-1.0, blocks=3),
             dict(snr_db=5.0, rate=1.0, blocks=0),
             dict(snr_db=math.inf, rate=1.0, blocks=3),
+            dict(snr_db=4000.0, rate=1.0, blocks=3),  # 10**400 overflows
+            dict(snr_db=-4000.0, rate=1.0, blocks=3),  # 10**-400 is 0
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -149,6 +154,12 @@ class TestDecodeProb:
 
     def test_vanishing_rate(self):
         assert decode_success_prob(params(rate=1e-12)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_rate_beyond_the_float_range_is_the_limit(self):
+        # 2**2000 overflows a float; the probability is its limit, 0
+        for rate in (2000.0, 1e300):
+            assert decode_success_prob(params(rate=rate)) == 0.0
+            assert decode_success_prob(params(rate=rate, fading=Fading.UNIT_GAIN)) == 0.0
 
     def test_unit_gain(self):
         assert decode_success_prob(params(rate=1.0, fading=Fading.UNIT_GAIN)) == 1.0
@@ -248,3 +259,74 @@ class TestWindowDecodeProb:
         # the memoized float is the one a fresh convolution computes
         link = params(snr=-5.0, rate=1.0, blocks=1)
         assert by_blocks[2][4] == channel._window_decode_prob.__wrapped__(link, 5, 1 << 13)
+
+
+class TestWindowDecodeProbs:
+    """Every window's probability from one chain, against `window_decode_prob`."""
+
+    @pytest.mark.parametrize(
+        "snr,rate,fading",
+        [
+            (-5.0, 1.0, Fading.RAYLEIGH_UNIT_MEAN),
+            (0.0, 1.0, Fading.RAYLEIGH_UNIT_MEAN),
+            (5.0, 2.0, Fading.RAYLEIGH_UNIT_MEAN),
+            (-10.0, 0.3, Fading.RAYLEIGH_UNIT_MEAN),
+            (-5.0, 5.0, Fading.RAYLEIGH_UNIT_MEAN),  # above log2(1 + 37 P) = 3.67
+            (0.0, 2.5, Fading.UNIT_GAIN),
+        ],
+    )
+    def test_matches_single_window(self, snr, rate, fading):
+        p = params(snr=snr, rate=rate, blocks=40, fading=fading)
+        probs = window_decode_probs(p, 16)
+        single = [window_decode_prob(p, b) for b in range(1, 17)]
+        assert probs.shape == (16,)
+        assert np.max(np.abs(probs - single)) <= 1e-12
+        assert probs[0] == decode_success_prob(p)
+
+    def test_unit_gain_is_exact(self):
+        # capacity 1 per block at 0 dB: windows of 3 or more reach rate 2.5
+        p = params(snr=0.0, rate=2.5, fading=Fading.UNIT_GAIN)
+        assert window_decode_probs(p, 5).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+
+    def test_extended_not_recomputed(self, monkeypatch):
+        p = params(snr=-4.0, rate=1.25, blocks=7)
+        short = window_decode_probs(p, 6)
+        chain = channel._failure_chain(replace(p, blocks=1))
+        convolutions = []
+        real = np.fft.irfft
+        monkeypatch.setattr(
+            channel.np.fft, "irfft", lambda *a, **k: convolutions.append(1) or real(*a, **k)
+        )
+        longer = window_decode_probs(replace(p, blocks=30), 10)
+        assert channel._failure_chain(replace(p, blocks=1)) is chain
+        assert len(convolutions) == 4  # windows 7..10 only
+        assert longer[:6].tolist() == short.tolist()
+
+    def test_saturated_windows_stay_one(self):
+        p = params(snr=10.0, rate=1.0)
+        probs = window_decode_probs(p, 200)
+        first = int(np.argmax(probs == 1.0))
+        assert 1 < first < 20 and np.all(probs[first:] == 1.0)
+        assert np.all(np.diff(probs) >= -1e-12)
+
+    def test_unreachable_rate_allocates_nothing(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("built a capacity grid")
+
+        monkeypatch.setattr(channel, "_capacity_masses", no_grid)
+        for rate in (2000.0, 1e300):
+            probs = window_decode_probs(params(snr=-5.0, rate=rate, blocks=40), 40)
+            assert probs.tolist() == [0.0] * 40
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            window_decode_probs(params(), 0)
+
+
+class TestSeedRange:
+    def test_seeds_outside_64_bits_are_rejected(self):
+        streams = np.arange(3, dtype=np.uint64)
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError):
+                stream_base(seed, streams)
+        assert stream_base((1 << 64) - 1, streams).shape == (3,)

@@ -166,6 +166,12 @@ class TestBadInputExits2:
             (["simulate", "--out-svg", "one-point.svg"], "output.svg"),
             (["sweep", "--values", "8", "--out-svg", "one-point.svg"], "output.svg"),
             (["analyze", "--out-svg", "one-point.svg"], "output.svg"),
+            (["simulate", "--snr-db", "4000"], "channel.snr_db"),  # 10**400 overflows
+            (["simulate", "--snr-db", "-4000"], "channel.snr_db"),  # 10**-400 is 0
+            (["analyze", "--snr-db", "4000"], "channel.snr_db"),
+            (["sweep", "--variable", "snr_db", "--values", "0,4000"], "sweep.values"),
+            (["simulate", "--seed", "-1"], "run.seed"),
+            (["simulate", "--seed", str(1 << 64)], "run.seed"),
         ],
     )
     def test_names_the_field(self, argv, field, capsys):
@@ -196,6 +202,26 @@ class TestBadInputExits2:
         assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "one-point.svg").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_64_bits(self, seed, tmp_path, capsys):
+        # Seeds are not reduced mod 2**64: -1 would draw as 2**64 - 1 and
+        # 2**64 as 0 while the CSV printed another seed.
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[channel]\nsnr_db = 5.0\nrate = 1.0\nmessages = 6\n"
+            f"[run]\ntrials = 20\nseed = {seed}\n[schemes]\nlist = mt\n"
+        )
+        assert run_main(["simulate", "--config", str(cfg)]) == 2
+        assert "run.seed:" in capsys.readouterr().err
+        assert run_main(["verify", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert "run.seed:" in captured.err and captured.out == ""
+
+    def test_largest_seed_runs(self, capsys):
+        seed = str((1 << 64) - 1)
+        assert run_main(["simulate", "--messages", "4", "--trials", "10", "--seed", seed]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(f",{seed}")
+
     @pytest.mark.parametrize(
         "after,typo,field",
         [
@@ -216,6 +242,25 @@ class TestBadInputExits2:
         captured = capsys.readouterr()
         assert f"{field}:" in captured.err
         assert captured.out == ""  # no CSV on standard output either
+
+
+class TestHugeRate:
+    """A rate whose 2**rate overflows a float decodes nothing; no traceback."""
+
+    @pytest.mark.parametrize("rate", ["2000", "1e300"])
+    def test_simulate(self, rate, capsys):
+        argv = ["simulate", "--rate", rate, "--messages", "8", "--trials", "20"]
+        assert run_main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["MT", "eTS", "PB", "T-wTS", "D-wTS", "IT"]
+        assert all(row[4] == "0" and row[5] == "8" for row in rows)  # counts 0, delays M
+        assert rows[0][8] == "0"  # analytic MT throughput: the limit p = 0
+
+    def test_analyze(self, capsys):
+        assert run_main(["analyze", "--rate", "2000"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["MT", "wTS", "wTS", "wTS"]
+        assert rows[0][9] == rows[0][10] == "40"  # MT's exact delay is M
 
 
 class TestGoldenCsv:

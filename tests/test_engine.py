@@ -11,7 +11,13 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import pb_count_sums_loop, wts_literal_delay_expanded
 from streamfade import engine
-from streamfade.channel import ChannelParams, decode_success_prob, sample_capacity_matrix
+from streamfade.channel import (
+    ChannelParams,
+    Fading,
+    decode_success_prob,
+    sample_capacity_matrix,
+    window_decode_probs,
+)
 from streamfade.engine import (
     CHUNK,
     Accumulator,
@@ -29,6 +35,7 @@ from streamfade.engine import (
     wts_window_delays,
 )
 from streamfade.experiments import ExperimentConfig, render_csv, run_experiment
+from streamfade.runstats import wts_mean_delay
 from streamfade.schemes import Scheme, parse_scheme_list
 
 
@@ -228,16 +235,81 @@ class TestPbSweepHelpers:
     def test_optimizers_tie_break_low(self):
         # blocks=1 leaves a single candidate
         p = params(blocks=1)
-        tables = sample_point(p, {}, 128, 3, wts_table=True, pb_table=True)
+        tables = sample_point(p, {}, 128, 3, pb_table=True)
         assert optimize_pb_window(tables.pb_counts, 128)[0] == 1
-        assert optimize_wts_window(tables.wts, True)[0] == 1
-        assert optimize_wts_window(tables.wts, False)[0] == 1
+        assert optimize_wts_window(p, True)[0] == 1
+        assert optimize_wts_window(p, False)[0] == 1
         # equal objectives at B=2 and B=3 select B=2
         assert optimize_pb_window(np.array([5, 7, 7]), 10) == (2, 0.7)
-        table = [Accumulator(b, trials=10, count_sum=c, delay_sum=d)
-                 for b, c, d in ((1, 5, 9), (2, 7, 4), (3, 7, 4))]
-        assert optimize_wts_window(table, True) == (2, 0.7)
-        assert optimize_wts_window(table, False) == (2, 0.4)
+        # Unit gains at 0 dB carry 1 bit per block, so p_B is 0 or 1.  Rate 2,
+        # M=5: B=2 decodes 2 full windows, B=3 one full and the short pair.
+        unit = ChannelParams(snr_db=0.0, rate=2.0, blocks=5, fading=Fading.UNIT_GAIN)
+        assert optimize_wts_window(unit, True) == (2, 2.0)
+        # Rate 6 is out of reach: nothing decodes at any B, and every delay is M.
+        unit = replace(unit, rate=6.0)
+        assert optimize_wts_window(unit, True) == (1, 0.0)
+        assert optimize_wts_window(unit, False) == (1, 5.0)
+
+
+class TestWtsWindowChoice:
+    """T-/D-wTS windows come from exact objectives, before any sampling."""
+
+    def test_pinned_windows_of_the_m_sweep(self):
+        chosen = {
+            m: (optimize_wts_window(params(blocks=m), True)[0],
+                optimize_wts_window(params(blocks=m), False)[0])
+            for m in range(8, 65, 8)
+        }
+        assert [t for t, _ in chosen.values()] == [4] * 8
+        assert [d for _, d in chosen.values()] == [4, 5, 6, 6, 6, 7, 7, 7]
+
+    def test_objectives_are_the_exact_window_statistics(self):
+        p = params(blocks=41)
+        probs = window_decode_probs(p, 41)
+
+        def p_short(w):
+            return probs[41 % w - 1] if 41 % w else 0.0
+
+        b, count = optimize_wts_window(p, True)
+        assert count == pytest.approx(41 // b * probs[b - 1] + p_short(b), rel=1e-15)
+        delays = [wts_mean_delay(41, w, probs[w - 1], p_short(w)) for w in range(1, 42)]
+        b, delay = optimize_wts_window(p, False)
+        assert (b, delay) == (int(np.argmin(delays)) + 1, min(delays))
+
+    def test_no_sampling_below_the_choice(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled while choosing a window")
+
+        monkeypatch.setattr(engine, "sample_capacity_matrix", no_sampling)
+        assert optimize_wts_window(params(blocks=30), True)[0] == 4
+        assert optimize_wts_window(params(blocks=30), False)[0] == 6
+
+    def test_one_scan_per_chunk_per_row(self, monkeypatch):
+        # One wTS scan per chunk per T-/D-wTS row at its chosen window, not
+        # one per window B = 1..M.
+        windows = []
+        real = engine.evaluate_wts
+
+        def counted(caps, rate, window):
+            windows.append(window)
+            return real(caps, rate, window)
+
+        monkeypatch.setattr(engine, "evaluate_wts", counted)
+        p = params(blocks=24)
+        out = evaluate_point(p, {"t": Scheme("twts"), "d": Scheme("dwts")}, 2 * CHUNK + 1, 5)
+        assert sorted(windows) == [out["t"].window] * 3 + [out["d"].window] * 3
+        assert (out["t"].window, out["d"].window) == (4, 6)
+
+    @pytest.mark.parametrize(
+        "snr,blocks,window",
+        [(-5.0, 40, 3), (-5.0, 41, 4), (0.0, 30, 4), (-5.0, 64, 7), (-8.0, 23, 5)],
+    )
+    def test_simulated_delay_tracks_the_exact_mean(self, snr, blocks, window):
+        p = params(snr=snr, blocks=blocks)
+        acc = evaluate_point(p, {"w": Scheme("wts", window)}, 20_000, 31)["w"]
+        probs = window_decode_probs(p, window)
+        exact = wts_mean_delay(blocks, window, probs[-1], probs[blocks % window - 1])
+        assert abs(acc.mean_delay() - exact) <= 4 * acc.stderr_delay()
 
 
 class TestWtsWindowUnits:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import wts_mean_delay_enumerated
 from streamfade.runstats import (
     delay_distribution,
     enumerate_run_tails,
@@ -13,9 +14,11 @@ from streamfade.runstats import (
     q_polynomial,
     run_tail_matrix_power,
     run_tail_partial_fraction,
+    run_tail_column,
     run_tails,
     run_transition_matrix,
     wts_delay_bounds,
+    wts_mean_delay,
     _laurent_coefficients,
 )
 
@@ -281,3 +284,55 @@ class TestWideAgreement:
             if d <= 60 and p <= 0.9:
                 mat = run_tail_matrix_power(m, p, d)
                 assert abs(run_tail_partial_fraction(m, p, d) - mat) < 1e-9, (m, p, d)
+
+
+class TestRunTailColumn:
+    @given(n=st.integers(1, 40), p=PROBS, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_run_tails(self, n, p, data):
+        d = data.draw(st.integers(1, n + 2))
+        column = run_tail_column(n, p, d)
+        expected = [run_tails(i, p)[d - 1] if 1 <= d <= i else 0.0 for i in range(n)]
+        assert np.allclose(column, expected, rtol=1e-12, atol=0.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            run_tail_column(5, 0.5, 0)
+
+
+class TestWtsMeanDelay:
+    """The exact mean literal wTS delay against the 2^k enumeration."""
+
+    @given(m=st.integers(1, 12), p_b=PROBS, p_r=PROBS, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration(self, m, p_b, p_r, data):
+        window = data.draw(st.integers(1, m))
+        exact = wts_mean_delay(m, window, p_b, p_r)
+        oracle = wts_mean_delay_enumerated(m, window, p_b, p_r)
+        assert exact == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_every_window_at_the_ends(self):
+        for m in range(1, 13):
+            for window in range(1, m + 1):
+                for p_b in (0.0, 1.0):
+                    for p_r in (0.0, 1.0):
+                        assert wts_mean_delay(m, window, p_b, p_r) == wts_mean_delay_enumerated(
+                            m, window, p_b, p_r
+                        )
+
+    def test_single_block_windows_are_per_block(self):
+        # B = 1 is MT's delay: the longest run of M Bernoulli(p) failures.
+        assert wts_mean_delay(12, 1, 0.37) == pytest.approx(mt_mean_max_delay(12, 0.37), rel=1e-13)
+
+    def test_deterministic_windows(self):
+        # every full window decodes: the gaps are B - 1, then the r - s trailing slots
+        assert wts_mean_delay(10, 3, 1.0, 0.0) == 2.0
+        assert wts_mean_delay(11, 3, 1.0, 1.0) == 2.0
+        assert wts_mean_delay(11, 4, 1.0, 0.0) == 3.0
+        assert wts_mean_delay(9, 4, 0.0, 0.0) == 9.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            wts_mean_delay(5, 6, 0.5)
+        with pytest.raises(ValueError):
+            wts_mean_delay(5, 2, 0.5, 1.5)
