@@ -238,25 +238,26 @@ def mean_capacity_closed_form(params: ChannelParams) -> float:
     return math.exp(inv) * exp1(inv) / _LN2
 
 
-def window_decode_prob(params: ChannelParams, window: int, grid_size: int = _GRID) -> float:
+def window_decode_prob(params: ChannelParams, window: int) -> float:
     """Pr{sum of `window` consecutive block capacities >= rate}.
 
-    Evaluated by self-convolving the single-block capacity density on a
-    uniform grid (FFT); deterministic, no sampling.  For window == 1 this
-    reduces to decode_success_prob.  The value does not depend on
-    `params.blocks`, so it is memoized on the other link parameters: a sweep
-    over M computes each window's probability once.
+    Entry `window` - 1 of `window_decode_probs`: the same memoized chain, so a
+    window's probability is one float however it is asked for.  For
+    window == 1 this is decode_success_prob.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    return _window_decode_prob(replace(params, blocks=1), window, grid_size)
+    return float(window_decode_probs(params, window)[window - 1])
+
+
+def _top_capacity(power: float) -> float:
+    return math.log2(1.0 + power * _GAIN_CAP)
 
 
 def _capacity_masses(power: float, grid_size: int):
     """(bin masses, bin width) of the single-block capacity on `grid_size`
     uniform bins over [0, log2(1 + 37 P)]; the last bin takes the tail."""
-    c_max = math.log2(1.0 + power * _GAIN_CAP)
-    dc = c_max / grid_size
+    dc = _top_capacity(power) / grid_size
     # Exact bin masses from the capacity CDF: F(c) = 1 - exp(-(2^c - 1)/P).
     edges = np.arange(grid_size + 1) * dc
     cdf = 1.0 - np.exp(-(np.exp2(edges) - 1.0) / power)
@@ -265,34 +266,18 @@ def _capacity_masses(power: float, grid_size: int):
     return mass, dc
 
 
-@lru_cache(maxsize=1024)
-def _window_decode_prob(params: ChannelParams, window: int, grid_size: int) -> float:
-    if params.fading is Fading.UNIT_GAIN:
-        return 1.0 if window * math.log2(1.0 + params.power) >= params.rate else 0.0
-    if window == 1:
-        return decode_success_prob(params)
-    mass, dc = _capacity_masses(params.power, grid_size)
-    # window-fold self-convolution by FFT powering
-    out_len = window * (grid_size - 1) + 1
-    spectrum = np.fft.rfft(mass, n=out_len)
-    conv = np.fft.irfft(spectrum**window, n=out_len)
-    conv = np.clip(conv, 0.0, None)
-    # Mass at grid index k represents capacity sum near (k + window/2)*dc.
-    sums = (np.arange(out_len) + window * 0.5) * dc
-    prob = float(conv[sums >= params.rate].sum())
-    return min(1.0, max(0.0, prob))
-
-
 def window_decode_probs(params: ChannelParams, windows: int) -> np.ndarray:
-    """`window_decode_prob` for every window B = 1..`windows`, entry B-1.
+    """Pr{sum of B consecutive block capacities >= rate} for every window
+    B = 1..`windows`, entry B-1; the only code that computes these values.
 
-    The same grid and bin masses, but one chain of convolutions: only the
-    cells that can lie below the rate are carried from B to B + 1, by one FFT
-    product, and p_B is one minus their mass.  The chain is memoized on the
-    link parameters other than `blocks` and extended, not recomputed, when a
-    later call asks for more windows.  Where even `windows` blocks at the
-    grid's top capacity fall short of the rate, every p_B beyond the first
-    is 0 and no grid is built.
+    p_1 is decode_success_prob.  For B >= 2 the single-block capacity is
+    binned on a uniform grid, and one chain of convolutions carries only the
+    cells that can lie below the rate from B to B + 1, by one FFT product;
+    p_B is one minus their mass.  Memory is set by rate / dc, not by B.  The
+    chain is memoized on the link parameters other than `blocks` and
+    extended, not recomputed, when a later call asks for more windows.
+    Where B blocks at the grid's top capacity fall short of the rate, p_B is
+    0 for B >= 2, and no grid is built if that holds for every B asked for.
     """
     if windows < 1:
         raise ValueError("windows must be >= 1")
@@ -300,7 +285,7 @@ def window_decode_probs(params: ChannelParams, windows: int) -> np.ndarray:
     if link.fading is Fading.UNIT_GAIN:
         cap = math.log2(1.0 + link.power)
         return np.array([1.0 if b * cap >= link.rate else 0.0 for b in range(1, windows + 1)])
-    if windows * math.log2(1.0 + link.power * _GAIN_CAP) <= link.rate:
+    if windows * _top_capacity(link.power) <= link.rate:
         probs = np.zeros(windows)
         probs[0] = decode_success_prob(link)
         return probs
@@ -321,6 +306,7 @@ class _FailureChain:
     def __init__(self, link: ChannelParams):
         mass, self.dc = _capacity_masses(link.power, _GRID)
         self.rate = link.rate
+        self.top = _top_capacity(link.power)
         cells = int(math.ceil(link.rate / self.dc)) + 1
         self.below = np.zeros(cells)
         self.below[: min(cells, _GRID)] = mass[:cells]
@@ -341,7 +327,11 @@ class _FailureChain:
             cells = self.below.size
             product = np.fft.rfft(self.below, self.size) * self.spectrum
             self.below = np.fft.irfft(product, self.size)[:cells].copy()
-            # As in `window_decode_prob`: cell k sits at (k + window/2)*dc.
+            if window * self.top <= self.rate:
+                # Every cell lies below the rate; 1 - their mass is rounding.
+                self.probs.append(0.0)
+                continue
+            # Cell k sits at capacity sum (k + window/2)*dc.
             failure = self.below[(np.arange(cells) + window * 0.5) * self.dc < self.rate].sum()
             self.probs.append(min(1.0, max(0.0, 1.0 - float(failure))))
 

@@ -232,16 +232,12 @@ def _build_partial_fraction(d: int, p: float) -> PartialFraction:
 
     roots = np.roots(q[::-1]).astype(np.complex128)
     # One Newton polish per root.
-    for _ in range(1):
-        step = q_desc(roots) / dq_desc(roots)
-        roots = roots - step
+    roots = roots - q_desc(roots) / dq_desc(roots)
     resid = np.abs(q_desc(roots)) / max(1.0, np.max(np.abs(q)))
     if np.any(resid > 1e-10):
         raise NumericFailure("root-finding residual above tolerance")
-    if np.any(np.abs(roots - 1.0) < 1e-12):
-        # A root of q_d collapsing onto z=1 in floating point is tolerated:
-        # its contribution stays finite because the z=1 pole was deflated.
-        pass
+    # A root of q_d that collapses onto z=1 in floating point needs no check:
+    # its contribution stays finite because the z=1 pole was deflated.
 
     def g(z):
         return h_desc(z) / q_desc(z)

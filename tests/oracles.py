@@ -1,11 +1,15 @@
 """Loop versions of the engine kernels, kept as references for the fast paths.
 
-Each function is the implementation the package used before its kernel was
-rewritten without per-column loops; the property tests require the fast
-kernels to return exactly the same integers.
+Each kernel function is the implementation the package used before its kernel
+was rewritten without per-column loops; the property tests require the fast
+kernels to return exactly the same integers.  The window failure masses are
+the direct-convolution reference of the FFT chain in `channel`.
 """
+import math
+
 import numpy as np
 
+from streamfade.channel import _capacity_masses
 from streamfade.engine import _equal_share_weights, wts_decode_bits
 
 
@@ -61,3 +65,26 @@ def wts_mean_delay_enumerated(M: int, B: int, p_B: float, p_r: float = 0.0) -> f
             v[:, M - 1] = bool(short)
         total += weight * float((weights * max_zero_run_rows_loop(v)).sum())
     return total
+
+
+def window_failure_masses_convolved(
+    power: float, rate: float, windows: int, grid_size: int
+) -> np.ndarray:
+    """1 - p_B for B = 1..`windows` on the window-probability grid of
+    `grid_size` bins, by direct truncated convolution (no FFT): entry B-1 is
+    the mass of the B-fold sum on the cells below the rate.
+
+    Entry 0 is the grid's own single-block value, not the closed form that
+    `channel.window_decode_probs` reports for B = 1.
+    """
+    mass, dc = _capacity_masses(power, grid_size)
+    cells = int(math.ceil(rate / dc)) + 1
+    base = np.zeros(cells)
+    base[: min(cells, grid_size)] = mass[:cells]
+    below = base
+    failures = np.empty(windows)
+    for window in range(1, windows + 1):
+        if window > 1:
+            below = np.convolve(below, base)[:cells]
+        failures[window - 1] = below[(np.arange(cells) + window * 0.5) * dc < rate].sum()
+    return failures

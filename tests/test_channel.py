@@ -27,6 +27,8 @@ from streamfade.channel import (
 from streamfade.rng import stream_base
 from streamfade.errors import NumericFailure
 
+from oracles import window_failure_masses_convolved
+
 # Values computed ahead of the build with an independent high-resolution
 # trapezoid rule (20M+ panels) over the unit-mean exponential density.
 TRAPEZOID_MEAN_CAPACITY = {
@@ -233,9 +235,30 @@ class TestWindowDecodeProb:
 
     def test_grid_refinement_stable(self):
         p = params(snr=-5.0, rate=1.0, blocks=10)
-        coarse = window_decode_prob(p, 3, grid_size=1 << 12)
-        fine = window_decode_prob(p, 3, grid_size=1 << 14)
+        coarse, fine = (
+            window_failure_masses_convolved(p.power, p.rate, 3, grid)[2]
+            for grid in (1 << 12, 1 << 14)
+        )
         assert abs(coarse - fine) < 2e-4
+
+    @pytest.mark.parametrize("snr", [-10.0, -5.0, 0.0, 10.0])
+    @pytest.mark.parametrize("rate", [1.0, 2.0, 3.0])
+    def test_two_blocks_match_quadrature(self, snr, rate):
+        # p_2 = Pr{(1 + g1 P)(1 + g2 P) >= 2^R}: for g1 below (2^R - 1)/P the
+        # second block must reach the rest; above it the first block alone does.
+        p = params(snr=snr, rate=rate, blocks=2)
+        power, target = p.power, 2.0**rate
+        split = (target - 1.0) / power
+        inner, _ = scipy.integrate.quad(
+            lambda g: math.exp(-g - (target / (1.0 + g * power) - 1.0) / power),
+            0.0,
+            split,
+            epsabs=1e-14,
+            epsrel=1e-12,
+            limit=200,
+        )
+        # The grid's own error, measured at most 1.3e-4 on these links.
+        assert window_decode_prob(p, 2) == pytest.approx(inner + math.exp(-split), abs=3e-4)
 
     def test_against_monte_carlo(self):
         for snr, window in ((-5.0, 2), (-5.0, 5), (5.0, 3)):
@@ -256,13 +279,40 @@ class TestWindowDecodeProb:
             for m in (5, 8, 64)
         ]
         assert by_blocks[0] == by_blocks[1] == by_blocks[2]
-        # the memoized float is the one a fresh convolution computes
+        # the memoized float is the one a fresh chain computes
         link = params(snr=-5.0, rate=1.0, blocks=1)
-        assert by_blocks[2][4] == channel._window_decode_prob.__wrapped__(link, 5, 1 << 13)
+        fresh = channel._FailureChain(link)
+        fresh.extend(5)
+        assert by_blocks[2] == fresh.probs
+
+    @pytest.mark.parametrize("snr,rate", [(-5.0, 1.0), (0.0, 2.0), (10.0, 3.0), (-10.0, 0.5)])
+    def test_failure_mass_matches_direct_convolution(self, snr, rate):
+        # The FFT chain loses no more than rounding against a direct
+        # convolution, also where 1 - p_B is far below 1e-9.
+        p = params(snr=snr, rate=rate, blocks=24)
+        exact = window_failure_masses_convolved(p.power, rate, 24, 1 << 13)
+        for window in range(2, 25):
+            assert abs((1.0 - window_decode_prob(p, window)) - exact[window - 1]) <= 4e-16
+
+    def test_transforms_do_not_grow_with_window(self, monkeypatch):
+        # 2 * 2233 - 1 below-rate cells at -5 dB, rate 1 fit 4608 = 9 * 2^9
+        # points, for any window.
+        lengths = []
+        for name in ("rfft", "irfft"):
+            real = getattr(np.fft, name)
+
+            def recorded(a, n=None, *args, _real=real, **kwargs):
+                lengths.append(n)
+                return _real(a, n, *args, **kwargs)
+
+            monkeypatch.setattr(channel.np.fft, name, recorded)
+        channel._failure_chain.cache_clear()
+        window_decode_prob(params(snr=-5.0, rate=1.0, blocks=200), 200)
+        assert len(lengths) > 1 and set(lengths) == {4608}
 
 
 class TestWindowDecodeProbs:
-    """Every window's probability from one chain, against `window_decode_prob`."""
+    """Every window's probability from one chain, against a direct convolution."""
 
     @pytest.mark.parametrize(
         "snr,rate,fading",
@@ -278,10 +328,23 @@ class TestWindowDecodeProbs:
     def test_matches_single_window(self, snr, rate, fading):
         p = params(snr=snr, rate=rate, blocks=40, fading=fading)
         probs = window_decode_probs(p, 16)
-        single = [window_decode_prob(p, b) for b in range(1, 17)]
+        if fading is Fading.UNIT_GAIN:
+            # capacity 1 per block at 0 dB
+            exact = np.array([float(b < rate) for b in range(1, 17)])
+        else:
+            exact = window_failure_masses_convolved(p.power, rate, 16, 1 << 13)
         assert probs.shape == (16,)
-        assert np.max(np.abs(probs - single)) <= 1e-12
+        assert np.max(np.abs((1.0 - probs[1:]) - exact[1:])) <= 1e-12
         assert probs[0] == decode_success_prob(p)
+        assert [window_decode_prob(p, b) for b in range(1, 17)] == probs.tolist()
+
+    def test_short_call_agrees_with_long_chain(self):
+        # At rate 20 and -5 dB, windows 2..5 cannot reach the rate on the
+        # grid: a call that builds no grid and one that reads the chain agree.
+        p = params(snr=-5.0, rate=20.0, blocks=40)
+        probs = window_decode_probs(p, 12)
+        assert probs[1:5].tolist() == [0.0] * 4
+        assert [window_decode_prob(p, b) for b in range(1, 13)] == probs.tolist()
 
     def test_unit_gain_is_exact(self):
         # capacity 1 per block at 0 dB: windows of 3 or more reach rate 2.5
