@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, sample_capacity_matrix, window_decode_probs
+from .channel import ChannelParams, row_blocks, sample_capacity_matrix, window_decode_probs
 # The informed bound is the IT row's evaluator; the scheme table reaches it
 # here, next to the other evaluators.
 from .informed import informed_counts_and_delays
@@ -33,11 +33,8 @@ from .runstats import wts_mean_delay
 
 CHUNK = 4096
 # Rows per chunk are capped so that one capacity matrix holds at most this
-# many elements (32 MB of float64) whatever M is.
-CHUNK_ELEMENTS = 1 << 22
-# Rows per pb_count_sums block are capped so that a block's working set
-# (about 70 bytes per capacity element) stays near 2 MB whatever M is.
-_PB_BLOCK_ELEMENTS = 1 << 15
+# many elements (2 MB of float64) whatever M is; 4096 rows at M = 64.
+CHUNK_ELEMENTS = 1 << 18
 
 
 def evaluate_mt(caps: np.ndarray, rate: float):
@@ -142,9 +139,9 @@ def pb_count_sums(caps: np.ndarray, rate: float) -> np.ndarray:
     weights = _equal_share_weights(m)
     depths = np.arange(1, m + 1)
     sums = np.zeros(m, dtype=np.int64)
-    step = max(1, _PB_BLOCK_ELEMENTS // m)
-    for lo in range(0, n, step):
-        block = caps[lo : lo + step]
+    # A block's working set is about 70 bytes per capacity.
+    for lo, hi in row_blocks(n, m):
+        block = caps[lo:hi]
         keys = np.empty((block.shape[0], 2 * m))
         tau, running = keys[:, :m], keys[:, m:]
         np.multiply(block, weights, out=running)

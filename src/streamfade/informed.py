@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .channel import trace_capacities
+from .channel import row_blocks, trace_capacities
 
 
 @dataclass(frozen=True)
@@ -152,19 +152,46 @@ def informed_trial(trace, rate: float) -> tuple[int, int]:
 
 
 def informed_counts_and_delays(capacity_matrix: np.ndarray, rate: float):
-    """Vectorized greedy + delay minimization across trials.
+    """Vectorized greedy + delay minimization across trials, loop-free.
 
-    The achieved delay equals max_t floor(t/(psi(t)+1)) (see
-    min_achievable_delay); the explicit pattern construction is only needed
-    when the re-spread vector itself is of interest.
+    The greedy scan decodes at block t iff I(t) >= fl((psi(t-1) + 1) * R),
+    with I the float running MI total and fl the float product.  Let K(t) be
+    the largest k <= M with fl(k R) <= I(t).  k -> fl(k R) is monotone and I
+    is nondecreasing (capacities are nonnegative), so the scan is
+    psi(t) = min(psi(t-1) + 1, K(t)) from psi(0) = 0, which unrolls to
+    psi(t) = t + min(0, min_{s <= t} (K(s) - s)): one running minimum.  The
+    delay is max_t floor(t/(psi(t)+1)) (see min_achievable_delay).
+
+    Any K(s) >= s gives the same psi, so min(K, M + 1) will do.  k starts at
+    floor(min(I/R, M)).  For exact x = I/R below M + 1, floor(x) passes the
+    test and floor(x) + 2 fails it, and the rounded quotient floors to
+    floor(x) or floor(x) + 1 (to M when x >= M).  So one step down where
+    fl(k R) > I, then one step up where fl((k+1) R) <= I, leave exactly
+    min(K, M + 1), with the scan's own products.  Steps repeated until none
+    applies would add nothing, and without the cap they would not stop at a
+    tiny R, where K is astronomically large.
     """
     caps = np.asarray(capacity_matrix, dtype=np.float64)
     n, m = caps.shape
-    i_tot = np.cumsum(caps, axis=1)
-    psi = np.zeros(n, dtype=np.int64)
-    delay = np.zeros(n, dtype=np.int64)
-    for t in range(1, m + 1):
-        decoded = i_tot[:, t - 1] >= (psi + 1) * rate
-        psi = psi + decoded
-        np.maximum(delay, t // (psi + 1), out=delay)
-    return psi, delay
+    # K - t lies in [-M, M]: int32 halves the traffic of every integer pass.
+    t = np.arange(1, m + 1, dtype=np.int32 if m < 1 << 30 else np.int64)
+    counts = np.empty(n, dtype=np.int64)
+    delays = np.empty(n, dtype=np.int64)
+    for lo, hi in row_blocks(n, m):
+        i_tot = np.cumsum(caps[lo:hi], axis=1)
+        with np.errstate(over="ignore"):  # an infinite I/R or k R compares right
+            quotient = np.divide(i_tot, rate)
+            np.minimum(quotient, m, out=quotient)
+            k = quotient.astype(t.dtype)  # floor: the quotient is nonnegative
+            k -= k * rate > i_tot
+            k += (k + 1) * rate <= i_tot
+        k -= t
+        np.minimum.accumulate(k, axis=1, out=k)
+        np.minimum(k, 0, out=k)
+        k += t  # psi
+        counts[lo:hi] = k[:, -1]
+        k += 1
+        # floor(max_t t/(psi+1)): floor is monotone, and a quotient of
+        # integers below 2^52 never rounds up to the next integer.
+        delays[lo:hi] = np.divide(t, k).max(axis=1)
+    return counts, delays

@@ -25,6 +25,20 @@ def max_zero_run_rows_loop(v) -> np.ndarray:
     return best
 
 
+def informed_counts_and_delays_loop(capacity_matrix: np.ndarray, rate: float):
+    """Informed-bound counts and delays by the greedy scan, one column at a time."""
+    caps = np.asarray(capacity_matrix, dtype=np.float64)
+    n, m = caps.shape
+    i_tot = np.cumsum(caps, axis=1)
+    psi = np.zeros(n, dtype=np.int64)
+    delay = np.zeros(n, dtype=np.int64)
+    for t in range(1, m + 1):
+        decoded = i_tot[:, t - 1] >= (psi + 1) * rate
+        psi = psi + decoded
+        np.maximum(delay, t // (psi + 1), out=delay)
+    return psi, delay
+
+
 def pb_count_sums_loop(caps: np.ndarray, rate: float) -> np.ndarray:
     """Decoded-count sums for every buffer depth by a suffix compare per depth."""
     n, m = caps.shape

@@ -138,6 +138,44 @@ class TestSampling:
         assert np.all(sample_gain_matrix(p, 1, 0, 4) == 1.0)
 
 
+TILE = channel.ROW_BLOCK_ELEMENTS
+
+
+class TestRowTiles:
+    """`sample_capacity_matrix` fills its output one row tile at a time; the
+    tiles give the matrix of one untiled draw, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "blocks, rows",
+        [
+            (1, 3),
+            (1, TILE + 1),
+            (64, TILE // 64 - 1),
+            (64, TILE // 64),
+            (64, TILE // 64 + 1),
+            (2000, 131),
+            (TILE - 1, 3),
+            (TILE, 3),
+            (TILE + 1, 3),  # a single row exceeds a tile
+        ],
+    )
+    @pytest.mark.parametrize("fading", list(Fading))
+    def test_tiles_match_one_draw(self, blocks, rows, fading):
+        p = params(snr=3.0, blocks=blocks, fading=fading)
+        lo = 37
+        tiled = sample_capacity_matrix(p, 99, lo, lo + rows)
+        whole = channel._capacities_in_place(sample_gain_matrix(p, 99, lo, lo + rows), p.power)
+        assert tiled.shape == (rows, blocks)
+        assert tiled.tobytes() == whole.tobytes()
+
+    def test_tiles_cover_the_rows(self):
+        for rows, blocks in ((0, 5), (1, 5), (131, 2000), (3, TILE + 1), (TILE + 1, 1)):
+            ranges = channel.row_blocks(rows, blocks)
+            edges = [0] + [hi for _, hi in ranges]
+            assert ranges == list(zip(edges[:-1], edges[1:])) and edges[-1] == rows
+            assert all(hi - lo == 1 or (hi - lo) * blocks <= TILE for lo, hi in ranges)
+
+
 class TestDecodeProb:
     def test_frozen_values(self):
         for snr, expected in TRAPEZOID_DECODE_PROB.items():

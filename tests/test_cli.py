@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import streamfade
-from streamfade import cli
+from streamfade import cli, engine
 from streamfade.errors import NumericFailure
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -261,6 +261,28 @@ class TestHugeRate:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [row[1] for row in rows] == ["MT", "wTS", "wTS", "wTS"]
         assert rows[0][9] == rows[0][10] == "40"  # MT's exact delay is M
+
+
+class TestTinyRate:
+    """A rate so small that I/R is huge or overflows decodes every message."""
+
+    @pytest.mark.parametrize("rate", ["1e-300", "5e-324"])
+    def test_simulate(self, rate, capsys):
+        assert run_main(["simulate", "--messages", "50", "--rate", rate, "--trials", "200"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows[-1][1] == "IT"
+        assert all(row[4] == "50" and row[5] == "0" for row in rows)  # counts M, delays 0
+
+
+class TestThreads:
+    def test_long_file_csv_independent_of_threads(self, tmp_path):
+        assert len(engine.chunk_ranges(300, 2000)) == 3  # two threads split them
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"t{threads}.csv")
+            argv = ["simulate", "--messages", "2000", "--trials", "300", "--scheme", "ets,pb"]
+            assert run_main([*argv, "--threads", threads, "--out-csv", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestGoldenCsv:

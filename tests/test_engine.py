@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import pb_count_sums_loop, wts_literal_delay_expanded
-from streamfade import engine
+from streamfade import channel, engine
 from streamfade.channel import (
     ChannelParams,
     Fading,
@@ -20,6 +21,7 @@ from streamfade.channel import (
 )
 from streamfade.engine import (
     CHUNK,
+    CHUNK_ELEMENTS,
     Accumulator,
     chunk_ranges,
     chunk_rows,
@@ -106,8 +108,8 @@ class TestChunkBudget:
     def test_rows_per_chunk(self):
         assert chunk_rows(1) == CHUNK
         assert chunk_rows(64) == CHUNK  # sweep-sized points keep 4096 rows
-        assert chunk_rows(2000) == 2097  # 1024 trials at M=2000 stay one chunk
-        assert chunk_rows(10**5) == 41
+        assert chunk_rows(2000) == 131  # a 2 MB chunk: 1024 trials take 8
+        assert chunk_rows(10**5) == 2
         assert chunk_rows(10**8) == 1
 
     @given(
@@ -133,6 +135,23 @@ class TestChunkBudget:
             assert len(chunk_ranges(97, blocks)) == -(-97 // max(1, budget // blocks))
             assert snapshot(evaluate_point(p, self.SCHEMES, 97, 23, threads)) == whole
             assert render_csv(run_experiment(replace(config, threads=threads))) == csv
+
+
+class TestMemoryBound:
+    """A point's working set is a few chunks, whatever the trial count."""
+
+    def test_peak_at_long_file_scale(self):
+        p = params(blocks=2000)
+        schemes = {"ets": Scheme("ets"), "pb": Scheme("pb"), "it": Scheme("it")}
+        assert len(chunk_ranges(1024, 2000)) == 8
+        tracemalloc.start()
+        try:
+            evaluate_point(p, schemes, 1024, 12345)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One chunk of float64 capacities is 8 * CHUNK_ELEMENTS bytes.
+        assert peak < 3 * 8 * CHUNK_ELEMENTS
 
 
 class TestOnePass:
@@ -222,7 +241,7 @@ class TestPbSweepHelpers:
     def test_count_sums_blocks_are_transparent(self, monkeypatch):
         caps = sample_capacity_matrix(params(blocks=10), 17, 0, 50)
         whole = pb_count_sums(caps, 1.0)
-        monkeypatch.setattr(engine, "_PB_BLOCK_ELEMENTS", 30)  # 3 rows a block
+        monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", 30)  # 3 rows a block
         assert pb_count_sums(caps, 1.0).tolist() == whole.tolist()
         assert whole.tolist() == pb_count_sums_loop(caps, 1.0).tolist()
 

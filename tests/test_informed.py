@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from streamfade import informed
-from streamfade.channel import ChannelParams, sample_capacity_matrix, trace_from_capacities
+from oracles import informed_counts_and_delays_loop
+from streamfade import channel, informed
+from streamfade.channel import ChannelParams, Fading, sample_capacity_matrix, trace_from_capacities
 from streamfade.informed import (
     greedy_allocate,
     informed_counts_and_delays,
@@ -199,3 +201,53 @@ class TestVectorizedPath:
             return len(scanned) * m
 
         assert work(2000) <= 5 * work(1000)
+
+
+def assert_matches_loop(caps, rate):
+    counts, delays = informed_counts_and_delays(caps, rate)
+    want_counts, want_delays = informed_counts_and_delays_loop(caps, rate)
+    assert counts.tolist() == want_counts.tolist()
+    assert delays.tolist() == want_delays.tolist()
+
+
+# Rates whose I/R overflows, underflows to 0 or needs a fix-up step.
+EXTREME_RATES = [5e-324, 1e-300, 1e300]
+
+
+class TestClosedForm:
+    """The loop-free kernel returns exactly the integers of the greedy scan."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sampled_channels(self, data):
+        params = ChannelParams(
+            snr_db=data.draw(st.floats(-30.0, 40.0)),
+            rate=1.0,
+            blocks=data.draw(st.integers(1, 64)),
+            fading=data.draw(st.sampled_from(list(Fading))),
+        )
+        start = data.draw(st.integers(0, 10**6))
+        caps = sample_capacity_matrix(params, 29, start, start + data.draw(st.integers(1, 8)))
+        # Just above every row's total: nothing decodes, every delay is M.
+        above_all = float(np.nextafter(np.cumsum(caps, axis=1)[:, -1].max(), np.inf))
+        rate = data.draw(st.sampled_from([*EXTREME_RATES, above_all]) | st.floats(1e-3, 50.0))
+        assert_matches_loop(caps, rate)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_capacities_on_the_rate_grid(self, data):
+        # Running totals at or next to k*R put the scan's compare on a tie.
+        rate = data.draw(st.sampled_from([1.0, 0.1, 1 / 3, 0.7, 2.5, *EXTREME_RATES]))
+        shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 64)))
+        multiples = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+        steps = data.draw(arrays(np.float64, shape, elements=multiples))
+        assert_matches_loop(steps * rate, rate)
+
+    def test_row_blocks_are_transparent(self, monkeypatch):
+        caps = sample_capacity_matrix(ChannelParams(-5.0, 1.0, 64), 41, 0, 1100)
+        whole = informed_counts_and_delays(caps, 1.0)
+        assert len(channel.row_blocks(1100, 64)) == 3
+        assert_matches_loop(caps, 1.0)
+        monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", 100)  # one row a block
+        for got, want in zip(informed_counts_and_delays(caps, 1.0), whole):
+            assert got.tolist() == want.tolist()
