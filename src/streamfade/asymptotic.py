@@ -80,5 +80,5 @@ def optimal_prebuffer_fraction(
 ) -> tuple[int, float]:
     """Throughput-maximizing buffer depth and its fraction of the messages."""
     tables = sample_point(params, {}, trials, seed, pb_table=True)
-    window, _ = optimize_pb_window(tables.pb_counts, trials)
+    window, _ = optimize_pb_window(tables.pb_counts[0], trials)
     return window, window / params.blocks

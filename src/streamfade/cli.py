@@ -21,7 +21,7 @@ from .channel import (
     mean_capacity_closed_form,
     sample_capacity_matrix,
 )
-from .engine import evaluate_ets, evaluate_pb
+from .engine import evaluate_ets, evaluate_pb, pb_count_sums
 from .errors import ConfigError, NumericFailure
 from .experiments import (
     ExperimentConfig,
@@ -94,6 +94,16 @@ def _read_config(path: str) -> str:
         raise ConfigError(f"cannot read the file: {exc}", "config") from exc
 
 
+def _scheme_option(text: str | None):
+    """The schemes of `--scheme`, which must name at least one."""
+    if text is None:
+        return None
+    schemes = parse_scheme_list(text)
+    if not schemes:
+        raise ConfigError(f"--scheme {text!r} names no scheme", "schemes.list")
+    return schemes
+
+
 def _config_from_args(args, **sweep) -> ExperimentConfig:
     overrides = {
         field: value
@@ -104,7 +114,7 @@ def _config_from_args(args, **sweep) -> ExperimentConfig:
             ("trials", args.trials),
             ("seed", args.seed),
             ("threads", args.threads),
-            ("schemes", parse_scheme_list(args.scheme) if args.scheme else None),
+            ("schemes", _scheme_option(args.scheme)),
             ("csv_path", args.out_csv or None),
             ("svg_path", args.out_svg or None),
         )
@@ -228,15 +238,22 @@ def _cmd_verify(args) -> int:
         devs.append(abs(mean_capacity(params) - mean_capacity_closed_form(params)))
     report(f"mean-capacity closed form (worst dev {max(devs):.2e})", max(devs) < 1e-8)
 
-    # Per-realization scheme identities.
+    # Per-realization scheme identities, and the PB depth table against
+    # `evaluate_pb` at every depth for each of the table's kernels (M = 24
+    # counts, M = 100 sorts).
     params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=24)
     caps = sample_capacity_matrix(params, seed, 0, 4000)
     c_ets, d_ets = evaluate_ets(caps, 1.0)
     c_pb, d_pb = evaluate_pb(caps, 1.0, 9)
-    report(
-        "equal-share and pre-buffering delay identities",
-        bool(np.all(d_ets == 24 - c_ets) and np.all(d_pb == 24 - c_pb)),
-    )
+    ok = bool(np.all(d_ets == 24 - c_ets) and np.all(d_pb == 24 - c_pb))
+    for blocks, trials in ((24, 4000), (100, 1000)):
+        params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=blocks)
+        caps = sample_capacity_matrix(params, seed, 0, trials)
+        table = pb_count_sums(caps, 1.0)
+        for depth in range(1, blocks + 1):
+            counts, _ = evaluate_pb(caps, 1.0, depth)
+            ok = ok and table[:, depth - 1].tolist() == [counts.sum(), (counts**2).sum()]
+    report("equal-share and pre-buffering delay identities, PB depth table", ok)
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 1
 

@@ -4,18 +4,16 @@ Evaluators operate on a (trials, blocks) capacity matrix and return integer
 per-trial statistics.  A sweep point is one pass over chunks of trials
 (`sample_point`, sized by `chunk_rows`): each chunk samples its capacity
 matrix once, and every consumer reads that one matrix -- the fixed-window
-schemes and the per-depth PB count sums from which an optimized buffer depth
-is chosen.  T-wTS and D-wTS choose their window before sampling, from exact
-objectives (`optimize_wts_window`), and are evaluated as a fixed `wts:B` row
-in that pass.  Chunks are keyed by absolute trial index and reduce to exact
-integer sums, so results are bit-identical regardless of worker count and
-chunk size.  All schemes at one point share the same traces (common random
-numbers), which makes per-realization dominance comparisons exact.
-
-Only an optimized PB depth costs a second pass: the depth search counts
-decodes from sums taken in a different order from `evaluate_pb`, so reading
-the PB row off the search could change a decode bit by rounding; the row is
-evaluated afresh at the chosen depth instead.
+schemes and the per-depth PB table (`pb_count_sums`).  An optimized PB depth
+is chosen from that table and its row is read off it (`pb_accumulator`):
+`evaluate_pb` decides a decode by the table's own comparisons, so the two
+agree bit for bit.  T-wTS and D-wTS choose their window before sampling,
+from exact objectives (`optimize_wts_window`), and are evaluated as a fixed
+`wts:B` row in the same pass.  Chunks are keyed by absolute trial index and
+reduce to exact integer sums, so results are bit-identical regardless of
+worker count and chunk size.  All schemes at one point share the same traces
+(common random numbers), which makes per-realization dominance comparisons
+exact.
 """
 from __future__ import annotations
 
@@ -59,26 +57,21 @@ def evaluate_ets(caps: np.ndarray, rate: float):
     return v.sum(axis=1).astype(np.int64), max_zero_run_rows(v)
 
 
-def pb_mi_matrix(caps: np.ndarray, window: int) -> np.ndarray:
-    """MI totals of the `window` transmitted messages (columns M-B+1..M)."""
-    n, m = caps.shape
-    if not (1 <= window <= m):
-        raise ValueError(f"need 1 <= window <= blocks, got {window}")
-    prefix = caps[:, : m - window + 1].sum(axis=1) / window
-    if window == 1:
-        return prefix[:, None]
-    tail = np.cumsum(caps[:, m - window + 1 :] * _equal_share_weights(m)[m - window + 1 :], axis=1)
-    return np.concatenate([prefix[:, None], prefix[:, None] + tail], axis=1)
-
-
 def evaluate_pb(caps: np.ndarray, rate: float, window: int):
     """Pre-buffering: only the last `window` messages are sent.
 
+    Decodes are the comparisons of `pb_count_sums` at depth B = `window`.
     Decoded messages always form a suffix, so the longest zero-run equals
     blocks - decoded_count on every realization.
     """
     m = caps.shape[1]
-    counts = (pb_mi_matrix(caps, window) >= rate).sum(axis=1).astype(np.int64)
+    if not (1 <= window <= m):
+        raise ValueError(f"need 1 <= window <= blocks, got {window}")
+    first = m - window
+    running = np.cumsum(caps * _equal_share_weights(m), axis=1)
+    tau = rate - np.cumsum(caps[:, : first + 1], axis=1)[:, first] / window
+    tau += running[:, first]
+    counts = (running[:, first:] >= tau[:, None]).sum(axis=1).astype(np.int64)
     return counts, m - counts
 
 
@@ -125,37 +118,85 @@ def wts_window_delays(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
     return window * max_zero_run_rows(full)
 
 
-def pb_count_sums(caps: np.ndarray, rate: float) -> np.ndarray:
-    """Decoded-count sums over trials for every buffer depth 1..M.
+# `pb_count_sums` counts decodes by direct comparison up to this many blocks
+# and by one sort per row above it (the measured crossover of the two).
+PB_COUNTING_MAX_BLOCKS = 64
 
-    Entry B-1 is the total decoded count when only the last B messages are
-    transmitted.  Message j (0-based, j >= M-B) then decodes iff its
-    equal-share total W_j reaches tau_B = rate - S_{M-B}/B + W_{M-B}, where S
-    is the capacity prefix sum.  W is nondecreasing along a row, so the count
-    is min(B, M - L_B) with L_B = #{W_j < tau_B}; one stable argsort of
-    [tau, W] per row, which puts tau first on ties, yields every L_B.
+
+def _pb_tile_by_counting(block: np.ndarray, rate: float) -> np.ndarray:
+    """`pb_count_sums` of one row tile, by comparing every transmitted message
+    with tau of every depth that transmits it: message j with depths
+    B >= M-j, one contiguous slice of the tau rows.  The tile is transposed
+    to (blocks, trials), so each step is one vector operation across trials
+    and W and S are the left-to-right sums of `np.cumsum`.
+    """
+    m = block.shape[1]
+    weights = _equal_share_weights(m)
+    cols = block.T.copy()  # a copy: the prefix sums overwrite it
+    running = np.empty_like(cols)
+    np.multiply(cols[0], weights[0], out=running[0])
+    for j in range(1, m):
+        np.multiply(cols[j], weights[j], out=running[j])
+        running[j] += running[j - 1]
+        cols[j] += cols[j - 1]  # the prefix sums S, in place
+    # Row B-1 holds tau_B.
+    tau = np.divide(cols[::-1], np.arange(1, m + 1)[:, None])
+    np.subtract(rate, tau, out=tau)
+    tau += running[::-1]
+    counts = np.zeros(cols.shape, dtype=np.min_scalar_type(m))
+    hits = np.empty(cols.shape, dtype=bool)
+    for j in range(m):
+        depths = slice(m - 1 - j, m)
+        np.greater_equal(running[j], tau[depths], out=hits[depths])
+        counts[depths] += hits[depths]
+    counts = counts.astype(np.int64)
+    return np.stack([counts.sum(axis=1), np.einsum("ij,ij->i", counts, counts)])
+
+
+def _pb_tile_by_sorting(block: np.ndarray, rate: float) -> np.ndarray:
+    """`pb_count_sums` of one row tile, by one sort per row.  W is
+    nondecreasing along a row, so the count at depth B is min(B, M - L_B)
+    with L_B = #{W_j < tau_B}; one stable argsort of [tau, W], which puts tau
+    first on ties, yields every L_B."""
+    m = block.shape[1]
+    depths = np.arange(1, m + 1)
+    keys = np.empty((block.shape[0], 2 * m))
+    tau, running = keys[:, :m], keys[:, m:]
+    np.multiply(block, _equal_share_weights(m), out=running)
+    np.cumsum(running, axis=1, out=running)  # equal-share totals W
+    # Column B-1 holds tau_B.
+    np.divide(np.cumsum(block, axis=1)[:, ::-1], depths, out=tau)
+    np.subtract(rate, tau, out=tau)
+    np.add(tau, running[:, ::-1], out=tau)
+    order = np.argsort(keys, axis=1, kind="stable")
+    # W entries at or before each sorted position; at a tau entry, L_B.
+    below = np.cumsum(order >= m, axis=1, dtype=np.int32)
+    ranks = np.empty_like(below)
+    np.put_along_axis(ranks, order, below, axis=1)
+    counts = np.minimum(depths, m - ranks[:, :m]).astype(np.int64)
+    return np.stack([counts.sum(axis=0), np.einsum("ij,ij->j", counts, counts)])
+
+
+def pb_tile_kernel(blocks: int):
+    """The `pb_count_sums` kernel for rows of `blocks` capacities."""
+    return _pb_tile_by_counting if blocks <= PB_COUNTING_MAX_BLOCKS else _pb_tile_by_sorting
+
+
+def pb_count_sums(caps: np.ndarray, rate: float) -> np.ndarray:
+    """Sums over trials of the decoded count (row 0) and of its square (row 1)
+    at every buffer depth 1..M (column B-1).
+
+    At depth B only the last B messages are transmitted.  Message j (0-based,
+    j >= M-B) then decodes iff its equal-share total W_j reaches
+    tau_B = (rate - S_{M-B}/B) + W_{M-B}, where S is the capacity prefix sum
+    (the rule of `evaluate_pb`).  Rows are taken in tiles
+    (`channel.row_blocks`) by the kernel of `pb_tile_kernel`.
     """
     n, m = caps.shape
-    weights = _equal_share_weights(m)
-    depths = np.arange(1, m + 1)
-    sums = np.zeros(m, dtype=np.int64)
-    # A block's working set is about 70 bytes per capacity.
+    kernel = pb_tile_kernel(m)
+    sums = np.zeros((2, m), dtype=np.int64)
     for lo, hi in row_blocks(n, m):
-        block = caps[lo:hi]
-        keys = np.empty((block.shape[0], 2 * m))
-        tau, running = keys[:, :m], keys[:, m:]
-        np.multiply(block, weights, out=running)
-        np.cumsum(running, axis=1, out=running)  # equal-share totals W
-        # Column B-1 holds tau_B, with the arithmetic of evaluating each B alone.
-        np.divide(np.cumsum(block, axis=1)[:, ::-1], depths, out=tau)
-        np.subtract(rate, tau, out=tau)
-        np.add(tau, running[:, ::-1], out=tau)
-        order = np.argsort(keys, axis=1, kind="stable")
-        # W entries at or before each sorted position; at a tau entry, L_B.
-        below = np.cumsum(order >= m, axis=1, dtype=np.int32)
-        ranks = np.empty_like(below)
-        np.put_along_axis(ranks, order, below, axis=1)
-        sums += np.minimum(depths, m - ranks[:, :m]).sum(axis=0)
+        sums += kernel(caps[lo:hi], rate)
     return sums
 
 
@@ -230,7 +271,7 @@ class PointTables:
     """Exact sums of one sampling pass over a sweep point's trials."""
 
     fixed: dict  # key -> Accumulator of a scheme with a fixed window (or none)
-    pb_counts: np.ndarray | None  # entry B-1: total decoded count at PB depth B
+    pb_counts: np.ndarray | None  # the (2, M) table of `pb_count_sums`
 
     def merge(self, other: "PointTables") -> None:
         for key, acc in other.fixed.items():
@@ -257,7 +298,7 @@ def sample_point(
     def empty():
         return PointTables(
             {key: Accumulator(scheme.window) for key, scheme in fixed.items()},
-            np.zeros(m, dtype=np.int64) if pb_table else None,
+            np.zeros((2, m), dtype=np.int64) if pb_table else None,
         )
 
     def task(lo, hi):
@@ -278,9 +319,25 @@ def sample_point(
 def optimize_pb_window(count_sums: np.ndarray, trials: int) -> tuple[int, float]:
     """Buffer depth maximizing mean decoded count (equivalently minimizing
     mean delay, since delay = M - count per realization), selected from the
-    per-depth count sums of `sample_point`.  Ties break low."""
+    per-depth count sums (row 0 of `pb_count_sums`).  Ties break low."""
     best = int(np.argmax(count_sums)) + 1
     return best, float(count_sums[best - 1] / trials)
+
+
+def pb_accumulator(table: np.ndarray, trials: int, window: int) -> Accumulator:
+    """The `pb:B` row at B = `window`, read off a `pb_count_sums` table over
+    `trials` trials: delay = M - count on every trial, so its sums follow
+    from those of the count."""
+    m = table.shape[1]
+    total, sqtotal = (int(x) for x in table[:, window - 1])
+    return Accumulator(
+        window,
+        trials,
+        total,
+        sqtotal,
+        m * trials - total,
+        m * m * trials - 2 * m * total + sqtotal,
+    )
 
 
 def optimize_wts_window(params: ChannelParams, maximize_throughput: bool) -> tuple[int, float]:
@@ -324,7 +381,8 @@ def evaluate_point(
 
     `schemes` maps an arbitrary key to a `schemes.Scheme`.  A scheme whose
     row has a `table` and that has no fixed window gets the window its row
-    chooses: T-/D-wTS before sampling, PB from the count sums of the pass.
+    chooses: T-/D-wTS before sampling, PB from the depth table of the pass,
+    which also gives PB's row at that depth.
     Returns key -> Accumulator, whose `window` is the B the statistics were
     taken at.  Chunks are keyed by absolute trial index and reduce to exact
     integer sums, so the result is independent of `threads` and of the chunk
@@ -344,9 +402,7 @@ def evaluate_point(
     point = sample_point(params, fixed, trials, seed, threads, pb_table=bool(chosen_pb))
     out = point.fixed
     if chosen_pb:
-        # Second pass: see the module docstring for why the depth search's
-        # counts are not reused.
-        window, _ = optimize_pb_window(point.pb_counts, trials)
-        again = {key: replace(scheme, window=window) for key, scheme in chosen_pb.items()}
-        out.update(sample_point(params, again, trials, seed, threads).fixed)
+        window, _ = optimize_pb_window(point.pb_counts[0], trials)
+        for key in chosen_pb:
+            out[key] = pb_accumulator(point.pb_counts, trials, window)
     return {key: out[key] for key in schemes}

@@ -36,8 +36,8 @@ class SchemeRow:
     table     how an absent B is chosen at each point: "wts" (from exact
               objectives before sampling, `engine.optimize_wts_window`; the
               row is then evaluated as `wts:B` in the point's one pass) or
-              "pb" (from the PB count sums of that pass; the row is evaluated
-              again at the chosen depth); None when B is never chosen
+              "pb" (from the PB depth table of that pass, which also gives
+              the row at the chosen depth); None when B is never chosen
     maximize  the choice maximizes throughput, else it minimizes delay (PB's
               two choices coincide, since delay = M - count per realization)
     analytic  the closed form behind the analytic CSV cells: "exact" (MT

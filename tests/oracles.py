@@ -2,8 +2,10 @@
 
 Each kernel function is the implementation the package used before its kernel
 was rewritten without per-column loops; the property tests require the fast
-kernels to return exactly the same integers.  The window failure masses are
-the direct-convolution reference of the FFT chain in `channel`.
+kernels to return exactly the same integers.  `pb_mi_matrix` is the PB
+mutual information summed message by message, as the allocation matrix
+defines it.  The window failure masses are the direct-convolution reference
+of the FFT chain in `channel`.
 """
 import math
 
@@ -40,17 +42,33 @@ def informed_counts_and_delays_loop(capacity_matrix: np.ndarray, rate: float):
 
 
 def pb_count_sums_loop(caps: np.ndarray, rate: float) -> np.ndarray:
-    """Decoded-count sums for every buffer depth by a suffix compare per depth."""
+    """Sums of decoded counts (row 0) and of their squares (row 1) for every
+    buffer depth, by a suffix compare per depth."""
     n, m = caps.shape
     weights = _equal_share_weights(m)
     running = np.cumsum(caps * weights, axis=1)
     prefix_sums = np.cumsum(caps, axis=1)
-    sums = np.zeros(m, dtype=np.int64)
+    sums = np.zeros((2, m), dtype=np.int64)
     for b in range(1, m + 1):
         pref = prefix_sums[:, m - b] / b
         tau = rate - pref + running[:, m - b]
-        sums[b - 1] = int((running[:, m - b :] >= tau[:, None]).sum())
+        counts = (running[:, m - b :] >= tau[:, None]).sum(axis=1)
+        sums[:, b - 1] = counts.sum(), (counts**2).sum()
     return sums
+
+
+def pb_mi_matrix(caps: np.ndarray, window: int) -> np.ndarray:
+    """MI totals of the `window` transmitted PB messages (columns M-B+1..M),
+    each the sum of its own allocation: the depth-B prefix shared equally,
+    then its equal share of each later block."""
+    n, m = caps.shape
+    if not (1 <= window <= m):
+        raise ValueError(f"need 1 <= window <= blocks, got {window}")
+    prefix = caps[:, : m - window + 1].sum(axis=1) / window
+    if window == 1:
+        return prefix[:, None]
+    tail = np.cumsum(caps[:, m - window + 1 :] * _equal_share_weights(m)[m - window + 1 :], axis=1)
+    return np.concatenate([prefix[:, None], prefix[:, None] + tail], axis=1)
 
 
 def wts_literal_delay_expanded(caps: np.ndarray, rate: float, window: int) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import streamfade
+from oracles import pb_mi_matrix
 from streamfade.asymptotic import optimal_prebuffer_fraction, verify_threshold
 from streamfade.channel import (
     ChannelParams,
@@ -30,7 +31,6 @@ from streamfade.engine import (
     evaluate_wts,
     ets_mi_matrix,
     pb_count_sums,
-    pb_mi_matrix,
     wts_window_delays,
 )
 from streamfade.informed import (
@@ -224,7 +224,7 @@ def _point_results(caps, rate=1.0):
     out = {}
     out["MT"] = evaluate_mt(caps, rate)
     out["eTS"] = evaluate_ets(caps, rate)
-    b_pb = int(np.argmax(pb_count_sums(caps, rate))) + 1
+    b_pb = int(np.argmax(pb_count_sums(caps, rate)[0])) + 1
     out["PB"] = evaluate_pb(caps, rate, b_pb)
     wts_counts = np.zeros(m, dtype=np.int64)
     wts_delays = np.zeros(m, dtype=np.int64)

@@ -178,6 +178,13 @@ class TestBadInputExits2:
         assert run_main([*argv, "--trials", "10", "--scheme", "mt"]) == 2
         assert f"{field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "bound"])
+    @pytest.mark.parametrize("value", [",", "", " , "])
+    def test_scheme_option_without_a_token(self, command, value, capsys):
+        # The INI `[schemes] list` may be empty; `--scheme` must name a scheme.
+        assert run_main([command, "--scheme", value, "--trials", "10"]) == 2
+        assert "schemes.list:" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command,output,field",
         [

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import pb_count_sums_loop, wts_literal_delay_expanded
+from oracles import pb_count_sums_loop, pb_mi_matrix, wts_literal_delay_expanded
 from streamfade import channel, engine
 from streamfade.channel import (
     ChannelParams,
@@ -31,8 +31,8 @@ from streamfade.engine import (
     evaluate_wts,
     optimize_pb_window,
     optimize_wts_window,
+    pb_accumulator,
     pb_count_sums,
-    pb_mi_matrix,
     sample_point,
     wts_window_delays,
 )
@@ -155,8 +155,7 @@ class TestMemoryBound:
 
 
 class TestOnePass:
-    """Each chunk is sampled once per point; only an optimized PB depth
-    needs a second pass."""
+    """Each chunk is sampled once per point, an optimized PB depth included."""
 
     FIXED = {
         "mt": Scheme("mt"),
@@ -184,9 +183,18 @@ class TestOnePass:
         calls = self.count_samples(monkeypatch, self.FIXED)
         assert len(calls) == 3 and len(set(calls)) == 3
 
-    def test_optimized_pb_samples_twice(self, monkeypatch):
+    def test_optimized_pb_samples_once(self, monkeypatch):
         calls = self.count_samples(monkeypatch, {**self.FIXED, "pb": Scheme("pb")})
-        assert len(calls) == 6 and len(set(calls)) == 3
+        assert len(calls) == 3 and len(set(calls)) == 3
+
+    @pytest.mark.parametrize("blocks", [9, 64, 65, 130])
+    def test_fixed_pb_rows_equal_the_depth_table(self, blocks):
+        # 64 and 65 sit on either side of the table's kernel cutoff.
+        p = params(snr=0.0, rate=2.0, blocks=blocks)
+        table = sample_point(p, {}, 300, 41, pb_table=True).pb_counts
+        fixed = evaluate_point(p, {b: Scheme("pb", b) for b in range(1, blocks + 1)}, 300, 41)
+        for b, acc in fixed.items():
+            assert snapshot({b: acc}) == snapshot({b: pb_accumulator(table, 300, b)}), b
 
     def test_optimized_rows_equal_fixed_rows_at_their_window(self):
         p = params(blocks=9)
@@ -226,17 +234,8 @@ class TestPbSweepHelpers:
         sums = pb_count_sums(caps, p.rate)
         for b in range(1, 15):
             counts, _ = evaluate_pb(caps, p.rate, b)
-            assert sums[b - 1] == counts.sum()
-
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_count_sums_match_suffix_compare(self, data):
-        shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12)))
-        # Integer capacities give exact tau/W ties; zero rows give a flat W.
-        values = st.sampled_from([0.0, 1.0, 2.0, 3.0]) | st.floats(0.0, 4.0)
-        caps = data.draw(arrays(np.float64, shape, elements=values))
-        rate = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
-        assert pb_count_sums(caps, rate).tolist() == pb_count_sums_loop(caps, rate).tolist()
+            assert sums[0, b - 1] == counts.sum()
+            assert sums[1, b - 1] == (counts**2).sum()
 
     def test_count_sums_blocks_are_transparent(self, monkeypatch):
         caps = sample_capacity_matrix(params(blocks=10), 17, 0, 50)
@@ -244,6 +243,35 @@ class TestPbSweepHelpers:
         monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", 30)  # 3 rows a block
         assert pb_count_sums(caps, 1.0).tolist() == whole.tolist()
         assert whole.tolist() == pb_count_sums_loop(caps, 1.0).tolist()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_count_sums_match_suffix_compare(self, data):
+        # M = 1..100 covers both sides of PB_COUNTING_MAX_BLOCKS, with about
+        # half the examples at M <= 12; both kernels run at every M, over row
+        # tiles of a patched size.  Integer capacities give exact tau/W ties;
+        # zero rows give a flat W.
+        m = data.draw(st.integers(1, 12) | st.integers(13, 100))
+        rows = data.draw(st.integers(1, 7))
+        values = st.sampled_from([0.0, 1.0, 2.0, 3.0]) | st.floats(0.0, 4.0)
+        caps = data.draw(arrays(np.float64, (rows, m), elements=values))
+        rate = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        tile = data.draw(st.integers(1, 3 * m))
+        expected = pb_count_sums_loop(caps, rate).tolist()
+        before = caps.copy()
+        with mock.patch.object(channel, "ROW_BLOCK_ELEMENTS", tile):
+            assert pb_count_sums(caps, rate).tolist() == expected
+            for kernel in (engine._pb_tile_by_counting, engine._pb_tile_by_sorting):
+                tiles = [kernel(caps[lo:hi], rate) for lo, hi in channel.row_blocks(rows, m)]
+                assert np.sum(tiles, axis=0).tolist() == expected, kernel.__name__
+        assert np.array_equal(caps, before)  # the kernels work on copies
+
+    def test_kernel_choice(self):
+        assert engine.PB_COUNTING_MAX_BLOCKS == 64
+        assert engine.pb_tile_kernel(8) is engine._pb_tile_by_counting
+        assert engine.pb_tile_kernel(64) is engine._pb_tile_by_counting
+        assert engine.pb_tile_kernel(65) is engine._pb_tile_by_sorting
+        assert engine.pb_tile_kernel(2000) is engine._pb_tile_by_sorting
 
     def test_mi_matrix_monotone_over_transmitted(self):
         p = params(blocks=10)
@@ -255,7 +283,7 @@ class TestPbSweepHelpers:
         # blocks=1 leaves a single candidate
         p = params(blocks=1)
         tables = sample_point(p, {}, 128, 3, pb_table=True)
-        assert optimize_pb_window(tables.pb_counts, 128)[0] == 1
+        assert optimize_pb_window(tables.pb_counts[0], 128)[0] == 1
         assert optimize_wts_window(p, True)[0] == 1
         assert optimize_wts_window(p, False)[0] == 1
         # equal objectives at B=2 and B=3 select B=2

@@ -210,7 +210,7 @@ class TestOptimizeWindow:
         # delay = blocks - count per realization, so both objectives pick the
         # same window on a common trace set
         p = params(snr=-5.0, blocks=16)
-        w_t, _ = optimize_pb_window(sample_point(p, {}, 2000, 9, pb_table=True).pb_counts, 2000)
+        w_t, _ = optimize_pb_window(sample_point(p, {}, 2000, 9, pb_table=True).pb_counts[0], 2000)
         depths = evaluate_point(p, {b: Scheme("pb", b) for b in range(1, 17)}, 2000, 9)
         w_d = min(depths, key=lambda b: depths[b].delay_sum)
         best = evaluate_point(p, {"pb": Scheme("pb")}, 2000, 9)["pb"]
