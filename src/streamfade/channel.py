@@ -4,6 +4,13 @@ The channel stays constant within a block and redraws independently across
 blocks.  A block with power gain g and transmit power P supports
 log2(1 + g*P) bits per channel use; a message of rate R decodes whenever the
 mutual information accumulated for it reaches R.
+
+This module also fixes the memory layout of a (trials, blocks) chunk.  Rows
+of at most BLOCK_MAJOR_MAX_BLOCKS blocks are sampled block-major (Fortran
+order): numpy pays a fixed cost per row for every reduction along a row, so
+short rows are reduced across trials, one contiguous column at a time
+(`scan_blocks`, and numpy's own column reductions).  Longer rows stay
+row-major.  Either layout gives the same values bit for bit.
 """
 from __future__ import annotations
 
@@ -29,6 +36,12 @@ _GRID = 1 << 13
 # bound's kernel hold at most this many capacities (256 KB of float64), so
 # each stage's temporaries stay in L2 cache whatever M is.
 ROW_BLOCK_ELEMENTS = 1 << 15
+# Chunks whose rows have at most this many blocks are block-major, and
+# `engine.pb_count_sums` counts their decodes without a sort.  Above it a
+# chunk holds too few trials for a loop over its columns to pay: 131 at
+# M = 2000, where a column loop took 3.4 ms per cumsum against 1.1 ms along
+# the rows.
+BLOCK_MAJOR_MAX_BLOCKS = 64
 
 
 def usable_snr(snr_db: float) -> bool:
@@ -133,11 +146,47 @@ def sample_gain_matrix(params: ChannelParams, seed: int, start: int, stop: int) 
     """Gains for trials start..stop-1, shape (stop-start, blocks).
 
     Row i is a pure function of (seed, start + i); sampling the same trial
-    index alone or inside any batch yields identical values.
+    index alone or inside any batch yields identical values.  The matrix is
+    stored in the order of `chunk_order`.
     """
+    order = chunk_order(params.blocks)
     if params.fading is Fading.RAYLEIGH_UNIT_MEAN:
-        return rng.exponential_matrix(seed, start, stop, params.blocks)
-    return np.ones((stop - start, params.blocks), dtype=np.float64)
+        return rng.exponential_matrix(seed, start, stop, params.blocks, order=order)
+    return np.ones((stop - start, params.blocks), dtype=np.float64, order=order)
+
+
+def chunk_order(blocks: int) -> str:
+    """Memory order of a chunk of rows of `blocks` capacities: "F"
+    (block-major) up to BLOCK_MAJOR_MAX_BLOCKS, else "C" (row-major)."""
+    return "F" if blocks <= BLOCK_MAJOR_MAX_BLOCKS else "C"
+
+
+def block_major(a: np.ndarray) -> bool:
+    """Whether the trials (axis 0) are the contiguous axis of a 2-D array."""
+    return abs(a.strides[0]) < abs(a.strides[1])
+
+
+def scan_blocks(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`ufunc.accumulate(a, axis=1, out=out)`: running sums, maxima or minima
+    along the blocks of a (trials, blocks) array.
+
+    A block-major array is scanned one column at a time, one in-place vector
+    operation across trials per block.  Both paths make the same left-to-right
+    operations, so they give the same bits.
+    """
+    if not block_major(a):
+        return ufunc.accumulate(a, axis=1, out=out)
+    if out is None:
+        out = np.empty_like(a)  # keeps the block-major layout
+    # The rows of the transposes are the columns, without a slice per step.
+    cols, dst = a.T, out.T
+    if out is not a:
+        dst[0] = cols[0]
+    prev = dst[0]
+    for col, here in zip(cols[1:], dst[1:]):
+        ufunc(prev, col, out=here)
+        prev = here
+    return out
 
 
 def row_blocks(rows: int, blocks: int) -> list[tuple[int, int]]:
@@ -148,12 +197,13 @@ def row_blocks(rows: int, blocks: int) -> list[tuple[int, int]]:
 
 
 def sample_capacity_matrix(params: ChannelParams, seed: int, start: int, stop: int) -> np.ndarray:
-    """Capacities for trials start..stop-1, filled one row tile at a time.
+    """Capacities for trials start..stop-1, filled one row tile at a time, in
+    the memory order of `chunk_order`.
 
     Rows are pure functions of their trial index, so the tiles give exactly
     the matrix that one `sample_gain_matrix` call would.
     """
-    out = np.empty((stop - start, params.blocks))
+    out = np.empty((stop - start, params.blocks), order=chunk_order(params.blocks))
     for lo, hi in row_blocks(stop - start, params.blocks):
         gains = sample_gain_matrix(params, seed, start + lo, start + hi)
         out[lo:hi] = _capacities_in_place(gains, params.power)

@@ -86,6 +86,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may start with "-": a negative SNR grid or window
+# list.  argparse takes "-10,0,10" for an option, so `main` attaches such a
+# value to its option with "=", as in `--values=-10,0,10`.
+_DASH_VALUE_OPTIONS = ("--values", "--windows")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    out = []
+    for arg in argv:
+        option = out[-1] if out else ""
+        # argparse also accepts an option by a prefix of its name.
+        named = len(option) > 2 and any(o.startswith(option) for o in _DASH_VALUE_OPTIONS)
+        if named and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] = f"{option}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _read_config(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -181,6 +200,8 @@ def _cmd_analyze(args) -> int:
         raise ConfigError(f"bad window list {args.windows!r}", "analyze.windows")
     if any(w < 1 for w in windows):
         raise ConfigError(f"windows must be >= 1, got {args.windows!r}", "analyze.windows")
+    if len(set(windows)) < len(windows):
+        raise ConfigError(f"repeated window in {args.windows!r}", "analyze.windows")
     rows = analytic_rows(config, windows)
     _write_outputs(rows, config)
     return 0
@@ -260,7 +281,7 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
     handlers = {
         "simulate": _cmd_simulate,
         "sweep": _cmd_sweep,

@@ -14,6 +14,13 @@ reduce to exact integer sums, so results are bit-identical regardless of
 worker count and chunk size.  All schemes at one point share the same traces
 (common random numbers), which makes per-realization dominance comparisons
 exact.
+
+A chunk of rows of at most `channel.BLOCK_MAJOR_MAX_BLOCKS` capacities is
+block-major, and every evaluator then reduces across trials, one contiguous
+column at a time: running sums, maxima and minima through
+`channel.scan_blocks`, row sums and maxima as numpy's column reductions.
+Longer rows are row-major and reduced along the rows.  Every evaluator
+gives the same bits on either layout.
 """
 from __future__ import annotations
 
@@ -22,7 +29,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, row_blocks, sample_capacity_matrix, window_decode_probs
+from .channel import (
+    BLOCK_MAJOR_MAX_BLOCKS,
+    ChannelParams,
+    block_major,
+    row_blocks,
+    sample_capacity_matrix,
+    scan_blocks,
+    window_decode_probs,
+)
 # The informed bound is the IT row's evaluator; the scheme table reaches it
 # here, next to the other evaluators.
 from .informed import informed_counts_and_delays
@@ -49,7 +64,7 @@ def _equal_share_weights(m: int) -> np.ndarray:
 def ets_mi_matrix(caps: np.ndarray) -> np.ndarray:
     """Running equal-share MI; column m-1 is message m's total."""
     mi = caps * _equal_share_weights(caps.shape[1])
-    return np.cumsum(mi, axis=1, out=mi)  # in place: one (trials, M) array, not two
+    return scan_blocks(np.add, mi, out=mi)  # in place: one (trials, M) array, not two
 
 
 def evaluate_ets(caps: np.ndarray, rate: float):
@@ -68,22 +83,47 @@ def evaluate_pb(caps: np.ndarray, rate: float, window: int):
     if not (1 <= window <= m):
         raise ValueError(f"need 1 <= window <= blocks, got {window}")
     first = m - window
-    running = np.cumsum(caps * _equal_share_weights(m), axis=1)
-    tau = rate - np.cumsum(caps[:, : first + 1], axis=1)[:, first] / window
+    running = ets_mi_matrix(caps)
+    tau = rate - scan_blocks(np.add, caps[:, : first + 1])[:, first] / window
     tau += running[:, first]
     counts = (running[:, first:] >= tau[:, None]).sum(axis=1).astype(np.int64)
     return counts, m - counts
 
 
+# numpy sums 8 or more terms in 8 pairwise lanes, fewer left to right.
+_PAIRWISE_MIN_TERMS = 8
+
+
+def window_sums(block: np.ndarray, window: int) -> np.ndarray:
+    """Sums of consecutive runs of `window` columns of `block`, shape
+    (trials, columns // window), bit for bit numpy's row-major
+    `reshape(trials, k, window).sum(axis=2)`.
+
+    On a block-major block, fewer than _PAIRWISE_MIN_TERMS columns are added
+    one at a time across trials, which is the same left-to-right sum; more
+    are summed by numpy over a row-major copy.
+    """
+    n, k = block.shape[0], block.shape[1] // window
+    windows = block[:, : k * window].reshape(n, k, window)  # a view
+    if not block_major(block):
+        return windows.sum(axis=2)
+    if window >= _PAIRWISE_MIN_TERMS:
+        return np.ascontiguousarray(windows).sum(axis=2)
+    sums = windows[:, :, 0].copy(order="K")
+    for j in range(1, window):
+        sums += windows[:, :, j]
+    return sums
+
+
 def wts_decode_bits(caps: np.ndarray, rate: float, window: int):
     """(full-window decode bits, short-window bit or None) for windowed sharing."""
-    n, m = caps.shape
+    m = caps.shape[1]
     if not (1 <= window <= m):
         raise ValueError(f"need 1 <= window <= blocks, got {window}")
     n_full = m // window
     remainder = m - n_full * window
-    full = caps[:, : n_full * window].reshape(n, n_full, window).sum(axis=2) >= rate
-    short = caps[:, n_full * window :].sum(axis=1) >= rate if remainder else None
+    full = window_sums(caps, window) >= rate
+    short = window_sums(caps[:, n_full * window :], remainder)[:, 0] >= rate if remainder else None
     return full, short
 
 
@@ -101,7 +141,7 @@ def evaluate_wts(caps: np.ndarray, rate: float, window: int):
     bits = full
     if short is not None:
         slots = np.append(slots, m - 1)
-        bits = np.column_stack([full, short])
+        bits = np.column_stack([full, short])  # in the layout of `full`
         counts = counts + short
     return counts, max_zero_run_at(bits, slots, m)
 
@@ -118,39 +158,31 @@ def wts_window_delays(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
     return window * max_zero_run_rows(full)
 
 
-# `pb_count_sums` counts decodes by direct comparison up to this many blocks
-# and by one sort per row above it (the measured crossover of the two).
-PB_COUNTING_MAX_BLOCKS = 64
-
-
 def _pb_tile_by_counting(block: np.ndarray, rate: float) -> np.ndarray:
     """`pb_count_sums` of one row tile, by comparing every transmitted message
     with tau of every depth that transmits it: message j with depths
-    B >= M-j, one contiguous slice of the tau rows.  The tile is transposed
-    to (blocks, trials), so each step is one vector operation across trials
-    and W and S are the left-to-right sums of `np.cumsum`.
+    B >= M-j, one contiguous slice of the tau columns.  The tile's work
+    arrays are block-major, so each step is one vector operation across
+    trials, and W and S are the running sums of `channel.scan_blocks`.
     """
     m = block.shape[1]
-    weights = _equal_share_weights(m)
-    cols = block.T.copy()  # a copy: the prefix sums overwrite it
-    running = np.empty_like(cols)
-    np.multiply(cols[0], weights[0], out=running[0])
-    for j in range(1, m):
-        np.multiply(cols[j], weights[j], out=running[j])
-        running[j] += running[j - 1]
-        cols[j] += cols[j - 1]  # the prefix sums S, in place
-    # Row B-1 holds tau_B.
-    tau = np.divide(cols[::-1], np.arange(1, m + 1)[:, None])
+    running = np.multiply(block, _equal_share_weights(m), order="F")
+    scan_blocks(np.add, running, out=running)  # the equal-share totals W
+    prefix = np.array(block, order="F")
+    scan_blocks(np.add, prefix, out=prefix)  # the prefix sums S
+    # Column B-1 holds tau_B.
+    tau = np.divide(prefix[:, ::-1], np.arange(1, m + 1), order="F")
     np.subtract(rate, tau, out=tau)
-    tau += running[::-1]
-    counts = np.zeros(cols.shape, dtype=np.min_scalar_type(m))
-    hits = np.empty(cols.shape, dtype=bool)
+    tau += running[:, ::-1]
+    counts = np.zeros(block.shape, dtype=np.min_scalar_type(m), order="F")
+    hits = np.empty(block.shape, dtype=bool, order="F")
+    ones = hits.view(np.uint8)  # up to M = 255, adds hits to counts without a cast
     for j in range(m):
         depths = slice(m - 1 - j, m)
-        np.greater_equal(running[j], tau[depths], out=hits[depths])
-        counts[depths] += hits[depths]
+        np.greater_equal(running[:, j : j + 1], tau[:, depths], out=hits[:, depths])
+        counts[:, depths] += ones[:, depths]
     counts = counts.astype(np.int64)
-    return np.stack([counts.sum(axis=1), np.einsum("ij,ij->i", counts, counts)])
+    return np.stack([counts.sum(axis=0), np.einsum("ij,ij->j", counts, counts)])
 
 
 def _pb_tile_by_sorting(block: np.ndarray, rate: float) -> np.ndarray:
@@ -179,7 +211,7 @@ def _pb_tile_by_sorting(block: np.ndarray, rate: float) -> np.ndarray:
 
 def pb_tile_kernel(blocks: int):
     """The `pb_count_sums` kernel for rows of `blocks` capacities."""
-    return _pb_tile_by_counting if blocks <= PB_COUNTING_MAX_BLOCKS else _pb_tile_by_sorting
+    return _pb_tile_by_counting if blocks <= BLOCK_MAJOR_MAX_BLOCKS else _pb_tile_by_sorting
 
 
 def pb_count_sums(caps: np.ndarray, rate: float) -> np.ndarray:

@@ -62,6 +62,11 @@ class ExperimentConfig:
             raise ConfigError("rate must be positive and finite", "channel.rate")
         if not self.schemes and not self.include_it_bound:
             raise ConfigError("no schemes requested", "schemes.list")
+        for i, scheme in enumerate(self.schemes):
+            if scheme in self.schemes[:i]:
+                raise ConfigError(
+                    f"scheme {format_scheme_token(scheme)!r} is listed twice", "schemes.list"
+                )
         if self.sweep_variable is not None:
             if self.sweep_variable not in _SWEEP_VARIABLES:
                 raise ConfigError(

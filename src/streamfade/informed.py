@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .channel import row_blocks, trace_capacities
+from .channel import row_blocks, scan_blocks, trace_capacities
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def informed_trial(trace, rate: float) -> tuple[int, int]:
 
 
 def informed_counts_and_delays(capacity_matrix: np.ndarray, rate: float):
-    """Vectorized greedy + delay minimization across trials, loop-free.
+    """Vectorized greedy + delay minimization across trials.
 
     The greedy scan decodes at block t iff I(t) >= fl((psi(t-1) + 1) * R),
     with I the float running MI total and fl the float product.  Let K(t) be
@@ -170,6 +170,9 @@ def informed_counts_and_delays(capacity_matrix: np.ndarray, rate: float):
     min(K, M + 1), with the scan's own products.  Steps repeated until none
     applies would add nothing, and without the cap they would not stop at a
     tiny R, where K is astronomically large.
+
+    Rows are taken in tiles (`channel.row_blocks`), and both running scans
+    follow the tile's layout (`channel.scan_blocks`).
     """
     caps = np.asarray(capacity_matrix, dtype=np.float64)
     n, m = caps.shape
@@ -178,7 +181,7 @@ def informed_counts_and_delays(capacity_matrix: np.ndarray, rate: float):
     counts = np.empty(n, dtype=np.int64)
     delays = np.empty(n, dtype=np.int64)
     for lo, hi in row_blocks(n, m):
-        i_tot = np.cumsum(caps[lo:hi], axis=1)
+        i_tot = scan_blocks(np.add, caps[lo:hi])
         with np.errstate(over="ignore"):  # an infinite I/R or k R compares right
             quotient = np.divide(i_tot, rate)
             np.minimum(quotient, m, out=quotient)
@@ -186,7 +189,7 @@ def informed_counts_and_delays(capacity_matrix: np.ndarray, rate: float):
             k -= k * rate > i_tot
             k += (k + 1) * rate <= i_tot
         k -= t
-        np.minimum.accumulate(k, axis=1, out=k)
+        scan_blocks(np.minimum, k, out=k)
         np.minimum(k, 0, out=k)
         k += t  # psi
         counts[lo:hi] = k[:, -1]

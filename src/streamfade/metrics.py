@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import scan_blocks
+
 
 def max_zero_run(v) -> int:
     """Longest run of consecutive zeros; 0 for all-ones, len(v) for all-zeros."""
@@ -30,14 +32,14 @@ def max_zero_run_at(bits, slots, length: int) -> np.ndarray:
 
     A run ends on the slot before a listed position or on the last slot; its
     length is that end minus the last one before it, which a running maximum
-    over the columns gives without a per-column loop.
+    over the columns gives (`channel.scan_blocks`, in the layout of `bits`).
     """
     bits = np.asarray(bits, dtype=bool)
     n, k = bits.shape
     # last[:, j] = 1 + position of the last one in columns < j, or 0 if none
-    last = np.zeros((n, k + 1), dtype=np.int32)
+    last = np.zeros_like(bits, dtype=np.int32, shape=(n, k + 1))  # in the layout of `bits`
     np.multiply(bits, np.asarray(slots, dtype=np.int32) + 1, out=last[:, 1:])
-    np.maximum.accumulate(last, axis=1, out=last)
+    scan_blocks(np.maximum, last, out=last)
     # one past the last slot of each candidate run
     ends = np.append(np.asarray(slots, dtype=np.int32), np.int32(length))
     np.subtract(ends, last, out=last)

@@ -40,27 +40,35 @@ def stream_base(seed: int, streams: np.ndarray) -> np.ndarray:
         return _finalize(s ^ (streams.astype(np.uint64) * _GOLDEN + _MIX2))
 
 
-def uniform_matrix(seed: int, start: int, stop: int, count: int) -> np.ndarray:
+def uniform_matrix(seed: int, start: int, stop: int, count: int, order: str = "C") -> np.ndarray:
     """Uniforms in [0, 1) for streams start..stop-1, `count` values each.
 
-    Returns an array of shape (stop - start, count); row i is the substream
-    for stream index start + i.
+    Returns an array of shape (stop - start, count) in memory order `order`
+    ("C" or "F"); row i is the substream for stream index start + i, with
+    the same values in either order.
     """
     if stop < start or start < 0:
         raise ValueError("stream range must be nonnegative and ordered")
     with np.errstate(over="ignore"):
-        base = stream_base(seed, np.arange(start, stop, dtype=np.uint64))[:, None]
-        ctr = np.arange(1, count + 1, dtype=np.uint64)[None, :]
-        z = _finalize(base + ctr * _GOLDEN)
+        base = stream_base(seed, np.arange(start, stop, dtype=np.uint64))
+        steps = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
+        if order == "F":
+            z = np.add.outer(steps, base).T
+        else:
+            z = np.add.outer(base, steps)
+        _finalize(z)
     np.right_shift(z, np.uint64(11), out=z)
     u = z.astype(np.float64)
     u *= _INV_2_53
     return u
 
 
-def exponential_matrix(seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """Unit-mean exponentials via the inverse CDF, -ln(1 - u)."""
-    u = uniform_matrix(seed, start, stop, count)
+def exponential_matrix(
+    seed: int, start: int, stop: int, count: int, order: str = "C"
+) -> np.ndarray:
+    """Unit-mean exponentials via the inverse CDF, -ln(1 - u), in the memory
+    order `order` of `uniform_matrix`."""
+    u = uniform_matrix(seed, start, stop, count, order)
     np.negative(u, out=u)
     np.log1p(u, out=u)
     return np.negative(u, out=u)

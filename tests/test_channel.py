@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from streamfade import channel
+from streamfade import channel, rng
 from streamfade.channel import (
     ChannelParams,
     ChannelTrace,
@@ -167,6 +167,24 @@ class TestRowTiles:
         whole = channel._capacities_in_place(sample_gain_matrix(p, 99, lo, lo + rows), p.power)
         assert tiled.shape == (rows, blocks)
         assert tiled.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("blocks", [1, 64, 65, 2000])
+    def test_memory_order(self, blocks):
+        # Rows of at most 64 blocks are sampled block-major, longer ones
+        # row-major; the values are the same draw either way.
+        p = params(snr=3.0, blocks=blocks)
+        rows = 9
+        caps = sample_capacity_matrix(p, 99, 37, 37 + rows)
+        gains = sample_gain_matrix(p, 99, 37, 37 + rows)
+        block_major = blocks <= channel.BLOCK_MAJOR_MAX_BLOCKS
+        for matrix in (caps, gains):
+            assert matrix.flags.f_contiguous == block_major
+            assert matrix.flags.c_contiguous == (not block_major or blocks == 1)
+        whole = channel._capacities_in_place(gains, p.power)
+        assert caps.tobytes() == whole.tobytes()
+        row_major = rng.exponential_matrix(99, 37, 37 + rows, blocks)
+        assert row_major.flags.c_contiguous
+        assert caps.tobytes() == channel._capacities_in_place(row_major, p.power).tobytes()
 
     def test_tiles_cover_the_rows(self):
         for rows, blocks in ((0, 5), (1, 5), (131, 2000), (3, TILE + 1), (TILE + 1, 1)):

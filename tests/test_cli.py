@@ -120,6 +120,18 @@ class TestSweep:
         assert code == 0
         assert "-5,MT," in out_csv.read_text()
 
+    def test_negative_values_in_either_spelling(self, tmp_path):
+        # argparse alone takes "-10,0,10" for an option and exits with a usage
+        # error; both spellings must run the same sweep.
+        outs = []
+        spellings = (["--values", "-10,0,10"], ["--values=-10,0,10"], ["--value", "-10,0,10"])
+        for values in spellings:
+            outs.append(tmp_path / f"snr{len(outs)}.csv")
+            argv = ["sweep", "--variable", "snr_db", *values, "--messages", "6"]
+            assert run_main([*argv, "--trials", "150", "--out-csv", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        assert "-10,MT," in outs[0].read_text()
+
 
 class TestAnalyze:
     def test_closed_forms_only(self, capsys):
@@ -172,11 +184,30 @@ class TestBadInputExits2:
             (["sweep", "--variable", "snr_db", "--values", "0,4000"], "sweep.values"),
             (["simulate", "--seed", "-1"], "run.seed"),
             (["simulate", "--seed", str(1 << 64)], "run.seed"),
+            (["analyze", "--windows", "-1,2"], "analyze.windows"),
+            (["analyze", "--windows", "2,2"], "analyze.windows"),
+            (["analyze", "--windows", "3,2,3"], "analyze.windows"),
+            (["analyze", "--window", "-1"], "analyze.windows"),
         ],
     )
     def test_names_the_field(self, argv, field, capsys):
         assert run_main([*argv, "--trials", "10", "--scheme", "mt"]) == 2
         assert f"{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("value", ["mt,mt,pb:2,pb:2", "pb,pb:opt", "wts:3,ets,WTS:3"])
+    def test_repeated_scheme(self, command, value, tmp_path, capsys):
+        # A repeat would be evaluated and written twice; pb:opt is pb.
+        assert run_main([command, "--scheme", value, "--trials", "10"]) == 2
+        assert "schemes.list:" in capsys.readouterr().err
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[channel]\nsnr_db = 5.0\nrate = 1.0\nmessages = 6\n"
+            f"[run]\ntrials = 20\nseed = 3\n[schemes]\nlist = {value}\n"
+        )
+        assert run_main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "schemes.list:" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "bound"])
     @pytest.mark.parametrize("value", [",", "", " , "])

@@ -153,6 +153,19 @@ class TestMemoryBound:
         # One chunk of float64 capacities is 8 * CHUNK_ELEMENTS bytes.
         assert peak < 3 * 8 * CHUNK_ELEMENTS
 
+    def test_peak_at_sweep_scale(self):
+        # M = 64: the largest block-major chunk, 4096 trials, every scheme.
+        schemes = dict(enumerate(parse_scheme_list("mt,ets,pb,pb:30,wts:9,twts,dwts")))
+        schemes["it"] = Scheme("it")
+        assert chunk_rows(64) == CHUNK
+        tracemalloc.start()
+        try:
+            evaluate_point(params(blocks=64), schemes, 10_000, 12345)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * CHUNK_ELEMENTS
+
 
 class TestOnePass:
     """Each chunk is sampled once per point, an optimized PB depth included."""
@@ -247,7 +260,7 @@ class TestPbSweepHelpers:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_count_sums_match_suffix_compare(self, data):
-        # M = 1..100 covers both sides of PB_COUNTING_MAX_BLOCKS, with about
+        # M = 1..100 covers both sides of BLOCK_MAJOR_MAX_BLOCKS, with about
         # half the examples at M <= 12; both kernels run at every M, over row
         # tiles of a patched size.  Integer capacities give exact tau/W ties;
         # zero rows give a flat W.
@@ -267,7 +280,7 @@ class TestPbSweepHelpers:
         assert np.array_equal(caps, before)  # the kernels work on copies
 
     def test_kernel_choice(self):
-        assert engine.PB_COUNTING_MAX_BLOCKS == 64
+        assert channel.BLOCK_MAJOR_MAX_BLOCKS == 64
         assert engine.pb_tile_kernel(8) is engine._pb_tile_by_counting
         assert engine.pb_tile_kernel(64) is engine._pb_tile_by_counting
         assert engine.pb_tile_kernel(65) is engine._pb_tile_by_sorting
