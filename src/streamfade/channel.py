@@ -37,10 +37,10 @@ _GRID = 1 << 13
 # each stage's temporaries stay in L2 cache whatever M is.
 ROW_BLOCK_ELEMENTS = 1 << 15
 # Chunks whose rows have at most this many blocks are block-major, and
-# `engine.pb_count_sums` counts their decodes without a sort.  Above it a
-# chunk holds too few trials for a loop over its columns to pay: 131 at
-# M = 2000, where a column loop took 3.4 ms per cumsum against 1.1 ms along
-# the rows.
+# `engine.pb_count_sums` counts their decodes across trials, not by a search
+# per row.  Above it a chunk holds too few trials for a column loop to pay:
+# 131 at M = 2000, where a column loop took 3.4 ms per cumsum against 1.1 ms
+# along the rows.
 BLOCK_MAJOR_MAX_BLOCKS = 64
 
 

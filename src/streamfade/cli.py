@@ -261,7 +261,7 @@ def _cmd_verify(args) -> int:
 
     # Per-realization scheme identities, and the PB depth table against
     # `evaluate_pb` at every depth for each of the table's kernels (M = 24
-    # counts, M = 100 sorts).
+    # counts, M = 100 searches).
     params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=24)
     caps = sample_capacity_matrix(params, seed, 0, 4000)
     c_ets, d_ets = evaluate_ets(caps, 1.0)

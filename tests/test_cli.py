@@ -381,6 +381,25 @@ print(json.dumps([before, code, "scipy.integrate" in sys.modules]))
 
 
 class TestImportSet:
+    def test_one_thread_run_loads_no_thread_pool(self, tmp_path):
+        # `concurrent.futures` loads `logging`: milliseconds of every start-up
+        probe = (
+            "import sys\n"
+            "from streamfade import cli\n"
+            "loaded = ['concurrent.futures' in sys.modules]\n"
+            "argv = ['simulate', '--messages', '70', '--trials', '5000', '--threads', '1']\n"
+            "assert cli.main([*argv, '--out-csv', sys.argv[1]]) == 0\n"
+            "print(loaded + ['concurrent.futures' in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[False, False]"
+
     def test_only_verify_loads_scipy(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out.csv")],

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 from dataclasses import replace
@@ -41,6 +42,9 @@ from streamfade.runstats import wts_mean_delay
 from streamfade.schemes import Scheme, parse_scheme_list
 
 
+PB_KERNELS = (engine._pb_tile_by_counting, engine._pb_tile_by_search)
+
+
 def params(snr=-5.0, rate=1.0, blocks=20):
     return ChannelParams(snr_db=snr, rate=rate, blocks=blocks)
 
@@ -73,6 +77,37 @@ class TestDeterminism:
         single = evaluate_point(p, SCHEMES, trials=10_000, seed=42, threads=1)
         quad = evaluate_point(p, SCHEMES, trials=10_000, seed=42, threads=4)
         assert snapshot(single) == snapshot(quad)
+
+    def test_workers_bounded_by_chunks_and_cores(self, monkeypatch):
+        sizes = []
+
+        class Pool:  # records its size and runs the tasks in this thread
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        ranges = chunk_ranges(5 * CHUNK, 8)  # five chunks
+        # (cores, --threads, pool sizes); no pool when one worker is left
+        for cores, threads, pools in (
+            (3, 5000, [3]),
+            (64, 5000, [5]),
+            (64, 2, [2]),
+            (64, 1, []),
+            (None, 4, []),
+        ):
+            monkeypatch.setattr(engine.os, "cpu_count", lambda c=cores: c)
+            sizes.clear()
+            assert engine._map_chunks(lambda lo, hi: (lo, hi), 5 * CHUNK, 8, threads) == ranges
+            assert sizes == pools, (cores, threads)
 
     def test_chunking_transparent(self):
         # accumulator over fixed chunks equals one-shot evaluation
@@ -261,7 +296,7 @@ class TestPbSweepHelpers:
     @settings(max_examples=300, deadline=None)
     def test_count_sums_match_suffix_compare(self, data):
         # M = 1..100 covers both sides of BLOCK_MAJOR_MAX_BLOCKS, with about
-        # half the examples at M <= 12; both kernels run at every M, over row
+        # half the examples at M <= 12; every kernel runs at every M, over row
         # tiles of a patched size.  Integer capacities give exact tau/W ties;
         # zero rows give a flat W.
         m = data.draw(st.integers(1, 12) | st.integers(13, 100))
@@ -274,17 +309,43 @@ class TestPbSweepHelpers:
         before = caps.copy()
         with mock.patch.object(channel, "ROW_BLOCK_ELEMENTS", tile):
             assert pb_count_sums(caps, rate).tolist() == expected
-            for kernel in (engine._pb_tile_by_counting, engine._pb_tile_by_sorting):
+            for kernel in PB_KERNELS:
                 tiles = [kernel(caps[lo:hi], rate) for lo, hi in channel.row_blocks(rows, m)]
                 assert np.sum(tiles, axis=0).tolist() == expected, kernel.__name__
         assert np.array_equal(caps, before)  # the kernels work on copies
+
+    @pytest.mark.parametrize("kernel", PB_KERNELS, ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("blocks", [2, 64, 128])
+    def test_count_sums_edge_rows(self, kernel, blocks):
+        depths = np.arange(1, blocks + 1)
+        # A first capacity of M (a power of two) and zeros after it make
+        # W_j = 1 at every j exactly; at rate 1, tau_M = 1 - M/M + 1 ties
+        # every W, and a message whose W equals tau decodes.
+        tie = np.zeros((1, blocks))
+        tie[0, 0] = blocks
+        flat = np.full((1, blocks), 3.0)
+        zero = np.zeros((1, blocks))
+        cases = [
+            (tie, 1.0, depths),
+            (zero, 1.0, 0 * depths),  # all-zero row: tau_B = rate above W = 0
+            (zero, 0.0, depths),  # tau_B = 0 = W_j at every depth
+            (flat, -1.0, depths),  # tau_B < 0 at every depth
+            (flat, 1e9, 0 * depths),  # tau_B above W_{M-1}
+        ]
+        for caps, rate, counts in cases:
+            expected = [counts.tolist(), (counts**2).tolist()]
+            assert pb_count_sums_loop(caps, rate).tolist() == expected
+            assert kernel(caps, rate).tolist() == expected, rate
+            # The same row among others in one tile.
+            tile = np.concatenate([tie, caps, flat, zero, caps])
+            assert kernel(tile, rate).tolist() == pb_count_sums_loop(tile, rate).tolist()
 
     def test_kernel_choice(self):
         assert channel.BLOCK_MAJOR_MAX_BLOCKS == 64
         assert engine.pb_tile_kernel(8) is engine._pb_tile_by_counting
         assert engine.pb_tile_kernel(64) is engine._pb_tile_by_counting
-        assert engine.pb_tile_kernel(65) is engine._pb_tile_by_sorting
-        assert engine.pb_tile_kernel(2000) is engine._pb_tile_by_sorting
+        assert engine.pb_tile_kernel(65) is engine._pb_tile_by_search
+        assert engine.pb_tile_kernel(2000) is engine._pb_tile_by_search
 
     def test_mi_matrix_monotone_over_transmitted(self):
         p = params(blocks=10)

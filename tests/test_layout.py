@@ -69,7 +69,7 @@ def test_evaluators_agree_across_layouts(data):
         assert_same_on_both(evaluate_wts, caps, rate, window)
         assert_same_on_both(wts_window_delays, caps, rate, window)
         assert_same_on_both(informed_counts_and_delays, caps, rate)
-        for kernel in (engine._pb_tile_by_counting, engine._pb_tile_by_sorting):
+        for kernel in (engine._pb_tile_by_counting, engine._pb_tile_by_search):
             with mock.patch.object(engine, "pb_tile_kernel", lambda _: kernel):
                 assert_same_on_both(pb_count_sums, caps, rate)
 
