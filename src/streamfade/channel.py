@@ -11,6 +11,10 @@ order): numpy pays a fixed cost per row for every reduction along a row, so
 short rows are reduced across trials, one contiguous column at a time
 (`scan_blocks`, and numpy's own column reductions).  Longer rows stay
 row-major.  Either layout gives the same values bit for bit.
+
+A chunk is taken in row tiles (`row_blocks`).  A `Workspace` holds one
+thread's tile buffers, reused from tile to tile, and a `Tile` is one tile's
+capacities with the running sums its consumers share.
 """
 from __future__ import annotations
 
@@ -32,9 +36,9 @@ _EULER_GAMMA = 0.5772156649015328606065
 # gain above -ln(2^-53) ~ 36.7.
 _GAIN_CAP = 37.0
 _GRID = 1 << 13
-# Row tiles of the sampler, of `engine.pb_count_sums` and of the informed
-# bound's kernel hold at most this many capacities (256 KB of float64), so
-# each stage's temporaries stay in L2 cache whatever M is.
+# Row tiles of the sampling pass hold at most this many capacities (256 KB
+# of float64), and so does each buffer of a `Workspace`, so every stage's
+# arrays stay in L2 cache whatever M is.
 ROW_BLOCK_ELEMENTS = 1 << 15
 # Chunks whose rows have at most this many blocks are block-major, and
 # `engine.pb_count_sums` counts their decodes across trials, not by a search
@@ -191,22 +195,141 @@ def scan_blocks(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -
 
 def row_blocks(rows: int, blocks: int) -> list[tuple[int, int]]:
     """(lo, hi) row ranges covering `rows` rows of `blocks` columns, each of
-    at most ROW_BLOCK_ELEMENTS elements (one row when a row is longer)."""
-    step = max(1, ROW_BLOCK_ELEMENTS // blocks)
-    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    at most ROW_BLOCK_ELEMENTS elements (one row when a row is longer), in
+    as few tiles as that allows and of sizes that differ by at most one row."""
+    count = -(-rows // max(1, ROW_BLOCK_ELEMENTS // blocks))
+    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
-def sample_capacity_matrix(params: ChannelParams, seed: int, start: int, stop: int) -> np.ndarray:
-    """Capacities for trials start..stop-1, filled one row tile at a time, in
-    the memory order of `chunk_order`.
+class Workspace:
+    """Scratch arrays for the row tiles of one thread, reused from tile to
+    tile: one flat buffer per name, of ROW_BLOCK_ELEMENTS elements (more when
+    a single row is longer), viewed as a (rows, blocks) array on each use.
 
-    Rows are pure functions of their trial index, so the tiles give exactly
-    the matrix that one `sample_gain_matrix` call would.
+    A view stays valid until the next request for its name.  The sampler
+    writes a tile's capacities ("caps") and its RNG states ("state",
+    "shifted") here, and a `Tile` keeps its scans and its consumers'
+    temporaries here.
     """
-    out = np.empty((stop - start, params.blocks), order=chunk_order(params.blocks))
-    for lo, hi in row_blocks(stop - start, params.blocks):
-        gains = sample_gain_matrix(params, seed, start + lo, start + hi)
-        out[lo:hi] = _capacities_in_place(gains, params.power)
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, dtype, rows: int, cols: int, order: str) -> np.ndarray:
+        """A (rows, cols) view of the buffer `name`, in memory order `order`."""
+        size = rows * cols
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.dtype != dtype or buffer.size < size:
+            buffer = np.empty(max(size, ROW_BLOCK_ELEMENTS), dtype)
+            self._buffers[name] = buffer
+        return buffer[:size].reshape((rows, cols), order=order)
+
+
+def equal_share_weights(blocks: int) -> np.ndarray:
+    """Block t (0-indexed) is split among the `blocks` - t messages still alive."""
+    return 1.0 / (blocks - np.arange(blocks))
+
+
+class Tile:
+    """A row tile of capacities and the running sums its consumers share.
+
+    The prefix sums S and the equal-share running totals W (eTS's running
+    mutual information, `equal_share_weights`) are each built once, on first
+    use, into the tile's workspace by `scan_blocks`.
+    """
+
+    def __init__(self, caps: np.ndarray, workspace: Workspace):
+        self.caps = caps
+        self.workspace = workspace
+        self._prefix = self._running = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.caps.shape
+
+    def scratch(self, name: str, dtype, cols: int | None = None) -> np.ndarray:
+        """A (rows, `cols`) workspace array in the tile's layout, `cols`
+        defaulting to the tile's blocks."""
+        rows, m = self.caps.shape
+        return self.workspace.array(name, dtype, rows, m if cols is None else cols, chunk_order(m))
+
+    @property
+    def prefix(self) -> np.ndarray:
+        if self._prefix is None:
+            self._prefix = scan_blocks(np.add, self.caps, out=self.scratch("prefix", np.float64))
+        return self._prefix
+
+    @property
+    def running(self) -> np.ndarray:
+        if self._running is None:
+            running = self.scratch("running", np.float64)
+            np.multiply(self.caps, equal_share_weights(self.caps.shape[1]), out=running)
+            self._running = scan_blocks(np.add, running, out=running)
+        return self._running
+
+
+def as_tile(caps) -> Tile:
+    """`caps` itself if it is a `Tile`, else the whole matrix as one tile in
+    a new workspace."""
+    if isinstance(caps, Tile):
+        return caps
+    return Tile(np.asarray(caps, dtype=np.float64), Workspace())
+
+
+def tiles(caps):
+    """The row tiles of a capacity matrix, sharing one new workspace; a
+    `Tile` is its own only tile."""
+    if isinstance(caps, Tile):
+        yield caps
+        return
+    caps = np.asarray(caps, dtype=np.float64)
+    rows, blocks = caps.shape
+    workspace = Workspace()
+    for lo, hi in row_blocks(rows, blocks) or [(0, 0)]:
+        yield Tile(caps[lo:hi], workspace)
+
+
+def per_trial(kernel, caps, *args) -> tuple:
+    """`kernel(tile, *args)` over the tiles of `caps`, its per-trial arrays
+    joined in trial order."""
+    parts = [kernel(tile, *args) for tile in tiles(caps)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _sample_into(out: np.ndarray, params: ChannelParams, seed: int, start: int, workspace):
+    rows, blocks = out.shape
+    if params.fading is Fading.RAYLEIGH_UNIT_MEAN:
+        order = chunk_order(blocks)
+        scratch = tuple(
+            workspace.array(name, np.uint64, rows, blocks, order) for name in ("state", "shifted")
+        )
+        rng.exponential_matrix(seed, start, start + rows, blocks, order, out=out, scratch=scratch)
+    else:
+        out.fill(1.0)
+    return _capacities_in_place(out, params.power)
+
+
+def sample_capacity_matrix(
+    params: ChannelParams, seed: int, start: int, stop: int, workspace: Workspace | None = None
+) -> np.ndarray:
+    """Capacities for trials start..stop-1, in the memory order of `chunk_order`.
+
+    Without a workspace the matrix is new and filled one row tile at a time.
+    With one, the rows are one tile, written into the workspace's "caps"
+    buffer: the result is a view that the next tile overwrites.  Rows are
+    pure functions of their trial index, so either way they are exactly the
+    rows of one `sample_gain_matrix` call.
+    """
+    rows, blocks = stop - start, params.blocks
+    if workspace is not None:
+        caps = workspace.array("caps", np.float64, rows, blocks, chunk_order(blocks))
+        return _sample_into(caps, params, seed, start, workspace)
+    out = np.empty((rows, blocks), order=chunk_order(blocks))
+    workspace = Workspace()
+    for lo, hi in row_blocks(rows, blocks):
+        _sample_into(out[lo:hi], params, seed, start + lo, workspace)
     return out
 
 

@@ -21,7 +21,7 @@ from .channel import (
     mean_capacity_closed_form,
     sample_capacity_matrix,
 )
-from .engine import evaluate_ets, evaluate_pb, pb_count_sums
+from .engine import Accumulator, evaluate_ets, evaluate_pb, pb_count_sums, sample_point
 from .errors import ConfigError, NumericFailure
 from .experiments import (
     ExperimentConfig,
@@ -34,7 +34,7 @@ from .experiments import (
     run_experiment,
 )
 from .rng import SEED_BOUND
-from .schemes import parse_scheme_list
+from .schemes import Scheme, parse_scheme_list
 
 _DEFAULTS = ExperimentConfig(
     snr_db=-5.0,
@@ -181,10 +181,13 @@ def _default_sweep(variable: str):
 
 
 def _cmd_sweep(args) -> int:
-    values = parse_sweep_values(args.variable, args.values) if args.values else None
-    config = _config_from_args(
-        args, sweep_variable=args.variable, sweep_values=values or _default_sweep(args.variable)
-    )
+    # An empty `--values` is an error (ExperimentConfig names sweep.values),
+    # not a request for the default grid.
+    if args.values is None:
+        values = _default_sweep(args.variable)
+    else:
+        values = parse_sweep_values(args.variable, args.values)
+    config = _config_from_args(args, sweep_variable=args.variable, sweep_values=values)
     rows = run_experiment(config)
     _write_outputs(rows, config)
     return 0
@@ -259,14 +262,17 @@ def _cmd_verify(args) -> int:
         devs.append(abs(mean_capacity(params) - mean_capacity_closed_form(params)))
     report(f"mean-capacity closed form (worst dev {max(devs):.2e})", max(devs) < 1e-8)
 
-    # Per-realization scheme identities, and the PB depth table against
+    # Per-realization scheme identities; the PB depth table against
     # `evaluate_pb` at every depth for each of the table's kernels (M = 24
-    # counts, M = 100 searches).
+    # counts, M = 100 searches); and the tile pass of `sample_point` against
+    # the standalone evaluators on the same traces, on a block-major (M = 24)
+    # and a row-major (M = 100) chunk.
     params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=24)
     caps = sample_capacity_matrix(params, seed, 0, 4000)
     c_ets, d_ets = evaluate_ets(caps, 1.0)
     c_pb, d_pb = evaluate_pb(caps, 1.0, 9)
     ok = bool(np.all(d_ets == 24 - c_ets) and np.all(d_pb == 24 - c_pb))
+    fixed = dict(enumerate(parse_scheme_list("mt,ets,pb:9,wts:3,wts:10") + (Scheme("it"),)))
     for blocks, trials in ((24, 4000), (100, 1000)):
         params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=blocks)
         caps = sample_capacity_matrix(params, seed, 0, trials)
@@ -274,7 +280,13 @@ def _cmd_verify(args) -> int:
         for depth in range(1, blocks + 1):
             counts, _ = evaluate_pb(caps, 1.0, depth)
             ok = ok and table[:, depth - 1].tolist() == [counts.sum(), (counts**2).sum()]
-    report("equal-share and pre-buffering delay identities, PB depth table", ok)
+        point = sample_point(params, fixed, trials, seed, pb_table=True)
+        ok = ok and point.pb_counts.tolist() == table.tolist()
+        for key, scheme in fixed.items():
+            reference = Accumulator(scheme.window)
+            reference.add(*scheme.evaluate(caps, 1.0))
+            ok = ok and point.fixed[key] == reference
+    report("equal-share and pre-buffering delay identities, PB depth table, tile pass", ok)
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 1
 

@@ -1,19 +1,28 @@
 """Vectorized Monte Carlo evaluation of the transmission schemes.
 
-Evaluators operate on a (trials, blocks) capacity matrix and return integer
-per-trial statistics.  A sweep point is one pass over chunks of trials
-(`sample_point`, sized by `chunk_rows`): each chunk samples its capacity
-matrix once, and every consumer reads that one matrix -- the fixed-window
-schemes and the per-depth PB table (`pb_count_sums`).  An optimized PB depth
-is chosen from that table and its row is read off it (`pb_accumulator`):
-`evaluate_pb` decides a decode by the table's own comparisons, so the two
-agree bit for bit.  T-wTS and D-wTS choose their window before sampling,
-from exact objectives (`optimize_wts_window`), and are evaluated as a fixed
-`wts:B` row in the same pass.  Chunks are keyed by absolute trial index and
-reduce to exact integer sums, so results are bit-identical regardless of
-worker count and chunk size.  All schemes at one point share the same traces
-(common random numbers), which makes per-realization dominance comparisons
-exact.
+Evaluators take a (trials, blocks) capacity matrix, or one `channel.Tile`
+of a sampling pass, and return integer per-trial statistics; a matrix is
+taken in row tiles (`channel.row_blocks`) by the same per-tile kernels.  A
+sweep point is one pass over chunks of trials (`sample_point`, sized by
+`chunk_rows`).  A chunk is never held as a matrix: its task walks the
+chunk's row tiles once each, in a workspace borrowed for the task
+(`Workspaces`; one `channel.Workspace` per concurrent task, reused across
+tiles, chunks and the points of a run).  Each tile is sampled into the
+workspace, its prefix sums S and equal-share running totals W are built
+once, and every consumer reads them: the fixed-window schemes and the
+per-depth PB table (`pb_count_sums`).  Per-trial counts and delays go into
+per-chunk arrays, reduced once per chunk by `Accumulator`.  Memory per
+thread is the workspace, about 2 MB, whatever M is.
+
+An optimized PB depth is chosen from the depth table and its row is read off
+it (`pb_accumulator`): `evaluate_pb` decides a decode by the table's own
+comparisons, so the two agree bit for bit.  T-wTS and D-wTS choose their
+window before sampling, from exact objectives (`optimize_wts_window`), and
+are evaluated as a fixed `wts:B` row in the same pass.  Chunks are keyed by
+absolute trial index and reduce to exact integer sums, so results are
+bit-identical regardless of worker count, chunk size and tile size.  All
+schemes at one point share the same traces (common random numbers), which
+makes per-realization dominance comparisons exact.
 
 A chunk of rows of at most `channel.BLOCK_MAJOR_MAX_BLOCKS` capacities is
 block-major, and every evaluator then reduces across trials, one contiguous
@@ -26,6 +35,7 @@ with every depth.  Every evaluator gives the same bits on either layout.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,10 +43,14 @@ import numpy as np
 from .channel import (
     BLOCK_MAJOR_MAX_BLOCKS,
     ChannelParams,
+    Tile,
+    Workspace,
+    as_tile,
     block_major,
+    per_trial,
     row_blocks,
     sample_capacity_matrix,
-    scan_blocks,
+    tiles,
     window_decode_probs,
 )
 # The informed bound is the IT row's evaluator; the scheme table reaches it
@@ -46,49 +60,64 @@ from .metrics import max_zero_run_at, max_zero_run_rows
 from .runstats import wts_mean_delay
 
 CHUNK = 4096
-# Rows per chunk are capped so that one capacity matrix holds at most this
-# many elements (2 MB of float64) whatever M is; 4096 rows at M = 64.
+# Rows per chunk are capped so that a chunk, a thread's unit of work, spans
+# at most this many capacities whatever M is; 4096 rows at M = 64.  It is
+# walked in row tiles, never held as one matrix.
 CHUNK_ELEMENTS = 1 << 18
 
 
-def evaluate_mt(caps: np.ndarray, rate: float):
-    """Per-block transmission: message t decodes iff block t's capacity >= rate."""
-    v = caps >= rate
-    return v.sum(axis=1).astype(np.int64), max_zero_run_rows(v)
+def _mt(tile, rate):
+    m = tile.caps.shape[1]
+    v = np.greater_equal(tile.caps, rate, out=tile.scratch("hits", bool))
+    return v.sum(axis=1), max_zero_run_rows(v, tile.scratch("k", np.int32, m + 1))
 
 
-def _equal_share_weights(m: int) -> np.ndarray:
-    # Block t (0-indexed) is split among the m - t messages still alive.
-    return 1.0 / (m - np.arange(m))
+def evaluate_mt(caps, rate: float):
+    """Per-block transmission: message t decodes iff block t's capacity >= rate.
+
+    `caps` is a (trials, blocks) capacity matrix or a `channel.Tile`, as for
+    every evaluator here."""
+    return per_trial(_mt, caps, rate)
 
 
 def ets_mi_matrix(caps: np.ndarray) -> np.ndarray:
-    """Running equal-share MI; column m-1 is message m's total."""
-    mi = caps * _equal_share_weights(caps.shape[1])
-    return scan_blocks(np.add, mi, out=mi)  # in place: one (trials, M) array, not two
+    """Running equal-share MI W of a whole matrix; column m-1 is message m's
+    total."""
+    return as_tile(caps).running
 
 
-def evaluate_ets(caps: np.ndarray, rate: float):
-    counts = (ets_mi_matrix(caps) >= rate).sum(axis=1).astype(np.int64)
-    return counts, caps.shape[1] - counts  # totals never fall: decodes form a suffix
+def _ets(tile, rate):
+    counts = np.greater_equal(tile.running, rate, out=tile.scratch("hits", bool)).sum(axis=1)
+    return counts, tile.caps.shape[1] - counts  # totals never fall: decodes form a suffix
 
 
-def evaluate_pb(caps: np.ndarray, rate: float, window: int):
+def evaluate_ets(caps, rate: float):
+    """Equal-share time sharing: message m decodes iff its running total W
+    reaches the rate at its deadline."""
+    return per_trial(_ets, caps, rate)
+
+
+def _pb(tile, rate, window):
+    m = tile.caps.shape[1]
+    if not (1 <= window <= m):
+        raise ValueError(f"need 1 <= window <= blocks, got {window}")
+    first = m - window
+    running = tile.running
+    tau = rate - tile.prefix[:, first] / window
+    tau += running[:, first]
+    hits = tile.scratch("hits", bool, window)
+    counts = np.greater_equal(running[:, first:], tau[:, None], out=hits).sum(axis=1)
+    return counts, m - counts
+
+
+def evaluate_pb(caps, rate: float, window: int):
     """Pre-buffering: only the last `window` messages are sent.
 
     Decodes are the comparisons of `pb_count_sums` at depth B = `window`.
     Decoded messages always form a suffix, so the longest zero-run equals
     blocks - decoded_count on every realization.
     """
-    m = caps.shape[1]
-    if not (1 <= window <= m):
-        raise ValueError(f"need 1 <= window <= blocks, got {window}")
-    first = m - window
-    running = ets_mi_matrix(caps)
-    tau = rate - scan_blocks(np.add, caps[:, : first + 1])[:, first] / window
-    tau += running[:, first]
-    counts = (running[:, first:] >= tau[:, None]).sum(axis=1).astype(np.int64)
-    return counts, m - counts
+    return per_trial(_pb, caps, rate, window)
 
 
 # numpy sums 8 or more terms in 8 pairwise lanes, fewer left to right.
@@ -128,15 +157,10 @@ def wts_decode_bits(caps: np.ndarray, rate: float, window: int):
     return full, short
 
 
-def evaluate_wts(caps: np.ndarray, rate: float, window: int):
-    """Windowed time-sharing: (counts, delays), where `delays` is the literal
-    longest zero-run over all M message slots (untransmitted messages count
-    as failures); see `wts_window_delays` for the statistic that the wTS
-    delay bounds bound.
-    """
-    m = caps.shape[1]
-    full, short = wts_decode_bits(caps, rate, window)
-    counts = full.sum(axis=1).astype(np.int64)
+def _wts(tile, rate, window):
+    m = tile.caps.shape[1]
+    full, short = wts_decode_bits(tile.caps, rate, window)
+    counts = full.sum(axis=1)
     # Only messages kB, and M after a short last window, are ever sent.
     slots = np.arange(window - 1, full.shape[1] * window, window)
     bits = full
@@ -144,7 +168,16 @@ def evaluate_wts(caps: np.ndarray, rate: float, window: int):
         slots = np.append(slots, m - 1)
         bits = np.column_stack([full, short])  # in the layout of `full`
         counts = counts + short
-    return counts, max_zero_run_at(bits, slots, m)
+    return counts, max_zero_run_at(bits, slots, m, tile.scratch("k", np.int32, bits.shape[1] + 1))
+
+
+def evaluate_wts(caps, rate: float, window: int):
+    """Windowed time-sharing: (counts, delays), where `delays` is the literal
+    longest zero-run over all M message slots (untransmitted messages count
+    as failures); see `wts_window_delays` for the statistic that the wTS
+    delay bounds bound.
+    """
+    return per_trial(_wts, caps, rate, window)
 
 
 def wts_window_delays(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
@@ -159,50 +192,49 @@ def wts_window_delays(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
     return window * max_zero_run_rows(full)
 
 
-def _pb_tile_by_counting(block: np.ndarray, rate: float) -> np.ndarray:
+def _depth_thresholds(tile, rate: float) -> np.ndarray:
+    """tau_B = (rate - S_{M-B}/B) + W_{M-B} of every depth B, in column B-1."""
+    m = tile.caps.shape[1]
+    tau = np.divide(tile.prefix[:, ::-1], np.arange(1, m + 1), out=tile.scratch("tau", np.float64))
+    np.subtract(rate, tau, out=tau)
+    return np.add(tau, tile.running[:, ::-1], out=tau)
+
+
+def _pb_tile_by_counting(caps, rate: float) -> np.ndarray:
     """`pb_count_sums` of one row tile, by comparing every transmitted message
     with tau of every depth that transmits it: message j with depths
-    B >= M-j, one contiguous slice of the tau columns.  The tile's work
-    arrays are block-major, so each step is one vector operation across
-    trials, and W and S are the running sums of `channel.scan_blocks`.
+    B >= M-j, one contiguous slice of the tau columns.  On a block-major
+    tile each step is one vector operation across trials.
     """
-    m = block.shape[1]
-    running = np.multiply(block, _equal_share_weights(m), order="F")
-    scan_blocks(np.add, running, out=running)  # the equal-share totals W
-    prefix = np.array(block, order="F")
-    scan_blocks(np.add, prefix, out=prefix)  # the prefix sums S
-    # Column B-1 holds tau_B.
-    tau = np.divide(prefix[:, ::-1], np.arange(1, m + 1), order="F")
-    np.subtract(rate, tau, out=tau)
-    tau += running[:, ::-1]
-    counts = np.zeros(block.shape, dtype=np.min_scalar_type(m), order="F")
-    hits = np.empty(block.shape, dtype=bool, order="F")
+    tile = as_tile(caps)
+    m = tile.caps.shape[1]
+    running, tau = tile.running, _depth_thresholds(tile, rate)
+    counts = tile.scratch("counts", np.min_scalar_type(m))
+    counts.fill(0)
+    hits = tile.scratch("hits", bool)
     ones = hits.view(np.uint8)  # up to M = 255, adds hits to counts without a cast
     for j in range(m):
         depths = slice(m - 1 - j, m)
         np.greater_equal(running[:, j : j + 1], tau[:, depths], out=hits[:, depths])
         counts[:, depths] += ones[:, depths]
-    counts = counts.astype(np.int64)
-    return np.stack([counts.sum(axis=0), np.einsum("ij,ij->j", counts, counts)])
+    wide = tile.scratch("wide", np.int64)
+    np.copyto(wide, counts)
+    return np.stack([wide.sum(axis=0), np.einsum("ij,ij->j", wide, wide)])
 
 
-def _pb_tile_by_search(block: np.ndarray, rate: float) -> np.ndarray:
+def _pb_tile_by_search(caps, rate: float) -> np.ndarray:
     """`pb_count_sums` of one row tile, by one binary search per row.  W is a
     running sum of nonnegative terms, so it is nondecreasing along a row, and
     the count at depth B is min(B, M - L_B) with L_B = #{W_j < tau_B}, the
     left insertion point of tau_B in W."""
-    m = block.shape[1]
-    depths = np.arange(1, m + 1)
-    running = np.multiply(block, _equal_share_weights(m))
-    np.cumsum(running, axis=1, out=running)  # equal-share totals W
-    # Column B-1 holds tau_B.
-    tau = np.divide(np.cumsum(block, axis=1)[:, ::-1], depths)
-    np.subtract(rate, tau, out=tau)
-    np.add(tau, running[:, ::-1], out=tau)
-    below = np.empty(tau.shape, dtype=np.int64)
-    for w, t, row in zip(running, tau, below):
+    tile = as_tile(caps)
+    m = tile.caps.shape[1]
+    running, tau = tile.running, _depth_thresholds(tile, rate)
+    counts = tile.scratch("wide", np.int64)
+    for w, t, row in zip(running, tau, counts):
         row[:] = w.searchsorted(t)  # the method: `np.searchsorted` costs ~1.5 us more a row
-    counts = np.minimum(depths, m - below)
+    np.subtract(m, counts, out=counts)
+    np.minimum(np.arange(1, m + 1), counts, out=counts)
     return np.stack([counts.sum(axis=0), np.einsum("ij,ij->j", counts, counts)])
 
 
@@ -211,22 +243,19 @@ def pb_tile_kernel(blocks: int):
     return _pb_tile_by_counting if blocks <= BLOCK_MAJOR_MAX_BLOCKS else _pb_tile_by_search
 
 
-def pb_count_sums(caps: np.ndarray, rate: float) -> np.ndarray:
+def pb_count_sums(caps, rate: float) -> np.ndarray:
     """Sums over trials of the decoded count (row 0) and of its square (row 1)
     at every buffer depth 1..M (column B-1).
 
     At depth B only the last B messages are transmitted.  Message j (0-based,
     j >= M-B) then decodes iff its equal-share total W_j reaches
     tau_B = (rate - S_{M-B}/B) + W_{M-B}, where S is the capacity prefix sum
-    (the rule of `evaluate_pb`).  Rows are taken in tiles
-    (`channel.row_blocks`) by the kernel of `pb_tile_kernel`.
+    (the rule of `evaluate_pb`).  `caps` is a capacity matrix, taken in row
+    tiles (`channel.row_blocks`), or one `channel.Tile`; each tile goes to
+    the kernel of `pb_tile_kernel`.
     """
-    n, m = caps.shape
-    kernel = pb_tile_kernel(m)
-    sums = np.zeros((2, m), dtype=np.int64)
-    for lo, hi in row_blocks(n, m):
-        sums += kernel(caps[lo:hi], rate)
-    return sums
+    kernel = pb_tile_kernel(caps.shape[1])
+    return sum(kernel(tile, rate) for tile in tiles(caps))
 
 
 @dataclass
@@ -287,6 +316,27 @@ def chunk_ranges(trials: int, blocks: int):
     return [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
+class Workspaces:
+    """The workspaces of a run's chunk tasks: a task borrows one and gives it
+    back, so a run builds one per concurrent task, and its points reuse them."""
+
+    def __init__(self):
+        self._free: list[Workspace] = []
+
+    @contextmanager
+    def borrow(self):
+        # list.pop and list.append are atomic: a workspace is built only when
+        # every existing one is lent to another task.
+        try:
+            workspace = self._free.pop()
+        except IndexError:
+            workspace = Workspace()
+        try:
+            yield workspace
+        finally:
+            self._free.append(workspace)
+
+
 def _map_chunks(task, trials: int, blocks: int, threads: int):
     ranges = chunk_ranges(trials, blocks)
     workers = min(threads, len(ranges), os.cpu_count() or 1)
@@ -320,12 +370,16 @@ def sample_point(
     threads: int = 1,
     *,
     pb_table: bool = False,
+    workspaces: Workspaces | None = None,
 ) -> PointTables:
-    """One sampling pass: each chunk draws its capacity matrix once and feeds it
-    to every scheme in `fixed` (key -> `schemes.Scheme` whose window is fixed
-    or absent from its row) and to `pb_count_sums` when `pb_table`.
+    """One sampling pass, one walk over each chunk's row tiles: every tile is
+    sampled into a borrowed workspace, and its scans (`channel.Tile`) feed
+    every scheme in `fixed` (key -> `schemes.Scheme` whose window is fixed or
+    absent from its row) and `pb_count_sums` when `pb_table`.  Per-trial
+    counts and delays are gathered per chunk and reduced there.
     """
     m, rate = params.blocks, params.rate
+    workspaces = Workspaces() if workspaces is None else workspaces
 
     def empty():
         return PointTables(
@@ -334,12 +388,19 @@ def sample_point(
         )
 
     def task(lo, hi):
-        caps = sample_capacity_matrix(params, seed, lo, hi)
         part = empty()
-        for key, scheme in fixed.items():
-            part.fixed[key].add(*scheme.evaluate(caps, rate))
-        if pb_table:
-            part.pb_counts += pb_count_sums(caps, rate)
+        stats = {key: (np.empty(hi - lo, np.int64), np.empty(hi - lo, np.int64)) for key in fixed}
+        with workspaces.borrow() as workspace:
+            for a, b in row_blocks(hi - lo, m):
+                caps = sample_capacity_matrix(params, seed, lo + a, lo + b, workspace)
+                tile = Tile(caps, workspace)
+                for key, scheme in fixed.items():
+                    counts, delays = stats[key]
+                    counts[a:b], delays[a:b] = scheme.evaluate(tile, rate)
+                if pb_table:
+                    part.pb_counts += pb_count_sums(tile, rate)
+        for key, (counts, delays) in stats.items():
+            part.fixed[key].add(counts, delays)
         return part
 
     total = empty()
@@ -408,6 +469,7 @@ def evaluate_point(
     trials: int,
     seed: int,
     threads: int = 1,
+    workspaces: Workspaces | None = None,
 ) -> dict:
     """Run all requested schemes on shared traces.
 
@@ -418,7 +480,8 @@ def evaluate_point(
     Returns key -> Accumulator, whose `window` is the B the statistics were
     taken at.  Chunks are keyed by absolute trial index and reduce to exact
     integer sums, so the result is independent of `threads` and of the chunk
-    size.
+    size.  The points of a run pass it one `Workspaces`, so that they reuse
+    the same scratch memory.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -431,7 +494,9 @@ def evaluate_point(
             fixed[key] = replace(scheme, name="wts", window=window)
         else:
             chosen_pb[key] = scheme
-    point = sample_point(params, fixed, trials, seed, threads, pb_table=bool(chosen_pb))
+    point = sample_point(
+        params, fixed, trials, seed, threads, pb_table=bool(chosen_pb), workspaces=workspaces
+    )
     out = point.fixed
     if chosen_pb:
         window, _ = optimize_pb_window(point.pb_counts[0], trials)

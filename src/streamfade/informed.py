@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .channel import row_blocks, scan_blocks, trace_capacities
+from .channel import per_trial, scan_blocks, trace_capacities
 
 
 @dataclass(frozen=True)
@@ -171,30 +171,35 @@ def informed_counts_and_delays(capacity_matrix: np.ndarray, rate: float):
     applies would add nothing, and without the cap they would not stop at a
     tiny R, where K is astronomically large.
 
-    Rows are taken in tiles (`channel.row_blocks`), and both running scans
-    follow the tile's layout (`channel.scan_blocks`).
+    `capacity_matrix` is taken in row tiles (`channel.row_blocks`), or is
+    one `channel.Tile`.  The running total I is the tile's prefix sum S, and
+    the running minimum follows the tile's layout (`channel.scan_blocks`).
     """
-    caps = np.asarray(capacity_matrix, dtype=np.float64)
-    n, m = caps.shape
+    return per_trial(_informed_tile, capacity_matrix, rate)
+
+
+def _informed_tile(tile, rate: float):
+    i_tot = tile.prefix
+    m = i_tot.shape[1]
     # K - t lies in [-M, M]: int32 halves the traffic of every integer pass.
     t = np.arange(1, m + 1, dtype=np.int32 if m < 1 << 30 else np.int64)
-    counts = np.empty(n, dtype=np.int64)
-    delays = np.empty(n, dtype=np.int64)
-    for lo, hi in row_blocks(n, m):
-        i_tot = scan_blocks(np.add, caps[lo:hi])
-        with np.errstate(over="ignore"):  # an infinite I/R or k R compares right
-            quotient = np.divide(i_tot, rate)
-            np.minimum(quotient, m, out=quotient)
-            k = quotient.astype(t.dtype)  # floor: the quotient is nonnegative
-            k -= k * rate > i_tot
-            k += (k + 1) * rate <= i_tot
-        k -= t
-        scan_blocks(np.minimum, k, out=k)
-        np.minimum(k, 0, out=k)
-        k += t  # psi
-        counts[lo:hi] = k[:, -1]
-        k += 1
-        # floor(max_t t/(psi+1)): floor is monotone, and a quotient of
-        # integers below 2^52 never rounds up to the next integer.
-        delays[lo:hi] = np.divide(t, k).max(axis=1)
-    return counts, delays
+    k = tile.scratch("k", t.dtype)
+    hits = tile.scratch("hits", bool)
+    product = tile.scratch("tau", np.float64)
+    with np.errstate(over="ignore"):  # an infinite I/R or k R compares right
+        quotient = np.divide(i_tot, rate, out=product)
+        np.minimum(quotient, m, out=quotient)
+        np.copyto(k, quotient, casting="unsafe")  # floor: the quotient is nonnegative
+        np.subtract(k, np.greater(np.multiply(k, rate, out=product), i_tot, out=hits), out=k)
+        # fl(k + 1) is exact, so this is the scan's own product fl((k + 1) R).
+        np.multiply(np.add(k, 1.0, out=product), rate, out=product)
+        np.add(k, np.less_equal(product, i_tot, out=hits), out=k)
+    k -= t
+    scan_blocks(np.minimum, k, out=k)
+    np.minimum(k, 0, out=k)
+    k += t  # psi
+    counts = k[:, -1].astype(np.int64)
+    k += 1
+    # floor(max_t t/(psi+1)): floor is monotone, and a quotient of
+    # integers below 2^52 never rounds up to the next integer.
+    return counts, np.divide(t, k, out=product).max(axis=1).astype(np.int64)

@@ -25,19 +25,22 @@ def max_zero_run(v) -> int:
     return best
 
 
-def max_zero_run_at(bits, slots, length: int) -> np.ndarray:
+def max_zero_run_at(bits, slots, length: int, last: np.ndarray | None = None) -> np.ndarray:
     """Row-wise longest zero-run of length-`length` bit vectors that are zero
     everywhere except at the increasing positions `slots`, where row i holds
     `bits[i]` (shape (trials, len(slots))).
 
     A run ends on the slot before a listed position or on the last slot; its
     length is that end minus the last one before it, which a running maximum
-    over the columns gives (`channel.scan_blocks`, in the layout of `bits`).
+    over the columns gives (`channel.scan_blocks`, in the layout of `bits`
+    unless `last`, an int32 (trials, len(slots) + 1) array, is given to hold it).
     """
     bits = np.asarray(bits, dtype=bool)
     n, k = bits.shape
     # last[:, j] = 1 + position of the last one in columns < j, or 0 if none
-    last = np.zeros_like(bits, dtype=np.int32, shape=(n, k + 1))  # in the layout of `bits`
+    if last is None:
+        last = np.empty_like(bits, dtype=np.int32, shape=(n, k + 1))  # in the layout of `bits`
+    last[:, 0] = 0
     np.multiply(bits, np.asarray(slots, dtype=np.int32) + 1, out=last[:, 1:])
     scan_blocks(np.maximum, last, out=last)
     # one past the last slot of each candidate run
@@ -46,8 +49,9 @@ def max_zero_run_at(bits, slots, length: int) -> np.ndarray:
     return last.max(axis=1).astype(np.int64)
 
 
-def max_zero_run_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise longest zero-run for a (trials, M) boolean matrix."""
+def max_zero_run_rows(v: np.ndarray, last: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise longest zero-run for a (trials, M) boolean matrix; `last` as
+    for `max_zero_run_at`."""
     arr = np.asarray(v, dtype=bool)
     m = arr.shape[1]
-    return max_zero_run_at(arr, np.arange(m), m)
+    return max_zero_run_at(arr, np.arange(m), m, last)

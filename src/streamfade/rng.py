@@ -17,13 +17,14 @@ _SEED_SALT = np.uint64(0xD1B54A32D192ED03)
 _INV_2_53 = float(2.0**-53)
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer; overwrites `z` when it is an array."""
-    z ^= z >> np.uint64(30)
+def _finalize(z: np.ndarray, shifted: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer; overwrites `z` when it is an array, and takes
+    its shifted copies in `shifted`, an array of z's shape, when given."""
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
@@ -40,35 +41,57 @@ def stream_base(seed: int, streams: np.ndarray) -> np.ndarray:
         return _finalize(s ^ (streams.astype(np.uint64) * _GOLDEN + _MIX2))
 
 
-def uniform_matrix(seed: int, start: int, stop: int, count: int, order: str = "C") -> np.ndarray:
+def uniform_matrix(
+    seed: int,
+    start: int,
+    stop: int,
+    count: int,
+    order: str = "C",
+    *,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Uniforms in [0, 1) for streams start..stop-1, `count` values each.
 
     Returns an array of shape (stop - start, count) in memory order `order`
     ("C" or "F"); row i is the substream for stream index start + i, with
-    the same values in either order.
+    the same values in either order.  The values are written into `out`, a
+    float64 array of that shape and order, when it is given.  When `scratch`,
+    two uint64 arrays of that shape and order, is given, it holds the states
+    and their shifts, and no other temporary as large as the matrix is made.
     """
     if stop < start or start < 0:
         raise ValueError("stream range must be nonnegative and ordered")
+    shape = (stop - start, count)
+    z, shifted = scratch if scratch is not None else (np.empty(shape, np.uint64, order=order), None)
     with np.errstate(over="ignore"):
         base = stream_base(seed, np.arange(start, stop, dtype=np.uint64))
         steps = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
         if order == "F":
-            z = np.add.outer(steps, base).T
+            np.add.outer(steps, base, out=z.T)
         else:
-            z = np.add.outer(base, steps)
-        _finalize(z)
+            np.add.outer(base, steps, out=z)
+        _finalize(z, shifted)
     np.right_shift(z, np.uint64(11), out=z)
-    u = z.astype(np.float64)
-    u *= _INV_2_53
-    return u
+    # Top 53 bits: the float64 cast is exact, and so is the scaling.  They
+    # fit an int64, whose cast is a vector instruction; uint64's is not.
+    u = np.empty(shape, order=order) if out is None else out
+    return np.multiply(z.view(np.int64), _INV_2_53, out=u)
 
 
 def exponential_matrix(
-    seed: int, start: int, stop: int, count: int, order: str = "C"
+    seed: int,
+    start: int,
+    stop: int,
+    count: int,
+    order: str = "C",
+    *,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Unit-mean exponentials via the inverse CDF, -ln(1 - u), in the memory
-    order `order` of `uniform_matrix`."""
-    u = uniform_matrix(seed, start, stop, count, order)
+    order `order` of `uniform_matrix`, into `out` with `scratch` as there."""
+    u = uniform_matrix(seed, start, stop, count, order, out=out, scratch=scratch)
     np.negative(u, out=u)
     np.log1p(u, out=u)
     return np.negative(u, out=u)

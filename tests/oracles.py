@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from streamfade.channel import _capacity_masses
-from streamfade.engine import _equal_share_weights, wts_decode_bits
+from streamfade.channel import equal_share_weights
+from streamfade.engine import wts_decode_bits
 
 
 def max_zero_run_rows_loop(v) -> np.ndarray:
@@ -45,7 +46,7 @@ def pb_count_sums_loop(caps: np.ndarray, rate: float) -> np.ndarray:
     """Sums of decoded counts (row 0) and of their squares (row 1) for every
     buffer depth, by a suffix compare per depth."""
     n, m = caps.shape
-    weights = _equal_share_weights(m)
+    weights = equal_share_weights(m)
     running = np.cumsum(caps * weights, axis=1)
     prefix_sums = np.cumsum(caps, axis=1)
     sums = np.zeros((2, m), dtype=np.int64)
@@ -67,7 +68,7 @@ def pb_mi_matrix(caps: np.ndarray, window: int) -> np.ndarray:
     prefix = caps[:, : m - window + 1].sum(axis=1) / window
     if window == 1:
         return prefix[:, None]
-    tail = np.cumsum(caps[:, m - window + 1 :] * _equal_share_weights(m)[m - window + 1 :], axis=1)
+    tail = np.cumsum(caps[:, m - window + 1 :] * equal_share_weights(m)[m - window + 1 :], axis=1)
     return np.concatenate([prefix[:, None], prefix[:, None] + tail], axis=1)
 
 

@@ -188,6 +188,9 @@ class TestBadInputExits2:
             (["analyze", "--windows", "2,2"], "analyze.windows"),
             (["analyze", "--windows", "3,2,3"], "analyze.windows"),
             (["analyze", "--window", "-1"], "analyze.windows"),
+            (["sweep", "--variable", "messages", "--values", ","], "sweep.values"),
+            (["sweep", "--variable", "messages", "--values", ""], "sweep.values"),
+            (["sweep", "--variable", "snr_db", "--values", " , "], "sweep.values"),
         ],
     )
     def test_names_the_field(self, argv, field, capsys):

@@ -201,6 +201,20 @@ class TestMemoryBound:
             tracemalloc.stop()
         assert peak < 3 * 8 * CHUNK_ELEMENTS
 
+    def test_no_chunk_matrix_at_long_file_scale(self):
+        # The pass holds a workspace of row tiles (~2 MB), not a 2 MB chunk
+        # matrix next to it: 2.4 MB traced, where a pass over chunk
+        # matrices took 4.5 MB.
+        p = params(blocks=2000)
+        schemes = {"ets": Scheme("ets"), "pb": Scheme("pb"), "it": Scheme("it")}
+        tracemalloc.start()
+        try:
+            evaluate_point(p, schemes, 1024, 12345)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * CHUNK_ELEMENTS
+
 
 class TestOnePass:
     """Each chunk is sampled once per point, an optimized PB depth included."""
@@ -260,6 +274,74 @@ class TestOnePass:
             8,
         )
         assert snapshot(best) == snapshot(fixed)
+
+
+# Shared by every example below, so that one set of workspaces serves points
+# of every M and tile size, as the points of one run share them.
+TILE_PASS_WORKSPACES = engine.Workspaces()
+
+
+class TestTilePass:
+    """`sample_point` walks each chunk's row tiles once; its sums equal those
+    of the standalone evaluators on the sampled matrix, bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_standalone_evaluators(self, data):
+        m = data.draw(st.integers(1, 80) | st.integers(1995, 2005))
+        trials = data.draw(st.integers(1, 60))
+        chunk = data.draw(st.integers(1, 24))  # rows per chunk
+        # Tiles that split a chunk, hold one row, or are shorter than a row.
+        tile = data.draw(
+            st.integers(1, chunk).map(lambda rows: rows * m)
+            | st.just(m)
+            | st.integers(1, max(1, m - 1))
+        )
+        threads = data.draw(st.sampled_from([1, 2]))
+        window = data.draw(st.integers(1, m))
+        p = params(snr=data.draw(st.sampled_from([-5.0, 5.0])), rate=1.0, blocks=m)
+        names = f"mt,ets,pb:{window},wts:{window}"
+        fixed = dict(enumerate(parse_scheme_list(names) + (Scheme("it"),)))
+        with mock.patch.object(engine, "CHUNK_ELEMENTS", chunk * m), mock.patch.object(
+            channel, "ROW_BLOCK_ELEMENTS", tile
+        ):
+            point = sample_point(
+                p, fixed, trials, 3, threads, pb_table=True, workspaces=TILE_PASS_WORKSPACES
+            )
+        caps = sample_capacity_matrix(p, 3, 0, trials)
+        for layout in (np.ascontiguousarray(caps), np.asfortranarray(caps)):
+            assert point.pb_counts.tolist() == pb_count_sums(layout, p.rate).tolist()
+            for key, scheme in fixed.items():
+                reference = Accumulator(scheme.window)
+                reference.add(*scheme.evaluate(layout, p.rate))
+                assert point.fixed[key] == reference, names
+
+    @pytest.mark.parametrize("threads, most", [(1, 1), (2, 2)])
+    def test_one_workspace_per_worker_per_run(self, monkeypatch, threads, most):
+        built = []
+
+        class Counted(channel.Workspace):
+            def __init__(self):
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(channel, "Workspace", Counted)
+        monkeypatch.setattr(engine, "Workspace", Counted)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        config = ExperimentConfig(
+            snr_db=-5.0,
+            rate=1.0,
+            messages=8,
+            schemes=parse_scheme_list("mt,ets,pb,wts:3,twts,dwts"),
+            include_it_bound=True,
+            trials=3 * CHUNK,
+            seed=4,
+            sweep_variable="messages",
+            sweep_values=(8, 16, 64, 65, 300),
+            threads=threads,
+        )
+        run_experiment(config)
+        assert 1 <= len(built) <= most
 
 
 class TestAccumulator:
@@ -406,8 +488,8 @@ class TestWtsWindowChoice:
         assert optimize_wts_window(params(blocks=30), False)[0] == 6
 
     def test_one_scan_per_chunk_per_row(self, monkeypatch):
-        # One wTS scan per chunk per T-/D-wTS row at its chosen window, not
-        # one per window B = 1..M.
+        # One wTS scan per sampled row tile per T-/D-wTS row at its chosen
+        # window, not one per window B = 1..M.
         windows = []
         real = engine.evaluate_wts
 
@@ -418,7 +500,11 @@ class TestWtsWindowChoice:
         monkeypatch.setattr(engine, "evaluate_wts", counted)
         p = params(blocks=24)
         out = evaluate_point(p, {"t": Scheme("twts"), "d": Scheme("dwts")}, 2 * CHUNK + 1, 5)
-        assert sorted(windows) == [out["t"].window] * 3 + [out["d"].window] * 3
+        # Chunks of 4096, 4096 and 1 trials; 4 tiles of 1024 rows in a full chunk.
+        ranges = chunk_ranges(2 * CHUNK + 1, 24)
+        tiles = sum(len(channel.row_blocks(hi - lo, 24)) for lo, hi in ranges)
+        assert tiles == 9
+        assert sorted(windows) == [out["t"].window] * tiles + [out["d"].window] * tiles
         assert (out["t"].window, out["d"].window) == (4, 6)
 
     @pytest.mark.parametrize(
