@@ -203,13 +203,14 @@ def row_blocks(rows: int, blocks: int) -> list[tuple[int, int]]:
 
 class Workspace:
     """Scratch arrays for the row tiles of one thread, reused from tile to
-    tile: one flat buffer per name, of ROW_BLOCK_ELEMENTS elements (more when
-    a single row is longer), viewed as a (rows, blocks) array on each use.
+    tile: one flat buffer per name, of ROW_BLOCK_ELEMENTS elements, viewed
+    as a (rows, blocks) array on each use.
 
-    A view stays valid until the next request for its name.  The sampler
-    writes a tile's capacities ("caps") and its RNG states ("state",
-    "shifted") here, and a `Tile` keeps its scans and its consumers'
-    temporaries here.
+    A view stays valid until the next request for its name.  An array of
+    more elements (a tile of one row longer than ROW_BLOCK_ELEMENTS) is new
+    on each request and not kept, so a workspace holds its ~2 MB whatever
+    the rows it has served.  The sampler writes a tile's capacities and RNG
+    states here, and a `Tile` keeps its scans and temporaries here.
     """
 
     def __init__(self):
@@ -218,9 +219,11 @@ class Workspace:
     def array(self, name: str, dtype, rows: int, cols: int, order: str) -> np.ndarray:
         """A (rows, cols) view of the buffer `name`, in memory order `order`."""
         size = rows * cols
+        if size > ROW_BLOCK_ELEMENTS:
+            return np.empty((rows, cols), dtype, order=order)
         buffer = self._buffers.get(name)
         if buffer is None or buffer.dtype != dtype or buffer.size < size:
-            buffer = np.empty(max(size, ROW_BLOCK_ELEMENTS), dtype)
+            buffer = np.empty(ROW_BLOCK_ELEMENTS, dtype)
             self._buffers[name] = buffer
         return buffer[:size].reshape((rows, cols), order=order)
 
@@ -231,11 +234,15 @@ def equal_share_weights(blocks: int) -> np.ndarray:
 
 
 class Tile:
-    """A row tile of capacities and the running sums its consumers share.
+    """A row tile of capacities and the arrays its consumers share, all in
+    the tile's workspace and in the tile's layout.
 
-    The prefix sums S and the equal-share running totals W (eTS's running
-    mutual information, `equal_share_weights`) are each built once, on first
-    use, into the tile's workspace by `scan_blocks`.
+    Kept for the tile's life: `caps`, and the scans `prefix` (the prefix
+    sums S) and `running` (the equal-share running totals W, eTS's running
+    mutual information; `equal_share_weights`), each built once, on first
+    use, by `scan_blocks`.  Everything else is a `temporary`: the tile has
+    one per dtype, and the next request for that dtype overwrites it, so a
+    consumer holds at most one of each dtype and none past its return.
     """
 
     def __init__(self, caps: np.ndarray, workspace: Workspace):
@@ -247,22 +254,25 @@ class Tile:
     def shape(self) -> tuple[int, int]:
         return self.caps.shape
 
-    def scratch(self, name: str, dtype, cols: int | None = None) -> np.ndarray:
-        """A (rows, `cols`) workspace array in the tile's layout, `cols`
-        defaulting to the tile's blocks."""
+    def _array(self, name: str, dtype, cols: int | None = None) -> np.ndarray:
         rows, m = self.caps.shape
         return self.workspace.array(name, dtype, rows, m if cols is None else cols, chunk_order(m))
+
+    def temporary(self, dtype, cols: int | None = None) -> np.ndarray:
+        """The tile's (rows, `cols`) temporary of `dtype`, `cols` defaulting
+        to the tile's blocks."""
+        return self._array(f"temporary {np.dtype(dtype).str}", dtype, cols)
 
     @property
     def prefix(self) -> np.ndarray:
         if self._prefix is None:
-            self._prefix = scan_blocks(np.add, self.caps, out=self.scratch("prefix", np.float64))
+            self._prefix = scan_blocks(np.add, self.caps, out=self._array("prefix", np.float64))
         return self._prefix
 
     @property
     def running(self) -> np.ndarray:
         if self._running is None:
-            running = self.scratch("running", np.float64)
+            running = self._array("running", np.float64)
             np.multiply(self.caps, equal_share_weights(self.caps.shape[1]), out=running)
             self._running = scan_blocks(np.add, running, out=running)
         return self._running

@@ -5,14 +5,16 @@ of a sampling pass, and return integer per-trial statistics; a matrix is
 taken in row tiles (`channel.row_blocks`) by the same per-tile kernels.  A
 sweep point is one pass over chunks of trials (`sample_point`, sized by
 `chunk_rows`).  A chunk is never held as a matrix: its task walks the
-chunk's row tiles once each, in a workspace borrowed for the task
-(`Workspaces`; one `channel.Workspace` per concurrent task, reused across
-tiles, chunks and the points of a run).  Each tile is sampled into the
-workspace, its prefix sums S and equal-share running totals W are built
+chunk's row tiles once each, in a workspace borrowed for the task from the
+process's pool (`WORKSPACES`: one `channel.Workspace` per concurrent task,
+reused across tiles, chunks, points and runs).  Each tile is sampled into
+the workspace, its prefix sums S and equal-share running totals W are built
 once, and every consumer reads them: the fixed-window schemes and the
 per-depth PB table (`pb_count_sums`).  Per-trial counts and delays go into
 per-chunk arrays, reduced once per chunk by `Accumulator`.  Memory per
-thread is the workspace, about 2 MB, whatever M is.
+thread is the workspace, about 2 MB, up to M = 2^15
+(`channel.ROW_BLOCK_ELEMENTS`); a tile of one longer row takes up to about
+61 M bytes of new arrays while it is evaluated, and they are not kept.
 
 An optimized PB depth is chosen from the depth table and its row is read off
 it (`pb_accumulator`): `evaluate_pb` decides a decode by the table's own
@@ -68,8 +70,8 @@ CHUNK_ELEMENTS = 1 << 18
 
 def _mt(tile, rate):
     m = tile.caps.shape[1]
-    v = np.greater_equal(tile.caps, rate, out=tile.scratch("hits", bool))
-    return v.sum(axis=1), max_zero_run_rows(v, tile.scratch("k", np.int32, m + 1))
+    v = np.greater_equal(tile.caps, rate, out=tile.temporary(bool))
+    return v.sum(axis=1), max_zero_run_rows(v, tile.temporary(np.int32, m + 1))
 
 
 def evaluate_mt(caps, rate: float):
@@ -87,7 +89,7 @@ def ets_mi_matrix(caps: np.ndarray) -> np.ndarray:
 
 
 def _ets(tile, rate):
-    counts = np.greater_equal(tile.running, rate, out=tile.scratch("hits", bool)).sum(axis=1)
+    counts = np.greater_equal(tile.running, rate, out=tile.temporary(bool)).sum(axis=1)
     return counts, tile.caps.shape[1] - counts  # totals never fall: decodes form a suffix
 
 
@@ -105,7 +107,7 @@ def _pb(tile, rate, window):
     running = tile.running
     tau = rate - tile.prefix[:, first] / window
     tau += running[:, first]
-    hits = tile.scratch("hits", bool, window)
+    hits = tile.temporary(bool, window)
     counts = np.greater_equal(running[:, first:], tau[:, None], out=hits).sum(axis=1)
     return counts, m - counts
 
@@ -168,7 +170,7 @@ def _wts(tile, rate, window):
         slots = np.append(slots, m - 1)
         bits = np.column_stack([full, short])  # in the layout of `full`
         counts = counts + short
-    return counts, max_zero_run_at(bits, slots, m, tile.scratch("k", np.int32, bits.shape[1] + 1))
+    return counts, max_zero_run_at(bits, slots, m, tile.temporary(np.int32, bits.shape[1] + 1))
 
 
 def evaluate_wts(caps, rate: float, window: int):
@@ -192,11 +194,17 @@ def wts_window_delays(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
     return window * max_zero_run_rows(full)
 
 
+def _depth_margins(tile, rate: float) -> np.ndarray:
+    """rate - S_{M-B}/B of every depth B, in column B-1.  S_{M-B} falls and B
+    grows with B, and rounding keeps that order: the margins never fall."""
+    m = tile.caps.shape[1]
+    margins = np.divide(tile.prefix[:, ::-1], np.arange(1, m + 1), out=tile.temporary(np.float64))
+    return np.subtract(rate, margins, out=margins)
+
+
 def _depth_thresholds(tile, rate: float) -> np.ndarray:
     """tau_B = (rate - S_{M-B}/B) + W_{M-B} of every depth B, in column B-1."""
-    m = tile.caps.shape[1]
-    tau = np.divide(tile.prefix[:, ::-1], np.arange(1, m + 1), out=tile.scratch("tau", np.float64))
-    np.subtract(rate, tau, out=tau)
+    tau = _depth_margins(tile, rate)
     return np.add(tau, tile.running[:, ::-1], out=tau)
 
 
@@ -209,15 +217,15 @@ def _pb_tile_by_counting(caps, rate: float) -> np.ndarray:
     tile = as_tile(caps)
     m = tile.caps.shape[1]
     running, tau = tile.running, _depth_thresholds(tile, rate)
-    counts = tile.scratch("counts", np.min_scalar_type(m))
+    counts = tile.temporary(np.min_scalar_type(m))
     counts.fill(0)
-    hits = tile.scratch("hits", bool)
+    hits = tile.temporary(bool)
     ones = hits.view(np.uint8)  # up to M = 255, adds hits to counts without a cast
     for j in range(m):
         depths = slice(m - 1 - j, m)
         np.greater_equal(running[:, j : j + 1], tau[:, depths], out=hits[:, depths])
         counts[:, depths] += ones[:, depths]
-    wide = tile.scratch("wide", np.int64)
+    wide = tile.temporary(np.int64)
     np.copyto(wide, counts)
     return np.stack([wide.sum(axis=0), np.einsum("ij,ij->j", wide, wide)])
 
@@ -226,13 +234,21 @@ def _pb_tile_by_search(caps, rate: float) -> np.ndarray:
     """`pb_count_sums` of one row tile, by one binary search per row.  W is a
     running sum of nonnegative terms, so it is nondecreasing along a row, and
     the count at depth B is min(B, M - L_B) with L_B = #{W_j < tau_B}, the
-    left insertion point of tau_B in W."""
+    left insertion point of tau_B in W.
+
+    A depth whose margin (`_depth_margins`) is at most 0 has
+    tau_B <= W_{M-B}, so L_B <= M - B and its count is B without a search.
+    Margins never fall, so these depths are the first `full` of a row.
+    """
     tile = as_tile(caps)
     m = tile.caps.shape[1]
-    running, tau = tile.running, _depth_thresholds(tile, rate)
-    counts = tile.scratch("wide", np.int64)
-    for w, t, row in zip(running, tau, counts):
-        row[:] = w.searchsorted(t)  # the method: `np.searchsorted` costs ~1.5 us more a row
+    running, tau = tile.running, _depth_margins(tile, rate)
+    full = np.less_equal(tau, 0.0, out=tile.temporary(bool)).sum(axis=1).tolist()
+    np.add(tau, running[:, ::-1], out=tau)
+    counts = tile.temporary(np.int64)
+    for w, t, row, lo in zip(running, tau, counts, full):
+        row[:lo] = 0  # then min(B, M - 0) = B
+        row[lo:] = w.searchsorted(t[lo:])  # the method: `np.searchsorted` costs ~1.5 us more a row
     np.subtract(m, counts, out=counts)
     np.minimum(np.arange(1, m + 1), counts, out=counts)
     return np.stack([counts.sum(axis=0), np.einsum("ij,ij->j", counts, counts)])
@@ -317,8 +333,9 @@ def chunk_ranges(trials: int, blocks: int):
 
 
 class Workspaces:
-    """The workspaces of a run's chunk tasks: a task borrows one and gives it
-    back, so a run builds one per concurrent task, and its points reuse them."""
+    """A pool of workspaces for chunk tasks: a task borrows one and gives it
+    back, so the pool builds one per concurrent task, and later tasks,
+    points and runs reuse them."""
 
     def __init__(self):
         self._free: list[Workspace] = []
@@ -335,6 +352,10 @@ class Workspaces:
             yield workspace
         finally:
             self._free.append(workspace)
+
+
+# Every chunk task of the process borrows from this pool.
+WORKSPACES = Workspaces()
 
 
 def _map_chunks(task, trials: int, blocks: int, threads: int):
@@ -370,16 +391,14 @@ def sample_point(
     threads: int = 1,
     *,
     pb_table: bool = False,
-    workspaces: Workspaces | None = None,
 ) -> PointTables:
     """One sampling pass, one walk over each chunk's row tiles: every tile is
-    sampled into a borrowed workspace, and its scans (`channel.Tile`) feed
+    sampled into a workspace borrowed from `WORKSPACES`, and its scans (`channel.Tile`) feed
     every scheme in `fixed` (key -> `schemes.Scheme` whose window is fixed or
     absent from its row) and `pb_count_sums` when `pb_table`.  Per-trial
     counts and delays are gathered per chunk and reduced there.
     """
     m, rate = params.blocks, params.rate
-    workspaces = Workspaces() if workspaces is None else workspaces
 
     def empty():
         return PointTables(
@@ -390,7 +409,7 @@ def sample_point(
     def task(lo, hi):
         part = empty()
         stats = {key: (np.empty(hi - lo, np.int64), np.empty(hi - lo, np.int64)) for key in fixed}
-        with workspaces.borrow() as workspace:
+        with WORKSPACES.borrow() as workspace:
             for a, b in row_blocks(hi - lo, m):
                 caps = sample_capacity_matrix(params, seed, lo + a, lo + b, workspace)
                 tile = Tile(caps, workspace)
@@ -469,7 +488,6 @@ def evaluate_point(
     trials: int,
     seed: int,
     threads: int = 1,
-    workspaces: Workspaces | None = None,
 ) -> dict:
     """Run all requested schemes on shared traces.
 
@@ -480,8 +498,7 @@ def evaluate_point(
     Returns key -> Accumulator, whose `window` is the B the statistics were
     taken at.  Chunks are keyed by absolute trial index and reduce to exact
     integer sums, so the result is independent of `threads` and of the chunk
-    size.  The points of a run pass it one `Workspaces`, so that they reuse
-    the same scratch memory.
+    size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -494,9 +511,7 @@ def evaluate_point(
             fixed[key] = replace(scheme, name="wts", window=window)
         else:
             chosen_pb[key] = scheme
-    point = sample_point(
-        params, fixed, trials, seed, threads, pb_table=bool(chosen_pb), workspaces=workspaces
-    )
+    point = sample_point(params, fixed, trials, seed, threads, pb_table=bool(chosen_pb))
     out = point.fixed
     if chosen_pb:
         window, _ = optimize_pb_window(point.pb_counts[0], trials)

@@ -269,12 +269,11 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every (sweep point, scheme) cell; deterministic in the seed."""
     schemes = config.schemes + ((Scheme("it"),) if config.include_it_bound else ())
     rows: list[ResultRow] = []
-    workspaces = engine.Workspaces()
     for sweep_name, sweep_value, params in config.sweep_points():
         for scheme in schemes:
             scheme.check_window(params.blocks)
         accums = engine.evaluate_point(
-            params, dict(enumerate(schemes)), config.trials, config.seed, config.threads, workspaces
+            params, dict(enumerate(schemes)), config.trials, config.seed, config.threads
         )
         scale = params.rate / params.blocks
         for idx, acc in accums.items():

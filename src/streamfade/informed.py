@@ -183,9 +183,9 @@ def _informed_tile(tile, rate: float):
     m = i_tot.shape[1]
     # K - t lies in [-M, M]: int32 halves the traffic of every integer pass.
     t = np.arange(1, m + 1, dtype=np.int32 if m < 1 << 30 else np.int64)
-    k = tile.scratch("k", t.dtype)
-    hits = tile.scratch("hits", bool)
-    product = tile.scratch("tau", np.float64)
+    k = tile.temporary(t.dtype)
+    hits = tile.temporary(bool)
+    product = tile.temporary(np.float64)
     with np.errstate(over="ignore"):  # an infinite I/R or k R compares right
         quotient = np.divide(i_tot, rate, out=product)
         np.minimum(quotient, m, out=quotient)

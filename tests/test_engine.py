@@ -175,6 +175,11 @@ class TestChunkBudget:
 class TestMemoryBound:
     """A point's working set is a few chunks, whatever the trial count."""
 
+    @pytest.fixture(autouse=True)
+    def new_pool(self, monkeypatch):
+        # A workspace built before tracing starts would not be counted.
+        monkeypatch.setattr(engine, "WORKSPACES", engine.Workspaces())
+
     def test_peak_at_long_file_scale(self):
         p = params(blocks=2000)
         schemes = {"ets": Scheme("ets"), "pb": Scheme("pb"), "it": Scheme("it")}
@@ -187,6 +192,10 @@ class TestMemoryBound:
             tracemalloc.stop()
         # One chunk of float64 capacities is 8 * CHUNK_ELEMENTS bytes.
         assert peak < 3 * 8 * CHUNK_ELEMENTS
+        # The pass holds a workspace of row tiles (~2 MB), not a 2 MB chunk
+        # matrix next to it: 2.4 MB traced, where a pass over chunk
+        # matrices took 4.5 MB.
+        assert peak < 1.5 * 8 * CHUNK_ELEMENTS
 
     def test_peak_at_sweep_scale(self):
         # M = 64: the largest block-major chunk, 4096 trials, every scheme.
@@ -200,20 +209,6 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * CHUNK_ELEMENTS
-
-    def test_no_chunk_matrix_at_long_file_scale(self):
-        # The pass holds a workspace of row tiles (~2 MB), not a 2 MB chunk
-        # matrix next to it: 2.4 MB traced, where a pass over chunk
-        # matrices took 4.5 MB.
-        p = params(blocks=2000)
-        schemes = {"ets": Scheme("ets"), "pb": Scheme("pb"), "it": Scheme("it")}
-        tracemalloc.start()
-        try:
-            evaluate_point(p, schemes, 1024, 12345)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * CHUNK_ELEMENTS
 
 
 class TestOnePass:
@@ -276,11 +271,6 @@ class TestOnePass:
         assert snapshot(best) == snapshot(fixed)
 
 
-# Shared by every example below, so that one set of workspaces serves points
-# of every M and tile size, as the points of one run share them.
-TILE_PASS_WORKSPACES = engine.Workspaces()
-
-
 class TestTilePass:
     """`sample_point` walks each chunk's row tiles once; its sums equal those
     of the standalone evaluators on the sampled matrix, bit for bit."""
@@ -305,9 +295,7 @@ class TestTilePass:
         with mock.patch.object(engine, "CHUNK_ELEMENTS", chunk * m), mock.patch.object(
             channel, "ROW_BLOCK_ELEMENTS", tile
         ):
-            point = sample_point(
-                p, fixed, trials, 3, threads, pb_table=True, workspaces=TILE_PASS_WORKSPACES
-            )
+            point = sample_point(p, fixed, trials, 3, threads, pb_table=True)
         caps = sample_capacity_matrix(p, 3, 0, trials)
         for layout in (np.ascontiguousarray(caps), np.asfortranarray(caps)):
             assert point.pb_counts.tolist() == pb_count_sums(layout, p.rate).tolist()
@@ -327,6 +315,7 @@ class TestTilePass:
 
         monkeypatch.setattr(channel, "Workspace", Counted)
         monkeypatch.setattr(engine, "Workspace", Counted)
+        monkeypatch.setattr(engine, "WORKSPACES", engine.Workspaces())  # as in a new process
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         config = ExperimentConfig(
             snr_db=-5.0,
@@ -341,6 +330,8 @@ class TestTilePass:
             threads=threads,
         )
         run_experiment(config)
+        assert 1 <= len(built) <= most
+        run_experiment(config)  # a second run reuses the pool
         assert 1 <= len(built) <= most
 
 
