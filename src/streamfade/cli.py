@@ -29,12 +29,14 @@ from .experiments import (
     emit_csv,
     emit_svg,
     parse_config,
+    parse_sweep_section,
     parse_sweep_values,
     render_csv,
     run_experiment,
 )
 from .rng import SEED_BOUND
-from .schemes import Scheme, parse_scheme_list
+from .metrics import max_zero_run
+from .schemes import Scheme, build_allocation, decode, parse_scheme_list
 
 _DEFAULTS = ExperimentConfig(
     snr_db=-5.0,
@@ -71,8 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep messages or SNR")
     add_common(p_sweep)
-    p_sweep.add_argument("--variable", choices=("messages", "snr_db"), default="messages")
-    p_sweep.add_argument("--values", metavar="V1,V2,...", help="sweep grid (defaults per variable)")
+    p_sweep.add_argument(
+        "--variable", choices=("messages", "snr_db"), help="default: the file's, else messages"
+    )
+    p_sweep.add_argument(
+        "--values", metavar="V1,V2,...", help="default: the file's, else a grid per variable"
+    )
 
     p_an = sub.add_parser("analyze", help="closed forms only, no sampling")
     add_common(p_an)
@@ -181,13 +187,21 @@ def _default_sweep(variable: str):
 
 
 def _cmd_sweep(args) -> int:
+    # A flag overrides the file's [sweep]; a flag left out keeps the file's
+    # value, and the file's values only serve the file's variable.
+    file_variable, file_values = (
+        parse_sweep_section(_read_config(args.config)) if args.config else (None, None)
+    )
+    variable = args.variable or file_variable or "messages"
     # An empty `--values` is an error (ExperimentConfig names sweep.values),
     # not a request for the default grid.
-    if args.values is None:
-        values = _default_sweep(args.variable)
+    if args.values is not None:
+        values = parse_sweep_values(variable, args.values)
+    elif variable == file_variable:
+        values = file_values
     else:
-        values = parse_sweep_values(args.variable, args.values)
-    config = _config_from_args(args, sweep_variable=args.variable, sweep_values=values)
+        values = _default_sweep(variable)
+    config = _config_from_args(args, sweep_variable=variable, sweep_values=values)
     rows = run_experiment(config)
     _write_outputs(rows, config)
     return 0
@@ -286,6 +300,31 @@ def _cmd_verify(args) -> int:
             reference = Accumulator(scheme.window)
             reference.add(*scheme.evaluate(caps, 1.0))
             ok = ok and point.fixed[key] == reference
+    # The evaluators above run the tile pass's own kernels, so a fault shared
+    # by both passes them.  At M = 12 the tile pass also answers to references
+    # that share none of its kernels: every fixed scheme and every PB depth
+    # from its allocation matrix, decoded trial by trial, and the IT bound
+    # from the greedy scan of each trial.
+    blocks, trials = 12, 300
+    params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=blocks)
+    caps = sample_capacity_matrix(params, seed, 0, trials)
+    schemes = [Scheme(n, b) for n in ("pb", "wts") for b in range(1, blocks + 1)]
+    schemes = [Scheme("mt"), Scheme("ets"), *schemes, Scheme("it")]
+    point = sample_point(params, dict(enumerate(schemes)), trials, seed, pb_table=True)
+    for key, scheme in enumerate(schemes):
+        if scheme.name == "it":
+            counts, delays = np.array([informed.informed_trial(row, 1.0) for row in caps]).T
+        else:
+            alpha = build_allocation(scheme, blocks)
+            decoded = [decode(alpha, row, 1.0) for row in caps]
+            counts = np.array([v.sum() for v in decoded])
+            delays = np.array([max_zero_run(v) for v in decoded])
+        reference = Accumulator(scheme.window)
+        reference.add(counts, delays)
+        ok = ok and point.fixed[key] == reference
+        if scheme.name == "pb":
+            sums = [counts.sum(), (counts**2).sum()]
+            ok = ok and point.pb_counts[:, scheme.window - 1].tolist() == sums
     report("equal-share and pre-buffering delay identities, PB depth table, tile pass", ok)
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 1

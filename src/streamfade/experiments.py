@@ -130,10 +130,8 @@ _INI_KEYS = {
 }
 
 
-def parse_config(text: str, **overrides) -> ExperimentConfig:
-    """Parse the INI experiment format (see README for the schema).  Keyword
-    arguments replace fields of the file before the whole is validated, so
-    that flags may complete a file (say, a sweep for its `[output] svg`)."""
+def _read_ini(text: str) -> configparser.ConfigParser:
+    """The INI file's sections, each checked against `_INI_KEYS`."""
     # No default section: a [DEFAULT] is an unknown section like any other.
     # `; comment` may end a line, as in the README's example.
     parser = configparser.ConfigParser(default_section="", inline_comment_prefixes=(";",))
@@ -148,6 +146,30 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         for key in keys:
             if key not in _INI_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r}", f"{section}.{key}")
+    return parser
+
+
+def _sweep_section(parser: configparser.ConfigParser) -> tuple:
+    """(variable, values) of the [sweep] section, or (None, None) without one."""
+    if not parser.has_section("sweep"):
+        return None, None
+    for key in _INI_KEYS["sweep"]:
+        if not parser.has_option("sweep", key):
+            raise ConfigError("missing required key", f"sweep.{key}")
+    variable = parser.get("sweep", "variable")
+    return variable, parse_sweep_values(variable, parser.get("sweep", "values"))
+
+
+def parse_sweep_section(text: str) -> tuple:
+    """(variable, values) of an INI file's [sweep] section, or (None, None)."""
+    return _sweep_section(_read_ini(text))
+
+
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """Parse the INI experiment format (see README for the schema).  Keyword
+    arguments replace fields of the file before the whole is validated, so
+    that flags may complete a file (say, a sweep for its `[output] svg`)."""
+    parser = _read_ini(text)
 
     def need(section, key, cast, fallback=None):
         if not parser.has_option(section, key):
@@ -179,11 +201,7 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
     schemes = parse_scheme_list(tokens)
     include_it = need("schemes", "include_it_bound", to_bool, fallback=False)
 
-    sweep_variable = None
-    sweep_values = None
-    if parser.has_section("sweep"):
-        sweep_variable = need("sweep", "variable", str)
-        sweep_values = parse_sweep_values(sweep_variable, need("sweep", "values", str))
+    sweep_variable, sweep_values = _sweep_section(parser)
 
     csv_path = parser.get("output", "csv", fallback=None)
     svg_path = parser.get("output", "svg", fallback=None)

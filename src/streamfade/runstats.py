@@ -3,24 +3,28 @@
 Pr{longest zero-run >= d} over M trials with per-trial success probability p
 is computed four independent ways:
 
-* the exact run-tail recurrence (`run_tails`), the production path: with
-  q = 1 - p and T_n the tail over n trials, T_n = 0 for n < d, T_d = q^d and
-  T_n = T_{n-1} + p q^d (1 - T_{n-d-1}), the tail form of Feller's
-  A_n = A_{n-1} - p q^d A_{n-d-1} for A_n = 1 - T_n (Feller, Vol. I
-  XIII.7; Schilling, "The Longest Run of Heads", 1990).  One loop over n,
-  vectorized over d, gives every d = 1..M in O(M^2) flops; the term added
-  at n is the probability that the first run of d failures ends at trial n,
-  so the tails only grow by nonnegative terms and keep their relative accuracy,
+* the exact run-tail recurrence (`run_tail_columns`), the production path:
+  with q = 1 - p and T_n the tail over n trials, T_n = 0 for n < d,
+  T_d = q^d and T_n = T_{n-1} + p q^d (1 - T_{n-d-1}), the tail form of
+  Feller's A_n = A_{n-1} - p q^d A_{n-d-1} for A_n = 1 - T_n (Feller, Vol. I
+  XIII.7; Schilling, "The Longest Run of Heads", 1990).  It runs one run
+  length d at a time, in blocks of d + 1 trials that each read only the
+  block before, so memory is O(M) for any M.  Each block adds the same terms
+  in the same order as a loop over n, so the tails keep that loop's bits.
+  The term added at n is the probability that the first run of d failures
+  ends at trial n, so the tails only grow by nonnegative terms and keep
+  their relative accuracy,
 * exhaustive weighted enumeration over all 2^M sequences (small M oracle),
 * absorbing Markov chain raised to the M-th power,
 * closed form from the partial-fraction expansion of the run generating
   function ((1-p) z)^d / ((1-z) q_d(z)), where
   q_d(z) = 1 - p * sum_{j=1..d} z^j (1-p)^(j-1).
 
-The last three are cross-checks of the recurrence; every analytic column of
-the CSV (`mt_mean_max_delay`, `delay_distribution`, `wts_delay_bounds`) reads
-from `run_tails`.  `wts_mean_delay`, the D-wTS window objective, reads the
-same recurrence one run length at a time (`run_tail_column`).
+The last three are cross-checks of the recurrence.  Every closed form reads
+its columns: `run_tails` (and so `mt_mean_max_delay` and
+`delay_distribution`) takes the last entry of each, `wts_delay_bounds` reads
+both of its horizons from one pass, and `wts_mean_delay`, the D-wTS window
+objective, iterates them.
 
 In the partial-fraction expansion the z = 1 pole always has residue exactly 1
 (q_d(1) = (1-p)^d), so it is peeled off in closed form before any numerics;
@@ -30,6 +34,7 @@ approaches 1 for large d.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -296,28 +301,56 @@ def run_tail_partial_fraction(M: int, p: float, d: int) -> float:
     return partial_fraction(d, p).tail(M)
 
 
-def run_tails(M: int, p: float) -> np.ndarray:
-    """Pr{longest zero-run >= d} over M Bernoulli(p) trials; entry d-1 for d = 1..M.
+def run_tail_columns(length: int, p: float, depth: int):
+    """Yield T_n(d) = Pr{longest zero-run >= d} over n Bernoulli(p) trials for
+    n = 0..length-1, one new array per run length d = 1..depth.
 
-    Row n of the table holds the tails over n trials.  Tails of run lengths
-    d < n grow by p q^d (1 - T_{n-d-1}(d)), where T_{n-d-1}(d) sits on the
-    anti-diagonal of the rows before; d = n starts at q^n, and d > n stays 0.
+    T_n(d) = 0 for n < d, T_d(d) = q^d and T_n(d) = T_{n-1}(d) + p q^d
+    (1 - T_{n-d-1}(d)).  T_n reads T_{n-d-1}, so in each block of d + 1
+    trials every increment p q^d (1 - T_{n-d-1}) comes from the block
+    before, and one `np.add.accumulate` over [T_{lo-1}, increments] gives the
+    block's tails: the recurrence's additions in its own order, so every
+    caller reads the same bits.  Memory is O(length).
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"success probability must lie in [0, 1], got {p}")
-    q_pow = (1.0 - p) ** np.arange(1, M + 1, dtype=np.float64)
-    step = p * q_pow
-    table = np.zeros((M + 1, M))
-    for n in range(1, M + 1):
-        k = n - 1  # run lengths d < n
-        if k:
-            earlier = np.diagonal(table[k - 1 :: -1, :k])  # T_{n-d-1}(d)
-            np.add(table[k, :k], step[:k] * (1.0 - earlier), out=table[n, :k])
-        table[n, k] = q_pow[k]
-    # Rounding can lift a tail near 1 (small p) a few ulps above it.
-    return np.minimum(table[M], 1.0)
+    q_pow = (1.0 - p) ** np.arange(1, depth + 1, dtype=np.float64)
+    for d in range(1, depth + 1):
+        step = p * q_pow[d - 1]
+        tails = np.zeros(length)
+        if d < length:
+            tails[d] = q_pow[d - 1]
+        for lo in range(d + 1, length, d + 1):
+            hi = min(lo + d + 1, length)
+            block = tails[lo - 1 : hi]  # T_{lo-1}, then the block's increments
+            increments = block[1:]
+            np.subtract(1.0, tails[lo - d - 1 : hi - d - 1], out=increments)
+            np.multiply(increments, step, out=increments)
+            np.add.accumulate(block, out=block)
+        yield tails
+
+
+def run_tails(M: int, p: float) -> np.ndarray:
+    """Pr{longest zero-run >= d} over M Bernoulli(p) trials; entry d-1 for
+    d = 1..M, the last entry of each column of `run_tail_columns`."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    return _horizon_tails(M, p, [M])[0]
+
+
+def _horizon_tails(length: int, p: float, horizons: list[int]) -> list[np.ndarray]:
+    """Tails T_n(d) for d = 1..n at each horizon n <= `length`, from one pass
+    over the columns; rounding can lift a tail near 1 (small p) a few ulps
+    above it, so each is clamped at 1."""
+    tails = np.empty((len(horizons), length))
+    for d, column in enumerate(run_tail_columns(length + 1, p, length), start=1):
+        tails[:, d - 1] = column[horizons]
+    return [np.minimum(row[:n], 1.0) for row, n in zip(tails, horizons)]
+
+
+def _mean_of_tails(tails: np.ndarray) -> float:
+    """The sum of the tails, taken left to right."""
+    return float(sum(tails.tolist()))
 
 
 def mt_mean_max_delay(M: int, p: float) -> float:
@@ -327,7 +360,7 @@ def mt_mean_max_delay(M: int, p: float) -> float:
     the exact average maximum inter-decoding delay of per-block memoryless
     transmission.
     """
-    return float(sum(run_tails(M, p).tolist()))
+    return _mean_of_tails(run_tails(M, p))
 
 
 @dataclass(frozen=True)
@@ -368,37 +401,13 @@ def wts_delay_bounds(M: int, B: int, p_B: float) -> WtsBounds:
         raise ValueError("window decode probability must lie in [0, 1]")
     floor_w = M // B
     ceil_w = -(-M // B)
+    lower, upper = _horizon_tails(ceil_w, p_B, [floor_w, ceil_w])
     return WtsBounds(
-        delay_lower=B * mt_mean_max_delay(floor_w, p_B),
-        delay_upper=B * mt_mean_max_delay(ceil_w, p_B),
+        delay_lower=B * _mean_of_tails(lower),
+        delay_upper=B * _mean_of_tails(upper),
         decoded_lower=floor_w * p_B,
         decoded_upper=ceil_w * p_B,
     )
-
-
-def run_tail_column(length: int, p: float, d: int) -> np.ndarray:
-    """T_n(d) = Pr{longest zero-run >= d} over n Bernoulli(p) trials for
-    n = 0..length-1, by the recurrence of `run_tails` for one run length d.
-
-    T_n reads T_{n-d-1}, so the tails of n in one block of d + 1 trials follow
-    from the block before by one cumulative sum.
-    """
-    if d < 1:
-        raise ValueError("run length d must be >= 1")
-    q = 1.0 - p
-    tails = np.zeros(length)
-    if d >= length:
-        return tails
-    tails[d] = q**d
-    step = p * q**d
-    for lo in range(d + 1, length, d + 1):
-        hi = min(lo + d + 1, length)
-        block = tails[lo:hi]
-        np.subtract(1.0, tails[lo - d - 1 : hi - d - 1], out=block)
-        block *= step
-        np.cumsum(block, out=block)
-        block += tails[lo - 1]
-    return tails
 
 
 def wts_mean_delay(M: int, B: int, p_B: float, p_r: float = 0.0) -> float:
@@ -416,7 +425,7 @@ def wts_mean_delay(M: int, B: int, p_B: float, p_r: float = 0.0) -> float:
         Pr{L >= x | s} = [b <= k] q^m + sum_{f < m} p_B q^f T_{k-f-1}(a),
 
     summed over the index k - f of the last successful full window; T_n(a)
-    is the run tail of `run_tail_column` (T_n(0) = 1: at x < B the gap before
+    is the run tail of `run_tail_columns` (T_n(0) = 1: at x < B the gap before
     any success is already too long).  Every term is nonnegative.  The mean
     is the sum over x = 1..M, averaged over s.  Memory is O(M): one tail
     column at a time.
@@ -436,8 +445,9 @@ def wts_mean_delay(M: int, B: int, p_B: float, p_r: float = 0.0) -> float:
     m = np.clip(b, 0, k)
     tails = np.where(b <= k, q_pow[m], 0.0)
     prefix = np.zeros(k + 1)
-    for a in range(k):  # a = k adds nothing: T_n(k) = 0 for n < k
-        column = np.ones(k) if a == 0 else run_tail_column(k, p_B, a)
+    # a = k adds nothing: T_n(k) = 0 for n < k
+    columns = itertools.chain([np.ones(k)], run_tail_columns(k, p_B, k - 1))
+    for a, column in enumerate(columns):
         np.cumsum(weights * column[::-1], out=prefix[1:])
         xs = slice(max(a * B, 1) - 1, (a + 1) * B - 1)
         tails[:, xs] += prefix[m[:, xs]]

@@ -5,7 +5,9 @@ was rewritten without per-column loops; the property tests require the fast
 kernels to return exactly the same integers.  `pb_mi_matrix` is the PB
 mutual information summed message by message, as the allocation matrix
 defines it.  The window failure masses are the direct-convolution reference
-of the FFT chain in `channel`.
+of the FFT chain in `channel`.  `run_tails_table` is the n-major run-tail
+table that `runstats.run_tails` replaced; the column order must match it bit
+for bit.
 """
 import math
 
@@ -121,3 +123,23 @@ def window_failure_masses_convolved(
             below = np.convolve(below, base)[:cells]
         failures[window - 1] = below[(np.arange(cells) + window * 0.5) * dc < rate].sum()
     return failures
+
+
+def run_tails_table(M: int, p: float) -> np.ndarray:
+    """Pr{longest zero-run >= d} over M Bernoulli(p) trials; entry d-1 for d = 1..M.
+
+    Row n of the (M+1)×M table holds the tails over n trials.  Tails of run
+    lengths d < n grow by p q^d (1 - T_{n-d-1}(d)), where T_{n-d-1}(d) sits on
+    the anti-diagonal of the rows before; d = n starts at q^n, and d > n stays 0.
+    """
+    q_pow = (1.0 - p) ** np.arange(1, M + 1, dtype=np.float64)
+    step = p * q_pow
+    table = np.zeros((M + 1, M))
+    for n in range(1, M + 1):
+        k = n - 1  # run lengths d < n
+        if k:
+            earlier = np.diagonal(table[k - 1 :: -1, :k])  # T_{n-d-1}(d)
+            np.add(table[k, :k], step[:k] * (1.0 - earlier), out=table[n, :k])
+        table[n, k] = q_pow[k]
+    # Rounding can lift a tail near 1 (small p) a few ulps above it.
+    return np.minimum(table[M], 1.0)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import streamfade
-from streamfade import cli, engine
+from streamfade import channel, cli, engine
 from streamfade.errors import NumericFailure
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -104,6 +104,46 @@ class TestSweep:
         assert run_main(["sweep", "--config", str(cfg), "--values", "4,8"]) == 0
         assert out_svg.read_text().count("<polyline") == 1
 
+    @staticmethod
+    def _snr_sweep_ini(tmp_path):
+        cfg = tmp_path / "snr.ini"
+        cfg.write_text(
+            "[channel]\nsnr_db = 5.0\nrate = 1.0\nmessages = 6\n"
+            "[run]\ntrials = 50\nseed = 3\n[schemes]\nlist = mt\n"
+            "[sweep]\nvariable = snr_db\nvalues = 0, 5\n"
+        )
+        return cfg
+
+    @staticmethod
+    def _sweep_points(path):
+        return [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+
+    def test_ini_sweep_alone(self, tmp_path):
+        cfg = self._snr_sweep_ini(tmp_path)
+        out, sim = tmp_path / "sweep.csv", tmp_path / "simulate.csv"
+        assert run_main(["sweep", "--config", str(cfg), "--out-csv", str(out)]) == 0
+        assert run_main(["simulate", "--config", str(cfg), "--out-csv", str(sim)]) == 0
+        assert self._sweep_points(out) == ["0", "5"]
+        assert out.read_bytes() == sim.read_bytes()
+
+    def test_values_flag_over_the_ini(self, tmp_path):
+        cfg = self._snr_sweep_ini(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert run_main(["sweep", "--config", str(cfg), "--values=-5,10", "--out-csv", str(out)]) == 0
+        assert self._sweep_points(out) == ["-5", "10"]
+
+    def test_variable_flag_without_values(self, tmp_path):
+        cfg = self._snr_sweep_ini(tmp_path)
+        same, other = tmp_path / "same.csv", tmp_path / "other.csv"
+        # the file's variable keeps the file's grid
+        argv = ["sweep", "--config", str(cfg), "--variable", "snr_db", "--out-csv", str(same)]
+        assert run_main(argv) == 0
+        assert self._sweep_points(same) == ["0", "5"]
+        # another variable runs its own default grid
+        argv = ["sweep", "--config", str(cfg), "--variable", "messages", "--out-csv", str(other)]
+        assert run_main(argv) == 0
+        assert self._sweep_points(other) == [str(m) for m in range(1, 65)]
+
     def test_snr_sweep_values(self, tmp_path):
         out_csv = tmp_path / "snr.csv"
         code = run_main(
@@ -160,6 +200,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+
+    def test_fails_on_a_fault_shared_with_the_evaluators(self, monkeypatch, capsys):
+        # Every tile's equal-share running totals W become its prefix sums S:
+        # the tile pass and the standalone evaluators then agree on wrong
+        # numbers, which only references without the tile kernels expose.
+        monkeypatch.setattr(channel.Tile, "running", property(lambda tile: tile.prefix))
+        assert run_main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  equal-share and pre-buffering delay identities" in out
+        assert "1 check(s) failed" in out
 
 
 class TestBadInputExits2:

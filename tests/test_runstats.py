@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import wts_mean_delay_enumerated
+from oracles import run_tails_table, wts_mean_delay_enumerated
 from streamfade.runstats import (
     delay_distribution,
     enumerate_run_tails,
@@ -14,7 +15,7 @@ from streamfade.runstats import (
     q_polynomial,
     run_tail_matrix_power,
     run_tail_partial_fraction,
-    run_tail_column,
+    run_tail_columns,
     run_tails,
     run_transition_matrix,
     wts_delay_bounds,
@@ -170,6 +171,17 @@ class TestRunTails:
         for d in data.draw(st.lists(st.integers(1, m), min_size=1, max_size=4)):
             assert abs(tails[d - 1] - run_tail_matrix_power(m, p, d)) < 1e-12, d
 
+    @given(m=st.integers(1, 400), p=st.sampled_from([0.0, 1e-300, 1 - 1e-12, 1.0]) | PROBS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_table_oracle(self, m, p):
+        # the column order adds the table's terms in the table's order
+        assert run_tails(m, p).tobytes() == run_tails_table(m, p).tobytes()
+
+    @pytest.mark.parametrize("m", [2000, 3000])
+    def test_matches_table_oracle_at_scale(self, m):
+        for p in (0.05, 0.3, 0.9):
+            assert run_tails(m, p).tobytes() == run_tails_table(m, p).tobytes(), p
+
     def test_tails_grow_with_horizon(self):
         # tails over M trials are nondecreasing in M for every d
         short, long = run_tails(30, 0.4), run_tails(31, 0.4)
@@ -234,6 +246,15 @@ class TestWtsBounds:
         assert b.decoded_upper == pytest.approx(4 * 0.6)
         assert b.delay_lower <= b.delay_upper + 1e-12
 
+    @given(m=st.integers(1, 60), p_b=PROBS, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_both_horizons_are_mt_delays(self, m, p_b, data):
+        # one pass gives both horizons with the bits of two separate sums
+        window = data.draw(st.integers(1, m))
+        b = wts_delay_bounds(m, window, p_b)
+        assert b.delay_lower == window * mt_mean_max_delay(m // window, p_b)
+        assert b.delay_upper == window * mt_mean_max_delay(-(-m // window), p_b)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             wts_delay_bounds(5, 6, 0.5)
@@ -291,13 +312,37 @@ class TestRunTailColumn:
     @settings(max_examples=100, deadline=None)
     def test_matches_run_tails(self, n, p, data):
         d = data.draw(st.integers(1, n + 2))
-        column = run_tail_column(n, p, d)
+        *_, column = run_tail_columns(n, p, d)
         expected = [run_tails(i, p)[d - 1] if 1 <= d <= i else 0.0 for i in range(n)]
-        assert np.allclose(column, expected, rtol=1e-12, atol=0.0)
+        # run_tails clamps at 1; the columns carry the unclamped sums
+        assert np.minimum(column, 1.0).tolist() == expected
+
+    def test_one_column_per_run_length(self):
+        columns = list(run_tail_columns(7, 0.4, 9))
+        assert len(columns) == 9 and all(c.shape == (7,) for c in columns)
+        assert columns[6].tolist() == [0.0] * 7  # d = 7: no run fits in 6 trials
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_tail_column(5, 0.5, 0)
+            next(run_tail_columns(5, 1.5, 2))
+
+
+class TestMemoryBound:
+    """The run tails hold O(M) floats, not the (M+1)×M table (122 MiB at M = 4000)."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: run_tails(4000, 0.3), lambda: wts_delay_bounds(4000, 1, 0.3)],
+        ids=["run_tails", "wts_delay_bounds"],
+    )
+    def test_traced_peak_under_one_mib(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestWtsMeanDelay:
