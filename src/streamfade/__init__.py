@@ -4,15 +4,11 @@ analytics, and the informed-transmitter bound."""
 
 from .channel import (
     ChannelParams,
-    ChannelTrace,
-    Fading,
     decode_success_prob,
     exp1,
     mean_capacity,
     mean_capacity_closed_form,
     sample_trace,
-    trace_from_capacities,
-    trace_from_gains,
     window_decode_prob,
 )
 from .errors import ConfigError, NumericFailure, StreamfadeError

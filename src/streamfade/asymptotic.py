@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .channel import ChannelParams, mean_capacity, sample_capacity_matrix
-from .engine import chunk_ranges, optimize_pb_window, sample_point
+from .channel import ChannelParams, mean_capacity_closed_form, sample_capacity_matrix
+from .engine import chunk_ranges, evaluate_pb, optimize_pb_window, sample_point
 
 
 def alpha_opt(params: ChannelParams) -> float:
-    """Critical transmitted fraction 1 / (rate / mean_capacity + 1)."""
-    return 1.0 / (params.rate / mean_capacity(params) + 1.0)
+    """Critical transmitted fraction 1 / (rate / C + 1), C the closed-form
+    mean capacity."""
+    return 1.0 / (params.rate / mean_capacity_closed_form(params) + 1.0)
 
 
 @dataclass(frozen=True)
@@ -35,17 +36,16 @@ def decode_all_probability(
 ) -> float:
     """Pr{every transmitted message decodes} for pre-buffering depth `window`.
 
-    Exact shortcut: the first transmitted message's MI is the minimum, equal
-    to the prefix capacity sum over blocks 1..M-B+1 divided by B.
+    PB decodes form a suffix, so all B messages decode exactly when
+    `engine.evaluate_pb` counts B: the decode rule of the PB rows.
     """
     m = params.blocks
     if not (1 <= window <= m):
         raise ValueError("window out of range")
     hits = 0
     for lo, hi in chunk_ranges(trials, m):
-        caps = sample_capacity_matrix(params, seed, lo, hi)
-        first_mi = caps[:, : m - window + 1].sum(axis=1) / window
-        hits += int((first_mi >= params.rate).sum())
+        counts, _ = evaluate_pb(sample_capacity_matrix(params, seed, lo, hi), params.rate, window)
+        hits += int((counts == window).sum())
     return hits / trials
 
 
@@ -60,12 +60,17 @@ def verify_threshold(
     a_opt = alpha_opt(params)
     if not (0.0 < delta < min(a_opt, 1.0 - a_opt)):
         raise ValueError(f"delta must lie in (0, {min(a_opt, 1.0 - a_opt):.4f})")
-    point = replace(params, blocks=blocks)
     w_below = int(round((a_opt - delta) * blocks))
     w_above = int(round((a_opt + delta) * blocks))
+    if not (1 <= w_below < w_above <= blocks):
+        raise ValueError(
+            f"delta = {delta:g} gives windows {w_below} and {w_above} at {blocks} blocks;"
+            f" need 1 <= window_below < window_above <= {blocks}"
+        )
+    point = replace(params, blocks=blocks)
     return AsymptoticReport(
         alpha_opt=a_opt,
-        mean_capacity=mean_capacity(params),
+        mean_capacity=mean_capacity_closed_form(params),
         window_below=w_below,
         window_above=w_above,
         decode_all_prob_below=decode_all_probability(point, w_below, trials, seed),

@@ -1,9 +1,12 @@
-"""Block-fading channel model: i.i.d. per-block gains and instantaneous capacities.
+"""Block-fading channel model: i.i.d. unit-mean Rayleigh blocks and their
+instantaneous capacities.
 
 The channel stays constant within a block and redraws independently across
-blocks.  A block with power gain g and transmit power P supports
-log2(1 + g*P) bits per channel use; a message of rate R decodes whenever the
-mutual information accumulated for it reaches R.
+blocks.  A block's power gain g is unit-mean exponential (Rayleigh fading);
+with transmit power P it supports log2(1 + g*P) bits per channel use, and a
+message of rate R decodes whenever the mutual information accumulated for it
+reaches R.  A realization is its vector of block capacities: the gains are
+drawn, turned into capacities in place, and not kept.
 
 This module also fixes the memory layout of a (trials, blocks) chunk.  Rows
 of at most BLOCK_MAJOR_MAX_BLOCKS blocks are sampled block-major (Fortran
@@ -21,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -58,14 +60,6 @@ def usable_snr(snr_db: float) -> bool:
     return power > 0.0 and math.isfinite(power * _GAIN_CAP)
 
 
-class Fading(Enum):
-    """Per-block power-gain law."""
-
-    RAYLEIGH_UNIT_MEAN = "rayleigh-unit-mean"
-    # Degenerate point mass at gain 1; useful for deterministic tests.
-    UNIT_GAIN = "unit-gain"
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Static link parameters.
@@ -79,7 +73,6 @@ class ChannelParams:
     snr_db: float
     rate: float
     blocks: int
-    fading: Fading = Fading.RAYLEIGH_UNIT_MEAN
 
     def __post_init__(self):
         if not usable_snr(self.snr_db):
@@ -88,40 +81,10 @@ class ChannelParams:
             raise ValueError("rate must be positive and finite")
         if int(self.blocks) != self.blocks or self.blocks < 1:
             raise ValueError("blocks must be a positive integer")
-        if not isinstance(self.fading, Fading):
-            raise ValueError("fading must be a Fading member")
 
     @property
     def power(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
-
-
-@dataclass(frozen=True)
-class ChannelTrace:
-    """One realization: per-block power gains and the matching capacities."""
-
-    gains: np.ndarray
-    capacities: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gains, dtype=np.float64)
-        c = np.asarray(self.capacities, dtype=np.float64)
-        if g.ndim != 1 or c.shape != g.shape:
-            raise ValueError("gains and capacities must be 1-D of equal length")
-        g.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "gains", g)
-        object.__setattr__(self, "capacities", c)
-
-    def __len__(self) -> int:
-        return self.gains.shape[0]
-
-
-def trace_capacities(trace) -> np.ndarray:
-    """The capacities of a `ChannelTrace`, or a capacity vector as float64."""
-    if isinstance(trace, ChannelTrace):
-        return trace.capacities
-    return np.asarray(trace, dtype=np.float64)
 
 
 def _capacities_in_place(g: np.ndarray, power: float) -> np.ndarray:
@@ -129,34 +92,6 @@ def _capacities_in_place(g: np.ndarray, power: float) -> np.ndarray:
     g *= power
     g += 1.0
     return np.log2(g, out=g)
-
-
-def capacities_from_gains(gains: np.ndarray, power: float) -> np.ndarray:
-    return _capacities_in_place(np.array(gains, dtype=np.float64), power)
-
-
-def trace_from_gains(params: ChannelParams, gains) -> ChannelTrace:
-    g = np.asarray(gains, dtype=np.float64)
-    return ChannelTrace(g, capacities_from_gains(g, params.power))
-
-
-def trace_from_capacities(params: ChannelParams, capacities) -> ChannelTrace:
-    """Build a trace from target capacities (gains back-solved); test helper."""
-    c = np.asarray(capacities, dtype=np.float64)
-    return ChannelTrace((np.exp2(c) - 1.0) / params.power, c)
-
-
-def sample_gain_matrix(params: ChannelParams, seed: int, start: int, stop: int) -> np.ndarray:
-    """Gains for trials start..stop-1, shape (stop-start, blocks).
-
-    Row i is a pure function of (seed, start + i); sampling the same trial
-    index alone or inside any batch yields identical values.  The matrix is
-    stored in the order of `chunk_order`.
-    """
-    order = chunk_order(params.blocks)
-    if params.fading is Fading.RAYLEIGH_UNIT_MEAN:
-        return rng.exponential_matrix(seed, start, stop, params.blocks, order=order)
-    return np.ones((stop - start, params.blocks), dtype=np.float64, order=order)
 
 
 def chunk_order(blocks: int) -> str:
@@ -310,14 +245,11 @@ def per_trial(kernel, caps, *args) -> tuple:
 
 def _sample_into(out: np.ndarray, params: ChannelParams, seed: int, start: int, workspace):
     rows, blocks = out.shape
-    if params.fading is Fading.RAYLEIGH_UNIT_MEAN:
-        order = chunk_order(blocks)
-        scratch = tuple(
-            workspace.array(name, np.uint64, rows, blocks, order) for name in ("state", "shifted")
-        )
-        rng.exponential_matrix(seed, start, start + rows, blocks, order, out=out, scratch=scratch)
-    else:
-        out.fill(1.0)
+    order = chunk_order(blocks)
+    scratch = tuple(
+        workspace.array(name, np.uint64, rows, blocks, order) for name in ("state", "shifted")
+    )
+    rng.exponential_matrix(seed, start, start + rows, blocks, order, out=out, scratch=scratch)
     return _capacities_in_place(out, params.power)
 
 
@@ -330,7 +262,7 @@ def sample_capacity_matrix(
     With one, the rows are one tile, written into the workspace's "caps"
     buffer: the result is a view that the next tile overwrites.  Rows are
     pure functions of their trial index, so either way they are exactly the
-    rows of one `sample_gain_matrix` call.
+    capacities of one `rng.exponential_matrix` draw of the same rows.
     """
     rows, blocks = stop - start, params.blocks
     if workspace is not None:
@@ -343,9 +275,10 @@ def sample_capacity_matrix(
     return out
 
 
-def sample_trace(params: ChannelParams, seed: int, trial_index: int) -> ChannelTrace:
-    gains = sample_gain_matrix(params, seed, trial_index, trial_index + 1)[0]
-    return ChannelTrace(gains, capacities_from_gains(gains, params.power))
+def sample_trace(params: ChannelParams, seed: int, trial_index: int) -> np.ndarray:
+    """The block capacities of trial `trial_index`: its row of
+    `sample_capacity_matrix`, bit for bit."""
+    return sample_capacity_matrix(params, seed, trial_index, trial_index + 1)[0]
 
 
 def decode_success_prob(params: ChannelParams) -> float:
@@ -355,9 +288,7 @@ def decode_success_prob(params: ChannelParams) -> float:
         threshold = (2.0**params.rate - 1.0) / params.power
     except OverflowError:
         return 0.0
-    if params.fading is Fading.RAYLEIGH_UNIT_MEAN:
-        return math.exp(-threshold)
-    return 1.0 if 1.0 >= threshold else 0.0
+    return math.exp(-threshold)
 
 
 def exp1(x: float) -> float:
@@ -410,8 +341,6 @@ def mean_capacity(params: ChannelParams) -> float:
     `verify`) start without loading it.
     """
     power = params.power
-    if params.fading is Fading.UNIT_GAIN:
-        return math.log2(1.0 + power)
     from scipy import integrate
 
     def integrand(g):
@@ -434,10 +363,7 @@ def mean_capacity(params: ChannelParams) -> float:
 
 def mean_capacity_closed_form(params: ChannelParams) -> float:
     """Closed form e^(1/P) E1(1/P) / ln 2 for the unit-mean exponential gain."""
-    power = params.power
-    if params.fading is Fading.UNIT_GAIN:
-        return math.log2(1.0 + power)
-    inv = 1.0 / power
+    inv = 1.0 / params.power
     return math.exp(inv) * exp1(inv) / _LN2
 
 
@@ -485,9 +411,6 @@ def window_decode_probs(params: ChannelParams, windows: int) -> np.ndarray:
     if windows < 1:
         raise ValueError("windows must be >= 1")
     link = replace(params, blocks=1)
-    if link.fading is Fading.UNIT_GAIN:
-        cap = math.log2(1.0 + link.power)
-        return np.array([1.0 if b * cap >= link.rate else 0.0 for b in range(1, windows + 1)])
     if windows * _top_capacity(link.power) <= link.rate:
         probs = np.zeros(windows)
         probs[0] = decode_success_prob(link)

@@ -164,13 +164,13 @@ def _write(emit, rows, path: str, field: str, *args) -> None:
         raise ConfigError(f"cannot write the file: {exc}", field) from exc
 
 
-def _write_outputs(rows, config, default_metric="throughput"):
+def _write_outputs(rows, config):
     if config.csv_path:
         _write(emit_csv, rows, config.csv_path, "output.csv")
     else:
         sys.stdout.write(render_csv(rows))
     if config.svg_path:
-        _write(emit_svg, rows, config.svg_path, "output.svg", default_metric)
+        _write(emit_svg, rows, config.svg_path, "output.svg")
 
 
 def _cmd_simulate(args) -> int:

@@ -317,7 +317,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def analytic_rows(config: ExperimentConfig, windows=(2, 3, 5)) -> list[ResultRow]:
+def analytic_rows(config: ExperimentConfig, windows) -> list[ResultRow]:
     """Closed-form-only table: per-block exact values plus windowed bounds."""
     rows = []
     for sweep_name, sweep_value, params in config.sweep_points():

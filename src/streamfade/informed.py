@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .channel import per_trial, scan_blocks, trace_capacities
+from .channel import per_trial, scan_blocks
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ def greedy_allocate(trace, rate: float) -> GreedyResult:
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    caps = trace_capacities(trace)
+    caps = np.asarray(trace, dtype=np.float64)
     i_tot = np.cumsum(caps)
     m = caps.shape[0]
     v = np.zeros(m, dtype=np.int8)
@@ -125,7 +125,7 @@ def oracle_exhaustive(trace, rate: float) -> tuple[int, int]:
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    caps = trace_capacities(trace)
+    caps = np.asarray(trace, dtype=np.float64)
     m = caps.shape[0]
     if m > _bits.MAX_ENUM_BITS:
         raise ValueError(f"exhaustive oracle limited to M <= {_bits.MAX_ENUM_BITS}")

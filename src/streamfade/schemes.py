@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from . import engine
-from .channel import trace_capacities
 from .errors import ConfigError
 
 # Window rules: a scheme takes no B, needs a fixed B, or takes a fixed B or
@@ -172,7 +171,7 @@ def transmitted_mask(alpha: np.ndarray) -> np.ndarray:
 
 def accumulate_mi(alpha: np.ndarray, trace) -> np.ndarray:
     """Total mutual information per message (zero for untransmitted ones)."""
-    caps = trace_capacities(trace)
+    caps = np.asarray(trace, dtype=np.float64)
     if caps.shape[0] != alpha.shape[1]:
         raise ValueError("trace length does not match the allocation matrix")
     return alpha @ caps

@@ -8,28 +8,33 @@ from streamfade.asymptotic import (
     optimal_prebuffer_fraction,
     verify_threshold,
 )
-from streamfade.channel import ChannelParams, Fading, mean_capacity
+from streamfade.channel import ChannelParams, mean_capacity_closed_form
 
 # Mean capacity at 5 dB frozen from the pre-build trapezoid oracle.
 MEAN_CAPACITY_5DB = 1.715974185066
-
-
-def unit_gain_params(power_db, rate=1.0, blocks=600):
-    return ChannelParams(snr_db=power_db, rate=rate, blocks=blocks, fading=Fading.UNIT_GAIN)
+SNRS_DB = (-10.0, -5.0, 0.0, 5.0, 10.0)
 
 
 class TestAlphaOpt:
+    def test_is_the_closed_form_fraction(self):
+        for snr in SNRS_DB:
+            for rate in (0.3, 1.0, 3.0):
+                p = ChannelParams(snr_db=snr, rate=rate, blocks=600)
+                assert alpha_opt(p) == 1.0 / (rate / mean_capacity_closed_form(p) + 1.0)
+
     def test_balanced_rate_gives_half(self):
-        # deterministic capacity 1 bpcu at rate 1: alpha = 1/2
-        p = unit_gain_params(power_db=10 * math.log10(1.0), rate=1.0)
-        assert mean_capacity(p) == pytest.approx(1.0)
-        assert alpha_opt(p) == pytest.approx(0.5, abs=1e-12)
+        # rate equal to the mean capacity: alpha = 1/2
+        for snr in SNRS_DB:
+            c = mean_capacity_closed_form(ChannelParams(snr_db=snr, rate=1.0, blocks=1))
+            p = ChannelParams(snr_db=snr, rate=c, blocks=600)
+            assert alpha_opt(p) == pytest.approx(0.5, abs=1e-12)
 
     def test_two_to_one_ratio(self):
-        # capacity 2 bpcu at rate 1: alpha = 2/3
-        p = unit_gain_params(power_db=10 * math.log10(3.0), rate=1.0)
-        assert mean_capacity(p) == pytest.approx(2.0)
-        assert alpha_opt(p) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        # mean capacity twice the rate: alpha = 2/3
+        for snr in SNRS_DB:
+            c = mean_capacity_closed_form(ChannelParams(snr_db=snr, rate=1.0, blocks=1))
+            p = ChannelParams(snr_db=snr, rate=c / 2.0, blocks=600)
+            assert alpha_opt(p) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_rayleigh_5db_matches_frozen_value(self):
         p = ChannelParams(snr_db=5.0, rate=1.0, blocks=600)
@@ -46,6 +51,14 @@ class TestVerifyThreshold:
             verify_threshold(p, blocks=600, delta=0.9, trials=10, seed=1)
         with pytest.raises(ValueError):
             verify_threshold(p, blocks=600, delta=0.0, trials=10, seed=1)
+        # delta inside (0, min(alpha, 1 - alpha)) whose lower window rounds to 0
+        p = ChannelParams(snr_db=-5.0, rate=1.0, blocks=600)
+        delta = alpha_opt(p) - 1e-4
+        with pytest.raises(ValueError, match=r"delta = .* gives windows 0 and"):
+            verify_threshold(p, blocks=600, delta=delta, trials=10, seed=1)
+        # a delta so small that both windows round to the same depth
+        with pytest.raises(ValueError, match="delta = 1e-05 gives windows 160 and 160"):
+            verify_threshold(p, blocks=600, delta=1e-5, trials=10, seed=1)
 
     def test_threshold_direction_small_scale(self):
         p = ChannelParams(snr_db=5.0, rate=1.0, blocks=600)
@@ -56,8 +69,10 @@ class TestVerifyThreshold:
         assert report.alpha_opt == pytest.approx(alpha_opt(p))
 
     def test_impossible_channel_never_decodes(self):
-        # deterministic capacity below the rate: decode-all never happens
-        p = unit_gain_params(power_db=-10.0, rate=1.0, blocks=600)
+        # At -10 dB no block carries more than log2(1 + 3.7) = 2.23 bits (the
+        # sampler's gain cap), so the first of B >= 300 messages, which
+        # accumulates at most 301/B such blocks, never reaches rate 3.
+        p = ChannelParams(snr_db=-10.0, rate=3.0, blocks=600)
         assert decode_all_probability(p, 300, trials=200, seed=2) == 0.0
         assert decode_all_probability(p, 450, trials=200, seed=2) == 0.0
 

@@ -10,17 +10,12 @@ import scipy.special
 from streamfade import channel, rng
 from streamfade.channel import (
     ChannelParams,
-    ChannelTrace,
-    Fading,
     decode_success_prob,
     exp1,
     mean_capacity,
     mean_capacity_closed_form,
     sample_capacity_matrix,
-    sample_gain_matrix,
     sample_trace,
-    trace_from_capacities,
-    trace_from_gains,
     window_decode_prob,
     window_decode_probs,
 )
@@ -40,8 +35,23 @@ TRAPEZOID_MEAN_CAPACITY = {
 TRAPEZOID_DECODE_PROB = {5.0: 0.728893414110, -5.0: 0.042329219623}
 
 
-def params(snr=5.0, rate=1.0, blocks=3, fading=Fading.RAYLEIGH_UNIT_MEAN):
-    return ChannelParams(snr_db=snr, rate=rate, blocks=blocks, fading=fading)
+def params(snr=5.0, rate=1.0, blocks=3):
+    return ChannelParams(snr_db=snr, rate=rate, blocks=blocks)
+
+
+def capacities(p, gains):
+    """log2(1 + P g) of the gains `gains`, by the sampler's own conversion."""
+    return channel._capacities_in_place(np.array(gains, dtype=np.float64), p.power)
+
+
+def untiled(p, seed, start, stop):
+    """The capacities of one untiled draw of trials start..stop-1, in the
+    memory order of `chunk_order`."""
+    gains = rng.exponential_matrix(seed, start, stop, p.blocks, channel.chunk_order(p.blocks))
+    return channel._capacities_in_place(gains, p.power)
+
+
+TILE = channel.ROW_BLOCK_ELEMENTS
 
 
 class TestParams:
@@ -65,33 +75,30 @@ class TestParams:
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
 
-    def test_trace_shape_checked(self):
-        with pytest.raises(ValueError):
-            ChannelTrace(np.ones(3), np.ones(4))
-
 
 class TestCapacities:
     def test_unit_gains_give_constant_capacity(self):
         # log2(1 + 10^0.5) for every block
-        tr = trace_from_gains(params(), np.ones(3))
+        caps = capacities(params(), np.ones(3))
         expected = math.log2(1.0 + 10.0**0.5)
-        assert np.allclose(tr.capacities, expected, rtol=0, atol=1e-12)
+        assert np.allclose(caps, expected, rtol=0, atol=1e-12)
         assert abs(expected - 2.0574) < 5e-5
 
     def test_zero_gains_give_zero_capacity(self):
-        tr = trace_from_gains(params(), np.zeros(3))
-        assert np.all(tr.capacities == 0.0)
+        assert np.all(capacities(params(), np.zeros(3)) == 0.0)
 
     def test_capacity_law_holds_on_samples(self):
         p = params(blocks=64)
-        tr = sample_trace(p, 99, 7)
-        assert np.array_equal(tr.capacities, np.log2(1.0 + p.power * tr.gains))
-        assert np.all(tr.capacities >= 0.0)
+        caps = sample_trace(p, 99, 7)
+        gains = rng.exponential_matrix(99, 7, 8, 64)[0]
+        assert np.array_equal(caps, np.log2(1.0 + p.power * gains))
+        assert np.all(caps >= 0.0)
 
     def test_capacity_roundtrip(self):
+        # gains back-solved from target capacities give those capacities
         p = params(blocks=4)
-        tr = trace_from_capacities(p, [0.5, 1.0, 0.0, 2.0])
-        assert np.allclose(np.log2(1.0 + p.power * tr.gains), tr.capacities, atol=1e-14)
+        target = np.array([0.5, 1.0, 0.0, 2.0])
+        assert np.allclose(capacities(p, (np.exp2(target) - 1.0) / p.power), target, atol=1e-14)
 
 
 class TestSampling:
@@ -99,17 +106,28 @@ class TestSampling:
         p = params(blocks=16)
         a = sample_trace(p, 1234, 5)
         b = sample_trace(p, 1234, 5)
-        assert np.array_equal(a.gains, b.gains)
+        assert np.array_equal(a, b)
         c = sample_trace(p, 1234, 6)
-        assert not np.array_equal(a.gains, c.gains)
+        assert not np.array_equal(a, c)
         d = sample_trace(p, 1235, 5)
-        assert not np.array_equal(a.gains, d.gains)
+        assert not np.array_equal(a, d)
 
     def test_batch_matches_single(self):
         p = params(blocks=8)
-        block = sample_gain_matrix(p, 7, 10, 20)
+        block = rng.exponential_matrix(7, 10, 20, 8)
         for i in range(10):
-            assert np.array_equal(block[i], sample_trace(p, 7, 10 + i).gains)
+            assert np.array_equal(capacities(p, block[i]), sample_trace(p, 7, 10 + i))
+
+    @pytest.mark.parametrize("blocks", [1, 64, 65, 2000, TILE + 1])
+    def test_trace_is_its_row_of_the_matrix(self, blocks):
+        # A trace is a capacity vector: the row of its trial, bit for bit,
+        # in either memory order and when one row exceeds a tile.
+        p = params(snr=3.0, blocks=blocks)
+        matrix = sample_capacity_matrix(p, 5, 40, 43)
+        for i in range(3):
+            trace = sample_trace(p, 5, 40 + i)
+            assert trace.shape == (blocks,) and trace.dtype == np.float64
+            assert trace.tobytes() == matrix[i].tobytes()
 
     def test_empirical_mean_capacity(self):
         # >= 1e6 blocks within four standard errors of the quadrature mean
@@ -127,18 +145,10 @@ class TestSampling:
         assert abs(freq - prob) < 4 * se
 
     def test_substream_serial_correlation(self):
-        p = params(blocks=50)
-        g = sample_gain_matrix(p, 31337, 0, 20_000).ravel()
+        g = rng.exponential_matrix(31337, 0, 20_000, 50).ravel()
         x, y = g[:-1], g[1:]
         r = np.corrcoef(x, y)[0, 1]
         assert abs(r) < 0.01
-
-    def test_unit_gain_law(self):
-        p = params(fading=Fading.UNIT_GAIN, blocks=5)
-        assert np.all(sample_gain_matrix(p, 1, 0, 4) == 1.0)
-
-
-TILE = channel.ROW_BLOCK_ELEMENTS
 
 
 class TestRowTiles:
@@ -159,12 +169,11 @@ class TestRowTiles:
             (TILE + 1, 3),  # a single row exceeds a tile
         ],
     )
-    @pytest.mark.parametrize("fading", list(Fading))
-    def test_tiles_match_one_draw(self, blocks, rows, fading):
-        p = params(snr=3.0, blocks=blocks, fading=fading)
+    def test_tiles_match_one_draw(self, blocks, rows):
+        p = params(snr=3.0, blocks=blocks)
         lo = 37
         tiled = sample_capacity_matrix(p, 99, lo, lo + rows)
-        whole = channel._capacities_in_place(sample_gain_matrix(p, 99, lo, lo + rows), p.power)
+        whole = untiled(p, 99, lo, lo + rows)
         assert tiled.shape == (rows, blocks)
         assert tiled.tobytes() == whole.tobytes()
 
@@ -175,12 +184,11 @@ class TestRowTiles:
         p = params(snr=3.0, blocks=blocks)
         rows = 9
         caps = sample_capacity_matrix(p, 99, 37, 37 + rows)
-        gains = sample_gain_matrix(p, 99, 37, 37 + rows)
+        whole = untiled(p, 99, 37, 37 + rows)
         block_major = blocks <= channel.BLOCK_MAJOR_MAX_BLOCKS
-        for matrix in (caps, gains):
+        for matrix in (caps, whole):
             assert matrix.flags.f_contiguous == block_major
             assert matrix.flags.c_contiguous == (not block_major or blocks == 1)
-        whole = channel._capacities_in_place(gains, p.power)
         assert caps.tobytes() == whole.tobytes()
         row_major = rng.exponential_matrix(99, 37, 37 + rows, blocks)
         assert row_major.flags.c_contiguous
@@ -217,11 +225,6 @@ class TestDecodeProb:
         # 2**2000 overflows a float; the probability is its limit, 0
         for rate in (2000.0, 1e300):
             assert decode_success_prob(params(rate=rate)) == 0.0
-            assert decode_success_prob(params(rate=rate, fading=Fading.UNIT_GAIN)) == 0.0
-
-    def test_unit_gain(self):
-        assert decode_success_prob(params(rate=1.0, fading=Fading.UNIT_GAIN)) == 1.0
-        assert decode_success_prob(params(snr=-20.0, rate=1.0, fading=Fading.UNIT_GAIN)) == 0.0
 
 
 class TestMeanCapacity:
@@ -236,10 +239,6 @@ class TestMeanCapacity:
 
     def test_vanishing_power(self):
         assert mean_capacity(params(snr=-80.0)) < 1e-7
-
-    def test_point_mass_law(self):
-        p = params(snr=5.0, fading=Fading.UNIT_GAIN)
-        assert mean_capacity(p) == math.log2(1.0 + p.power)
 
     def test_integration_warning_is_a_numeric_failure(self, monkeypatch):
         def quad(*args, **kwargs):
@@ -371,24 +370,19 @@ class TestWindowDecodeProbs:
     """Every window's probability from one chain, against a direct convolution."""
 
     @pytest.mark.parametrize(
-        "snr,rate,fading",
+        "snr,rate",
         [
-            (-5.0, 1.0, Fading.RAYLEIGH_UNIT_MEAN),
-            (0.0, 1.0, Fading.RAYLEIGH_UNIT_MEAN),
-            (5.0, 2.0, Fading.RAYLEIGH_UNIT_MEAN),
-            (-10.0, 0.3, Fading.RAYLEIGH_UNIT_MEAN),
-            (-5.0, 5.0, Fading.RAYLEIGH_UNIT_MEAN),  # above log2(1 + 37 P) = 3.67
-            (0.0, 2.5, Fading.UNIT_GAIN),
+            (-5.0, 1.0),
+            (0.0, 1.0),
+            (5.0, 2.0),
+            (-10.0, 0.3),
+            (-5.0, 5.0),  # above log2(1 + 37 P) = 3.67
         ],
     )
-    def test_matches_single_window(self, snr, rate, fading):
-        p = params(snr=snr, rate=rate, blocks=40, fading=fading)
+    def test_matches_single_window(self, snr, rate):
+        p = params(snr=snr, rate=rate, blocks=40)
         probs = window_decode_probs(p, 16)
-        if fading is Fading.UNIT_GAIN:
-            # capacity 1 per block at 0 dB
-            exact = np.array([float(b < rate) for b in range(1, 17)])
-        else:
-            exact = window_failure_masses_convolved(p.power, rate, 16, 1 << 13)
+        exact = window_failure_masses_convolved(p.power, rate, 16, 1 << 13)
         assert probs.shape == (16,)
         assert np.max(np.abs((1.0 - probs[1:]) - exact[1:])) <= 1e-12
         assert probs[0] == decode_success_prob(p)
@@ -401,11 +395,6 @@ class TestWindowDecodeProbs:
         probs = window_decode_probs(p, 12)
         assert probs[1:5].tolist() == [0.0] * 4
         assert [window_decode_prob(p, b) for b in range(1, 13)] == probs.tolist()
-
-    def test_unit_gain_is_exact(self):
-        # capacity 1 per block at 0 dB: windows of 3 or more reach rate 2.5
-        p = params(snr=0.0, rate=2.5, fading=Fading.UNIT_GAIN)
-        assert window_decode_probs(p, 5).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
 
     def test_extended_not_recomputed(self, monkeypatch):
         p = params(snr=-4.0, rate=1.25, blocks=7)

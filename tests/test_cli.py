@@ -465,3 +465,20 @@ class TestImportSet:
         assert before == []
         assert verify_code == 0
         assert integrate_loaded
+
+    def test_alpha_opt_loads_no_scipy(self):
+        # The asymptotic helpers use the closed-form mean capacity.
+        probe = (
+            "import sys\n"
+            "from streamfade.asymptotic import alpha_opt, verify_threshold\n"
+            "from streamfade.channel import ChannelParams\n"
+            "p = ChannelParams(5.0, 1.0, 600)\n"
+            "alpha_opt(p)\n"
+            "verify_threshold(p, blocks=500, delta=0.1, trials=2, seed=1)\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -15,7 +15,6 @@ from oracles import pb_count_sums_loop, pb_mi_matrix, wts_literal_delay_expanded
 from streamfade import channel, engine
 from streamfade.channel import (
     ChannelParams,
-    Fading,
     decode_success_prob,
     sample_capacity_matrix,
     window_decode_probs,
@@ -426,7 +425,7 @@ class TestPbSweepHelpers:
         mi = pb_mi_matrix(caps, 6)
         assert np.all(np.diff(mi, axis=1) >= -1e-15)
 
-    def test_optimizers_tie_break_low(self):
+    def test_optimizers_tie_break_low(self, monkeypatch):
         # blocks=1 leaves a single candidate
         p = params(blocks=1)
         tables = sample_point(p, {}, 128, 3, pb_table=True)
@@ -435,14 +434,16 @@ class TestPbSweepHelpers:
         assert optimize_wts_window(p, False)[0] == 1
         # equal objectives at B=2 and B=3 select B=2
         assert optimize_pb_window(np.array([5, 7, 7]), 10) == (2, 0.7)
-        # Unit gains at 0 dB carry 1 bit per block, so p_B is 0 or 1.  Rate 2,
-        # M=5: B=2 decodes 2 full windows, B=3 one full and the short pair.
-        unit = ChannelParams(snr_db=0.0, rate=2.0, blocks=5, fading=Fading.UNIT_GAIN)
-        assert optimize_wts_window(unit, True) == (2, 2.0)
-        # Rate 6 is out of reach: nothing decodes at any B, and every delay is M.
-        unit = replace(unit, rate=6.0)
-        assert optimize_wts_window(unit, True) == (1, 0.0)
-        assert optimize_wts_window(unit, False) == (1, 5.0)
+        # Rate 20 at -5 dB is out of reach: every p_B is 0, nothing decodes
+        # at any B, and every delay is M.
+        p = params(snr=-5.0, rate=20.0, blocks=5)
+        assert window_decode_probs(p, 5).tolist() == [0.0] * 5
+        assert optimize_wts_window(p, True) == (1, 0.0)
+        assert optimize_wts_window(p, False) == (1, 5.0)
+        # p_B is 0 for B = 1 and 1 above, at M = 5: B=2 decodes 2 full
+        # windows, B=3 one full and the short pair.
+        monkeypatch.setattr(engine, "window_decode_probs", lambda *a: np.array([0.0, 1, 1, 1, 1]))
+        assert optimize_wts_window(p, True) == (2, 2.0)
 
 
 class TestWtsWindowChoice:

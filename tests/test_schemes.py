@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamfade.channel import ChannelParams, sample_capacity_matrix, trace_from_capacities
+from streamfade.channel import ChannelParams, sample_capacity_matrix
 from streamfade.engine import (
     evaluate_ets,
     evaluate_mt,
@@ -100,28 +100,24 @@ class TestAllocationMatrices:
 
 class TestAccumulateAndDecode:
     def test_mt_reads_own_block(self):
-        p = params(blocks=3)
-        tr = trace_from_capacities(p, [1.5, 0.2, 3.0])
+        tr = np.array([1.5, 0.2, 3.0])
         mi = accumulate_mi(build_allocation(Scheme("mt"), 3), tr)
         assert np.allclose(mi, [1.5, 0.2, 3.0])
         v = decode(build_allocation(Scheme("mt"), 3), tr, 1.0)
         assert v.tolist() == [True, False, True]
 
     def test_ets_hand_example(self):
-        p = params(blocks=2)
-        tr = trace_from_capacities(p, [2.0, 2.0])
+        tr = np.array([2.0, 2.0])
         mi = accumulate_mi(build_allocation(Scheme("ets"), 2), tr)
         assert np.allclose(mi, [1.0, 3.0])
 
     def test_zero_trace(self):
-        p = params(blocks=5)
-        tr = trace_from_capacities(p, [0.0] * 5)
+        tr = np.zeros(5)
         for spec in ALL_SPECS_FOR(5):
             assert np.all(accumulate_mi(build_allocation(spec, 5), tr) == 0.0)
 
     def test_untransmitted_messages_stay_zero(self):
-        p = params(blocks=6)
-        tr = trace_from_capacities(p, [9.0] * 6)
+        tr = np.full(6, 9.0)
         alpha = build_allocation(Scheme("pb", 2), 6)
         v = decode(alpha, tr, 1.0)
         assert v[:4].tolist() == [False] * 4
@@ -129,8 +125,7 @@ class TestAccumulateAndDecode:
         assert mask.tolist() == [False] * 4 + [True] * 2
 
     def test_dimension_mismatch(self):
-        p = params(blocks=3)
-        tr = trace_from_capacities(p, [1.0, 1.0, 1.0])
+        tr = np.ones(3)
         with pytest.raises(ValueError):
             accumulate_mi(build_allocation(Scheme("mt"), 4), tr)
 
