@@ -9,8 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .channel import ChannelParams, mean_capacity_closed_form, sample_capacity_matrix
-from .engine import chunk_ranges, evaluate_pb, optimize_pb_window, sample_point
+from .channel import (
+    ChannelParams,
+    Tile,
+    mean_capacity_closed_form,
+    row_blocks,
+    sample_capacity_matrix,
+)
+from .engine import WORKSPACES, evaluate_pb, optimize_pb_window, sample_point
 
 
 def alpha_opt(params: ChannelParams) -> float:
@@ -37,15 +43,20 @@ def decode_all_probability(
     """Pr{every transmitted message decodes} for pre-buffering depth `window`.
 
     PB decodes form a suffix, so all B messages decode exactly when
-    `engine.evaluate_pb` counts B: the decode rule of the PB rows.
+    `engine.evaluate_pb` counts B: the decode rule of the PB rows.  As in
+    the sampling pass, each row tile is sampled into a borrowed workspace.
     """
     m = params.blocks
     if not (1 <= window <= m):
         raise ValueError("window out of range")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     hits = 0
-    for lo, hi in chunk_ranges(trials, m):
-        counts, _ = evaluate_pb(sample_capacity_matrix(params, seed, lo, hi), params.rate, window)
-        hits += int((counts == window).sum())
+    with WORKSPACES.borrow() as workspace:
+        for lo, hi in row_blocks(trials, m):
+            caps = sample_capacity_matrix(params, seed, lo, hi, workspace)
+            counts, _ = evaluate_pb(Tile(caps, workspace), params.rate, window)
+            hits += int((counts == window).sum())
     return hits / trials
 
 

@@ -15,9 +15,10 @@ short rows are reduced across trials, one contiguous column at a time
 (`scan_blocks`, and numpy's own column reductions).  Longer rows stay
 row-major.  Either layout gives the same values bit for bit.
 
-A chunk is taken in row tiles (`row_blocks`).  A `Workspace` holds one
-thread's tile buffers, reused from tile to tile, and a `Tile` is one tile's
-capacities with the running sums its consumers share.
+The sampling pass and the sampler take a chunk in row tiles (`row_blocks`).
+A `Workspace` holds one thread's tile buffers, reused from tile to tile, and
+a `Tile` is one tile's capacities with the running sums its consumers
+share; a capacity matrix given to an evaluator is one tile (`as_tile`).
 """
 from __future__ import annotations
 
@@ -185,10 +186,6 @@ class Tile:
         self.workspace = workspace
         self._prefix = self._running = None
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.caps.shape
-
     def _array(self, name: str, dtype, cols: int | None = None) -> np.ndarray:
         rows, m = self.caps.shape
         return self.workspace.array(name, dtype, rows, m if cols is None else cols, chunk_order(m))
@@ -219,28 +216,6 @@ def as_tile(caps) -> Tile:
     if isinstance(caps, Tile):
         return caps
     return Tile(np.asarray(caps, dtype=np.float64), Workspace())
-
-
-def tiles(caps):
-    """The row tiles of a capacity matrix, sharing one new workspace; a
-    `Tile` is its own only tile."""
-    if isinstance(caps, Tile):
-        yield caps
-        return
-    caps = np.asarray(caps, dtype=np.float64)
-    rows, blocks = caps.shape
-    workspace = Workspace()
-    for lo, hi in row_blocks(rows, blocks) or [(0, 0)]:
-        yield Tile(caps[lo:hi], workspace)
-
-
-def per_trial(kernel, caps, *args) -> tuple:
-    """`kernel(tile, *args)` over the tiles of `caps`, its per-trial arrays
-    joined in trial order."""
-    parts = [kernel(tile, *args) for tile in tiles(caps)]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _sample_into(out: np.ndarray, params: ChannelParams, seed: int, start: int, workspace):

@@ -215,6 +215,8 @@ def _cmd_analyze(args) -> int:
         windows = tuple(int(w) for w in args.windows.split(",") if w.strip())
     except ValueError:
         raise ConfigError(f"bad window list {args.windows!r}", "analyze.windows")
+    if not windows:
+        raise ConfigError(f"no window in {args.windows!r}", "analyze.windows")
     if any(w < 1 for w in windows):
         raise ConfigError(f"windows must be >= 1, got {args.windows!r}", "analyze.windows")
     if len(set(windows)) < len(windows):

@@ -1,9 +1,9 @@
 """Vectorized Monte Carlo evaluation of the transmission schemes.
 
-Evaluators take a (trials, blocks) capacity matrix, or one `channel.Tile`
-of a sampling pass, and return integer per-trial statistics; a matrix is
-taken in row tiles (`channel.row_blocks`) by the same per-tile kernels.  A
-sweep point is one pass over chunks of trials (`sample_point`, sized by
+Evaluators take one `channel.Tile` of a sampling pass, or a (trials,
+blocks) capacity matrix as one tile (`channel.as_tile`), and return integer
+per-trial statistics; only the pass and the sampler cut row tiles.  A sweep
+point is one pass over chunks of trials (`sample_point`, sized by
 `chunk_rows`).  A chunk is never held as a matrix: its task walks the
 chunk's row tiles once each, in a workspace borrowed for the task from the
 process's pool (`WORKSPACES`: one `channel.Workspace` per concurrent task,
@@ -49,10 +49,8 @@ from .channel import (
     Workspace,
     as_tile,
     block_major,
-    per_trial,
     row_blocks,
     sample_capacity_matrix,
-    tiles,
     window_decode_probs,
 )
 # The informed bound is the IT row's evaluator; the scheme table reaches it
@@ -68,38 +66,33 @@ CHUNK = 4096
 CHUNK_ELEMENTS = 1 << 18
 
 
-def _mt(tile, rate):
+def evaluate_mt(caps, rate: float):
+    """Per-block transmission: message t decodes iff block t's capacity >= rate.
+
+    `caps` is a `channel.Tile` or a (trials, blocks) capacity matrix, taken
+    as one tile (`channel.as_tile`), as for every evaluator here."""
+    tile = as_tile(caps)
     m = tile.caps.shape[1]
     v = np.greater_equal(tile.caps, rate, out=tile.temporary(bool))
     return v.sum(axis=1), max_zero_run_rows(v, tile.temporary(np.int32, m + 1))
 
 
-def evaluate_mt(caps, rate: float):
-    """Per-block transmission: message t decodes iff block t's capacity >= rate.
-
-    `caps` is a (trials, blocks) capacity matrix or a `channel.Tile`, as for
-    every evaluator here."""
-    return per_trial(_mt, caps, rate)
-
-
-def ets_mi_matrix(caps: np.ndarray) -> np.ndarray:
-    """Running equal-share MI W of a whole matrix; column m-1 is message m's
-    total."""
-    return as_tile(caps).running
-
-
-def _ets(tile, rate):
+def evaluate_ets(caps, rate: float):
+    """Equal-share time sharing: message m decodes iff its running total W
+    reaches the rate at its deadline."""
+    tile = as_tile(caps)
     counts = np.greater_equal(tile.running, rate, out=tile.temporary(bool)).sum(axis=1)
     return counts, tile.caps.shape[1] - counts  # totals never fall: decodes form a suffix
 
 
-def evaluate_ets(caps, rate: float):
-    """Equal-share time sharing: message m decodes iff its running total W
-    reaches the rate at its deadline."""
-    return per_trial(_ets, caps, rate)
+def evaluate_pb(caps, rate: float, window: int):
+    """Pre-buffering: only the last `window` messages are sent.
 
-
-def _pb(tile, rate, window):
+    Decodes are the comparisons of `pb_count_sums` at depth B = `window`.
+    Decoded messages always form a suffix, so the longest zero-run equals
+    blocks - decoded_count on every realization.
+    """
+    tile = as_tile(caps)
     m = tile.caps.shape[1]
     if not (1 <= window <= m):
         raise ValueError(f"need 1 <= window <= blocks, got {window}")
@@ -110,16 +103,6 @@ def _pb(tile, rate, window):
     hits = tile.temporary(bool, window)
     counts = np.greater_equal(running[:, first:], tau[:, None], out=hits).sum(axis=1)
     return counts, m - counts
-
-
-def evaluate_pb(caps, rate: float, window: int):
-    """Pre-buffering: only the last `window` messages are sent.
-
-    Decodes are the comparisons of `pb_count_sums` at depth B = `window`.
-    Decoded messages always form a suffix, so the longest zero-run equals
-    blocks - decoded_count on every realization.
-    """
-    return per_trial(_pb, caps, rate, window)
 
 
 # numpy sums 8 or more terms in 8 pairwise lanes, fewer left to right.
@@ -159,7 +142,13 @@ def wts_decode_bits(caps: np.ndarray, rate: float, window: int):
     return full, short
 
 
-def _wts(tile, rate, window):
+def evaluate_wts(caps, rate: float, window: int):
+    """Windowed time-sharing: (counts, delays), where `delays` is the literal
+    longest zero-run over all M message slots (untransmitted messages count
+    as failures); see `wts_window_delays` for the statistic that the wTS
+    delay bounds bound.
+    """
+    tile = as_tile(caps)
     m = tile.caps.shape[1]
     full, short = wts_decode_bits(tile.caps, rate, window)
     counts = full.sum(axis=1)
@@ -171,15 +160,6 @@ def _wts(tile, rate, window):
         bits = np.column_stack([full, short])  # in the layout of `full`
         counts = counts + short
     return counts, max_zero_run_at(bits, slots, m, tile.temporary(np.int32, bits.shape[1] + 1))
-
-
-def evaluate_wts(caps, rate: float, window: int):
-    """Windowed time-sharing: (counts, delays), where `delays` is the literal
-    longest zero-run over all M message slots (untransmitted messages count
-    as failures); see `wts_window_delays` for the statistic that the wTS
-    delay bounds bound.
-    """
-    return per_trial(_wts, caps, rate, window)
 
 
 def wts_window_delays(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
@@ -209,7 +189,7 @@ def _depth_thresholds(tile, rate: float) -> np.ndarray:
 
 
 def _pb_tile_by_counting(caps, rate: float) -> np.ndarray:
-    """`pb_count_sums` of one row tile, by comparing every transmitted message
+    """`pb_count_sums` of one tile, by comparing every transmitted message
     with tau of every depth that transmits it: message j with depths
     B >= M-j, one contiguous slice of the tau columns.  On a block-major
     tile each step is one vector operation across trials.
@@ -231,7 +211,7 @@ def _pb_tile_by_counting(caps, rate: float) -> np.ndarray:
 
 
 def _pb_tile_by_search(caps, rate: float) -> np.ndarray:
-    """`pb_count_sums` of one row tile, by one binary search per row.  W is a
+    """`pb_count_sums` of one tile, by one binary search per row.  W is a
     running sum of nonnegative terms, so it is nondecreasing along a row, and
     the count at depth B is min(B, M - L_B) with L_B = #{W_j < tau_B}, the
     left insertion point of tau_B in W.
@@ -266,12 +246,11 @@ def pb_count_sums(caps, rate: float) -> np.ndarray:
     At depth B only the last B messages are transmitted.  Message j (0-based,
     j >= M-B) then decodes iff its equal-share total W_j reaches
     tau_B = (rate - S_{M-B}/B) + W_{M-B}, where S is the capacity prefix sum
-    (the rule of `evaluate_pb`).  `caps` is a capacity matrix, taken in row
-    tiles (`channel.row_blocks`), or one `channel.Tile`; each tile goes to
-    the kernel of `pb_tile_kernel`.
+    (the rule of `evaluate_pb`).  `caps` is one `channel.Tile`, or a capacity
+    matrix taken as one tile, and goes to the kernel of `pb_tile_kernel`.
     """
-    kernel = pb_tile_kernel(caps.shape[1])
-    return sum(kernel(tile, rate) for tile in tiles(caps))
+    tile = as_tile(caps)
+    return pb_tile_kernel(tile.caps.shape[1])(tile, rate)
 
 
 @dataclass
@@ -398,6 +377,8 @@ def sample_point(
     absent from its row) and `pb_count_sums` when `pb_table`.  Per-trial
     counts and delays are gathered per chunk and reduced there.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     m, rate = params.blocks, params.rate
 
     def empty():
@@ -500,8 +481,6 @@ def evaluate_point(
     integer sums, so the result is independent of `threads` and of the chunk
     size.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     fixed, chosen_pb = {}, {}
     for key, scheme in schemes.items():
         if scheme.window is not None or scheme.row.table is None:

@@ -269,18 +269,48 @@ class ResultRow:
     seed: int
 
 
-def _analytic_columns(params: ChannelParams, scheme: Scheme, window: int | None):
-    """(analytic throughput bpcu, delay lower, delay upper) where closed forms exist."""
+def _analytic_columns(params: ChannelParams, scheme: Scheme, window: int | None, delays: dict):
+    """(analytic throughput bpcu, delay lower, delay upper) where closed forms
+    exist.  `delays` keeps the point's delay cells by (B, p_B), each built
+    once; MT's exact delay is the wTS bound pair at B = 1, bit for bit."""
     form = scheme.row.analytic
     if form == "exact":
         p = decode_success_prob(params)
-        exact_delay = mt_mean_max_delay(params.blocks, p)
-        return params.rate * p, exact_delay, exact_delay
+        if (1, p) not in delays:
+            delays[1, p] = (mt_mean_max_delay(params.blocks, p),) * 2
+        return (params.rate * p, *delays[1, p])
     if form == "bounds":
         p_b = window_decode_prob(params, window)
-        bounds = wts_delay_bounds(params.blocks, window, p_b)
-        return None, bounds.delay_lower, bounds.delay_upper
+        if (window, p_b) not in delays:
+            bounds = wts_delay_bounds(params.blocks, window, p_b)
+            delays[window, p_b] = bounds.delay_lower, bounds.delay_upper
+        return (None, *delays[window, p_b])
     return None, None, None
+
+
+def _point_rows(config, sweep_name, sweep_value, params, cells) -> list[ResultRow]:
+    """The rows of one sweep point, one per (scheme, window, accumulator) of
+    `cells`; a cell without an accumulator is closed-form only."""
+    delays: dict = {}
+    scale = params.rate / params.blocks
+    rows = []
+    for scheme, window, acc in cells:
+        simulated = (None,) * 5 if acc is None else (
+            scale * acc.mean_count(),
+            acc.mean_count(),
+            acc.mean_delay(),
+            scale * acc.stderr_count(),
+            acc.stderr_delay(),
+        )
+        analytic = _analytic_columns(params, scheme, window, delays)
+        trials = 0 if acc is None else config.trials
+        rows.append(
+            ResultRow(
+                sweep_name, sweep_value, scheme.label, window, *simulated, *analytic,
+                trials, config.seed,
+            )
+        )
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -293,27 +323,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         accums = engine.evaluate_point(
             params, dict(enumerate(schemes)), config.trials, config.seed, config.threads
         )
-        scale = params.rate / params.blocks
-        for idx, acc in accums.items():
-            thr, lo, hi = _analytic_columns(params, schemes[idx], acc.window)
-            rows.append(
-                ResultRow(
-                    sweep_variable=sweep_name,
-                    sweep_value=sweep_value,
-                    scheme=schemes[idx].label,
-                    window=acc.window,
-                    avg_throughput_bpcu=scale * acc.mean_count(),
-                    avg_decoded_msgs=acc.mean_count(),
-                    avg_max_delay=acc.mean_delay(),
-                    stderr_throughput=scale * acc.stderr_count(),
-                    stderr_delay=acc.stderr_delay(),
-                    analytic_throughput=thr,
-                    analytic_delay_lower=lo,
-                    analytic_delay_upper=hi,
-                    trials=config.trials,
-                    seed=config.seed,
-                )
-            )
+        cells = [(schemes[idx], acc.window, acc) for idx, acc in accums.items()]
+        rows += _point_rows(config, sweep_name, sweep_value, params, cells)
     return rows
 
 
@@ -322,26 +333,8 @@ def analytic_rows(config: ExperimentConfig, windows) -> list[ResultRow]:
     rows = []
     for sweep_name, sweep_value, params in config.sweep_points():
         schemes = [Scheme("mt")] + [Scheme("wts", w) for w in windows if w <= params.blocks]
-        for scheme in schemes:
-            thr, lo, hi = _analytic_columns(params, scheme, scheme.window)
-            rows.append(
-                ResultRow(
-                    sweep_variable=sweep_name,
-                    sweep_value=sweep_value,
-                    scheme=scheme.label,
-                    window=scheme.window,
-                    avg_throughput_bpcu=None,
-                    avg_decoded_msgs=None,
-                    avg_max_delay=None,
-                    stderr_throughput=None,
-                    stderr_delay=None,
-                    analytic_throughput=thr,
-                    analytic_delay_lower=lo,
-                    analytic_delay_upper=hi,
-                    trials=0,
-                    seed=config.seed,
-                )
-            )
+        cells = [(scheme, scheme.window, None) for scheme in schemes]
+        rows += _point_rows(config, sweep_name, sweep_value, params, cells)
     return rows
 
 

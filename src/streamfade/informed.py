@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .channel import per_trial, scan_blocks
+from .channel import as_tile, scan_blocks
 
 
 @dataclass(frozen=True)
@@ -171,14 +171,11 @@ def informed_counts_and_delays(capacity_matrix: np.ndarray, rate: float):
     applies would add nothing, and without the cap they would not stop at a
     tiny R, where K is astronomically large.
 
-    `capacity_matrix` is taken in row tiles (`channel.row_blocks`), or is
-    one `channel.Tile`.  The running total I is the tile's prefix sum S, and
+    `capacity_matrix` is one `channel.Tile`, or a matrix taken as one tile
+    (`channel.as_tile`).  The running total I is the tile's prefix sum S, and
     the running minimum follows the tile's layout (`channel.scan_blocks`).
     """
-    return per_trial(_informed_tile, capacity_matrix, rate)
-
-
-def _informed_tile(tile, rate: float):
+    tile = as_tile(capacity_matrix)
     i_tot = tile.prefix
     m = i_tot.shape[1]
     # K - t lies in [-M, M]: int32 halves the traffic of every integer pass.

@@ -57,7 +57,7 @@ class SchemeRow:
 
 # Evaluators are looked up on the engine module at call time, so that a
 # wrapper installed there (a tracer or a test double) sees every call.
-def _wts(caps, rate, window):
+def _evaluate_wts(caps, rate, window):
     return engine.evaluate_wts(caps, rate, window)
 
 
@@ -69,9 +69,9 @@ SCHEMES = {
     "pb": SchemeRow(
         "PB", OPTIONAL, lambda caps, rate, b: engine.evaluate_pb(caps, rate, b), table="pb"
     ),
-    "wts": SchemeRow("wTS", REQUIRED, _wts, analytic="bounds"),
-    "twts": SchemeRow("T-wTS", NONE, _wts, table="wts", maximize=True, analytic="bounds"),
-    "dwts": SchemeRow("D-wTS", NONE, _wts, table="wts", maximize=False, analytic="bounds"),
+    "wts": SchemeRow("wTS", REQUIRED, _evaluate_wts, analytic="bounds"),
+    "twts": SchemeRow("T-wTS", NONE, _evaluate_wts, table="wts", maximize=True, analytic="bounds"),
+    "dwts": SchemeRow("D-wTS", NONE, _evaluate_wts, table="wts", maximize=False, analytic="bounds"),
     "it": SchemeRow(
         "IT", NONE, lambda caps, rate, _: engine.informed_counts_and_delays(caps, rate), token=False
     ),

@@ -18,6 +18,7 @@ from oracles import pb_mi_matrix
 from streamfade.asymptotic import optimal_prebuffer_fraction, verify_threshold
 from streamfade.channel import (
     ChannelParams,
+    as_tile,
     decode_success_prob,
     mean_capacity,
     mean_capacity_closed_form,
@@ -29,7 +30,6 @@ from streamfade.engine import (
     evaluate_mt,
     evaluate_pb,
     evaluate_wts,
-    ets_mi_matrix,
     pb_count_sums,
     wts_window_delays,
 )
@@ -131,7 +131,7 @@ def test_criterion_4_scheme_delay_identities(caps_m40):
     """eTS and PB satisfy delay = M - decoded count on every realization."""
     checked = 0
     for snr, caps in caps_m40.items():
-        ets_bits = ets_mi_matrix(caps) >= 1.0
+        ets_bits = as_tile(caps).running >= 1.0
         ets_delay = max_zero_run_rows(ets_bits)
         ets_count = ets_bits.sum(axis=1)
         assert np.all(ets_delay == BLOCKS - ets_count), f"eTS identity broken at {snr}"

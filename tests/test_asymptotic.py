@@ -76,6 +76,12 @@ class TestVerifyThreshold:
         assert decode_all_probability(p, 300, trials=200, seed=2) == 0.0
         assert decode_all_probability(p, 450, trials=200, seed=2) == 0.0
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_decode_all_needs_a_trial(self, trials):
+        p = ChannelParams(snr_db=-5.0, rate=1.0, blocks=20)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            decode_all_probability(p, 5, trials=trials, seed=1)
+
     def test_monotone_in_window(self):
         p = ChannelParams(snr_db=0.0, rate=1.0, blocks=600)
         probs = [
@@ -105,3 +111,9 @@ class TestOptimalFraction:
             fractions.append(fraction)
             signs.add(math.copysign(1.0, fraction - a_opt))
         assert len(signs) == 1, f"direction flipped across seeds: {fractions} vs {a_opt}"
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_needs_a_trial(self, trials):
+        p = ChannelParams(snr_db=-5.0, rate=1.0, blocks=20)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            optimal_prebuffer_fraction(p, trials, 1)

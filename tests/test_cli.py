@@ -241,6 +241,9 @@ class TestBadInputExits2:
             (["sweep", "--variable", "messages", "--values", ","], "sweep.values"),
             (["sweep", "--variable", "messages", "--values", ""], "sweep.values"),
             (["sweep", "--variable", "snr_db", "--values", " , "], "sweep.values"),
+            (["analyze", "--windows", ","], "analyze.windows"),
+            (["analyze", "--windows", ""], "analyze.windows"),
+            (["analyze", "--windows", " , "], "analyze.windows"),
         ],
     )
     def test_names_the_field(self, argv, field, capsys):

@@ -303,6 +303,13 @@ class TestTilePass:
                 reference.add(*scheme.evaluate(layout, p.rate))
                 assert point.fixed[key] == reference, names
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_needs_a_trial(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sample_point(params(), {}, trials, 1, pb_table=True)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            evaluate_point(params(), SCHEMES, trials, 1)
+
     @pytest.mark.parametrize("threads, most", [(1, 1), (2, 2)])
     def test_one_workspace_per_worker_per_run(self, monkeypatch, threads, most):
         built = []
@@ -358,10 +365,12 @@ class TestPbSweepHelpers:
             assert sums[1, b - 1] == (counts**2).sum()
 
     def test_count_sums_blocks_are_transparent(self, monkeypatch):
-        caps = sample_capacity_matrix(params(blocks=10), 17, 0, 50)
-        whole = pb_count_sums(caps, 1.0)
-        monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", 30)  # 3 rows a block
-        assert pb_count_sums(caps, 1.0).tolist() == whole.tolist()
+        p = params(blocks=10)
+        caps = sample_capacity_matrix(p, 17, 0, 50)
+        whole = sample_point(p, {}, 50, 17, pb_table=True).pb_counts
+        assert whole.tolist() == pb_count_sums(caps, 1.0).tolist()
+        monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", 30)  # 3 rows a tile
+        assert sample_point(p, {}, 50, 17, pb_table=True).pb_counts.tolist() == whole.tolist()
         assert whole.tolist() == pb_count_sums_loop(caps, 1.0).tolist()
 
     @given(st.data())

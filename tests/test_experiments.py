@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamfade import runstats
-from streamfade.channel import ChannelParams, decode_success_prob
+from streamfade.channel import ChannelParams, decode_success_prob, window_decode_prob
 from streamfade.errors import ConfigError
 from streamfade.experiments import (
     CSV_HEADER,
@@ -156,6 +156,18 @@ class TestConfigRoundTrip:
         assert config.sweep_variable == "messages"
         assert config.svg_path == "results.svg"
 
+    def test_readme_quick_start_runs(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Library quick start\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        names: dict = {}
+        exec(compile(code, "README.md quick start", "exec"), names)
+        assert names["trace"].shape == (40,)
+        assert names["bits"].shape == (40,)
+        assert int(names["respread"].sum()) == int(names["greedy"].decode_vector.sum())
+        assert 0 <= names["max_gap"] <= 40
+        assert names["exact_mt_delay"] == mt_mean_max_delay(40, 0.0423)
+
 
 class TestRunExperiment:
     def test_rows_and_csv_shape(self, tmp_path):
@@ -252,6 +264,42 @@ class TestAnalyticRows:
         rows = run_experiment(config) + analytic_rows(config, windows=(1, 2, 5, 40))
         assert len(rows) == 2 * 4 + 2 * 5 - 1  # wTS B=40 exceeds M=6
         assert all(r.analytic_delay_upper is not None for r in rows)
+
+    def test_delay_cells_share_their_run_tails(self, monkeypatch):
+        # MT's exact delay is the wTS bound pair at B = 1: a point with both
+        # rows builds those run tails once, in either row order.
+        lengths = []
+        columns = runstats.run_tail_columns
+
+        def counted(length, p, depth):
+            lengths.append(length)
+            return columns(length, p, depth)
+
+        monkeypatch.setattr(runstats, "run_tail_columns", counted)
+        rows = analytic_rows(small_config(messages=200), windows=(1, 2, 3, 5))
+        assert lengths == [201, 101, 68, 41]
+        mt, wts1 = rows[0], rows[1]
+        assert mt.analytic_delay_lower == mt.analytic_delay_upper == wts1.analytic_delay_lower
+        assert wts1.analytic_delay_upper == mt.analytic_delay_lower
+        for schemes in ("mt,wts:1", "wts:1,mt"):
+            lengths.clear()
+            config = small_config(
+                messages=200, schemes=parse_scheme_list(schemes), include_it_bound=False, trials=4
+            )
+            simulated = {r.scheme: r for r in run_experiment(config)}
+            assert lengths == [201]
+            for row in (simulated["MT"], simulated["wTS"]):
+                assert row.analytic_delay_lower == row.analytic_delay_upper == mt.analytic_delay_lower
+
+    @pytest.mark.parametrize("snr", [-10.0, -5.0, 0.0, 5.0, 10.0])
+    def test_mt_delay_is_the_wts_pair_at_window_one(self, snr):
+        for rate in (0.5, 1.0, 2.0, 3.0):
+            for m in (*range(1, 80), 200):
+                params = ChannelParams(snr, rate, m)
+                p = decode_success_prob(params)
+                assert window_decode_prob(params, 1) == p
+                bounds = runstats.wts_delay_bounds(m, 1, p)
+                assert bounds.delay_lower == bounds.delay_upper == mt_mean_max_delay(m, p)
 
 
 class TestSimulationWithinAnalyticBounds:

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import informed_counts_and_delays_loop
 from streamfade import channel, informed
 from streamfade.channel import ChannelParams, sample_capacity_matrix
+from streamfade.engine import Accumulator, sample_point
 from streamfade.informed import (
     greedy_allocate,
     informed_counts_and_delays,
@@ -18,6 +19,7 @@ from streamfade.informed import (
     _dominance_holds,
 )
 from streamfade.metrics import max_zero_run
+from streamfade.schemes import Scheme
 
 
 def fig2_trace():
@@ -241,10 +243,14 @@ class TestClosedForm:
         assert_matches_loop(steps * rate, rate)
 
     def test_row_blocks_are_transparent(self, monkeypatch):
-        caps = sample_capacity_matrix(ChannelParams(-5.0, 1.0, 64), 41, 0, 1100)
-        whole = informed_counts_and_delays(caps, 1.0)
+        p = ChannelParams(-5.0, 1.0, 64)
+        caps = sample_capacity_matrix(p, 41, 0, 1100)
         assert len(channel.row_blocks(1100, 64)) == 3
         assert_matches_loop(caps, 1.0)
-        monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", 100)  # one row a block
-        for got, want in zip(informed_counts_and_delays(caps, 1.0), whole):
-            assert got.tolist() == want.tolist()
+        reference = Accumulator()
+        reference.add(*informed_counts_and_delays(caps, 1.0))
+        fixed = {"it": Scheme("it")}
+        whole = sample_point(p, fixed, 1100, 41).fixed["it"]
+        assert whole == reference
+        monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", 100)  # one row a tile
+        assert sample_point(p, fixed, 1100, 41).fixed["it"] == whole

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from streamfade import channel, engine
+from streamfade import engine
 from streamfade.channel import scan_blocks
 from streamfade.engine import (
     evaluate_ets,
@@ -53,25 +53,22 @@ def assert_same_on_both(fn, matrix, *args):
 @settings(max_examples=200, deadline=None)
 def test_evaluators_agree_across_layouts(data):
     # M = 1..80 lies on both sides of BLOCK_MAJOR_MAX_BLOCKS; one-trial chunks
-    # included.  Integer capacities give exact ties; tiles of a patched size
-    # put several row tiles in the IT and PB kernels.
+    # included.  Integer capacities give exact ties.
     m = data.draw(st.integers(1, 12) | st.integers(13, 80))
     rows = data.draw(st.integers(1, 9))
     values = st.sampled_from([0.0, 1.0, 2.0, 3.0]) | st.floats(0.0, 4.0)
     caps = data.draw(arrays(np.float64, (rows, m), elements=values))
     rate = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     window = data.draw(st.integers(1, m))
-    tile = data.draw(st.integers(1, 3 * m))
-    with mock.patch.object(channel, "ROW_BLOCK_ELEMENTS", tile):
-        assert_same_on_both(evaluate_mt, caps, rate)
-        assert_same_on_both(evaluate_ets, caps, rate)
-        assert_same_on_both(evaluate_pb, caps, rate, window)
-        assert_same_on_both(evaluate_wts, caps, rate, window)
-        assert_same_on_both(wts_window_delays, caps, rate, window)
-        assert_same_on_both(informed_counts_and_delays, caps, rate)
-        for kernel in (engine._pb_tile_by_counting, engine._pb_tile_by_search):
-            with mock.patch.object(engine, "pb_tile_kernel", lambda _: kernel):
-                assert_same_on_both(pb_count_sums, caps, rate)
+    assert_same_on_both(evaluate_mt, caps, rate)
+    assert_same_on_both(evaluate_ets, caps, rate)
+    assert_same_on_both(evaluate_pb, caps, rate, window)
+    assert_same_on_both(evaluate_wts, caps, rate, window)
+    assert_same_on_both(wts_window_delays, caps, rate, window)
+    assert_same_on_both(informed_counts_and_delays, caps, rate)
+    for kernel in (engine._pb_tile_by_counting, engine._pb_tile_by_search):
+        with mock.patch.object(engine, "pb_tile_kernel", lambda _: kernel):
+            assert_same_on_both(pb_count_sums, caps, rate)
 
 
 @given(st.data())
