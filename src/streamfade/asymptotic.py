@@ -4,19 +4,14 @@ Transmitting a fraction alpha of the messages succeeds (all of them decode)
 with probability tending to 1 when alpha < 1/(R/C_mean + 1) and to 0 above
 it.  The earliest-deadline transmitted message accumulates the least mutual
 information, so "decode all" reduces to a single sample-mean threshold test.
+Both Monte Carlo estimates here are sampling passes of `engine.tile_sums`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .channel import (
-    ChannelParams,
-    Tile,
-    mean_capacity_closed_form,
-    row_blocks,
-    sample_capacity_matrix,
-)
-from .engine import WORKSPACES, evaluate_pb, optimize_pb_window, sample_point
+from .channel import ChannelParams, mean_capacity_closed_form
+from .engine import evaluate_pb, optimize_pb_window, pb_count_sums, tile_sums
 
 
 def alpha_opt(params: ChannelParams) -> float:
@@ -43,21 +38,18 @@ def decode_all_probability(
     """Pr{every transmitted message decodes} for pre-buffering depth `window`.
 
     PB decodes form a suffix, so all B messages decode exactly when
-    `engine.evaluate_pb` counts B: the decode rule of the PB rows.  As in
-    the sampling pass, each row tile is sampled into a borrowed workspace.
+    `engine.evaluate_pb` counts B, the decode rule of the PB rows, on each
+    row tile of the pass.
     """
-    m = params.blocks
-    if not (1 <= window <= m):
+    if not (1 <= window <= params.blocks):
         raise ValueError("window out of range")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    hits = 0
-    with WORKSPACES.borrow() as workspace:
-        for lo, hi in row_blocks(trials, m):
-            caps = sample_capacity_matrix(params, seed, lo, hi, workspace)
-            counts, _ = evaluate_pb(Tile(caps, workspace), params.rate, window)
-            hits += int((counts == window).sum())
-    return hits / trials
+
+    def decoded_all(tile):
+        counts, _ = evaluate_pb(tile, params.rate, window)
+        return [(counts == window).sum(keepdims=True)]
+
+    (hits,) = tile_sums(params, trials, seed, 1, decoded_all)
+    return int(hits[0]) / trials
 
 
 def verify_threshold(
@@ -66,8 +58,6 @@ def verify_threshold(
     """Empirically probe both sides of the critical fraction at finite M."""
     if blocks < 500:
         raise ValueError("threshold verification needs blocks >= 500")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     a_opt = alpha_opt(params)
     if not (0.0 < delta < min(a_opt, 1.0 - a_opt)):
         raise ValueError(f"delta must lie in (0, {min(a_opt, 1.0 - a_opt):.4f})")
@@ -95,6 +85,6 @@ def optimal_prebuffer_fraction(
     params: ChannelParams, trials: int, seed: int
 ) -> tuple[int, float]:
     """Throughput-maximizing buffer depth and its fraction of the messages."""
-    tables = sample_point(params, {}, trials, seed, pb_table=True)
-    window, _ = optimize_pb_window(tables.pb_counts[0], trials)
+    (table,) = tile_sums(params, trials, seed, 1, lambda tile: [pb_count_sums(tile, params.rate)])
+    window, _ = optimize_pb_window(table[0], trials)
     return window, window / params.blocks

@@ -21,7 +21,7 @@ from .channel import (
     mean_capacity_closed_form,
     sample_capacity_matrix,
 )
-from .engine import Accumulator, evaluate_ets, evaluate_pb, pb_count_sums, sample_point
+from .engine import Accumulator, evaluate_ets, evaluate_pb, evaluate_point, pb_count_sums, tile_sums
 from .errors import ConfigError, NumericFailure
 from .experiments import (
     ExperimentConfig,
@@ -280,9 +280,10 @@ def _cmd_verify(args) -> int:
 
     # Per-realization scheme identities; the PB depth table against
     # `evaluate_pb` at every depth for each of the table's kernels (M = 24
-    # counts, M = 100 searches); and the tile pass of `sample_point` against
-    # the standalone evaluators on the same traces, on a block-major (M = 24)
-    # and a row-major (M = 100) chunk.
+    # counts, M = 100 searches); and the sampling pass (`tile_sums`: the
+    # fixed rows of `evaluate_point` and the summed depth table) against the
+    # standalone evaluators on the same traces, on a block-major (M = 24) and
+    # a row-major (M = 100) chunk.
     params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=24)
     caps = sample_capacity_matrix(params, seed, 0, 4000)
     c_ets, d_ets = evaluate_ets(caps, 1.0)
@@ -296,12 +297,13 @@ def _cmd_verify(args) -> int:
         for depth in range(1, blocks + 1):
             counts, _ = evaluate_pb(caps, 1.0, depth)
             ok = ok and table[:, depth - 1].tolist() == [counts.sum(), (counts**2).sum()]
-        point = sample_point(params, fixed, trials, seed, pb_table=True)
-        ok = ok and point.pb_counts.tolist() == table.tolist()
+        point = evaluate_point(params, fixed, trials, seed)
+        (summed,) = tile_sums(params, trials, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
+        ok = ok and summed.tolist() == table.tolist()
         for key, scheme in fixed.items():
             reference = Accumulator(scheme.window)
             reference.add(*scheme.evaluate(caps, 1.0))
-            ok = ok and point.fixed[key] == reference
+            ok = ok and point[key] == reference
     # The evaluators above run the tile pass's own kernels, so a fault shared
     # by both passes them.  At M = 12 the tile pass also answers to references
     # that share none of its kernels: every fixed scheme and every PB depth
@@ -312,7 +314,8 @@ def _cmd_verify(args) -> int:
     caps = sample_capacity_matrix(params, seed, 0, trials)
     schemes = [Scheme(n, b) for n in ("pb", "wts") for b in range(1, blocks + 1)]
     schemes = [Scheme("mt"), Scheme("ets"), *schemes, Scheme("it")]
-    point = sample_point(params, dict(enumerate(schemes)), trials, seed, pb_table=True)
+    point = evaluate_point(params, dict(enumerate(schemes)), trials, seed)
+    (table,) = tile_sums(params, trials, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
     for key, scheme in enumerate(schemes):
         if scheme.name == "it":
             counts, delays = np.array([informed.informed_trial(row, 1.0) for row in caps]).T
@@ -323,10 +326,10 @@ def _cmd_verify(args) -> int:
             delays = np.array([max_zero_run(v) for v in decoded])
         reference = Accumulator(scheme.window)
         reference.add(counts, delays)
-        ok = ok and point.fixed[key] == reference
+        ok = ok and point[key] == reference
         if scheme.name == "pb":
             sums = [counts.sum(), (counts**2).sum()]
-            ok = ok and point.pb_counts[:, scheme.window - 1].tolist() == sums
+            ok = ok and table[:, scheme.window - 1].tolist() == sums
     report("equal-share and pre-buffering delay identities, PB depth table, tile pass", ok)
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 1

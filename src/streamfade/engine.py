@@ -2,17 +2,15 @@
 
 Evaluators take one `channel.Tile` of a sampling pass, or a (trials,
 blocks) capacity matrix as one tile (`channel.as_tile`), and return integer
-per-trial statistics; only the pass and the sampler cut row tiles.  A sweep
-point is one pass over chunks of trials (`sample_point`, sized by
-`chunk_rows`).  A chunk is never held as a matrix: its task walks the
-chunk's row tiles once each, in a workspace borrowed for the task from the
-process's pool (`WORKSPACES`: one `channel.Workspace` per concurrent task,
-reused across tiles, chunks, points and runs).  Each tile is sampled into
+per-trial statistics.  A sampling pass (`tile_sums`) is the only walker of
+row tiles besides the sampler: its chunks of trials (sized by `chunk_rows`)
+go to worker tasks, and each task walks its chunk's row tiles once, in a
+workspace borrowed from the process's pool (`WORKSPACES`: one
+`channel.Workspace` per concurrent task, reused across tiles, chunks, points
+and runs).  A chunk is never held as a matrix.  Each tile is sampled into
 the workspace, its prefix sums S and equal-share running totals W are built
-once, and every consumer reads them: the fixed-window schemes and the
-per-depth PB table (`pb_count_sums`).  Per-trial counts and delays go into
-per-chunk arrays, reduced once per chunk by `Accumulator`.  Memory per
-thread is the workspace, about 2 MB, up to M = 2^15
+once, and a consumer reads them and returns int64 arrays, summed over all
+tiles.  Memory per thread is the workspace, about 2 MB, up to M = 2^15
 (`channel.ROW_BLOCK_ELEMENTS`); a tile of one longer row takes up to about
 61 M bytes of new arrays while it is evaluated, and they are not kept.
 
@@ -39,6 +37,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -255,8 +254,8 @@ def pb_count_sums(caps, rate: float) -> np.ndarray:
 
 @dataclass
 class Accumulator:
-    """Exact integer reductions of per-trial statistics at one window B
-    (`window` is None for MT, eTS and IT)."""
+    """Exact integer sums of per-trial statistics at one window B (`window`
+    is None for MT, eTS and IT); `add` takes them from per-trial arrays."""
 
     window: int | None = None
     trials: int = 0
@@ -271,14 +270,6 @@ class Accumulator:
         self.count_sqsum += int((counts.astype(np.int64) ** 2).sum())
         self.delay_sum += int(delays.sum())
         self.delay_sqsum += int((delays.astype(np.int64) ** 2).sum())
-
-    def merge(self, other: "Accumulator") -> None:
-        """Add the sums of `other`, gathered on other trials."""
-        self.trials += other.trials
-        self.count_sum += other.count_sum
-        self.count_sqsum += other.count_sqsum
-        self.delay_sum += other.delay_sum
-        self.delay_sqsum += other.delay_sqsum
 
     def mean_count(self) -> float:
         return self.count_sum / self.trials
@@ -348,65 +339,45 @@ def _map_chunks(task, trials: int, blocks: int, threads: int):
         return list(pool.map(lambda r: task(*r), ranges))
 
 
-@dataclass
-class PointTables:
-    """Exact sums of one sampling pass over a sweep point's trials."""
-
-    fixed: dict  # key -> Accumulator of a scheme with a fixed window (or none)
-    pb_counts: np.ndarray | None  # the (2, M) table of `pb_count_sums`
-
-    def merge(self, other: "PointTables") -> None:
-        for key, acc in other.fixed.items():
-            self.fixed[key].merge(acc)
-        if other.pb_counts is not None:
-            self.pb_counts += other.pb_counts
+def _add(total: list, part: list) -> list:
+    """`total` with `part` added in place, array by array."""
+    for t, p in zip(total, part):
+        t += p
+    return total
 
 
-def sample_point(
-    params: ChannelParams,
-    fixed: dict,
-    trials: int,
-    seed: int,
-    threads: int = 1,
-    *,
-    pb_table: bool = False,
-) -> PointTables:
-    """One sampling pass, one walk over each chunk's row tiles: every tile is
-    sampled into a workspace borrowed from `WORKSPACES`, and its scans (`channel.Tile`) feed
-    every scheme in `fixed` (key -> `schemes.Scheme` whose window is fixed or
-    absent from its row) and `pb_count_sums` when `pb_table`.  Per-trial
-    counts and delays are gathered per chunk and reduced there.
-    """
+def _check_pass(trials: int, blocks: int) -> None:
+    """A count or delay is at most M, so int64 sums over a pass stay below trials * M^2."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    m, rate = params.blocks, params.rate
+    if trials * blocks * blocks >= 1 << 63:
+        raise ValueError(f"trials * M^2 must be < 2^63, got {trials} trials at M = {blocks}")
 
-    def empty():
-        return PointTables(
-            {key: Accumulator(scheme.window) for key, scheme in fixed.items()},
-            np.zeros((2, m), dtype=np.int64) if pb_table else None,
-        )
+
+def tile_sums(params: ChannelParams, trials: int, seed: int, threads: int, consumer) -> list:
+    """One sampling pass: the sums over all its row tiles of the new int64
+    arrays that `consumer(tile)` returns, a list of the same shapes for each
+    `channel.Tile`.  They are added in place within a chunk's task, which
+    samples its tiles into a workspace from `WORKSPACES`, then across chunks.
+    """
+    m = params.blocks
+    _check_pass(trials, m)
 
     def task(lo, hi):
-        part = empty()
-        stats = {key: (np.empty(hi - lo, np.int64), np.empty(hi - lo, np.int64)) for key in fixed}
         with WORKSPACES.borrow() as workspace:
-            for a, b in row_blocks(hi - lo, m):
-                caps = sample_capacity_matrix(params, seed, lo + a, lo + b, workspace)
-                tile = Tile(caps, workspace)
-                for key, scheme in fixed.items():
-                    counts, delays = stats[key]
-                    counts[a:b], delays[a:b] = scheme.evaluate(tile, rate)
-                if pb_table:
-                    part.pb_counts += pb_count_sums(tile, rate)
-        for key, (counts, delays) in stats.items():
-            part.fixed[key].add(counts, delays)
-        return part
+            tiles = (
+                Tile(sample_capacity_matrix(params, seed, lo + a, lo + b, workspace), workspace)
+                for a, b in row_blocks(hi - lo, m)
+            )
+            return reduce(_add, map(consumer, tiles))
 
-    total = empty()
-    for part in _map_chunks(task, trials, m, threads):
-        total.merge(part)
-    return total
+    return reduce(_add, _map_chunks(task, trials, m, threads))
+
+
+def moments(counts, delays) -> np.ndarray:
+    """[sum of counts, of their squares, of delays, of their squares], int64."""
+    c, d = np.asarray(counts, np.int64), np.asarray(delays, np.int64)
+    return np.array([c.sum(), c @ c, d.sum(), d @ d], np.int64)
 
 
 def optimize_pb_window(count_sums: np.ndarray, trials: int) -> tuple[int, float]:
@@ -470,18 +441,19 @@ def evaluate_point(
     seed: int,
     threads: int = 1,
 ) -> dict:
-    """Run all requested schemes on shared traces.
+    """Run all requested schemes on shared traces, in one `tile_sums` pass.
 
     `schemes` maps an arbitrary key to a `schemes.Scheme`.  A scheme whose
     row has a `table` and that has no fixed window gets the window its row
     chooses: T-/D-wTS before sampling, PB from the depth table of the pass,
-    which also gives PB's row at that depth.
+    which also gives PB's row at that depth.  Every other row's sums are the
+    `moments` of its per-trial counts and delays.
     Returns key -> Accumulator, whose `window` is the B the statistics were
-    taken at.  Chunks are keyed by absolute trial index and reduce to exact
-    integer sums, so the result is independent of `threads` and of the chunk
-    size.
+    taken at.  The sums are exact integers, so the result is independent of
+    `threads`, of the chunk size and of the tile size.
     """
-    fixed, chosen_pb = {}, {}
+    _check_pass(trials, params.blocks)
+    fixed, chosen_pb = {}, []
     for key, scheme in schemes.items():
         if scheme.window is not None or scheme.row.table is None:
             fixed[key] = scheme
@@ -489,11 +461,19 @@ def evaluate_point(
             window, _ = optimize_wts_window(params, scheme.row.maximize)
             fixed[key] = replace(scheme, name="wts", window=window)
         else:
-            chosen_pb[key] = scheme
-    point = sample_point(params, fixed, trials, seed, threads, pb_table=bool(chosen_pb))
-    out = point.fixed
+            chosen_pb.append(key)
+
+    def consumer(tile):
+        sums = [moments(*scheme.evaluate(tile, params.rate)) for scheme in fixed.values()]
+        return sums + [pb_count_sums(tile, params.rate)] if chosen_pb else sums
+
+    sums = tile_sums(params, trials, seed, threads, consumer)
+    out = {
+        key: Accumulator(scheme.window, trials, *row.tolist())
+        for (key, scheme), row in zip(fixed.items(), sums)
+    }
     if chosen_pb:
-        window, _ = optimize_pb_window(point.pb_counts[0], trials)
+        window, _ = optimize_pb_window(sums[-1][0], trials)
         for key in chosen_pb:
-            out[key] = pb_accumulator(point.pb_counts, trials, window)
+            out[key] = pb_accumulator(sums[-1], trials, window)
     return {key: out[key] for key in schemes}

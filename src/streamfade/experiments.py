@@ -87,6 +87,9 @@ class ExperimentConfig:
                 raise ConfigError(f"SNR sweep values: {_SNR_RULE}", "sweep.values")
         elif self.sweep_values is not None:
             raise ConfigError("sweep values given without a sweep variable", "sweep.variable")
+        most = int(max(self.sweep_values)) if self.sweep_variable == "messages" else self.messages
+        if self.trials * most * most >= 1 << 63:  # the int64 sums of a sampling pass would wrap
+            raise ConfigError("trials * messages^2 must be < 2^63", "run.trials")
         if self.svg_path and len(self.sweep_values or ()) < 2:
             raise ConfigError("a chart needs at least two sweep points", "output.svg")
 
@@ -133,8 +136,10 @@ _INI_KEYS = {
 def _read_ini(text: str) -> configparser.ConfigParser:
     """The INI file's sections, each checked against `_INI_KEYS`."""
     # No default section: a [DEFAULT] is an unknown section like any other.
-    # `; comment` may end a line, as in the README's example.
-    parser = configparser.ConfigParser(default_section="", inline_comment_prefixes=(";",))
+    # `; comment` may end a line, as in the README's example.  Values are literal.
+    parser = configparser.ConfigParser(
+        default_section="", inline_comment_prefixes=(";",), interpolation=None
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -116,9 +116,6 @@ class PartialFraction:
     multiplicities: np.ndarray
     coefficients: tuple
 
-    def reconstruct(self, z: np.ndarray) -> np.ndarray:
-        return self._reconstruct_with_mass(z)[0]
-
     def _reconstruct_with_mass(self, z):
         """Expansion value and the sum of term magnitudes (its roundoff scale)."""
         z = np.asarray(z, dtype=np.complex128)

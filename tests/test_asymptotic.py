@@ -2,13 +2,15 @@ import math
 
 import pytest
 
+from streamfade import channel
 from streamfade.asymptotic import (
     alpha_opt,
     decode_all_probability,
     optimal_prebuffer_fraction,
     verify_threshold,
 )
-from streamfade.channel import ChannelParams, mean_capacity_closed_form
+from streamfade.channel import ChannelParams, mean_capacity_closed_form, sample_capacity_matrix
+from streamfade.engine import evaluate_pb
 
 # Mean capacity at 5 dB frozen from the pre-build trapezoid oracle.
 MEAN_CAPACITY_5DB = 1.715974185066
@@ -81,6 +83,18 @@ class TestVerifyThreshold:
         p = ChannelParams(snr_db=-5.0, rate=1.0, blocks=20)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             decode_all_probability(p, 5, trials=trials, seed=1)
+
+    @pytest.mark.parametrize("tile", [channel.ROW_BLOCK_ELEMENTS, 600])
+    def test_equals_the_pb_rows_across_tiles(self, monkeypatch, tile):
+        # 300 trials of M = 600 span six row tiles of 54 rows, or 300 tiles
+        # of one row; depths from all-decode through none, about
+        # alpha_opt M = 277.
+        p = ChannelParams(snr_db=0.0, rate=1.0, blocks=600)
+        caps = sample_capacity_matrix(p, 3, 0, 300)
+        monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", tile)
+        for b in (240, 265, 275, 285, 300):
+            expected = (evaluate_pb(caps, p.rate, b)[0] == b).mean()
+            assert decode_all_probability(p, b, trials=300, seed=3) == expected, b
 
     def test_monotone_in_window(self):
         p = ChannelParams(snr_db=0.0, rate=1.0, blocks=600)

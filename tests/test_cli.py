@@ -61,6 +61,17 @@ class TestSimulate:
         assert run_main(["simulate", "--config", str(cfg), "--out-csv", str(out)]) == 0
         assert "MT" in out.read_text()
 
+    def test_percent_in_the_csv_path(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        out = tmp_path / "out%1.csv"
+        cfg.write_text(
+            "[channel]\nsnr_db = 5.0\nrate = 1.0\nmessages = 6\n"
+            "[run]\ntrials = 20\nseed = 3\n[schemes]\nlist = mt\n"
+            f"[output]\ncsv = {out}\n"
+        )
+        assert run_main(["simulate", "--config", str(cfg)]) == 0
+        assert out.read_text().startswith("sweep_var,scheme,B,")
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "broken.ini"
         cfg.write_text("[channel]\nsnr_db = 5.0\n")
@@ -250,6 +261,10 @@ class TestBadInputExits2:
         assert run_main([*argv, "--trials", "10", "--scheme", "mt"]) == 2
         assert f"{field}:" in capsys.readouterr().err
 
+    def test_trials_whose_sums_could_wrap(self, capsys):
+        assert run_main(["simulate", "--messages", "64", "--trials", str(1 << 51)]) == 2
+        assert "run.trials:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("value", ["mt,mt,pb:2,pb:2", "pb,pb:opt", "wts:3,ets,WTS:3"])
     def test_repeated_scheme(self, command, value, tmp_path, capsys):
@@ -295,6 +310,29 @@ class TestBadInputExits2:
         assert run_main([command, "--config", str(cfg)]) == 2
         assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "one-point.svg").exists()
+
+    @pytest.mark.parametrize(
+        "old,new,field",
+        [
+            ("snr_db = 5.0", "snr_db = -5%", "channel.snr_db"),
+            (
+                "list = mt\n",
+                "list = mt\n[sweep]\nvariable = messages\nvalues = 4, 8%\n",
+                "sweep.values",
+            ),
+        ],
+    )
+    def test_ini_percent_is_a_literal_character(self, old, new, field, tmp_path, capsys):
+        # Not a `%` interpolation error with a traceback: a bad value.
+        cfg = tmp_path / "exp.ini"
+        text = (
+            "[channel]\nsnr_db = 5.0\nrate = 1.0\nmessages = 6\n"
+            "[run]\ntrials = 20\nseed = 3\n[schemes]\nlist = mt\n"
+        )
+        cfg.write_text(text.replace(old, new))
+        command = "sweep" if "sweep" in field else "simulate"
+        assert run_main([command, "--config", str(cfg)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_outside_64_bits(self, seed, tmp_path, capsys):

@@ -33,7 +33,7 @@ from streamfade.engine import (
     optimize_wts_window,
     pb_accumulator,
     pb_count_sums,
-    sample_point,
+    tile_sums,
     wts_window_delays,
 )
 from streamfade.experiments import ExperimentConfig, render_csv, run_experiment
@@ -55,6 +55,11 @@ SCHEMES = {
     "wts3": Scheme("wts", 3),
     "it": Scheme("it"),
 }
+
+
+def depth_table(p, trials, seed, threads=1):
+    """The (2, M) `pb_count_sums` table of one sampling pass."""
+    return tile_sums(p, trials, seed, threads, lambda tile: [pb_count_sums(tile, p.rate)])[0]
 
 
 def snapshot(accums):
@@ -247,7 +252,7 @@ class TestOnePass:
     def test_fixed_pb_rows_equal_the_depth_table(self, blocks):
         # 64 and 65 sit on either side of the table's kernel cutoff.
         p = params(snr=0.0, rate=2.0, blocks=blocks)
-        table = sample_point(p, {}, 300, 41, pb_table=True).pb_counts
+        table = depth_table(p, 300, 41)
         fixed = evaluate_point(p, {b: Scheme("pb", b) for b in range(1, blocks + 1)}, 300, 41)
         for b, acc in fixed.items():
             assert snapshot({b: acc}) == snapshot({b: pb_accumulator(table, 300, b)}), b
@@ -271,8 +276,8 @@ class TestOnePass:
 
 
 class TestTilePass:
-    """`sample_point` walks each chunk's row tiles once; its sums equal those
-    of the standalone evaluators on the sampled matrix, bit for bit."""
+    """`tile_sums` walks each chunk's row tiles once; the sums of a pass equal
+    those of the standalone evaluators on the sampled matrix, bit for bit."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -294,21 +299,44 @@ class TestTilePass:
         with mock.patch.object(engine, "CHUNK_ELEMENTS", chunk * m), mock.patch.object(
             channel, "ROW_BLOCK_ELEMENTS", tile
         ):
-            point = sample_point(p, fixed, trials, 3, threads, pb_table=True)
+            point = evaluate_point(p, fixed, trials, 3, threads)
+            table = depth_table(p, trials, 3, threads)
         caps = sample_capacity_matrix(p, 3, 0, trials)
         for layout in (np.ascontiguousarray(caps), np.asfortranarray(caps)):
-            assert point.pb_counts.tolist() == pb_count_sums(layout, p.rate).tolist()
+            assert table.tolist() == pb_count_sums(layout, p.rate).tolist()
             for key, scheme in fixed.items():
                 reference = Accumulator(scheme.window)
                 reference.add(*scheme.evaluate(layout, p.rate))
-                assert point.fixed[key] == reference, names
+                assert point[key] == reference, names
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_needs_a_trial(self, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            sample_point(params(), {}, trials, 1, pb_table=True)
+            depth_table(params(), trials, 1)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             evaluate_point(params(), SCHEMES, trials, 1)
+
+    def test_rejects_trials_before_choosing_a_window(self, monkeypatch):
+        def no_choice(*args):
+            raise AssertionError("chose a window for a pass of no trials")
+
+        monkeypatch.setattr(engine, "optimize_wts_window", no_choice)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            evaluate_point(params(blocks=4000), {"d": Scheme("dwts")}, 0, 1)
+
+    def test_int64_sums_cannot_wrap(self, monkeypatch):
+        # A count or delay is at most M, so trials * M^2 bounds every sum;
+        # the pass refuses before it samples.
+        def no_sampling(*args):
+            raise AssertionError("sampled a pass whose sums could wrap")
+
+        monkeypatch.setattr(engine, "sample_capacity_matrix", no_sampling)
+        p = params(blocks=1 << 16)
+        with pytest.raises(ValueError, match="2\\^63"):
+            depth_table(p, 1 << 31, 1)
+        with pytest.raises(ValueError, match="2\\^63"):
+            evaluate_point(p, {"mt": Scheme("mt")}, 1 << 31, 1)
+        engine._check_pass((1 << 31) - 1, 1 << 16)  # just below the bound
 
     @pytest.mark.parametrize("threads, most", [(1, 1), (2, 2)])
     def test_one_workspace_per_worker_per_run(self, monkeypatch, threads, most):
@@ -367,10 +395,10 @@ class TestPbSweepHelpers:
     def test_count_sums_blocks_are_transparent(self, monkeypatch):
         p = params(blocks=10)
         caps = sample_capacity_matrix(p, 17, 0, 50)
-        whole = sample_point(p, {}, 50, 17, pb_table=True).pb_counts
+        whole = depth_table(p, 50, 17)
         assert whole.tolist() == pb_count_sums(caps, 1.0).tolist()
         monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", 30)  # 3 rows a tile
-        assert sample_point(p, {}, 50, 17, pb_table=True).pb_counts.tolist() == whole.tolist()
+        assert depth_table(p, 50, 17).tolist() == whole.tolist()
         assert whole.tolist() == pb_count_sums_loop(caps, 1.0).tolist()
 
     @given(st.data())
@@ -437,8 +465,7 @@ class TestPbSweepHelpers:
     def test_optimizers_tie_break_low(self, monkeypatch):
         # blocks=1 leaves a single candidate
         p = params(blocks=1)
-        tables = sample_point(p, {}, 128, 3, pb_table=True)
-        assert optimize_pb_window(tables.pb_counts[0], 128)[0] == 1
+        assert optimize_pb_window(depth_table(p, 128, 3)[0], 128)[0] == 1
         assert optimize_wts_window(p, True)[0] == 1
         assert optimize_wts_window(p, False)[0] == 1
         # equal objectives at B=2 and B=3 select B=2

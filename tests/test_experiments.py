@@ -110,6 +110,11 @@ class TestConfigRoundTrip:
         config = small_config()
         assert parse_config(serialize_config(config)) == config
 
+    def test_round_trip_of_a_percent_path(self):
+        config = small_config(csv_path="out%1.csv")
+        assert parse_config(serialize_config(config)) == config
+        assert parse_config(CONFIG_TEXT.replace("out.csv", "out%1.csv")).csv_path == "out%1.csv"
+
     def test_missing_key_names_field(self):
         broken = CONFIG_TEXT.replace("seed = 99", "")
         with pytest.raises(ConfigError) as err:
@@ -128,6 +133,17 @@ class TestConfigRoundTrip:
     def test_bad_trials(self):
         with pytest.raises(ConfigError):
             small_config(trials=0)
+
+    def test_trials_whose_sums_could_wrap(self):
+        # A count or delay is at most M, so the sums stay below trials * M^2.
+        small_config(trials=(1 << 51) - 1, messages=64)
+        for config in (
+            dict(messages=64),
+            dict(messages=8, sweep_variable="messages", sweep_values=(8, 64)),
+        ):
+            with pytest.raises(ConfigError, match="2\\^63") as err:
+                small_config(trials=1 << 51, **config)
+            assert err.value.field == "run.trials"
 
     def test_unknown_sweep_variable(self):
         with pytest.raises(ConfigError):

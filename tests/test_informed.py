@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import informed_counts_and_delays_loop
 from streamfade import channel, informed
 from streamfade.channel import ChannelParams, sample_capacity_matrix
-from streamfade.engine import Accumulator, sample_point
+from streamfade.engine import Accumulator, evaluate_point
 from streamfade.informed import (
     greedy_allocate,
     informed_counts_and_delays,
@@ -250,7 +250,7 @@ class TestClosedForm:
         reference = Accumulator()
         reference.add(*informed_counts_and_delays(caps, 1.0))
         fixed = {"it": Scheme("it")}
-        whole = sample_point(p, fixed, 1100, 41).fixed["it"]
+        whole = evaluate_point(p, fixed, 1100, 41)["it"]
         assert whole == reference
         monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", 100)  # one row a tile
-        assert sample_point(p, fixed, 1100, 41).fixed["it"] == whole
+        assert evaluate_point(p, fixed, 1100, 41)["it"] == whole

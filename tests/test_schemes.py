@@ -9,7 +9,8 @@ from streamfade.engine import (
     evaluate_point,
     evaluate_wts,
     optimize_pb_window,
-    sample_point,
+    pb_count_sums,
+    tile_sums,
 )
 from streamfade.metrics import max_zero_run
 from streamfade.schemes import (
@@ -205,7 +206,8 @@ class TestOptimizeWindow:
         # delay = blocks - count per realization, so both objectives pick the
         # same window on a common trace set
         p = params(snr=-5.0, blocks=16)
-        w_t, _ = optimize_pb_window(sample_point(p, {}, 2000, 9, pb_table=True).pb_counts[0], 2000)
+        (table,) = tile_sums(p, 2000, 9, 1, lambda tile: [pb_count_sums(tile, p.rate)])
+        w_t, _ = optimize_pb_window(table[0], 2000)
         depths = evaluate_point(p, {b: Scheme("pb", b) for b in range(1, 17)}, 2000, 9)
         w_d = min(depths, key=lambda b: depths[b].delay_sum)
         best = evaluate_point(p, {"pb": Scheme("pb")}, 2000, 9)["pb"]
