@@ -15,8 +15,10 @@ short rows are reduced across trials, one contiguous column at a time
 (`scan_blocks`, and numpy's own column reductions).  Longer rows stay
 row-major.  Either layout gives the same values bit for bit.
 
-The sampling pass and the sampler take a chunk in row tiles (`row_blocks`).
-A `Workspace` holds one thread's tile buffers, reused from tile to tile, and
+The sampling pass and the sampler take a chunk in row tiles (`row_blocks`)
+of `tile_elements` capacities: 2^16 on a block-major chunk, so that each
+column operation spans twice the trials, and 2^15 on a row-major one.  A
+`Workspace` holds one thread's tile buffers, reused from tile to tile, and
 a `Tile` is one tile's capacities with the running sums its consumers
 share; a capacity matrix given to an evaluator is one tile (`as_tile`).
 """
@@ -39,9 +41,9 @@ _EULER_GAMMA = 0.5772156649015328606065
 # gain above -ln(2^-53) ~ 36.7.
 _GAIN_CAP = 37.0
 _GRID = 1 << 13
-# Row tiles of the sampling pass hold at most this many capacities (256 KB
-# of float64), and so does each buffer of a `Workspace`, so every stage's
-# arrays stay in L2 cache whatever M is.
+# Row-major tiles of the sampling pass hold at most this many capacities
+# (256 KB of float64), so every stage's arrays stay in L2 cache whatever M
+# is; block-major tiles hold twice as many (`tile_elements`).
 ROW_BLOCK_ELEMENTS = 1 << 15
 # Chunks whose rows have at most this many blocks are block-major, and
 # `engine.pb_count_sums` counts their decodes across trials, not by a search
@@ -101,6 +103,16 @@ def chunk_order(blocks: int) -> str:
     return "F" if blocks <= BLOCK_MAJOR_MAX_BLOCKS else "C"
 
 
+def tile_elements(blocks: int) -> int:
+    """Most capacities in a row tile of rows of `blocks` blocks.
+
+    A block-major tile is reduced one column at a time, so each numpy call
+    spans its rows: it holds 2 * ROW_BLOCK_ELEMENTS, which halves those calls
+    for a chunk of M <= 64.  A row-major tile holds ROW_BLOCK_ELEMENTS.
+    """
+    return 2 * ROW_BLOCK_ELEMENTS if chunk_order(blocks) == "F" else ROW_BLOCK_ELEMENTS
+
+
 def block_major(a: np.ndarray) -> bool:
     """Whether the trials (axis 0) are the contiguous axis of a 2-D array."""
     return abs(a.strides[0]) < abs(a.strides[1])
@@ -131,37 +143,47 @@ def scan_blocks(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -
 
 def row_blocks(rows: int, blocks: int) -> list[tuple[int, int]]:
     """(lo, hi) row ranges covering `rows` rows of `blocks` columns, each of
-    at most ROW_BLOCK_ELEMENTS elements (one row when a row is longer), in
-    as few tiles as that allows and of sizes that differ by at most one row."""
-    count = -(-rows // max(1, ROW_BLOCK_ELEMENTS // blocks))
+    at most `tile_elements(blocks)` elements (one row when a row is longer),
+    in as few tiles as that allows and of sizes that differ by at most one row."""
+    count = -(-rows // max(1, tile_elements(blocks) // blocks))
     return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
 class Workspace:
     """Scratch arrays for the row tiles of one thread, reused from tile to
-    tile: one flat buffer per name, of ROW_BLOCK_ELEMENTS elements, viewed
-    as a (rows, blocks) array on each use.
+    tile: one flat byte buffer per name, viewed on each use as a (rows,
+    cols) array of any dtype in the layout of rows of `blocks` blocks.
 
-    A view stays valid until the next request for its name.  An array of
-    more elements (a tile of one row longer than ROW_BLOCK_ELEMENTS) is new
-    on each request and not kept, so a workspace holds its ~2 MB whatever
-    the rows it has served.  The sampler writes a tile's capacities and RNG
-    states here, and a `Tile` keeps its scans and temporaries here.
+    A buffer holds 8 * `tile_elements(blocks)` bytes, a tile of float64
+    capacities: 512 KB in the block-major layout and 256 KB in the row-major
+    one.  That is room for one more column of the tile's rows at 4 bytes an
+    element, as a zero run's int32 (rows, M + 1) array takes.  A request of
+    another dtype or shape within that room reuses the buffer; a larger
+    buffer is built only when a layout of larger tiles first asks.  A view
+    stays valid until the next request for its name.  An array larger than
+    the room (a tile of one row longer than a tile) is new on each request
+    and not kept, so a workspace holds at most seven buffers, 3.5 MB
+    block-major or 1.75 MB row-major, whatever the rows it has served.  The
+    sampler writes a tile's capacities here and borrows the "prefix" and
+    "running" buffers for its RNG states before the tile's scans fill them;
+    a `Tile` keeps its scans and temporaries here.
     """
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
-    def array(self, name: str, dtype, rows: int, cols: int, order: str) -> np.ndarray:
-        """A (rows, cols) view of the buffer `name`, in memory order `order`."""
-        size = rows * cols
-        if size > ROW_BLOCK_ELEMENTS:
+    def array(self, name: str, dtype, rows: int, cols: int, blocks: int) -> np.ndarray:
+        """A (rows, cols) view of the buffer `name`, in the memory order of
+        rows of `blocks` blocks (`chunk_order`)."""
+        order, room = chunk_order(blocks), 8 * tile_elements(blocks)
+        nbytes = rows * cols * np.dtype(dtype).itemsize
+        if nbytes > room:
             return np.empty((rows, cols), dtype, order=order)
         buffer = self._buffers.get(name)
-        if buffer is None or buffer.dtype != dtype or buffer.size < size:
-            buffer = np.empty(ROW_BLOCK_ELEMENTS, dtype)
+        if buffer is None or buffer.size < nbytes:
+            buffer = np.empty(room, np.uint8)
             self._buffers[name] = buffer
-        return buffer[:size].reshape((rows, cols), order=order)
+        return np.ndarray((rows, cols), dtype, buffer, order=order)
 
 
 def equal_share_weights(blocks: int) -> np.ndarray:
@@ -188,7 +210,7 @@ class Tile:
 
     def _array(self, name: str, dtype, cols: int | None = None) -> np.ndarray:
         rows, m = self.caps.shape
-        return self.workspace.array(name, dtype, rows, m if cols is None else cols, chunk_order(m))
+        return self.workspace.array(name, dtype, rows, m if cols is None else cols, m)
 
     def temporary(self, dtype, cols: int | None = None) -> np.ndarray:
         """The tile's (rows, `cols`) temporary of `dtype`, `cols` defaulting
@@ -219,10 +241,12 @@ def as_tile(caps) -> Tile:
 
 
 def _sample_into(out: np.ndarray, params: ChannelParams, seed: int, start: int, workspace):
+    # The RNG's states and shifts borrow the buffers of the tile's scans,
+    # which are built only after sampling.
     rows, blocks = out.shape
     order = chunk_order(blocks)
     scratch = tuple(
-        workspace.array(name, np.uint64, rows, blocks, order) for name in ("state", "shifted")
+        workspace.array(name, np.uint64, rows, blocks, blocks) for name in ("prefix", "running")
     )
     rng.exponential_matrix(seed, start, start + rows, blocks, order, out=out, scratch=scratch)
     return _capacities_in_place(out, params.power)
@@ -241,7 +265,7 @@ def sample_capacity_matrix(
     """
     rows, blocks = stop - start, params.blocks
     if workspace is not None:
-        caps = workspace.array("caps", np.float64, rows, blocks, chunk_order(blocks))
+        caps = workspace.array("caps", np.float64, rows, blocks, blocks)
         return _sample_into(caps, params, seed, start, workspace)
     out = np.empty((rows, blocks), order=chunk_order(blocks))
     workspace = Workspace()

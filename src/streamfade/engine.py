@@ -10,7 +10,10 @@ workspace borrowed from the process's pool (`WORKSPACES`: one
 and runs).  A chunk is never held as a matrix.  Each tile is sampled into
 the workspace, its prefix sums S and equal-share running totals W are built
 once, and a consumer reads them and returns int64 arrays, summed over all
-tiles.  Memory per thread is the workspace, about 2 MB, up to M = 2^15
+tiles, and each chunk's sums join the pass's total as the chunk finishes.
+A tile holds `channel.tile_elements` capacities: 2^16 on a block-major
+chunk, 2^15 on a row-major one.  Memory per thread is the workspace, at
+most 3.5 MB block-major and 1.75 MB row-major, up to M = 2^15
 (`channel.ROW_BLOCK_ELEMENTS`); a tile of one longer row takes up to about
 61 M bytes of new arrays while it is evaluated, and they are not kept.
 
@@ -35,6 +38,8 @@ with every depth.  Every evaluator gives the same bits on either layout.
 from __future__ import annotations
 
 import os
+from collections import deque
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -204,9 +209,9 @@ def _pb_tile_by_counting(caps, rate: float) -> np.ndarray:
         depths = slice(m - 1 - j, m)
         np.greater_equal(running[:, j : j + 1], tau[:, depths], out=hits[:, depths])
         counts[:, depths] += ones[:, depths]
-    wide = tile.temporary(np.int64)
-    np.copyto(wide, counts)
-    return np.stack([wide.sum(axis=0), np.einsum("ij,ij->j", wide, wide)])
+    return np.stack(
+        [counts.sum(axis=0, dtype=np.int64), np.einsum("ij,ij->j", counts, counts, dtype=np.int64)]
+    )
 
 
 def _pb_tile_by_search(caps, rate: float) -> np.ndarray:
@@ -297,9 +302,26 @@ def chunk_rows(blocks: int) -> int:
     return min(CHUNK, max(1, CHUNK_ELEMENTS // blocks))
 
 
-def chunk_ranges(trials: int, blocks: int):
-    step = chunk_rows(blocks)
-    return [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+class _ChunkRanges(Sequence):
+    """The (lo, hi) trial ranges of a pass's chunks, in order, each made when
+    it is read, so a pass of any trial count holds no list of them."""
+
+    def __init__(self, trials: int, step: int):
+        self._starts, self._trials = range(0, trials, step), trials
+
+    def __len__(self):
+        return len(self._starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        lo = self._starts[i]
+        return lo, min(lo + self._starts.step, self._trials)
+
+
+def chunk_ranges(trials: int, blocks: int) -> Sequence:
+    """The (lo, hi) trial ranges of a pass's chunks of `chunk_rows` trials."""
+    return _ChunkRanges(trials, chunk_rows(blocks))
 
 
 class Workspaces:
@@ -329,14 +351,24 @@ WORKSPACES = Workspaces()
 
 
 def _map_chunks(task, trials: int, blocks: int, threads: int):
+    """`task(lo, hi)` of each chunk of a pass, yielded in chunk order.  With
+    more than one worker at most two chunks per worker are submitted ahead
+    of the one yielded, so a pass holds a bounded number of results."""
     ranges = chunk_ranges(trials, blocks)
     workers = min(threads, len(ranges), os.cpu_count() or 1)
     if workers <= 1:
-        return [task(lo, hi) for lo, hi in ranges]
+        yield from (task(lo, hi) for lo, hi in ranges)
+        return
     # Imported on use: it loads `logging`, milliseconds a one-thread run skips.
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: task(*r), ranges))
+        pending = deque()
+        for lo, hi in ranges:
+            pending.append(pool.submit(task, lo, hi))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _add(total: list, part: list) -> list:
@@ -358,7 +390,8 @@ def tile_sums(params: ChannelParams, trials: int, seed: int, threads: int, consu
     """One sampling pass: the sums over all its row tiles of the new int64
     arrays that `consumer(tile)` returns, a list of the same shapes for each
     `channel.Tile`.  They are added in place within a chunk's task, which
-    samples its tiles into a workspace from `WORKSPACES`, then across chunks.
+    samples its tiles into a workspace from `WORKSPACES`, and each chunk's
+    sums are added to the pass's as the chunk finishes.
     """
     m = params.blocks
     _check_pass(trials, m)

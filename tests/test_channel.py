@@ -52,6 +52,7 @@ def untiled(p, seed, start, stop):
 
 
 TILE = channel.ROW_BLOCK_ELEMENTS
+BLOCK_TILE = channel.tile_elements(1)  # the block-major tile
 
 
 class TestParams:
@@ -163,6 +164,10 @@ class TestRowTiles:
             (64, TILE // 64 - 1),
             (64, TILE // 64),
             (64, TILE // 64 + 1),
+            (1, BLOCK_TILE + 1),
+            (64, BLOCK_TILE // 64 - 1),
+            (64, BLOCK_TILE // 64),
+            (64, BLOCK_TILE // 64 + 1),
             (2000, 131),
             (TILE - 1, 3),
             (TILE, 3),
@@ -195,11 +200,79 @@ class TestRowTiles:
         assert caps.tobytes() == channel._capacities_in_place(row_major, p.power).tobytes()
 
     def test_tiles_cover_the_rows(self):
-        for rows, blocks in ((0, 5), (1, 5), (131, 2000), (3, TILE + 1), (TILE + 1, 1)):
+        # Each layout's cap, and one row past it: block-major rows of one
+        # block, row-major rows of TILE + 1 blocks.
+        past_cap = channel.tile_elements(1) + 1
+        cases = ((0, 5), (1, 5), (131, 2000), (3, TILE + 1), (TILE + 1, 1), (past_cap, 1))
+        for rows, blocks in cases:
             ranges = channel.row_blocks(rows, blocks)
             edges = [0] + [hi for _, hi in ranges]
             assert ranges == list(zip(edges[:-1], edges[1:])) and edges[-1] == rows
-            assert all(hi - lo == 1 or (hi - lo) * blocks <= TILE for lo, hi in ranges)
+            cap = channel.tile_elements(blocks)
+            assert all(hi - lo == 1 or (hi - lo) * blocks <= cap for lo, hi in ranges)
+        assert len(channel.row_blocks(past_cap, 1)) > 1
+
+    def test_tile_size_follows_the_layout(self):
+        # Block-major tiles hold twice the capacities of row-major ones.
+        m = channel.BLOCK_MAJOR_MAX_BLOCKS
+        assert channel.tile_elements(1) == channel.tile_elements(m) == 2 * TILE
+        assert channel.tile_elements(m + 1) == channel.tile_elements(2000) == TILE
+
+
+class TestWorkspace:
+    """A workspace's buffers serve every tile of a layout, the sampler's RNG
+    scratch included, and a tile's scans are those of the untiled matrix."""
+
+    @pytest.mark.parametrize("blocks", [8, 2000])
+    def test_sampler_scratch_is_the_scan_buffers(self, monkeypatch, blocks):
+        scratches = []
+        real = rng.exponential_matrix
+
+        def spy(*args, scratch, **kwargs):
+            scratches.append(scratch)
+            return real(*args, scratch=scratch, **kwargs)
+
+        monkeypatch.setattr(rng, "exponential_matrix", spy)
+        workspace = channel.Workspace()
+        caps = sample_capacity_matrix(params(blocks=blocks), 5, 0, 7, workspace)
+        tile = channel.Tile(caps, workspace)
+        [(states, shifts)] = scratches
+        assert np.shares_memory(states, tile.prefix)
+        assert np.shares_memory(shifts, tile.running)
+        assert not np.shares_memory(states, caps) and not np.shares_memory(shifts, caps)
+
+    @pytest.mark.parametrize("blocks", [1, 64, 65, 2000])
+    def test_tile_scans_equal_the_untiled_reference(self, blocks):
+        # Two tiles or more through one workspace: each tile's sampling
+        # overwrites the scans of the tile before it.
+        p = params(snr=3.0, blocks=blocks)
+        rows = channel.tile_elements(blocks) // blocks + 1
+        whole = untiled(p, 11, 0, rows)
+        weights = channel.equal_share_weights(blocks)
+        workspace = channel.Workspace()
+        ranges = channel.row_blocks(rows, blocks)
+        assert len(ranges) >= 2
+        for lo, hi in ranges:
+            tile = channel.Tile(sample_capacity_matrix(p, 11, lo, hi, workspace), workspace)
+            caps = whole[lo:hi]
+            for got, expected in (
+                (tile.caps, caps),
+                (tile.prefix, np.cumsum(caps, axis=1)),
+                (tile.running, np.cumsum(caps * weights, axis=1)),
+            ):
+                assert got.tobytes("C") == expected.tobytes("C")
+
+    def test_views_of_any_dtype_share_one_buffer(self):
+        workspace = channel.Workspace()
+        for blocks in (64, 2000):
+            rows = channel.tile_elements(blocks) // blocks
+            floats = workspace.array("x", np.float64, rows, blocks, blocks)
+            ints = workspace.array("x", np.int32, rows, blocks + 1, blocks)  # one more column
+            flags = workspace.array("x", bool, 3, 2, blocks)
+            assert ints.flags.f_contiguous == flags.flags.f_contiguous == (blocks <= 64)
+            assert floats.base is ints.base is flags.base
+            assert floats.base.nbytes == 8 * channel.tile_elements(64)  # built by the larger layout
+        assert workspace.array("x", np.float64, 1, 2 * TILE, 2 * TILE).base is None  # not kept
 
 
 class TestDecodeProb:

@@ -95,8 +95,10 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         ranges = chunk_ranges(5 * CHUNK, 8)  # five chunks
@@ -110,7 +112,8 @@ class TestDeterminism:
         ):
             monkeypatch.setattr(engine.os, "cpu_count", lambda c=cores: c)
             sizes.clear()
-            assert engine._map_chunks(lambda lo, hi: (lo, hi), 5 * CHUNK, 8, threads) == ranges
+            results = engine._map_chunks(lambda lo, hi: (lo, hi), 5 * CHUNK, 8, threads)
+            assert list(results) == list(ranges)
             assert sizes == pools, (cores, threads)
 
     def test_chunking_transparent(self):
@@ -215,6 +218,80 @@ class TestMemoryBound:
         assert peak < 3 * 8 * CHUNK_ELEMENTS
 
 
+class TestPassMemory:
+    """A pass adds each chunk's sums to its total as the chunk finishes and
+    lists no chunks, and its arrays live in its workspace's buffers."""
+
+    @pytest.fixture(autouse=True)
+    def new_pool(self, monkeypatch):
+        monkeypatch.setattr(engine, "WORKSPACES", engine.Workspaces())
+
+    def test_peak_does_not_grow_with_the_chunks(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNK", 2)  # two trials a chunk
+        p = params(blocks=2000)
+        schemes = {"ets": Scheme("ets"), "pb": Scheme("pb")}
+        evaluate_point(p, schemes, 2, 7)  # builds the workspace before tracing
+        peaks, sums = {}, {}
+        for chunks in (64, 256):
+            assert len(chunk_ranges(2 * chunks, 2000)) == chunks
+            tracemalloc.start()
+            try:
+                sums[chunks] = snapshot(evaluate_point(p, schemes, 2 * chunks, 7))
+                _, peaks[chunks] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert snapshot(evaluate_point(p, schemes, 2 * chunks, 7, threads=2)) == sums[chunks]
+        # A pass that kept every chunk's (2, M) depth table would hold 6 MB more.
+        assert peaks[256] < peaks[64] + 2**16, peaks
+
+    def test_chunks_in_flight_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        started = []
+
+        def task(lo, hi):
+            started.append(lo)
+            return lo
+
+        results = engine._map_chunks(task, 100 * CHUNK, 8, threads=2)
+        for k, lo in enumerate(results, 1):
+            assert lo == (k - 1) * CHUNK
+            assert len(started) <= k + 2 * 2  # two chunks ahead per worker
+        assert k == len(started) == 100
+
+    @pytest.mark.parametrize("blocks", [8, 64])
+    def test_no_request_outgrows_a_buffer(self, monkeypatch, blocks):
+        # A zero run's int32 (rows, M + 1) array included.
+        outgrown = []
+        real = channel.Workspace.array
+
+        def array(self, name, *args):
+            out = real(self, name, *args)
+            if out.base is None:  # a new array, not a view of a kept buffer
+                outgrown.append((name, out.dtype, out.shape))
+            return out
+
+        monkeypatch.setattr(channel.Workspace, "array", array)
+        schemes = dict(enumerate(parse_scheme_list("mt,ets,pb,pb:3,wts:3,twts,dwts")))
+        schemes["it"] = Scheme("it")
+        evaluate_point(params(blocks=blocks), schemes, CHUNK, 12345)
+        assert outgrown == []
+
+    def test_no_buffer_is_rebuilt_after_a_layouts_first_tile(self, monkeypatch):
+        schemes = dict(enumerate(parse_scheme_list("mt,ets,pb,wts:3,twts,dwts")))
+        schemes["it"] = Scheme("it")
+        for first, sweep in ((8, (8, 16, 33, 64)), (65, (65, 300, 2000))):
+            pool = engine.Workspaces()
+            monkeypatch.setattr(engine, "WORKSPACES", pool)
+            evaluate_point(params(blocks=first), schemes, 5, 3)  # one tile
+            (workspace,) = pool._free
+            buffers = dict(workspace._buffers)
+            for m in sweep:  # tiles of every size, several to a chunk
+                evaluate_point(params(blocks=m), schemes, 2 * CHUNK + 1, 3)
+            assert pool._free == [workspace]
+            assert workspace._buffers.keys() == buffers.keys()
+            assert all(workspace._buffers[k] is v for k, v in buffers.items()), first
+
+
 class TestOnePass:
     """Each chunk is sampled once per point, an optimized PB depth included."""
 
@@ -297,7 +374,7 @@ class TestTilePass:
         names = f"mt,ets,pb:{window},wts:{window}"
         fixed = dict(enumerate(parse_scheme_list(names) + (Scheme("it"),)))
         with mock.patch.object(engine, "CHUNK_ELEMENTS", chunk * m), mock.patch.object(
-            channel, "ROW_BLOCK_ELEMENTS", tile
+            channel, "tile_elements", lambda blocks: tile
         ):
             point = evaluate_point(p, fixed, trials, 3, threads)
             table = depth_table(p, trials, 3, threads)
@@ -397,7 +474,7 @@ class TestPbSweepHelpers:
         caps = sample_capacity_matrix(p, 17, 0, 50)
         whole = depth_table(p, 50, 17)
         assert whole.tolist() == pb_count_sums(caps, 1.0).tolist()
-        monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", 30)  # 3 rows a tile
+        monkeypatch.setattr(channel, "tile_elements", lambda blocks: 30)  # 3 rows a tile
         assert depth_table(p, 50, 17).tolist() == whole.tolist()
         assert whole.tolist() == pb_count_sums_loop(caps, 1.0).tolist()
 
@@ -416,7 +493,7 @@ class TestPbSweepHelpers:
         tile = data.draw(st.integers(1, 3 * m))
         expected = pb_count_sums_loop(caps, rate).tolist()
         before = caps.copy()
-        with mock.patch.object(channel, "ROW_BLOCK_ELEMENTS", tile):
+        with mock.patch.object(channel, "tile_elements", lambda blocks: tile):
             assert pb_count_sums(caps, rate).tolist() == expected
             for kernel in PB_KERNELS:
                 tiles = [kernel(caps[lo:hi], rate) for lo, hi in channel.row_blocks(rows, m)]
@@ -528,10 +605,10 @@ class TestWtsWindowChoice:
         monkeypatch.setattr(engine, "evaluate_wts", counted)
         p = params(blocks=24)
         out = evaluate_point(p, {"t": Scheme("twts"), "d": Scheme("dwts")}, 2 * CHUNK + 1, 5)
-        # Chunks of 4096, 4096 and 1 trials; 4 tiles of 1024 rows in a full chunk.
+        # Chunks of 4096, 4096 and 1 trials; a full chunk spans several tiles.
         ranges = chunk_ranges(2 * CHUNK + 1, 24)
         tiles = sum(len(channel.row_blocks(hi - lo, 24)) for lo, hi in ranges)
-        assert tiles == 9
+        assert tiles > len(ranges) == 3
         assert sorted(windows) == [out["t"].window] * tiles + [out["d"].window] * tiles
         assert (out["t"].window, out["d"].window) == (4, 6)
 

@@ -245,12 +245,12 @@ class TestClosedForm:
     def test_row_blocks_are_transparent(self, monkeypatch):
         p = ChannelParams(-5.0, 1.0, 64)
         caps = sample_capacity_matrix(p, 41, 0, 1100)
-        assert len(channel.row_blocks(1100, 64)) == 3
+        assert len(channel.row_blocks(1100, 64)) >= 2
         assert_matches_loop(caps, 1.0)
         reference = Accumulator()
         reference.add(*informed_counts_and_delays(caps, 1.0))
         fixed = {"it": Scheme("it")}
         whole = evaluate_point(p, fixed, 1100, 41)["it"]
         assert whole == reference
-        monkeypatch.setattr(channel, "ROW_BLOCK_ELEMENTS", 100)  # one row a tile
+        monkeypatch.setattr(channel, "tile_elements", lambda blocks: blocks)  # one row a tile
         assert evaluate_point(p, fixed, 1100, 41)["it"] == whole
