@@ -8,24 +8,26 @@ message of rate R decodes whenever the mutual information accumulated for it
 reaches R.  A realization is its vector of block capacities: the gains are
 drawn, turned into capacities in place, and not kept.
 
-This module also fixes the memory layout of a (trials, blocks) chunk.  Rows
+This module also fixes the memory layout of a (trials, blocks) tile.  Rows
 of at most BLOCK_MAJOR_MAX_BLOCKS blocks are sampled block-major (Fortran
 order): numpy pays a fixed cost per row for every reduction along a row, so
 short rows are reduced across trials, one contiguous column at a time
 (`scan_blocks`, and numpy's own column reductions).  Longer rows stay
 row-major.  Either layout gives the same values bit for bit.
 
-The sampling pass and the sampler take a chunk in row tiles (`row_blocks`)
-of `tile_elements` capacities: 2^16 on a block-major chunk, so that each
-column operation spans twice the trials, and 2^15 on a row-major one.  A
-`Workspace` holds one thread's tile buffers, reused from tile to tile, and
-a `Tile` is one tile's capacities with the running sums its consumers
-share; a capacity matrix given to an evaluator is one tile (`as_tile`).
+The trials of a sampling pass, and the rows the sampler fills, are cut
+into row tiles by one rule, `row_blocks`: a tile holds at most
+`tile_elements` capacities, 2^16 block-major, so that each column
+operation spans twice the trials, and 2^15 row-major.  A `Workspace` holds
+one thread's tile buffers, reused from tile to tile, and a `Tile` is one
+tile's capacities with the running sums its consumers share; a capacity
+matrix given to an evaluator is one tile (`as_tile`).
 """
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -45,11 +47,11 @@ _GRID = 1 << 13
 # (256 KB of float64), so every stage's arrays stay in L2 cache whatever M
 # is; block-major tiles hold twice as many (`tile_elements`).
 ROW_BLOCK_ELEMENTS = 1 << 15
-# Chunks whose rows have at most this many blocks are block-major, and
+# Tiles whose rows have at most this many blocks are block-major, and
 # `engine.pb_count_sums` counts their decodes across trials, not by a search
-# per row.  Above it a chunk holds too few trials for a column loop to pay:
-# 131 at M = 2000, where a column loop took 3.4 ms per cumsum against 1.1 ms
-# along the rows.
+# per row.  Above it a tile holds too few trials for a column loop to pay:
+# 16 at M = 2000, where a column loop over 131 trials took 3.4 ms per cumsum
+# against 1.1 ms along the rows.
 BLOCK_MAJOR_MAX_BLOCKS = 64
 
 
@@ -97,8 +99,8 @@ def _capacities_in_place(g: np.ndarray, power: float) -> np.ndarray:
     return np.log2(g, out=g)
 
 
-def chunk_order(blocks: int) -> str:
-    """Memory order of a chunk of rows of `blocks` capacities: "F"
+def tile_order(blocks: int) -> str:
+    """Memory order of a tile of rows of `blocks` capacities: "F"
     (block-major) up to BLOCK_MAJOR_MAX_BLOCKS, else "C" (row-major)."""
     return "F" if blocks <= BLOCK_MAJOR_MAX_BLOCKS else "C"
 
@@ -108,9 +110,9 @@ def tile_elements(blocks: int) -> int:
 
     A block-major tile is reduced one column at a time, so each numpy call
     spans its rows: it holds 2 * ROW_BLOCK_ELEMENTS, which halves those calls
-    for a chunk of M <= 64.  A row-major tile holds ROW_BLOCK_ELEMENTS.
+    for rows of M <= 64.  A row-major tile holds ROW_BLOCK_ELEMENTS.
     """
-    return 2 * ROW_BLOCK_ELEMENTS if chunk_order(blocks) == "F" else ROW_BLOCK_ELEMENTS
+    return 2 * ROW_BLOCK_ELEMENTS if tile_order(blocks) == "F" else ROW_BLOCK_ELEMENTS
 
 
 def block_major(a: np.ndarray) -> bool:
@@ -141,18 +143,35 @@ def scan_blocks(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
-def row_blocks(rows: int, blocks: int) -> list[tuple[int, int]]:
+class _RowBlocks(Sequence):
+    """`count` balanced (lo, hi) ranges of `rows` rows, each made when read."""
+
+    def __init__(self, rows: int, count: int):
+        self._rows, self._count = rows, count
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        i = range(self._count)[i]  # negative indices count from the end
+        return self._rows * i // self._count, self._rows * (i + 1) // self._count
+
+
+def row_blocks(rows: int, blocks: int) -> Sequence[tuple[int, int]]:
     """(lo, hi) row ranges covering `rows` rows of `blocks` columns, each of
     at most `tile_elements(blocks)` elements (one row when a row is longer),
-    in as few tiles as that allows and of sizes that differ by at most one row."""
-    count = -(-rows // max(1, tile_elements(blocks) // blocks))
-    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+    in as few tiles as that allows and of sizes that differ by at most one
+    row.  A lazy sequence: its length is known at once and each range is
+    made when it is read, so any row count takes O(1) memory."""
+    return _RowBlocks(rows, -(-rows // max(1, tile_elements(blocks) // blocks)))
 
 
 class Workspace:
-    """Scratch arrays for the row tiles of one thread, reused from tile to
-    tile: one flat byte buffer per name, viewed on each use as a (rows,
-    cols) array of any dtype in the layout of rows of `blocks` blocks.
+    """Scratch arrays for one row tile at a time, reused from tile to tile:
+    one flat byte buffer per name, viewed on each use as a (rows, cols)
+    array of any dtype in the layout of rows of `blocks` blocks.  Each task
+    of a sampling pass samples and evaluates its one tile in a workspace it
+    borrows from `engine.WORKSPACES`, so a pass uses one per worker thread.
 
     A buffer holds 8 * `tile_elements(blocks)` bytes, a tile of float64
     capacities: 512 KB in the block-major layout and 256 KB in the row-major
@@ -174,8 +193,8 @@ class Workspace:
 
     def array(self, name: str, dtype, rows: int, cols: int, blocks: int) -> np.ndarray:
         """A (rows, cols) view of the buffer `name`, in the memory order of
-        rows of `blocks` blocks (`chunk_order`)."""
-        order, room = chunk_order(blocks), 8 * tile_elements(blocks)
+        rows of `blocks` blocks (`tile_order`)."""
+        order, room = tile_order(blocks), 8 * tile_elements(blocks)
         nbytes = rows * cols * np.dtype(dtype).itemsize
         if nbytes > room:
             return np.empty((rows, cols), dtype, order=order)
@@ -244,7 +263,7 @@ def _sample_into(out: np.ndarray, params: ChannelParams, seed: int, start: int, 
     # The RNG's states and shifts borrow the buffers of the tile's scans,
     # which are built only after sampling.
     rows, blocks = out.shape
-    order = chunk_order(blocks)
+    order = tile_order(blocks)
     scratch = tuple(
         workspace.array(name, np.uint64, rows, blocks, blocks) for name in ("prefix", "running")
     )
@@ -255,7 +274,7 @@ def _sample_into(out: np.ndarray, params: ChannelParams, seed: int, start: int, 
 def sample_capacity_matrix(
     params: ChannelParams, seed: int, start: int, stop: int, workspace: Workspace | None = None
 ) -> np.ndarray:
-    """Capacities for trials start..stop-1, in the memory order of `chunk_order`.
+    """Capacities for trials start..stop-1, in the memory order of `tile_order`.
 
     Without a workspace the matrix is new and filled one row tile at a time.
     With one, the rows are one tile, written into the workspace's "caps"
@@ -267,7 +286,7 @@ def sample_capacity_matrix(
     if workspace is not None:
         caps = workspace.array("caps", np.float64, rows, blocks, blocks)
         return _sample_into(caps, params, seed, start, workspace)
-    out = np.empty((rows, blocks), order=chunk_order(blocks))
+    out = np.empty((rows, blocks), order=tile_order(blocks))
     workspace = Workspace()
     for lo, hi in row_blocks(rows, blocks):
         _sample_into(out[lo:hi], params, seed, start + lo, workspace)

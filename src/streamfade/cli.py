@@ -282,8 +282,8 @@ def _cmd_verify(args) -> int:
     # `evaluate_pb` at every depth for each of the table's kernels (M = 24
     # counts, M = 100 searches); and the sampling pass (`tile_sums`: the
     # fixed rows of `evaluate_point` and the summed depth table) against the
-    # standalone evaluators on the same traces, on a block-major (M = 24) and
-    # a row-major (M = 100) chunk.
+    # standalone evaluators on the same traces, on block-major (M = 24) and
+    # row-major (M = 100) tiles.
     params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=24)
     caps = sample_capacity_matrix(params, seed, 0, 4000)
     c_ets, d_ets = evaluate_ets(caps, 1.0)

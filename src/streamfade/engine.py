@@ -2,32 +2,31 @@
 
 Evaluators take one `channel.Tile` of a sampling pass, or a (trials,
 blocks) capacity matrix as one tile (`channel.as_tile`), and return integer
-per-trial statistics.  A sampling pass (`tile_sums`) is the only walker of
-row tiles besides the sampler: its chunks of trials (sized by `chunk_rows`)
-go to worker tasks, and each task walks its chunk's row tiles once, in a
-workspace borrowed from the process's pool (`WORKSPACES`: one
-`channel.Workspace` per concurrent task, reused across tiles, chunks, points
-and runs).  A chunk is never held as a matrix.  Each tile is sampled into
-the workspace, its prefix sums S and equal-share running totals W are built
-once, and a consumer reads them and returns int64 arrays, summed over all
-tiles, and each chunk's sums join the pass's total as the chunk finishes.
-A tile holds `channel.tile_elements` capacities: 2^16 on a block-major
-chunk, 2^15 on a row-major one.  Memory per thread is the workspace, at
-most 3.5 MB block-major and 1.75 MB row-major, up to M = 2^15
-(`channel.ROW_BLOCK_ELEMENTS`); a tile of one longer row takes up to about
-61 M bytes of new arrays while it is evaluated, and they are not kept.
+per-trial statistics.  A sampling pass (`tile_sums`) cuts its trials into
+the row tiles of `channel.row_blocks`, the one partition, which the sampler
+uses too, and each tile is one task for the workers.  A task borrows a
+workspace from the process's pool (`WORKSPACES`: one `channel.Workspace`
+per concurrent task, reused across tiles, points and runs), samples its
+tile into it, builds the tile's prefix sums S and equal-share running
+totals W once, and returns what a consumer makes of them: int64 arrays,
+added to the pass's total as each tile finishes.  A tile holds
+`channel.tile_elements` capacities: 2^16 block-major, 2^15 row-major.
+Memory per thread is the workspace, at most 3.5 MB block-major and 1.75 MB
+row-major, up to M = 2^15 (`channel.ROW_BLOCK_ELEMENTS`); a tile of one
+longer row takes up to about 61 M bytes of new arrays while it is
+evaluated, and they are not kept.
 
 An optimized PB depth is chosen from the depth table and its row is read off
 it (`pb_accumulator`): `evaluate_pb` decides a decode by the table's own
 comparisons, so the two agree bit for bit.  T-wTS and D-wTS choose their
 window before sampling, from exact objectives (`optimize_wts_window`), and
-are evaluated as a fixed `wts:B` row in the same pass.  Chunks are keyed by
+are evaluated as a fixed `wts:B` row in the same pass.  Tiles are keyed by
 absolute trial index and reduce to exact integer sums, so results are
-bit-identical regardless of worker count, chunk size and tile size.  All
+bit-identical regardless of worker count and tile size.  All
 schemes at one point share the same traces (common random numbers), which
 makes per-realization dominance comparisons exact.
 
-A chunk of rows of at most `channel.BLOCK_MAJOR_MAX_BLOCKS` capacities is
+A tile of rows of at most `channel.BLOCK_MAJOR_MAX_BLOCKS` capacities is
 block-major, and every evaluator then reduces across trials, one contiguous
 column at a time: running sums, maxima and minima through
 `channel.scan_blocks`, row sums and maxima as numpy's column reductions.
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -62,12 +60,6 @@ from .channel import (
 from .informed import informed_counts_and_delays
 from .metrics import max_zero_run_at, max_zero_run_rows
 from .runstats import wts_mean_delay
-
-CHUNK = 4096
-# Rows per chunk are capped so that a chunk, a thread's unit of work, spans
-# at most this many capacities whatever M is; 4096 rows at M = 64.  It is
-# walked in row tiles, never held as one matrix.
-CHUNK_ELEMENTS = 1 << 18
 
 
 def evaluate_mt(caps, rate: float):
@@ -297,35 +289,8 @@ class Accumulator:
         return self._stderr(self.delay_sum, self.delay_sqsum)
 
 
-def chunk_rows(blocks: int) -> int:
-    """Trials per chunk: CHUNK rows, fewer when a row has many blocks."""
-    return min(CHUNK, max(1, CHUNK_ELEMENTS // blocks))
-
-
-class _ChunkRanges(Sequence):
-    """The (lo, hi) trial ranges of a pass's chunks, in order, each made when
-    it is read, so a pass of any trial count holds no list of them."""
-
-    def __init__(self, trials: int, step: int):
-        self._starts, self._trials = range(0, trials, step), trials
-
-    def __len__(self):
-        return len(self._starts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        lo = self._starts[i]
-        return lo, min(lo + self._starts.step, self._trials)
-
-
-def chunk_ranges(trials: int, blocks: int) -> Sequence:
-    """The (lo, hi) trial ranges of a pass's chunks of `chunk_rows` trials."""
-    return _ChunkRanges(trials, chunk_rows(blocks))
-
-
 class Workspaces:
-    """A pool of workspaces for chunk tasks: a task borrows one and gives it
+    """A pool of workspaces for tile tasks: a task borrows one and gives it
     back, so the pool builds one per concurrent task, and later tasks,
     points and runs reuse them."""
 
@@ -346,15 +311,16 @@ class Workspaces:
             self._free.append(workspace)
 
 
-# Every chunk task of the process borrows from this pool.
+# Every tile task of the process borrows from this pool.
 WORKSPACES = Workspaces()
 
 
-def _map_chunks(task, trials: int, blocks: int, threads: int):
-    """`task(lo, hi)` of each chunk of a pass, yielded in chunk order.  With
-    more than one worker at most two chunks per worker are submitted ahead
-    of the one yielded, so a pass holds a bounded number of results."""
-    ranges = chunk_ranges(trials, blocks)
+def _map_tiles(task, trials: int, blocks: int, threads: int):
+    """`task(lo, hi)` of each row tile of a pass (`row_blocks`), yielded in
+    tile order.  With more than one worker at most two tiles per worker are
+    submitted ahead of the one yielded, so a pass holds a bounded number of
+    results."""
+    ranges = row_blocks(trials, blocks)
     workers = min(threads, len(ranges), os.cpu_count() or 1)
     if workers <= 1:
         yield from (task(lo, hi) for lo, hi in ranges)
@@ -389,22 +355,19 @@ def _check_pass(trials: int, blocks: int) -> None:
 def tile_sums(params: ChannelParams, trials: int, seed: int, threads: int, consumer) -> list:
     """One sampling pass: the sums over all its row tiles of the new int64
     arrays that `consumer(tile)` returns, a list of the same shapes for each
-    `channel.Tile`.  They are added in place within a chunk's task, which
-    samples its tiles into a workspace from `WORKSPACES`, and each chunk's
-    sums are added to the pass's as the chunk finishes.
+    `channel.Tile`.  Each tile is one task, which samples it into a
+    workspace from `WORKSPACES`, and its arrays are added in place to the
+    pass's total as the tile finishes.
     """
     m = params.blocks
     _check_pass(trials, m)
 
     def task(lo, hi):
         with WORKSPACES.borrow() as workspace:
-            tiles = (
-                Tile(sample_capacity_matrix(params, seed, lo + a, lo + b, workspace), workspace)
-                for a, b in row_blocks(hi - lo, m)
-            )
-            return reduce(_add, map(consumer, tiles))
+            caps = sample_capacity_matrix(params, seed, lo, hi, workspace)
+            return consumer(Tile(caps, workspace))
 
-    return reduce(_add, _map_chunks(task, trials, m, threads))
+    return reduce(_add, _map_tiles(task, trials, m, threads))
 
 
 def moments(counts, delays) -> np.ndarray:
@@ -483,7 +446,7 @@ def evaluate_point(
     `moments` of its per-trial counts and delays.
     Returns key -> Accumulator, whose `window` is the B the statistics were
     taken at.  The sums are exact integers, so the result is independent of
-    `threads`, of the chunk size and of the tile size.
+    `threads` and of the tile size.
     """
     _check_pass(trials, params.blocks)
     fixed, chosen_pb = {}, []

@@ -46,8 +46,8 @@ def capacities(p, gains):
 
 def untiled(p, seed, start, stop):
     """The capacities of one untiled draw of trials start..stop-1, in the
-    memory order of `chunk_order`."""
-    gains = rng.exponential_matrix(seed, start, stop, p.blocks, channel.chunk_order(p.blocks))
+    memory order of `tile_order`."""
+    gains = rng.exponential_matrix(seed, start, stop, p.blocks, channel.tile_order(p.blocks))
     return channel._capacities_in_place(gains, p.power)
 
 
@@ -203,14 +203,28 @@ class TestRowTiles:
         # Each layout's cap, and one row past it: block-major rows of one
         # block, row-major rows of TILE + 1 blocks.
         past_cap = channel.tile_elements(1) + 1
-        cases = ((0, 5), (1, 5), (131, 2000), (3, TILE + 1), (TILE + 1, 1), (past_cap, 1))
+        cases = (
+            (0, 5), (1, 5), (131, 2000), (3, TILE + 1), (TILE + 1, 1), (past_cap, 1), (10_000, 20)
+        )
         for rows, blocks in cases:
-            ranges = channel.row_blocks(rows, blocks)
+            ranges = list(channel.row_blocks(rows, blocks))
             edges = [0] + [hi for _, hi in ranges]
             assert ranges == list(zip(edges[:-1], edges[1:])) and edges[-1] == rows
             cap = channel.tile_elements(blocks)
             assert all(hi - lo == 1 or (hi - lo) * blocks <= cap for lo, hi in ranges)
+            sizes = {hi - lo for lo, hi in ranges}
+            assert len(sizes) <= 1 or max(sizes) - min(sizes) == 1  # balanced
+            assert len(channel.row_blocks(rows, blocks)) == len(ranges)
         assert len(channel.row_blocks(past_cap, 1)) > 1
+        assert list(channel.row_blocks(10_000, 20)) == [(k, k + 2500) for k in range(0, 10_000, 2500)]
+
+    def test_ranges_are_made_when_read(self):
+        # 2^62 one-row tiles: a list of them could not be built.
+        ranges = channel.row_blocks(1 << 62, 1 << 16)
+        assert len(ranges) == 1 << 62
+        assert ranges[0] == (0, 1) and ranges[-1] == ((1 << 62) - 1, 1 << 62)
+        with pytest.raises(IndexError):
+            ranges[1 << 62]
 
     def test_tile_size_follows_the_layout(self):
         # Block-major tiles hold twice the capacities of row-major ones.

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import streamfade
-from streamfade import channel, cli, engine
+from streamfade import channel, cli
 from streamfade.errors import NumericFailure
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -408,7 +408,7 @@ class TestTinyRate:
 
 class TestThreads:
     def test_long_file_csv_independent_of_threads(self, tmp_path):
-        assert len(engine.chunk_ranges(300, 2000)) == 3  # two threads split them
+        assert len(channel.row_blocks(300, 2000)) == 19  # two threads split them
         outs = []
         for threads in ("1", "2"):
             outs.append(tmp_path / f"t{threads}.csv")

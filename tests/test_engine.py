@@ -1,5 +1,7 @@
 import concurrent.futures
+import gc
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -20,11 +22,7 @@ from streamfade.channel import (
     window_decode_probs,
 )
 from streamfade.engine import (
-    CHUNK,
-    CHUNK_ELEMENTS,
     Accumulator,
-    chunk_ranges,
-    chunk_rows,
     evaluate_mt,
     evaluate_point,
     evaluate_pb,
@@ -101,7 +99,7 @@ class TestDeterminism:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-        ranges = chunk_ranges(5 * CHUNK, 8)  # five chunks
+        ranges = channel.row_blocks(5, 1 << 16)  # five tiles of one row
         # (cores, --threads, pool sizes); no pool when one worker is left
         for cores, threads, pools in (
             (3, 5000, [3]),
@@ -112,12 +110,12 @@ class TestDeterminism:
         ):
             monkeypatch.setattr(engine.os, "cpu_count", lambda c=cores: c)
             sizes.clear()
-            results = engine._map_chunks(lambda lo, hi: (lo, hi), 5 * CHUNK, 8, threads)
+            results = engine._map_tiles(lambda lo, hi: (lo, hi), 5, 1 << 16, threads)
             assert list(results) == list(ranges)
             assert sizes == pools, (cores, threads)
 
     def test_chunking_transparent(self):
-        # accumulator over fixed chunks equals one-shot evaluation
+        # accumulator over row tiles equals one-shot evaluation
         p = params(blocks=9)
         accums = evaluate_point(p, {"pb": Scheme("pb", 4)}, trials=9_000, seed=7, threads=2)
         caps = sample_capacity_matrix(p, 7, 0, 9_000)
@@ -126,15 +124,11 @@ class TestDeterminism:
         assert accums["pb"].delay_sum == delays.sum()
         assert accums["pb"].trials == 9_000
 
-    def test_chunk_ranges_cover(self):
-        ranges = chunk_ranges(10_000, 20)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 10_000
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-
 
 class TestChunkBudget:
-    """Chunks hold at most CHUNK_ELEMENTS capacities; the sums they reduce to
-    are exact integers keyed by trial index, so no result depends on them."""
+    """Row tiles hold at most `channel.tile_elements` capacities; the sums
+    they reduce to are exact integers keyed by trial index, so no result
+    depends on the tile size, on either layout."""
 
     SCHEMES = {
         "mt": Scheme("mt"),
@@ -147,20 +141,15 @@ class TestChunkBudget:
         "it": Scheme("it"),
     }
 
-    def test_rows_per_chunk(self):
-        assert chunk_rows(1) == CHUNK
-        assert chunk_rows(64) == CHUNK  # sweep-sized points keep 4096 rows
-        assert chunk_rows(2000) == 131  # a 2 MB chunk: 1024 trials take 8
-        assert chunk_rows(10**5) == 2
-        assert chunk_rows(10**8) == 1
-
-    @given(
-        blocks=st.integers(1, 9),
-        budget=st.integers(1, 120),
-        threads=st.sampled_from([1, 2]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_results_independent_of_budget_and_threads(self, blocks, budget, threads):
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_results_independent_of_budget_and_threads(self, data):
+        # M = 60..70 crosses BLOCK_MAJOR_MAX_BLOCKS: tiles are block-major up
+        # to 64 and row-major above.  A budget is k whole rows, or any 1..120
+        # capacities (at M >= 60 mostly less than a row: one-row tiles).
+        blocks = data.draw(st.integers(1, 9) | st.integers(60, 70))
+        budget = data.draw(st.integers(1, 40).map(lambda k: k * blocks) | st.integers(1, 120))
+        threads = data.draw(st.sampled_from([1, 2]))
         config = ExperimentConfig(
             snr_db=0.0,
             rate=1.0,
@@ -173,14 +162,15 @@ class TestChunkBudget:
         p = params(snr=0.0, blocks=blocks)
         whole = snapshot(evaluate_point(p, self.SCHEMES, 97, 23))
         csv = render_csv(run_experiment(config))
-        with mock.patch.object(engine, "CHUNK_ELEMENTS", budget):
-            assert len(chunk_ranges(97, blocks)) == -(-97 // max(1, budget // blocks))
+        with mock.patch.object(channel, "tile_elements", lambda m: budget):
+            assert len(channel.row_blocks(97, blocks)) == -(-97 // max(1, budget // blocks))
             assert snapshot(evaluate_point(p, self.SCHEMES, 97, 23, threads)) == whole
             assert render_csv(run_experiment(replace(config, threads=threads))) == csv
 
 
 class TestMemoryBound:
-    """A point's working set is a few chunks, whatever the trial count."""
+    """A point's working set is a workspace of row tiles, whatever the trial
+    count."""
 
     @pytest.fixture(autouse=True)
     def new_pool(self, monkeypatch):
@@ -190,58 +180,58 @@ class TestMemoryBound:
     def test_peak_at_long_file_scale(self):
         p = params(blocks=2000)
         schemes = {"ets": Scheme("ets"), "pb": Scheme("pb"), "it": Scheme("it")}
-        assert len(chunk_ranges(1024, 2000)) == 8
+        assert len(channel.row_blocks(1024, 2000)) == 64  # of 16 trials each
         tracemalloc.start()
         try:
             evaluate_point(p, schemes, 1024, 12345)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One chunk of float64 capacities is 8 * CHUNK_ELEMENTS bytes.
-        assert peak < 3 * 8 * CHUNK_ELEMENTS
-        # The pass holds a workspace of row tiles (~2 MB), not a 2 MB chunk
-        # matrix next to it: 2.4 MB traced, where a pass over chunk
-        # matrices took 4.5 MB.
-        assert peak < 1.5 * 8 * CHUNK_ELEMENTS
+        # Three 2 MB matrices of float64 capacities (2^18 of them each).
+        assert peak < 6 * 2**20
+        # The pass holds a workspace of row tiles (~2 MB), not a 2 MB
+        # matrix of 131 trials next to it: 2.0 MB traced, where a pass over
+        # such matrices took 4.5 MB.
+        assert peak < 3 * 2**20
 
     def test_peak_at_sweep_scale(self):
-        # M = 64: the largest block-major chunk, 4096 trials, every scheme.
+        # M = 64: the largest block-major tiles, 1024 trials, every scheme.
         schemes = dict(enumerate(parse_scheme_list("mt,ets,pb,pb:30,wts:9,twts,dwts")))
         schemes["it"] = Scheme("it")
-        assert chunk_rows(64) == CHUNK
+        assert len(channel.row_blocks(10_000, 64)) == 10
         tracemalloc.start()
         try:
             evaluate_point(params(blocks=64), schemes, 10_000, 12345)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * CHUNK_ELEMENTS
+        assert peak < 6 * 2**20
 
 
 class TestPassMemory:
-    """A pass adds each chunk's sums to its total as the chunk finishes and
-    lists no chunks, and its arrays live in its workspace's buffers."""
+    """A pass adds each tile's sums to its total as the tile finishes and
+    lists no tiles, and its arrays live in its workspace's buffers."""
 
     @pytest.fixture(autouse=True)
     def new_pool(self, monkeypatch):
         monkeypatch.setattr(engine, "WORKSPACES", engine.Workspaces())
 
     def test_peak_does_not_grow_with_the_chunks(self, monkeypatch):
-        monkeypatch.setattr(engine, "CHUNK", 2)  # two trials a chunk
+        monkeypatch.setattr(channel, "tile_elements", lambda blocks: 2 * blocks)  # two rows
         p = params(blocks=2000)
         schemes = {"ets": Scheme("ets"), "pb": Scheme("pb")}
         evaluate_point(p, schemes, 2, 7)  # builds the workspace before tracing
         peaks, sums = {}, {}
-        for chunks in (64, 256):
-            assert len(chunk_ranges(2 * chunks, 2000)) == chunks
+        for tiles in (64, 256):
+            assert len(channel.row_blocks(2 * tiles, 2000)) == tiles
             tracemalloc.start()
             try:
-                sums[chunks] = snapshot(evaluate_point(p, schemes, 2 * chunks, 7))
-                _, peaks[chunks] = tracemalloc.get_traced_memory()
+                sums[tiles] = snapshot(evaluate_point(p, schemes, 2 * tiles, 7))
+                _, peaks[tiles] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert snapshot(evaluate_point(p, schemes, 2 * chunks, 7, threads=2)) == sums[chunks]
-        # A pass that kept every chunk's (2, M) depth table would hold 6 MB more.
+            assert snapshot(evaluate_point(p, schemes, 2 * tiles, 7, threads=2)) == sums[tiles]
+        # A pass that kept every tile's (2, M) depth table would hold 6 MB more.
         assert peaks[256] < peaks[64] + 2**16, peaks
 
     def test_chunks_in_flight_are_bounded(self, monkeypatch):
@@ -252,11 +242,47 @@ class TestPassMemory:
             started.append(lo)
             return lo
 
-        results = engine._map_chunks(task, 100 * CHUNK, 8, threads=2)
+        results = engine._map_tiles(task, 100, 1 << 16, threads=2)  # tiles of one row
         for k, lo in enumerate(results, 1):
-            assert lo == (k - 1) * CHUNK
-            assert len(started) <= k + 2 * 2  # two chunks ahead per worker
+            assert lo == k - 1
+            assert len(started) <= k + 2 * 2  # two tiles ahead per worker
         assert k == len(started) == 100
+
+    def test_nothing_is_kept_after_a_pass(self, monkeypatch):
+        # CPython keeps freed small objects on free lists, which tracemalloc
+        # counts as current; gc.collect() clears them.
+        monkeypatch.setattr(channel, "tile_elements", lambda blocks: 2 * blocks)  # two rows
+        p = params(blocks=2000)
+        schemes = {"ets": Scheme("ets"), "pb": Scheme("pb")}
+        evaluate_point(p, schemes, 2, 7)  # builds the workspace before tracing
+        kept = {}
+        for tiles in (64, 1024):
+            tracemalloc.start()
+            try:
+                evaluate_point(p, schemes, 2 * tiles, 7)
+                gc.collect()
+                kept[tiles], _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert abs(kept[1024] - kept[64]) <= 4096, kept
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_pass_starts_at_once(self, monkeypatch, threads):
+        # 2^31 - 1 one-row tiles: a pass that listed its tiles, or made any
+        # work per tile before the first, would not reach the sampler.
+        class Sampled(Exception):
+            pass
+
+        def sentinel(*args):
+            raise Sampled
+
+        monkeypatch.setattr(engine, "sample_capacity_matrix", sentinel)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        p = params(blocks=1 << 16)
+        start = time.perf_counter()
+        with pytest.raises(Sampled):
+            tile_sums(p, (1 << 31) - 1, 1, threads, lambda tile: [])
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("blocks", [8, 64])
     def test_no_request_outgrows_a_buffer(self, monkeypatch, blocks):
@@ -273,7 +299,7 @@ class TestPassMemory:
         monkeypatch.setattr(channel.Workspace, "array", array)
         schemes = dict(enumerate(parse_scheme_list("mt,ets,pb,pb:3,wts:3,twts,dwts")))
         schemes["it"] = Scheme("it")
-        evaluate_point(params(blocks=blocks), schemes, CHUNK, 12345)
+        evaluate_point(params(blocks=blocks), schemes, 4096, 12345)
         assert outgrown == []
 
     def test_no_buffer_is_rebuilt_after_a_layouts_first_tile(self, monkeypatch):
@@ -285,15 +311,16 @@ class TestPassMemory:
             evaluate_point(params(blocks=first), schemes, 5, 3)  # one tile
             (workspace,) = pool._free
             buffers = dict(workspace._buffers)
-            for m in sweep:  # tiles of every size, several to a chunk
-                evaluate_point(params(blocks=m), schemes, 2 * CHUNK + 1, 3)
+            for m in sweep:  # tiles of every size, several to a point
+                evaluate_point(params(blocks=m), schemes, 8193, 3)
             assert pool._free == [workspace]
             assert workspace._buffers.keys() == buffers.keys()
             assert all(workspace._buffers[k] is v for k, v in buffers.items()), first
 
 
 class TestOnePass:
-    """Each chunk is sampled once per point, an optimized PB depth included."""
+    """Each row tile is sampled once per point, in one task, an optimized PB
+    depth included."""
 
     FIXED = {
         "mt": Scheme("mt"),
@@ -310,20 +337,21 @@ class TestOnePass:
         real = engine.sample_capacity_matrix
 
         def counted(*args):
-            calls.append(args[2:])
+            calls.append(args[2:4])
             return real(*args)
 
         monkeypatch.setattr(engine, "sample_capacity_matrix", counted)
-        evaluate_point(params(blocks=6), schemes, trials=2 * CHUNK + 1, seed=5)
+        monkeypatch.setattr(channel, "tile_elements", lambda blocks: 4096 * blocks)
+        evaluate_point(params(blocks=6), schemes, trials=8193, seed=5)
         return calls
 
     def test_one_sample_per_chunk(self, monkeypatch):
         calls = self.count_samples(monkeypatch, self.FIXED)
-        assert len(calls) == 3 and len(set(calls)) == 3
+        assert calls == list(channel.row_blocks(8193, 6)) and len(calls) == 3
 
     def test_optimized_pb_samples_once(self, monkeypatch):
         calls = self.count_samples(monkeypatch, {**self.FIXED, "pb": Scheme("pb")})
-        assert len(calls) == 3 and len(set(calls)) == 3
+        assert calls == list(channel.row_blocks(8193, 6)) and len(calls) == 3
 
     @pytest.mark.parametrize("blocks", [9, 64, 65, 130])
     def test_fixed_pb_rows_equal_the_depth_table(self, blocks):
@@ -353,7 +381,7 @@ class TestOnePass:
 
 
 class TestTilePass:
-    """`tile_sums` walks each chunk's row tiles once; the sums of a pass equal
+    """`tile_sums` samples each row tile once; the sums of a pass equal
     those of the standalone evaluators on the sampled matrix, bit for bit."""
 
     @given(st.data())
@@ -361,10 +389,9 @@ class TestTilePass:
     def test_matches_the_standalone_evaluators(self, data):
         m = data.draw(st.integers(1, 80) | st.integers(1995, 2005))
         trials = data.draw(st.integers(1, 60))
-        chunk = data.draw(st.integers(1, 24))  # rows per chunk
-        # Tiles that split a chunk, hold one row, or are shorter than a row.
+        # Tiles of several rows, of one row, or shorter than a row.
         tile = data.draw(
-            st.integers(1, chunk).map(lambda rows: rows * m)
+            st.integers(1, 24).map(lambda rows: rows * m)
             | st.just(m)
             | st.integers(1, max(1, m - 1))
         )
@@ -373,9 +400,7 @@ class TestTilePass:
         p = params(snr=data.draw(st.sampled_from([-5.0, 5.0])), rate=1.0, blocks=m)
         names = f"mt,ets,pb:{window},wts:{window}"
         fixed = dict(enumerate(parse_scheme_list(names) + (Scheme("it"),)))
-        with mock.patch.object(engine, "CHUNK_ELEMENTS", chunk * m), mock.patch.object(
-            channel, "tile_elements", lambda blocks: tile
-        ):
+        with mock.patch.object(channel, "tile_elements", lambda blocks: tile):
             point = evaluate_point(p, fixed, trials, 3, threads)
             table = depth_table(p, trials, 3, threads)
         caps = sample_capacity_matrix(p, 3, 0, trials)
@@ -434,7 +459,7 @@ class TestTilePass:
             messages=8,
             schemes=parse_scheme_list("mt,ets,pb,wts:3,twts,dwts"),
             include_it_bound=True,
-            trials=3 * CHUNK,
+            trials=12288,
             seed=4,
             sweep_variable="messages",
             sweep_values=(8, 16, 64, 65, 300),
@@ -604,11 +629,9 @@ class TestWtsWindowChoice:
 
         monkeypatch.setattr(engine, "evaluate_wts", counted)
         p = params(blocks=24)
-        out = evaluate_point(p, {"t": Scheme("twts"), "d": Scheme("dwts")}, 2 * CHUNK + 1, 5)
-        # Chunks of 4096, 4096 and 1 trials; a full chunk spans several tiles.
-        ranges = chunk_ranges(2 * CHUNK + 1, 24)
-        tiles = sum(len(channel.row_blocks(hi - lo, 24)) for lo, hi in ranges)
-        assert tiles > len(ranges) == 3
+        out = evaluate_point(p, {"t": Scheme("twts"), "d": Scheme("dwts")}, 8193, 5)
+        tiles = len(channel.row_blocks(8193, 24))
+        assert tiles == 4  # of 2048 or 2049 trials
         assert sorted(windows) == [out["t"].window] * tiles + [out["d"].window] * tiles
         assert (out["t"].window, out["d"].window) == (4, 6)
 

@@ -226,7 +226,7 @@ class TestClosedForm:
         # Constant-capacity rows (every block at gain 1) next to the sampled ones.
         rows = data.draw(st.integers(0, 4))
         constant = np.full((rows, params.blocks), np.log2(1.0 + params.power))
-        caps = np.asarray(np.vstack([caps, constant]), order=channel.chunk_order(params.blocks))
+        caps = np.asarray(np.vstack([caps, constant]), order=channel.tile_order(params.blocks))
         # Just above every row's total: nothing decodes, every delay is M.
         above_all = float(np.nextafter(np.cumsum(caps, axis=1)[:, -1].max(), np.inf))
         rate = data.draw(st.sampled_from([*EXTREME_RATES, above_all]) | st.floats(1e-3, 50.0))

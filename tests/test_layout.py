@@ -1,6 +1,6 @@
-"""Block-major and row-major chunks give the same results, bit for bit.
+"""Block-major and row-major tiles give the same results, bit for bit.
 
-The sampler stores a chunk of rows of at most `BLOCK_MAJOR_MAX_BLOCKS`
+The sampler stores a tile of rows of at most `BLOCK_MAJOR_MAX_BLOCKS`
 capacities block-major, and the evaluators then reduce across trials one
 column at a time.  Every function must return the same arrays on C- and
 F-ordered copies of one matrix, and leave its input as it was.
@@ -52,7 +52,7 @@ def assert_same_on_both(fn, matrix, *args):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_evaluators_agree_across_layouts(data):
-    # M = 1..80 lies on both sides of BLOCK_MAJOR_MAX_BLOCKS; one-trial chunks
+    # M = 1..80 lies on both sides of BLOCK_MAJOR_MAX_BLOCKS; one-trial tiles
     # included.  Integer capacities give exact ties.
     m = data.draw(st.integers(1, 12) | st.integers(13, 80))
     rows = data.draw(st.integers(1, 9))
