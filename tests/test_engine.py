@@ -124,6 +124,14 @@ class TestDeterminism:
         assert accums["pb"].delay_sum == delays.sum()
         assert accums["pb"].trials == 9_000
 
+    def test_chunk_ranges_cover(self):
+        # The row tiles a sampling pass hands its workers cover the trials
+        # once, in order, with no gap.
+        ranges = list(engine._map_tiles(lambda lo, hi: (lo, hi), 10_000, 20, 2))
+        assert ranges[0][0] == 0 and ranges[-1][1] == 10_000
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert ranges == list(channel.row_blocks(10_000, 20))
+
 
 class TestChunkBudget:
     """Row tiles hold at most `channel.tile_elements` capacities; the sums
