@@ -48,10 +48,13 @@ _GRID = 1 << 13
 # is; block-major tiles hold twice as many (`tile_elements`).
 ROW_BLOCK_ELEMENTS = 1 << 15
 # Tiles whose rows have at most this many blocks are block-major, and
-# `engine.pb_count_sums` counts their decodes across trials, not by a search
-# per row.  Above it a tile holds too few trials for a column loop to pay:
-# 16 at M = 2000, where a column loop over 131 trials took 3.4 ms per cumsum
-# against 1.1 ms along the rows.
+# `engine.pb_count_sums` counts their decodes across trials, one diagonal of
+# the (depth, message) triangle at a time, not by a search per row.  Above
+# it a tile holds too few trials for a column loop to pay: 16 at M = 2000,
+# where a column loop over 131 trials took 3.4 ms per cumsum against 1.1 ms
+# along the rows.  On the row-major tiles at M = 65-128 the counting kernel
+# took 1.45-2.5 times the search's time, and at M = 56-64 the search took
+# 3.7-4.9 times the counting kernel's, so the cutoff serves both choices.
 BLOCK_MAJOR_MAX_BLOCKS = 64
 
 

@@ -30,9 +30,16 @@ A tile of rows of at most `channel.BLOCK_MAJOR_MAX_BLOCKS` capacities is
 block-major, and every evaluator then reduces across trials, one contiguous
 column at a time: running sums, maxima and minima through
 `channel.scan_blocks`, row sums and maxima as numpy's column reductions.
-Longer rows are row-major and reduced along the rows; there the PB depth
-table takes one binary search per row in place of comparing every message
-with every depth.  Every evaluator gives the same bits on either layout.
+Longer rows are row-major and reduced along the rows.  Every evaluator
+gives the same bits on either layout.
+
+The PB depth table reads one table of thresholds, tau of depth M - c in
+column c (`_depth_thresholds`).  On a block-major tile it compares message
+c + d with depth M - c one diagonal d at a time, each one vector operation
+on two blocks of the same shape, and skips the leading columns of a
+diagonal where no row of the tile can hit (`_diagonal_starts`).  On a
+row-major tile it takes one binary search per row in place of comparing
+every message with every depth.
 """
 from __future__ import annotations
 
@@ -170,40 +177,72 @@ def wts_window_delays(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
     return window * max_zero_run_rows(full)
 
 
-def _depth_margins(tile, rate: float) -> np.ndarray:
-    """rate - S_{M-B}/B of every depth B, in column B-1.  S_{M-B} falls and B
-    grows with B, and rounding keeps that order: the margins never fall."""
+def _depth_margins(tile, rate: float, out: np.ndarray) -> np.ndarray:
+    """rate - S_c/(M-c), the margin of depth B = M - c, in column c of `out`,
+    a (rows, M) view.  S_c rises and M - c falls along a row, and rounding
+    keeps that order: the margins never rise."""
     m = tile.caps.shape[1]
-    margins = np.divide(tile.prefix[:, ::-1], np.arange(1, m + 1), out=tile.temporary(np.float64))
-    return np.subtract(rate, margins, out=margins)
+    np.divide(tile.prefix, np.arange(m, 0, -1), out=out)
+    return np.subtract(rate, out, out=out)
 
 
-def _depth_thresholds(tile, rate: float) -> np.ndarray:
-    """tau_B = (rate - S_{M-B}/B) + W_{M-B} of every depth B, in column B-1."""
-    tau = _depth_margins(tile, rate)
-    return np.add(tau, tile.running[:, ::-1], out=tau)
+def _depth_thresholds(tile, rate: float, out: np.ndarray) -> np.ndarray:
+    """tau = (rate - S_c/(M-c)) + W_c of depth B = M - c, in column c of `out`."""
+    tau = _depth_margins(tile, rate, out)
+    return np.add(tau, tile.running, out=tau)
+
+
+def _count_sum_dtype(rows: int, blocks: int):
+    """The accumulator of `_pb_tile_by_counting`: a column's sum of squared
+    counts is at most rows * M^2, and int32 sums it twice as fast as int64."""
+    return np.int32 if rows * blocks * blocks < 1 << 31 else np.int64
+
+
+def _diagonal_starts(running: np.ndarray, tau: np.ndarray) -> list[int]:
+    """lo of each diagonal d of `_pb_tile_by_counting`: before column lo,
+    W_{c+d} < tau_c on every row of the tile.
+
+    The running maximum of the column maxima of W bounds every W_j from above
+    and never falls; the running minimum of the column minima of tau bounds
+    every tau_c from below and never rises.  So where the first bound at
+    c + d is below the second at c, every row misses, and these c are the
+    first of the diagonal.  NaNs never compare true, so the bounds leave them
+    out.
+    """
+    m = running.shape[1]
+    highest = np.maximum.accumulate(np.fmax.reduce(running, axis=0, initial=-np.inf))
+    lowest = np.minimum.accumulate(np.fmin.reduce(tau, axis=0, initial=np.inf))
+    # Column c misses on the diagonals d < reach[c]; reach falls with c.
+    reach = np.searchsorted(highest, lowest) - np.arange(m)
+    return np.count_nonzero(reach > np.arange(m)[:, None], axis=1).tolist()
 
 
 def _pb_tile_by_counting(caps, rate: float) -> np.ndarray:
     """`pb_count_sums` of one tile, by comparing every transmitted message
-    with tau of every depth that transmits it: message j with depths
-    B >= M-j, one contiguous slice of the tau columns.  On a block-major
-    tile each step is one vector operation across trials.
+    with tau of every depth that transmits it, one diagonal of the (depth,
+    message) triangle at a time: diagonal d compares message c + d with
+    depth M - c, for c from its lo (`_diagonal_starts`) to M - d - 1.  The
+    operands are blocks of the same shape, contiguous on a block-major tile,
+    so each diagonal is one vector operation across trials and depths.
     """
     tile = as_tile(caps)
-    m = tile.caps.shape[1]
-    running, tau = tile.running, _depth_thresholds(tile, rate)
+    rows, m = tile.caps.shape
+    running = tile.running
+    tau = _depth_thresholds(tile, rate, tile.temporary(np.float64))
     counts = tile.temporary(np.min_scalar_type(m))
     counts.fill(0)
     hits = tile.temporary(bool)
     ones = hits.view(np.uint8)  # up to M = 255, adds hits to counts without a cast
-    for j in range(m):
-        depths = slice(m - 1 - j, m)
-        np.greater_equal(running[:, j : j + 1], tau[:, depths], out=hits[:, depths])
-        counts[:, depths] += ones[:, depths]
-    return np.stack(
-        [counts.sum(axis=0, dtype=np.int64), np.einsum("ij,ij->j", counts, counts, dtype=np.int64)]
+    for d, lo in enumerate(_diagonal_starts(running, tau)):
+        if lo < m - d:
+            cols = slice(lo, m - d)
+            np.greater_equal(running[:, lo + d :], tau[:, cols], out=hits[:, cols])
+            counts[:, cols] += ones[:, cols]
+    acc = _count_sum_dtype(rows, m)
+    sums = np.stack(
+        [counts.sum(axis=0, dtype=acc), np.einsum("ij,ij->j", counts, counts, dtype=acc)]
     )
+    return sums[:, ::-1].astype(np.int64)  # column c holds depth M - c
 
 
 def _pb_tile_by_search(caps, rate: float) -> np.ndarray:
@@ -212,17 +251,21 @@ def _pb_tile_by_search(caps, rate: float) -> np.ndarray:
     the count at depth B is min(B, M - L_B) with L_B = #{W_j < tau_B}, the
     left insertion point of tau_B in W.
 
-    A depth whose margin (`_depth_margins`) is at most 0 has
-    tau_B <= W_{M-B}, so L_B <= M - B and its count is B without a search.
-    Margins never fall, so these depths are the first `full` of a row.
+    The thresholds are written through a reversed view, so that each row's
+    keys are in depth order: tau_B never falls in exact arithmetic, and
+    numpy narrows a search from the last one for rising keys only, twice as
+    fast.  A depth whose margin is at most 0 has tau_B <= W_{M-B}, so
+    L_B <= M - B and its count is B without a search.  Margins never fall
+    as B grows, so these depths are the first `full` of a row.
     """
     tile = as_tile(caps)
     m = tile.caps.shape[1]
-    running, tau = tile.running, _depth_margins(tile, rate)
-    full = np.less_equal(tau, 0.0, out=tile.temporary(bool)).sum(axis=1).tolist()
-    np.add(tau, running[:, ::-1], out=tau)
+    running, keys = tile.running, tile.temporary(np.float64)  # depth B in column B-1
+    tau = _depth_margins(tile, rate, keys[:, ::-1])
+    full = np.less_equal(keys, 0.0, out=tile.temporary(bool)).sum(axis=1).tolist()
+    np.add(tau, running, out=tau)
     counts = tile.temporary(np.int64)
-    for w, t, row, lo in zip(running, tau, counts, full):
+    for w, t, row, lo in zip(running, keys, counts, full):
         row[:lo] = 0  # then min(B, M - 0) = B
         row[lo:] = w.searchsorted(t[lo:])  # the method: `np.searchsorted` costs ~1.5 us more a row
     np.subtract(m, counts, out=counts)

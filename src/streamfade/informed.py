@@ -192,11 +192,11 @@ def informed_counts_and_delays(capacity_matrix: np.ndarray, rate: float):
         np.multiply(np.add(k, 1.0, out=product), rate, out=product)
         np.add(k, np.less_equal(product, i_tot, out=hits), out=k)
     k -= t
+    # min(0, min_{s <= t} (K(s) - s)): the 0 joins the first column's term.
+    np.minimum(k[:, 0], 0, out=k[:, 0])
     scan_blocks(np.minimum, k, out=k)
-    np.minimum(k, 0, out=k)
-    k += t  # psi
-    counts = k[:, -1].astype(np.int64)
-    k += 1
+    counts = k[:, -1] + np.int64(m)  # psi(M)
+    k += t + 1  # psi + 1
     # floor(max_t t/(psi+1)): floor is monotone, and a quotient of
     # integers below 2^52 never rounds up to the next integer.
     return counts, np.divide(t, k, out=product).max(axis=1).astype(np.int64)

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import streamfade
 from streamfade import channel, cli
@@ -374,6 +380,98 @@ class TestBadInputExits2:
         captured = capsys.readouterr()
         assert f"{field}:" in captured.err
         assert captured.out == ""  # no CSV on standard output either
+
+
+# Bad and edge tokens for the fuzzed inputs below.  Every number here is at
+# most 4, so no mutation asks for more than the base inputs' 50 trials, 64
+# messages or 4 threads.
+_VALUES = [
+    "", " ", "-", "--", "-h", "nan", "inf", "-inf", "0", "1", "2", "4", "-1", "-5",
+    "2.5", "+3", "0x4", "1e-300", "1e300", "1e309", "%", "%(x)s", ",", " , ", "1,2",
+    "4,4", "2,1", "-5,0", "mt", "pb", "pb:0", "pb:3", "pb:99", "wts:0", "wts:x",
+    "twts,dwts", "mt,,ets", "MT,pb:2", "pb,pb:opt", "it", "messages", "snr_db",
+    "/nonexistent/x.csv", ".", "out.csv", "chart.svg",
+]
+_OPTIONS = [
+    "--messages", "--trials", "--threads", "--seed", "--rate", "--snr-db", "--scheme",
+    "--values", "--variable", "--windows", "--window", "--val", "--out-csv", "--out-svg",
+    "--config", "--unknown",
+]
+_BASE_ARGV = {
+    "simulate": ["--messages", "8", "--trials", "20", "--scheme", "mt,ets,pb,twts,dwts"],
+    "sweep": ["--variable", "messages", "--values", "4,8", "--trials", "20", "--scheme", "pb,dwts"],
+    "analyze": ["--messages", "8", "--windows", "1,2,3"],
+}
+_BASE_INI = [
+    "[channel]", "snr_db = -5", "rate = 1", "messages = 8",
+    "[run]", "trials = 20", "seed = 3", "threads = 1",
+    "[schemes]", "list = mt,ets,pb,twts,dwts", "include_it_bound = true",
+    "[sweep]", "variable = messages", "values = 4, 8",
+]
+_INI_LINES = [
+    "", "=", "= 1", "trials", "[DEFAULT]", "[sweep]", "[output]", "[ouput]", "[run]",
+    "threads = 4", "trials = 50", "messages = 64", "values = 1, 64", "variable = snr_db",
+    "variable = bogus", "csv = out.csv", "svg = chart.svg", "list =", "include_it_bound = maybe",
+    "; comment", "  indented = 1", "seed = 18446744073709551616", "snr_db = 1e309",
+]
+
+
+@st.composite
+def _mutated(draw, base, tokens):
+    """`base` after one to three replacements, insertions or deletions."""
+    out = list(base)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert" or not out:
+            out.insert(draw(st.integers(0, len(out))), draw(st.sampled_from(tokens)))
+            continue
+        i = draw(st.integers(0, len(out) - 1))
+        if op == "delete":
+            del out[i]
+        elif "= " in out[i] and draw(st.booleans()):  # an INI line keeps its key
+            out[i] = out[i].split("= ")[0] + "= " + draw(st.sampled_from(_VALUES))
+        else:
+            out[i] = draw(st.sampled_from(tokens))
+    return out
+
+
+def _exit_code(argv) -> tuple[int, str]:
+    """`cli.main(argv)`'s exit code, an argparse exit included, and its
+    output.  Any other exception propagates: a traceback."""
+    out = io.StringIO()
+    # Defaults as small as the base inputs, for an argv that loses its options.
+    small = replace(cli._DEFAULTS, messages=8, trials=20)
+    with mock.patch.object(cli, "_DEFAULTS", small), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+class TestFuzzedInputs:
+    """Mutated command lines and INI files exit 0 or 2, never with a traceback."""
+
+    @given(command=st.sampled_from(sorted(_BASE_ARGV)), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_argv(self, command, data, tmp_path_factory):
+        argv = data.draw(_mutated(_BASE_ARGV[command], _VALUES + _OPTIONS))
+        with contextlib.chdir(tmp_path_factory.getbasetemp()):  # outputs land there
+            code, output = _exit_code([command, *argv])
+        assert code in (0, 2), output
+        assert "Traceback" not in output
+
+    @given(command=st.sampled_from(sorted(_BASE_ARGV)), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ini(self, command, data, tmp_path_factory):
+        lines = data.draw(_mutated(_BASE_INI, _INI_LINES))
+        cfg = tmp_path_factory.getbasetemp() / "fuzzed.ini"
+        cfg.write_text("\n".join(lines) + "\n")
+        with contextlib.chdir(cfg.parent):
+            code, output = _exit_code([command, "--config", str(cfg)])
+        assert code in (0, 2), output
+        assert "Traceback" not in output
 
 
 class TestHugeRate:

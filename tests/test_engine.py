@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -492,6 +492,40 @@ class TestAccumulator:
         assert acc.stderr_delay() == pytest.approx(delays.std(ddof=1) / math.sqrt(5000))
 
 
+# Fixed rows for the corner of `_pb_tile_by_counting` that no row of a tile
+# hits.  CORNER_TIE: at rate 1, W = tau = 1 in every column, and diagonal 0
+# skips two columns and ties at the third.  TAU_ROUNDS_UP: at rate 0.1,
+# tau rises from column 0 to 1 by rounding.  With negative capacities (no
+# channel makes them, but the kernels take any matrix) the column minima of
+# tau rise (TAU_MINIMA_RISE, rate 0.5) and the column maxima of W fall
+# (W_MAXIMA_FALL, rate 0.5), and only the running bounds skip no hit.
+CORNER_TIE = np.array([[0.0, 0.0, 1.0]])
+TAU_ROUNDS_UP = np.array([[0.0, 3.0, 3.0]])
+TAU_MINIMA_RISE = np.array([[-2.0, -1.0, 3.0, -1.0]])
+W_MAXIMA_FALL = np.array([[2.0, -2.0]])
+
+
+@st.composite
+def _count_sum_cases(draw):
+    """(capacities, rate, capacities per row tile) for the depth table.
+
+    M = 1..100 covers both sides of BLOCK_MAJOR_MAX_BLOCKS, with about half
+    the cases at M <= 12; the tiles are of a patched size.  Integer
+    capacities give exact tau/W ties; zero rows give a flat W."""
+    m = draw(st.integers(1, 12) | st.integers(13, 100))
+    rows = draw(st.integers(1, 7))
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0]) | st.floats(0.0, 4.0)
+    caps = draw(arrays(np.float64, (rows, m), elements=values))
+    rate = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    return caps, rate, draw(st.integers(1, 3 * m))
+
+
+def _scans(caps, rate):
+    """(W, tau in forward column order) of a capacity matrix."""
+    tile = channel.as_tile(caps)
+    return tile.running, engine._depth_thresholds(tile, rate, tile.temporary(np.float64))
+
+
 class TestPbSweepHelpers:
     def test_count_sums_match_direct_eval(self):
         p = params(blocks=14)
@@ -511,27 +545,51 @@ class TestPbSweepHelpers:
         assert depth_table(p, 50, 17).tolist() == whole.tolist()
         assert whole.tolist() == pb_count_sums_loop(caps, 1.0).tolist()
 
-    @given(st.data())
+    @given(case=_count_sum_cases())
+    @example(case=(CORNER_TIE, 1.0, 3))
+    @example(case=(TAU_ROUNDS_UP, 0.1, 3))
+    @example(case=(TAU_MINIMA_RISE, 0.5, 4))
+    @example(case=(W_MAXIMA_FALL, 0.5, 2))
     @settings(max_examples=300, deadline=None)
-    def test_count_sums_match_suffix_compare(self, data):
-        # M = 1..100 covers both sides of BLOCK_MAJOR_MAX_BLOCKS, with about
-        # half the examples at M <= 12; every kernel runs at every M, over row
-        # tiles of a patched size.  Integer capacities give exact tau/W ties;
-        # zero rows give a flat W.
-        m = data.draw(st.integers(1, 12) | st.integers(13, 100))
-        rows = data.draw(st.integers(1, 7))
-        values = st.sampled_from([0.0, 1.0, 2.0, 3.0]) | st.floats(0.0, 4.0)
-        caps = data.draw(arrays(np.float64, (rows, m), elements=values))
-        rate = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
-        tile = data.draw(st.integers(1, 3 * m))
+    def test_count_sums_match_suffix_compare(self, case):
+        caps, rate, tile = case
+        rows, m = caps.shape
         expected = pb_count_sums_loop(caps, rate).tolist()
         before = caps.copy()
         with mock.patch.object(channel, "tile_elements", lambda blocks: tile):
             assert pb_count_sums(caps, rate).tolist() == expected
-            for kernel in PB_KERNELS:
+            for kernel in PB_KERNELS[: 1 if caps.min() < 0 else 2]:  # a search needs W to rise
                 tiles = [kernel(caps[lo:hi], rate) for lo, hi in channel.row_blocks(rows, m)]
                 assert np.sum(tiles, axis=0).tolist() == expected, kernel.__name__
         assert np.array_equal(caps, before)  # the kernels work on copies
+
+    def test_fixed_cases_of_the_skipped_corner(self):
+        # Each fixed example above is what its name says.
+        running, tau = _scans(CORNER_TIE, 1.0)
+        assert engine._diagonal_starts(running, tau)[0] == 2  # diagonal 0 skips 2 columns
+        assert running[0, 2] == tau[0, 2]  # and ties at the next one: a hit
+        for caps, rate in ((TAU_ROUNDS_UP, 0.1), (TAU_MINIMA_RISE, 0.5)):
+            _, tau = _scans(caps, rate)
+            assert np.any(np.diff(tau.min(axis=0)) > 0)
+        running, _ = _scans(W_MAXIMA_FALL, 0.5)
+        assert np.any(np.diff(running.max(axis=0)) < 0)
+
+    @pytest.mark.parametrize("blocks", [16, 64])
+    def test_a_sweep_tile_skips_part_of_the_triangle(self, blocks):
+        # One block-major tile of `sweep-m` at -5 dB, rate 1.
+        p = params(blocks=blocks)
+        lo, hi = channel.row_blocks(10_000, blocks)[0]
+        running, tau = _scans(sample_capacity_matrix(p, 12345, lo, hi), p.rate)
+        starts = engine._diagonal_starts(running, tau)
+        assert 0 < sum(starts) < blocks * (blocks + 1) // 2
+        assert all(0 <= lo <= blocks - d for d, lo in enumerate(starts))
+
+    def test_count_sum_dtype_at_the_int32_bound(self):
+        # A column's sum of squared counts is at most rows * M^2.
+        assert engine._count_sum_dtype((1 << 19) - 1, 64) == np.int32
+        assert engine._count_sum_dtype(1 << 19, 64) == np.int64  # rows * 64^2 = 2^31
+        assert engine._count_sum_dtype(1 << 31, 1) == np.int64
+        assert engine._count_sum_dtype((1 << 31) - 1, 1) == np.int32
 
     @pytest.mark.parametrize("kernel", PB_KERNELS, ids=lambda k: k.__name__)
     @pytest.mark.parametrize("blocks", [2, 64, 128])
