@@ -261,9 +261,10 @@ def _pb_tile_by_search(caps, rate: float) -> np.ndarray:
     tile = as_tile(caps)
     m = tile.caps.shape[1]
     running, keys = tile.running, tile.temporary(np.float64)  # depth B in column B-1
-    tau = _depth_margins(tile, rate, keys[:, ::-1])
+    _depth_margins(tile, rate, keys[:, ::-1])
     full = np.less_equal(keys, 0.0, out=tile.temporary(bool)).sum(axis=1).tolist()
-    np.add(tau, running, out=tau)
+    # tau, added in the keys' order: numpy adds a reversed output half as fast.
+    np.add(keys, running[:, ::-1], out=keys)
     counts = tile.temporary(np.int64)
     for w, t, row, lo in zip(running, keys, counts, full):
         row[:lo] = 0  # then min(B, M - 0) = B
