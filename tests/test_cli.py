@@ -382,9 +382,9 @@ class TestBadInputExits2:
         assert captured.out == ""  # no CSV on standard output either
 
 
-# Bad and edge tokens for the fuzzed inputs below.  Every number here is at
-# most 4, so no mutation asks for more than the base inputs' 50 trials, 64
-# messages or 4 threads.
+# Bad and edge tokens for the fuzzed inputs below.  No number among the
+# tokens exceeds 4 and no INI line asks for more than 50 trials, 64 messages
+# or 4 threads, so no mutation makes a run longer than that.
 _VALUES = [
     "", " ", "-", "--", "-h", "nan", "inf", "-inf", "0", "1", "2", "4", "-1", "-5",
     "2.5", "+3", "0x4", "1e-300", "1e300", "1e309", "%", "%(x)s", ",", " , ", "1,2",

@@ -493,12 +493,13 @@ class TestAccumulator:
 
 
 # Fixed rows for the corner of `_pb_tile_by_counting` that no row of a tile
-# hits.  CORNER_TIE: at rate 1, W = tau = 1 in every column, and diagonal 0
-# skips two columns and ties at the third.  TAU_ROUNDS_UP: at rate 0.1,
-# tau rises from column 0 to 1 by rounding.  With negative capacities (no
-# channel makes them, but the kernels take any matrix) the column minima of
-# tau rise (TAU_MINIMA_RISE, rate 0.5) and the column maxima of W fall
-# (W_MAXIMA_FALL, rate 0.5), and only the running bounds skip no hit.
+# hits.  CORNER_TIE: at rate 1, tau = 1 in every column and W = (0, 0, 1),
+# so diagonal 0 skips two columns and ties at the third.  TAU_ROUNDS_UP:
+# at rate 0.1, tau rises from column 0 to 1 by rounding.  With negative
+# capacities (no channel makes them, but the kernels take any matrix) the
+# column minima of tau rise (TAU_MINIMA_RISE, rate 0.5) and the column
+# maxima of W fall (W_MAXIMA_FALL, rate 0.5), and only the running bounds
+# skip no hit.
 CORNER_TIE = np.array([[0.0, 0.0, 1.0]])
 TAU_ROUNDS_UP = np.array([[0.0, 3.0, 3.0]])
 TAU_MINIMA_RISE = np.array([[-2.0, -1.0, 3.0, -1.0]])
