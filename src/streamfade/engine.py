@@ -251,7 +251,7 @@ def _pb_tile_by_search(caps, rate: float) -> np.ndarray:
     the count at depth B is min(B, M - L_B) with L_B = #{W_j < tau_B}, the
     left insertion point of tau_B in W.
 
-    The thresholds are written through a reversed view, so that each row's
+    The margins are written through a reversed view, so that each row's
     keys are in depth order: tau_B never falls in exact arithmetic, and
     numpy narrows a search from the last one for rising keys only, twice as
     fast.  A depth whose margin is at most 0 has tau_B <= W_{M-B}, so
