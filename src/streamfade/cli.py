@@ -24,13 +24,12 @@ from .channel import (
 from .engine import Accumulator, evaluate_ets, evaluate_pb, evaluate_point, pb_count_sums, tile_sums
 from .errors import ConfigError, NumericFailure
 from .experiments import (
+    FIELDS,
     ExperimentConfig,
     analytic_rows,
+    config_fields,
     emit_csv,
     emit_svg,
-    parse_config,
-    parse_sweep_section,
-    parse_sweep_values,
     render_csv,
     run_experiment,
 )
@@ -56,29 +55,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_fields(p, rows):
+        for row in rows:
+            help = f"read as [{row.section}] {row.key} of an INI file"
+            p.add_argument(row.flag, dest=row.attr, metavar=row.key.upper(), help=help)
+
     def add_common(p):
         p.add_argument("--config", metavar="PATH", help="INI experiment file")
-        p.add_argument("--out-csv", metavar="PATH", help="write the result table here")
-        p.add_argument("--out-svg", metavar="PATH", help="write a line chart here")
-        p.add_argument("--trials", type=int, metavar="N")
-        p.add_argument("--seed", type=int, metavar="U64")
-        p.add_argument("--threads", type=int, metavar="N")
-        p.add_argument("--scheme", metavar="NAME[,NAME...]", help="scheme tokens, e.g. mt,pb:8,twts")
-        p.add_argument("--snr-db", type=float, metavar="X")
-        p.add_argument("--rate", type=float, metavar="R")
-        p.add_argument("--messages", type=int, metavar="M")
+        add_fields(p, [row for row in FIELDS if row.flag and row.section != "sweep"])
 
     p_sim = sub.add_parser("simulate", help="run one configuration")
     add_common(p_sim)
 
     p_sweep = sub.add_parser("sweep", help="sweep messages or SNR")
     add_common(p_sweep)
-    p_sweep.add_argument(
-        "--variable", choices=("messages", "snr_db"), help="default: the file's, else messages"
-    )
-    p_sweep.add_argument(
-        "--values", metavar="V1,V2,...", help="default: the file's, else a grid per variable"
-    )
+    add_fields(p_sweep, [row for row in FIELDS if row.section == "sweep"])
 
     p_an = sub.add_parser("analyze", help="closed forms only, no sampling")
     add_common(p_an)
@@ -88,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_bound)
 
     p_ver = sub.add_parser("verify", help="run the oracle-equivalence self checks")
-    p_ver.add_argument("--seed", type=int, default=2025)
+    add_fields(p_ver, [row for row in FIELDS if row.attr == "seed"])
     return parser
 
 
@@ -119,37 +110,35 @@ def _read_config(path: str) -> str:
         raise ConfigError(f"cannot read the file: {exc}", "config") from exc
 
 
-def _scheme_option(text: str | None):
-    """The schemes of `--scheme`, which must name at least one."""
-    if text is None:
-        return None
-    schemes = parse_scheme_list(text)
-    if not schemes:
-        raise ConfigError(f"--scheme {text!r} names no scheme", "schemes.list")
-    return schemes
+def _flag_fields(args) -> dict:
+    """The fields that flags set, each read by its INI key's row."""
+    texts = {row: getattr(args, row.attr, None) for row in FIELDS}
+    flags = {row.attr: row.read(text) for row, text in texts.items() if text is not None}
+    # Unlike an INI `[schemes] list`, which may be empty, the flag must name a scheme.
+    if flags.get("schemes") == ():
+        raise ConfigError(f"--scheme {args.schemes!r} names no scheme", "schemes.list")
+    return flags
 
 
-def _config_from_args(args, **sweep) -> ExperimentConfig:
-    overrides = {
-        field: value
-        for field, value in (
-            ("snr_db", args.snr_db),
-            ("rate", args.rate),
-            ("messages", args.messages),
-            ("trials", args.trials),
-            ("seed", args.seed),
-            ("threads", args.threads),
-            ("schemes", _scheme_option(args.scheme)),
-            ("csv_path", args.out_csv or None),
-            ("svg_path", args.out_svg or None),
-        )
-        if value is not None
-    }
-    overrides.update(sweep)
-    if args.config:
-        config = parse_config(_read_config(args.config), **overrides)
-    else:
-        config = replace(_DEFAULTS, **overrides)
+def _default_sweep(variable: str):
+    if variable == "messages":
+        return tuple(range(1, 65))
+    return tuple(float(v) for v in range(-10, 16))
+
+
+def _config_from_args(args) -> ExperimentConfig:
+    fields = config_fields(_read_config(args.config)) if args.config else dict(vars(_DEFAULTS))
+    flags = _flag_fields(args)
+    if args.command == "sweep":
+        # A flag overrides or completes the file's [sweep], and a flag left
+        # out keeps the file's value; the file's values serve only the
+        # file's variable.  Without a [sweep], message counts are swept.
+        if fields["sweep_variable"] is None and fields["sweep_values"] is None:
+            fields.update(sweep_variable="messages", sweep_values=_default_sweep("messages"))
+        variable = fields["sweep_variable"]
+        if variable is not None and flags.get("sweep_variable", variable) != variable:
+            fields["sweep_values"] = _default_sweep(flags["sweep_variable"])
+    config = ExperimentConfig(**{**fields, **flags})
     # Fail before sampling rather than after it.
     for field, path in (("output.csv", config.csv_path), ("output.svg", config.svg_path)):
         if path and not os.path.isdir(os.path.dirname(path) or "."):
@@ -173,35 +162,8 @@ def _write_outputs(rows, config):
         _write(emit_svg, rows, config.svg_path, "output.svg")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_run(args) -> int:
     config = _config_from_args(args)
-    rows = run_experiment(config)
-    _write_outputs(rows, config)
-    return 0
-
-
-def _default_sweep(variable: str):
-    if variable == "messages":
-        return tuple(range(1, 65))
-    return tuple(float(v) for v in range(-10, 16))
-
-
-def _cmd_sweep(args) -> int:
-    # A flag overrides the file's [sweep]; a flag left out keeps the file's
-    # value, and the file's values only serve the file's variable.
-    file_variable, file_values = (
-        parse_sweep_section(_read_config(args.config)) if args.config else (None, None)
-    )
-    variable = args.variable or file_variable or "messages"
-    # An empty `--values` is an error (ExperimentConfig names sweep.values),
-    # not a request for the default grid.
-    if args.values is not None:
-        values = parse_sweep_values(variable, args.values)
-    elif variable == file_variable:
-        values = file_values
-    else:
-        values = _default_sweep(variable)
-    config = _config_from_args(args, sweep_variable=variable, sweep_values=values)
     rows = run_experiment(config)
     _write_outputs(rows, config)
     return 0
@@ -235,7 +197,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_verify(args) -> int:
     """Fast oracle-equivalence suite; prints one PASS/FAIL line per check."""
-    seed = args.seed
+    seed = _flag_fields(args).get("seed", 2025)
     if not 0 <= seed < SEED_BOUND:
         raise ConfigError("seed must lie in [0, 2**64)", "run.seed")
     failures = 0
@@ -339,8 +301,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
     handlers = {
-        "simulate": _cmd_simulate,
-        "sweep": _cmd_sweep,
+        "simulate": _cmd_run,
+        "sweep": _cmd_run,
         "analyze": _cmd_analyze,
         "bound": _cmd_bound,
         "verify": _cmd_verify,

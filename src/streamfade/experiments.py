@@ -1,5 +1,9 @@
 """Experiment configuration, batch runs, and CSV/SVG emission.
 
+`FIELDS` is the one table of the INI keys of an `ExperimentConfig`; the INI
+reader, `serialize_config` and the command line's flags all read it, so a
+key and its flag take the same text to the same value or `section.key` error.
+
 A run evaluates a set of schemes over a sweep (message count or SNR) on
 shared traces and writes one CSV row per (sweep point, scheme).  Analytic
 closed forms are emitted alongside simulated values where they exist: the
@@ -12,6 +16,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -110,31 +115,85 @@ class ExperimentConfig:
         ]
 
 
-def parse_sweep_values(variable: str, raw: str) -> tuple:
-    """A comma-separated sweep grid.  Message counts become ints only when
-    every value is integral; otherwise the floats are kept, so that
-    `ExperimentConfig` rejects them instead of truncating them."""
-    try:
-        values = tuple(float(v) for v in raw.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value list {raw!r}", "sweep.values") from exc
-    if variable == "messages" and all(v.is_integer() for v in values):
-        return tuple(int(v) for v in values)
-    return values
+def _bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
 
 
-# Every section and key of the INI format; anything else is a typo.
-_INI_KEYS = {
-    "channel": ("snr_db", "rate", "messages"),
-    "run": ("trials", "seed", "threads"),
-    "schemes": ("list", "include_it_bound"),
-    "sweep": ("variable", "values"),
-    "output": ("csv", "svg"),
-}
+def _floats(text: str) -> tuple:
+    """A comma-separated list; `ExperimentConfig` checks the values."""
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def _read_ini(text: str) -> configparser.ConfigParser:
-    """The INI file's sections, each checked against `_INI_KEYS`."""
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("empty path")
+    return text
+
+
+REQUIRED = object()  # a `Field.default`: the file must give the key
+
+
+@dataclass(frozen=True)
+class Field:
+    """One INI key: the `ExperimentConfig` field it sets, the parser of its
+    text, its flag, its default where a file leaves it out, and its writer."""
+
+    section: str
+    key: str
+    attr: str
+    parse: Callable[[str], object]  # raises ValueError on bad text
+    flag: str | None
+    default: object = REQUIRED
+    write: Callable[[object], str] = str
+
+    @property
+    def name(self) -> str:
+        return f"{self.section}.{self.key}"
+
+    def read(self, text: str):
+        """The field's value of a key's or a flag's text."""
+        try:
+            return self.parse(text)
+        except ConfigError:  # the scheme parser names the field itself
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"bad value {text!r}", self.name) from exc
+
+
+# Every key of the INI format, in the order a file is read and written.
+FIELDS = (
+    Field("channel", "snr_db", "snr_db", float, "--snr-db"),
+    Field("channel", "rate", "rate", float, "--rate"),
+    Field("channel", "messages", "messages", int, "--messages"),
+    Field("run", "trials", "trials", int, "--trials"),
+    Field("run", "seed", "seed", int, "--seed"),
+    Field("run", "threads", "threads", int, "--threads", 1),
+    Field(
+        "schemes", "list", "schemes", parse_scheme_list, "--scheme",
+        write=lambda schemes: ", ".join(format_scheme_token(s) for s in schemes),
+    ),
+    Field(
+        "schemes", "include_it_bound", "include_it_bound", _bool, None, False,
+        write=lambda on: "true" if on else "false",
+    ),
+    Field("sweep", "variable", "sweep_variable", str, "--variable", None),
+    Field(
+        "sweep", "values", "sweep_values", _floats, "--values", None,
+        write=lambda values: ", ".join(map(str, values)),
+    ),
+    Field("output", "csv", "csv_path", _path, "--out-csv", None),
+    Field("output", "svg", "svg_path", _path, "--out-svg", None),
+)
+
+
+def config_fields(text: str) -> dict:
+    """The `ExperimentConfig` fields of an INI file, unvalidated: each key's
+    value, or its row's default where the file leaves the key out."""
     # No default section: a [DEFAULT] is an unknown section like any other.
     # `; comment` may end a line, as in the README's example.  Values are literal.
     parser = configparser.ConfigParser(
@@ -142,118 +201,47 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     )
     try:
         parser.read_string(text)
+    except configparser.DuplicateOptionError as exc:
+        # A line "=" is a parsing error, unless a second one comes first.
+        field = f"{exc.section}.{exc.option}" if exc.option else exc.section
+        raise ConfigError("key given twice", field) from exc
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError("section given twice", exc.section) from exc
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(str(exc), "config") from exc
     for section in parser.sections():
         keys = parser.options(section)
-        if section not in _INI_KEYS:
+        if all(row.section != section for row in FIELDS):
             raise ConfigError(f"unknown section [{section}]", ".".join([section, *keys[:1]]))
         for key in keys:
-            if key not in _INI_KEYS[section]:
+            if all((row.section, row.key) != (section, key) for row in FIELDS):
                 raise ConfigError(f"unknown key {key!r}", f"{section}.{key}")
-    return parser
-
-
-def _sweep_section(parser: configparser.ConfigParser) -> tuple:
-    """(variable, values) of the [sweep] section, or (None, None) without one."""
-    if not parser.has_section("sweep"):
-        return None, None
-    for key in _INI_KEYS["sweep"]:
-        if not parser.has_option("sweep", key):
-            raise ConfigError("missing required key", f"sweep.{key}")
-    variable = parser.get("sweep", "variable")
-    return variable, parse_sweep_values(variable, parser.get("sweep", "values"))
-
-
-def parse_sweep_section(text: str) -> tuple:
-    """(variable, values) of an INI file's [sweep] section, or (None, None)."""
-    return _sweep_section(_read_ini(text))
+    fields = {}
+    for row in FIELDS:
+        if parser.has_option(row.section, row.key):
+            fields[row.attr] = row.read(parser.get(row.section, row.key))
+        elif row.default is REQUIRED:
+            raise ConfigError("missing required key", row.name)
+        else:
+            fields[row.attr] = row.default
+    return fields
 
 
 def parse_config(text: str, **overrides) -> ExperimentConfig:
     """Parse the INI experiment format (see README for the schema).  Keyword
     arguments replace fields of the file before the whole is validated, so
     that flags may complete a file (say, a sweep for its `[output] svg`)."""
-    parser = _read_ini(text)
-
-    def need(section, key, cast, fallback=None):
-        if not parser.has_option(section, key):
-            if fallback is not None:
-                return fallback
-            raise ConfigError("missing required key", f"{section}.{key}")
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value {raw!r}", f"{section}.{key}") from exc
-
-    snr_db = need("channel", "snr_db", float)
-    rate = need("channel", "rate", float)
-    messages = need("channel", "messages", int)
-    trials = need("run", "trials", int)
-    seed = need("run", "seed", int)
-    threads = need("run", "threads", int, fallback=1)
-
-    def to_bool(raw: str) -> bool:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(raw)
-
-    tokens = need("schemes", "list", str)
-    schemes = parse_scheme_list(tokens)
-    include_it = need("schemes", "include_it_bound", to_bool, fallback=False)
-
-    sweep_variable, sweep_values = _sweep_section(parser)
-
-    csv_path = parser.get("output", "csv", fallback=None)
-    svg_path = parser.get("output", "svg", fallback=None)
-    fields = dict(
-        snr_db=snr_db,
-        rate=rate,
-        messages=messages,
-        schemes=schemes,
-        include_it_bound=bool(include_it),
-        trials=trials,
-        seed=seed,
-        threads=threads,
-        sweep_variable=sweep_variable,
-        sweep_values=sweep_values,
-        csv_path=csv_path,
-        svg_path=svg_path,
-    )
-    return ExperimentConfig(**{**fields, **overrides})
+    return ExperimentConfig(**{**config_fields(text), **overrides})
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    out = io.StringIO()
-    out.write("[channel]\n")
-    out.write(f"snr_db = {config.snr_db!r}\n")
-    out.write(f"rate = {config.rate!r}\n")
-    out.write(f"messages = {config.messages}\n\n")
-    out.write("[run]\n")
-    out.write(f"trials = {config.trials}\n")
-    out.write(f"seed = {config.seed}\n")
-    out.write(f"threads = {config.threads}\n\n")
-    out.write("[schemes]\n")
-    out.write(f"list = {', '.join(format_scheme_token(s) for s in config.schemes)}\n")
-    out.write(f"include_it_bound = {'true' if config.include_it_bound else 'false'}\n")
-    if config.sweep_variable is not None:
-        out.write("\n[sweep]\n")
-        out.write(f"variable = {config.sweep_variable}\n")
-        values = ", ".join(
-            str(v) if isinstance(v, int) else repr(v) for v in config.sweep_values
-        )
-        out.write(f"values = {values}\n")
-    if config.csv_path or config.svg_path:
-        out.write("\n[output]\n")
-        if config.csv_path:
-            out.write(f"csv = {config.csv_path}\n")
-        if config.svg_path:
-            out.write(f"svg = {config.svg_path}\n")
-    return out.getvalue()
+    """The INI text of `config`, one key per field that is not None."""
+    sections: dict = {}
+    for row in FIELDS:
+        value = getattr(config, row.attr)
+        if value is not None:
+            sections.setdefault(row.section, []).append(f"{row.key} = {row.write(value)}\n")
+    return "\n".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
 
 
 @dataclass(frozen=True)

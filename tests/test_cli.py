@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import streamfade
 from streamfade import channel, cli
 from streamfade.errors import NumericFailure
+from streamfade.experiments import FIELDS, config_fields
 
 DATA = Path(__file__).resolve().parent / "data"
 # Child interpreters import the same streamfade package as this test process.
@@ -261,11 +263,23 @@ class TestBadInputExits2:
             (["analyze", "--windows", ","], "analyze.windows"),
             (["analyze", "--windows", ""], "analyze.windows"),
             (["analyze", "--windows", " , "], "analyze.windows"),
+            # A flag's text is read by its INI key's row, not by argparse.
+            (["simulate", "--trials", "abc"], "run.trials"),
+            (["simulate", "--snr-db", "x"], "channel.snr_db"),
+            (["simulate", "--messages", "1e3"], "channel.messages"),
+            (["simulate", "--threads", "two"], "run.threads"),
+            (["simulate", "--seed", "0x4"], "run.seed"),
+            (["sweep", "--variable", "power"], "sweep.variable"),
+            (["simulate", "--out-csv", ""], "output.csv"),
+            (["sweep", "--values", "4,8", "--out-svg", ""], "output.svg"),
         ],
     )
     def test_names_the_field(self, argv, field, capsys):
-        assert run_main([*argv, "--trials", "10", "--scheme", "mt"]) == 2
-        assert f"{field}:" in capsys.readouterr().err
+        command, *flags = argv
+        assert run_main([command, "--trials", "10", "--scheme", "mt", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}:" in err
+        assert "invalid" not in err  # no argparse type or choice error
 
     def test_trials_whose_sums_could_wrap(self, capsys):
         assert run_main(["simulate", "--messages", "64", "--trials", str(1 << 51)]) == 2
@@ -300,6 +314,12 @@ class TestBadInputExits2:
             ("simulate", "svg = one-point.svg", "output.svg"),
             ("analyze", "svg = chart.svg", "output.svg"),
             ("simulate", None, "config"),
+            ("simulate", "csv =", "output.csv"),  # an empty path
+            ("simulate", "svg =", "output.svg"),
+            ("simulate", "csv = a.csv\ncsv = b.csv", "output.csv"),  # a key given twice
+            ("simulate", "[channel]\nrate = 2", "channel"),  # a section given twice
+            ("simulate", "=\n=", "output"),  # an empty key given twice
+            ("simulate", "csv", "config"),  # a line without `=`
         ],
     )
     def test_ini_names_the_field(self, command, output, field, tmp_path, capsys):
@@ -355,6 +375,11 @@ class TestBadInputExits2:
         captured = capsys.readouterr()
         assert "run.seed:" in captured.err and captured.out == ""
 
+    def test_verify_seed_is_read_as_run_seed(self, capsys):
+        assert run_main(["verify", "--seed", "abc"]) == 2
+        captured = capsys.readouterr()
+        assert "run.seed: bad value 'abc'" in captured.err and captured.out == ""
+
     def test_largest_seed_runs(self, capsys):
         seed = str((1 << 64) - 1)
         assert run_main(["simulate", "--messages", "4", "--trials", "10", "--seed", seed]) == 0
@@ -380,6 +405,57 @@ class TestBadInputExits2:
         captured = capsys.readouterr()
         assert f"{field}:" in captured.err
         assert captured.out == ""  # no CSV on standard output either
+
+
+# Every key, for a row's key or flag to replace, and per flag a good and a bad text.
+_FULL_INI = (
+    "[channel]\nsnr_db = 5.0\nrate = 1.0\nmessages = 6\n"
+    "[run]\ntrials = 20\nseed = 3\nthreads = 1\n"
+    "[schemes]\nlist = mt\ninclude_it_bound = true\n"
+    "[sweep]\nvariable = messages\nvalues = 4, 8\n"
+    "[output]\ncsv = base.csv\nsvg = base.svg\n"
+)
+_FLAG_TEXTS = {
+    "snr_db": ("-3.5", "x"),
+    "rate": ("2", "1,5"),
+    "messages": ("12", "1e3"),
+    "trials": ("30", "abc"),
+    "seed": ("7", "0x4"),
+    "threads": ("2", "two"),
+    "schemes": ("mt, pb:2", "bogus"),
+    "sweep_variable": ("snr_db", "power"),
+    "sweep_values": ("-3, 2", "0, x"),
+    "csv_path": ("a.csv", ""),
+    "svg_path": ("b.svg", ""),
+}
+
+
+class TestFlagsReadAsKeys:
+    """A flag's text is read by its INI key's row: the same value for good
+    text, and the same error line for bad text."""
+
+    @pytest.mark.parametrize("row", [r for r in FIELDS if r.flag], ids=lambda r: r.name)
+    def test_flag_and_key_agree(self, row, tmp_path, capsys):
+        base = tmp_path / "base.ini"
+        base.write_text(_FULL_INI)
+
+        def by_key(text):  # the keys of _FULL_INI are unique across its sections
+            path = tmp_path / "key.ini"
+            path.write_text(re.sub(f"(?m)^{row.key} = .*$", lambda _: f"{row.key} = {text}", _FULL_INI))
+            return str(path)
+
+        def by_flag(text):
+            return ["sweep", "--config", str(base), row.flag, text]
+
+        good, bad = _FLAG_TEXTS[row.attr]
+        args = cli.build_parser().parse_args(cli._attach_dash_values(by_flag(good)))
+        expected = config_fields(Path(by_key(good)).read_text())[row.attr]
+        assert cli._flag_fields(args)[row.attr] == expected
+        assert run_main(["sweep", "--config", by_key(bad)]) == 2
+        key_err = capsys.readouterr().err
+        assert key_err.startswith(f"configuration error: {row.name}: ")
+        assert run_main(by_flag(bad)) == 2
+        assert capsys.readouterr().err == key_err
 
 
 # Bad and edge tokens for the fuzzed inputs below.  No number among the
@@ -450,17 +526,34 @@ def _exit_code(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+# What an exit 2 prints: a configuration error that names its field (a
+# section, or `config` for the file as a whole), or argparse's error for an
+# option it does not know, or one left without its argument.
+_EXIT_2 = re.compile(
+    r"configuration error: \w+(\.\w+)?: "
+    r"|: error: (unrecognized arguments|ambiguous option|argument [-\w]+: expected one argument)"
+)
+
+
+def _check_exit(code, output):
+    assert code in (0, 2), output
+    assert "Traceback" not in output
+    if code == 2:
+        assert _EXIT_2.search(output), output
+    for argparse_type_error in ("invalid int value", "invalid float value", "invalid choice"):
+        assert argparse_type_error not in output
+
+
 class TestFuzzedInputs:
-    """Mutated command lines and INI files exit 0 or 2, never with a traceback."""
+    """Mutated command lines and INI files exit 0 or 2, never with a
+    traceback, and an exit 2 says what was wrong."""
 
     @given(command=st.sampled_from(sorted(_BASE_ARGV)), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_argv(self, command, data, tmp_path_factory):
         argv = data.draw(_mutated(_BASE_ARGV[command], _VALUES + _OPTIONS))
         with contextlib.chdir(tmp_path_factory.getbasetemp()):  # outputs land there
-            code, output = _exit_code([command, *argv])
-        assert code in (0, 2), output
-        assert "Traceback" not in output
+            _check_exit(*_exit_code([command, *argv]))
 
     @given(command=st.sampled_from(sorted(_BASE_ARGV)), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -469,9 +562,7 @@ class TestFuzzedInputs:
         cfg = tmp_path_factory.getbasetemp() / "fuzzed.ini"
         cfg.write_text("\n".join(lines) + "\n")
         with contextlib.chdir(cfg.parent):
-            code, output = _exit_code([command, "--config", str(cfg)])
-        assert code in (0, 2), output
-        assert "Traceback" not in output
+            _check_exit(*_exit_code([command, "--config", str(cfg)]))
 
 
 class TestHugeRate:

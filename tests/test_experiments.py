@@ -1,3 +1,4 @@
+import configparser
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from streamfade.channel import ChannelParams, decode_success_prob, window_decode
 from streamfade.errors import ConfigError
 from streamfade.experiments import (
     CSV_HEADER,
+    FIELDS,
     ExperimentConfig,
     analytic_rows,
     emit_csv,
@@ -106,6 +108,15 @@ class TestConfigRoundTrip:
         assert config.sweep_values == (8, 12)
         assert config.csv_path == "out.csv"
 
+    def test_round_trip_of_every_row(self):
+        config = parse_config(CONFIG_TEXT, threads=2, include_it_bound=False, svg_path="c.svg")
+        assert all(getattr(config, row.attr) is not None for row in FIELDS)
+        text = serialize_config(config)
+        assert [line.split(" = ")[0] for line in text.splitlines() if " = " in line] == [
+            row.key for row in FIELDS
+        ]
+        assert parse_config(text) == config
+
     def test_round_trip_without_sweep(self):
         config = small_config()
         assert parse_config(serialize_config(config)) == config
@@ -171,6 +182,13 @@ class TestConfigRoundTrip:
         config = parse_config(example)  # with its `; optional` line comments
         assert config.sweep_variable == "messages"
         assert config.svg_path == "results.svg"
+
+    def test_readme_example_lists_every_key(self):
+        readme = (ROOT / "README.md").read_text()
+        example = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        example.read_string(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        keys = [(section, key) for section in example.sections() for key in example[section]]
+        assert keys == [(row.section, row.key) for row in FIELDS]
 
     def test_readme_quick_start_runs(self):
         readme = (ROOT / "README.md").read_text()
