@@ -22,9 +22,7 @@ from .informed import (
 )
 from .metrics import max_zero_run
 from .runstats import (
-    DelayDistribution,
     PartialFraction,
-    delay_distribution,
     enumerate_run_tails,
     mt_mean_max_delay,
     partial_fraction,

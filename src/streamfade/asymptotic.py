@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .channel import ChannelParams, mean_capacity_closed_form
-from .engine import evaluate_pb, optimize_pb_window, pb_count_sums, tile_sums
+from .engine import evaluate_pb, evaluate_point, tile_sums
+from .schemes import Scheme
 
 
 def alpha_opt(params: ChannelParams) -> float:
@@ -84,7 +85,7 @@ def verify_threshold(
 def optimal_prebuffer_fraction(
     params: ChannelParams, trials: int, seed: int
 ) -> tuple[int, float]:
-    """Throughput-maximizing buffer depth and its fraction of the messages."""
-    (table,) = tile_sums(params, trials, seed, 1, lambda tile: [pb_count_sums(tile, params.rate)])
-    window, _ = optimize_pb_window(table[0], trials)
+    """Throughput-maximizing buffer depth and its fraction of the messages:
+    the depth that `engine.evaluate_point` chooses for a `pb` row."""
+    window = evaluate_point(params, {"pb": Scheme("pb")}, trials, seed)["pb"].window
     return window, window / params.blocks

@@ -393,7 +393,7 @@ def window_decode_prob(params: ChannelParams, window: int) -> float:
 
     Entry `window` - 1 of `window_decode_probs`: the same memoized chain, so a
     window's probability is one float however it is asked for.  For
-    window == 1 this is decode_success_prob.
+    window == 1 this is decode_success_prob, and no chain is built.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -420,10 +420,11 @@ def window_decode_probs(params: ChannelParams, windows: int) -> np.ndarray:
     """Pr{sum of B consecutive block capacities >= rate} for every window
     B = 1..`windows`, entry B-1; the only code that computes these values.
 
-    p_1 is decode_success_prob.  For B >= 2 the single-block capacity is
-    binned on a uniform grid, and one chain of convolutions carries only the
-    cells that can lie below the rate from B to B + 1, by one FFT product;
-    p_B is one minus their mass.  Memory is set by rate / dc, not by B.  The
+    p_1 is decode_success_prob, and no grid is built when only B = 1 is
+    asked for.  For B >= 2 the single-block capacity is binned on a uniform
+    grid, and one chain of convolutions carries only the cells that can lie
+    below the rate from B to B + 1, by one FFT product; p_B is one minus
+    their mass.  Memory is set by rate / dc, not by B.  The
     chain is memoized on the link parameters other than `blocks` and
     extended, not recomputed, when a later call asks for more windows.
     Where B blocks at the grid's top capacity fall short of the rate, p_B is
@@ -432,7 +433,7 @@ def window_decode_probs(params: ChannelParams, windows: int) -> np.ndarray:
     if windows < 1:
         raise ValueError("windows must be >= 1")
     link = replace(params, blocks=1)
-    if windows * _top_capacity(link.power) <= link.rate:
+    if windows == 1 or windows * _top_capacity(link.power) <= link.rate:
         probs = np.zeros(windows)
         probs[0] = decode_success_prob(link)
         return probs

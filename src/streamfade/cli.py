@@ -60,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
             help = f"read as [{row.section}] {row.key} of an INI file"
             p.add_argument(row.flag, dest=row.attr, metavar=row.key.upper(), help=help)
 
-    def add_common(p):
+    def add_common(p, *skip):
         p.add_argument("--config", metavar="PATH", help="INI experiment file")
-        add_fields(p, [row for row in FIELDS if row.flag and row.section != "sweep"])
+        add_fields(p, [r for r in FIELDS if r.flag and r.section not in ("sweep", *skip)])
 
     p_sim = sub.add_parser("simulate", help="run one configuration")
     add_common(p_sim)
@@ -72,11 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_fields(p_sweep, [row for row in FIELDS if row.section == "sweep"])
 
     p_an = sub.add_parser("analyze", help="closed forms only, no sampling")
-    add_common(p_an)
+    add_common(p_an, "schemes")  # analyze and bound choose their own rows
     p_an.add_argument("--windows", default="2,3,5", metavar="B1,B2,...")
 
     p_bound = sub.add_parser("bound", help="informed-transmitter bound only")
-    add_common(p_bound)
+    add_common(p_bound, "schemes")
 
     p_ver = sub.add_parser("verify", help="run the oracle-equivalence self checks")
     add_fields(p_ver, [row for row in FIELDS if row.attr == "seed"])

@@ -16,6 +16,9 @@ row-major, up to M = 2^15 (`channel.ROW_BLOCK_ELEMENTS`); a tile of one
 longer row takes up to about 61 M bytes of new arrays while it is
 evaluated, and they are not kept.
 
+MT, which sends message t in block t only, is wTS with a window of one
+block: its row is `evaluate_wts` at B = 1.
+
 An optimized PB depth is chosen from the depth table and its row is read off
 it (`pb_accumulator`): `evaluate_pb` decides a decode by the table's own
 comparisons, so the two agree bit for bit.  T-wTS and D-wTS choose their
@@ -69,20 +72,12 @@ from .metrics import max_zero_run_at, max_zero_run_rows
 from .runstats import wts_mean_delay
 
 
-def evaluate_mt(caps, rate: float):
-    """Per-block transmission: message t decodes iff block t's capacity >= rate.
+def evaluate_ets(caps, rate: float):
+    """Equal-share time sharing: message m decodes iff its running total W
+    reaches the rate at its deadline.
 
     `caps` is a `channel.Tile` or a (trials, blocks) capacity matrix, taken
     as one tile (`channel.as_tile`), as for every evaluator here."""
-    tile = as_tile(caps)
-    m = tile.caps.shape[1]
-    v = np.greater_equal(tile.caps, rate, out=tile.temporary(bool))
-    return v.sum(axis=1), max_zero_run_rows(v, tile.temporary(np.int32, m + 1))
-
-
-def evaluate_ets(caps, rate: float):
-    """Equal-share time sharing: message m decodes iff its running total W
-    reaches the rate at its deadline."""
     tile = as_tile(caps)
     counts = np.greater_equal(tile.running, rate, out=tile.temporary(bool)).sum(axis=1)
     return counts, tile.caps.shape[1] - counts  # totals never fall: decodes form a suffix
@@ -117,10 +112,13 @@ def window_sums(block: np.ndarray, window: int) -> np.ndarray:
     (trials, columns // window), bit for bit numpy's row-major
     `reshape(trials, k, window).sum(axis=2)`.
 
-    On a block-major block, fewer than _PAIRWISE_MIN_TERMS columns are added
-    one at a time across trials, which is the same left-to-right sum; more
-    are summed by numpy over a row-major copy.
+    At window 1 this is `block` itself: a sum of one term is that term.  On
+    a block-major block, fewer than _PAIRWISE_MIN_TERMS columns are added one
+    at a time across trials, which is the same left-to-right sum; more are
+    summed by numpy over a row-major copy.
     """
+    if window == 1:
+        return block
     n, k = block.shape[0], block.shape[1] // window
     windows = block[:, : k * window].reshape(n, k, window)  # a view
     if not block_major(block):

@@ -7,8 +7,8 @@ key and its flag take the same text to the same value or `section.key` error.
 A run evaluates a set of schemes over a sweep (message count or SNR) on
 shared traces and writes one CSV row per (sweep point, scheme).  Analytic
 closed forms are emitted alongside simulated values where they exist: the
-per-block scheme has exact throughput and delay, windowed time-sharing has
-floor/ceil delay bounds (in whole-window units, see README).
+per-block scheme (wTS at B = 1) has exact throughput and delay, windowed
+time-sharing has floor/ceil delay bounds (in whole-window units, see README).
 """
 from __future__ import annotations
 
@@ -21,10 +21,10 @@ from typing import Callable
 import numpy as np
 
 from . import engine
-from .channel import ChannelParams, decode_success_prob, usable_snr, window_decode_prob
+from .channel import ChannelParams, usable_snr, window_decode_prob
 from .errors import ConfigError
 from .rng import SEED_BOUND
-from .runstats import mt_mean_max_delay, wts_delay_bounds
+from .runstats import wts_delay_bounds
 from .schemes import Scheme, format_scheme_token, parse_scheme_list
 
 _SWEEP_VARIABLES = ("messages", "snr_db")
@@ -264,21 +264,18 @@ class ResultRow:
 
 def _analytic_columns(params: ChannelParams, scheme: Scheme, window: int | None, delays: dict):
     """(analytic throughput bpcu, delay lower, delay upper) where closed forms
-    exist.  `delays` keeps the point's delay cells by (B, p_B), each built
-    once; MT's exact delay is the wTS bound pair at B = 1, bit for bit."""
+    exist: the wTS delay bounds at B = `window`, or B = 1 for MT (wTS at
+    B = 1, where they coincide), and MT's throughput rate * p_1.  `delays`
+    keeps the point's delay cells by (B, p_B), each built once."""
     form = scheme.row.analytic
-    if form == "exact":
-        p = decode_success_prob(params)
-        if (1, p) not in delays:
-            delays[1, p] = (mt_mean_max_delay(params.blocks, p),) * 2
-        return (params.rate * p, *delays[1, p])
-    if form == "bounds":
-        p_b = window_decode_prob(params, window)
-        if (window, p_b) not in delays:
-            bounds = wts_delay_bounds(params.blocks, window, p_b)
-            delays[window, p_b] = bounds.delay_lower, bounds.delay_upper
-        return (None, *delays[window, p_b])
-    return None, None, None
+    if form is None:
+        return None, None, None
+    b = 1 if window is None else window
+    p_b = window_decode_prob(params, b)
+    if (b, p_b) not in delays:
+        bounds = wts_delay_bounds(params.blocks, b, p_b)
+        delays[b, p_b] = bounds.delay_lower, bounds.delay_upper
+    return (params.rate * p_b if form == "exact" else None, *delays[b, p_b])
 
 
 def _point_rows(config, sweep_name, sweep_value, params, cells) -> list[ResultRow]:
@@ -322,7 +319,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def analytic_rows(config: ExperimentConfig, windows) -> list[ResultRow]:
-    """Closed-form-only table: per-block exact values plus windowed bounds."""
+    """Closed-form-only table: per-block exact values (the wTS bounds at
+    B = 1) plus windowed bounds."""
     rows = []
     for sweep_name, sweep_value, params in config.sweep_points():
         schemes = [Scheme("mt")] + [Scheme("wts", w) for w in windows if w <= params.blocks]

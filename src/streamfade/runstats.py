@@ -21,10 +21,10 @@ is computed four independent ways:
   q_d(z) = 1 - p * sum_{j=1..d} z^j (1-p)^(j-1).
 
 The last three are cross-checks of the recurrence.  Every closed form reads
-its columns: `run_tails` (and so `mt_mean_max_delay` and
-`delay_distribution`) takes the last entry of each, `wts_delay_bounds` reads
-both of its horizons from one pass, and `wts_mean_delay`, the D-wTS window
-objective, iterates them.
+its columns: `run_tails` (and so `mt_mean_max_delay`) takes the last entry
+of each, `wts_delay_bounds` reads both of its horizons from one pass, and
+`wts_mean_delay`, the D-wTS window objective, iterates them.  MT is wTS at
+B = 1, and the CSV's MT cells are both bounds at B = 1: `mt_mean_max_delay`.
 
 In the partial-fraction expansion the z = 1 pole always has residue exactly 1
 (q_d(1) = (1-p)^d), so it is peeled off in closed form before any numerics;
@@ -355,25 +355,9 @@ def mt_mean_max_delay(M: int, p: float) -> float:
 
     Sum of the tail probabilities for d = 1..M, taken left to right; this is
     the exact average maximum inter-decoding delay of per-block memoryless
-    transmission.
+    transmission, and both delay bounds of `wts_delay_bounds(M, 1, p)`.
     """
     return _mean_of_tails(run_tails(M, p))
-
-
-@dataclass(frozen=True)
-class DelayDistribution:
-    """tail[d-1] = Pr{max zero-run >= d} for d = 1..M; mean is their sum."""
-
-    tail: np.ndarray
-    mean: float
-
-
-def delay_distribution(M: int, p: float) -> DelayDistribution:
-    tails = run_tails(M, p)
-    if np.any(np.diff(tails) > 1e-9):
-        raise NumericFailure("tail probabilities must be nonincreasing in d")
-    tails = np.minimum.accumulate(tails)
-    return DelayDistribution(tail=tails, mean=float(tails.sum()))
 
 
 @dataclass(frozen=True)

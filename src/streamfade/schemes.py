@@ -39,9 +39,10 @@ class SchemeRow:
               the row at the chosen depth); None when B is never chosen
     maximize  the choice maximizes throughput, else it minimizes delay (PB's
               two choices coincide, since delay = M - count per realization)
-    analytic  the closed form behind the analytic CSV cells: "exact" (MT
-              throughput and delay) or "bounds" (wTS floor/ceil delay bounds
-              at the row's B); None where no closed form exists
+    analytic  the closed form behind the analytic CSV cells: "bounds" (the
+              wTS floor/ceil delay bounds at the row's B, or B = 1 for MT) or
+              "exact" (MT: those bounds, which coincide, and the throughput
+              rate * p_1); None where no closed form exists
     token     accepted as a scheme token; the IT bound is requested by
               `include_it_bound` only
     """
@@ -62,8 +63,9 @@ def _evaluate_wts(caps, rate, window):
 
 
 SCHEMES = {
+    # MT sends message t in block t only: wTS with a window of one block.
     "mt": SchemeRow(
-        "MT", NONE, lambda caps, rate, _: engine.evaluate_mt(caps, rate), analytic="exact"
+        "MT", NONE, lambda caps, rate, _: _evaluate_wts(caps, rate, 1), analytic="exact"
     ),
     "ets": SchemeRow("eTS", NONE, lambda caps, rate, _: engine.evaluate_ets(caps, rate)),
     "pb": SchemeRow(

@@ -27,7 +27,6 @@ from streamfade.channel import (
 )
 from streamfade.engine import (
     evaluate_ets,
-    evaluate_mt,
     evaluate_pb,
     evaluate_wts,
     pb_count_sums,
@@ -48,6 +47,7 @@ from streamfade.runstats import (
     run_tails,
     wts_delay_bounds,
 )
+from streamfade.schemes import Scheme
 
 SEED = 20250808
 BLOCKS = 40
@@ -155,7 +155,7 @@ def test_criterion_5_per_block_scheme_analytics(caps_m40):
     lines = []
     for snr, caps in caps_m40.items():
         p = decode_success_prob(params_at(snr))
-        counts, delays = evaluate_mt(caps, 1.0)
+        counts, delays = Scheme("mt").evaluate(caps, 1.0)
         thr_mean, thr_se = _mean_se(counts / BLOCKS)
         dly_mean, dly_se = _mean_se(delays)
         exact_delay = mt_mean_max_delay(BLOCKS, p)
@@ -222,7 +222,7 @@ def _point_results(caps, rate=1.0):
     """All schemes (optimized where applicable) plus the genie bound."""
     n, m = caps.shape
     out = {}
-    out["MT"] = evaluate_mt(caps, rate)
+    out["MT"] = Scheme("mt").evaluate(caps, rate)
     out["eTS"] = evaluate_ets(caps, rate)
     b_pb = int(np.argmax(pb_count_sums(caps, rate)[0])) + 1
     out["PB"] = evaluate_pb(caps, rate, b_pb)

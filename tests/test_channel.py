@@ -483,6 +483,15 @@ class TestWindowDecodeProbs:
         assert probs[1:5].tolist() == [0.0] * 4
         assert [window_decode_prob(p, b) for b in range(1, 13)] == probs.tolist()
 
+    def test_window_one_builds_no_chain(self):
+        # p_1 is decode_success_prob: a link whose only window is B = 1 (MT,
+        # the wTS rule at B = 1) takes no chain and no cache slot.
+        p = params(snr=3.25, rate=0.875, blocks=9)
+        before = channel._failure_chain.cache_info()
+        assert window_decode_prob(p, 1) == decode_success_prob(p)
+        after = channel._failure_chain.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
     def test_extended_not_recomputed(self, monkeypatch):
         p = params(snr=-4.0, rate=1.25, blocks=7)
         short = window_decode_probs(p, 6)

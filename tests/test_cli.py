@@ -276,7 +276,8 @@ class TestBadInputExits2:
     )
     def test_names_the_field(self, argv, field, capsys):
         command, *flags = argv
-        assert run_main([command, "--trials", "10", "--scheme", "mt", *flags]) == 2
+        scheme = [] if command == "analyze" else ["--scheme", "mt"]  # analyze takes none
+        assert run_main([command, "--trials", "10", *scheme, *flags]) == 2
         err = capsys.readouterr().err
         assert f"{field}:" in err
         assert "invalid" not in err  # no argparse type or choice error
@@ -302,10 +303,25 @@ class TestBadInputExits2:
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "bound"])
     @pytest.mark.parametrize("value", [",", "", " , "])
-    def test_scheme_option_without_a_token(self, command, value, capsys):
+    def test_scheme_option_without_a_token(self, command, value):
         # The INI `[schemes] list` may be empty; `--scheme` must name a scheme.
-        assert run_main([command, "--scheme", value, "--trials", "10"]) == 2
-        assert "schemes.list:" in capsys.readouterr().err
+        # bound takes no `--scheme`, so argparse refuses the option itself.
+        code, output = _exit_code([command, "--scheme", value, "--trials", "10"])
+        assert code == 2
+        if command == "bound":
+            assert "unrecognized arguments: --scheme" in output
+        else:
+            assert "schemes.list:" in output
+
+    @pytest.mark.parametrize("command", ["analyze", "bound"])
+    def test_no_scheme_option(self, command):
+        # analyze writes its own MT and wTS rows and bound only the IT row:
+        # a `--scheme` that they would ignore exits 2 instead.
+        code, output = _exit_code([command, "--messages", "4", "--scheme", "mt"])
+        assert code == 2
+        assert "unrecognized arguments: --scheme mt" in output
+        code, output = _exit_code([command, "--help"])
+        assert code == 0 and "--trials" in output and "--scheme" not in output
 
     @pytest.mark.parametrize(
         "command,output,field",
@@ -622,6 +638,24 @@ class TestGoldenCsv:
         )
         assert code == 0
         assert out.read_bytes() == (DATA / "golden_sweep_m8_m16.csv").read_bytes()
+
+
+class TestMtIsWtsAtWindowOne:
+    """MT sends message t in block t only, the wTS rule at B = 1: the two rows
+    of one run agree in every simulated cell and in the analytic delays."""
+
+    # Block-major tiles up to M = 64, row-major above; several tiles each.
+    @pytest.mark.parametrize("messages", ["8", "64", "65", "200"])
+    def test_same_cells(self, messages, tmp_path):
+        out = tmp_path / "mt.csv"
+        argv = ["simulate", "--messages", messages, "--trials", "2100", "--seed", "7"]
+        assert run_main([*argv, "--scheme", "mt,wts:1", "--out-csv", str(out)]) == 0
+        rows = {line.split(",")[1]: line.split(",") for line in out.read_text().splitlines()[1:]}
+        mt, wts = rows["MT"], rows["wTS"]
+        assert (mt[2], wts[2]) == ("", "1")
+        assert mt[3:8] == wts[3:8]  # throughput, count, delay and their stderrs
+        assert mt[9] == mt[10] == wts[9] == wts[10] != ""  # the analytic delay pair
+        assert mt[8] != "" and wts[8] == ""  # only MT has an analytic throughput
 
 
 class TestExitCodes:

@@ -23,7 +23,6 @@ from streamfade.channel import (
 )
 from streamfade.engine import (
     Accumulator,
-    evaluate_mt,
     evaluate_point,
     evaluate_pb,
     evaluate_wts,
@@ -747,7 +746,7 @@ class TestWtsWindowUnits:
 
 def mt_count_hist(p: ChannelParams, trials: int, seed: int) -> np.ndarray:
     """Histogram of per-trial MT decode counts over trials 0..trials-1."""
-    counts, _ = evaluate_mt(sample_capacity_matrix(p, seed, 0, trials), p.rate)
+    counts, _ = Scheme("mt").evaluate(sample_capacity_matrix(p, seed, 0, trials), p.rate)
     return np.bincount(counts, minlength=p.blocks + 1)
 
 
@@ -828,5 +827,12 @@ class TestBenchmarkSpans:
             or name in ("engine.pb_count_sums", "informed.informed_counts_and_delays")
         ]
         assert len(traced) == 9
-        assert [name for name in traced if summary[f"{name}.calls"] == 0] == []
-        assert dump["absent"] == ["streamfade.runstats.run_tail"]
+        # MT is evaluated as wTS at B = 1, and its analytic cells are the wTS
+        # bounds at B = 1: `engine.evaluate_mt` and the experiments' binding
+        # of `mt_mean_max_delay` are gone.
+        assert [name for name in traced if summary[f"{name}.calls"] == 0] == ["engine.evaluate_mt"]
+        assert dump["absent"] == [
+            "streamfade.engine.evaluate_mt",
+            "streamfade.experiments.mt_mean_max_delay",
+            "streamfade.runstats.run_tail",
+        ]

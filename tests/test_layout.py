@@ -16,7 +16,6 @@ from streamfade import engine
 from streamfade.channel import scan_blocks
 from streamfade.engine import (
     evaluate_ets,
-    evaluate_mt,
     evaluate_pb,
     evaluate_wts,
     pb_count_sums,
@@ -25,6 +24,7 @@ from streamfade.engine import (
 )
 from streamfade.informed import informed_counts_and_delays
 from streamfade.metrics import max_zero_run_at
+from streamfade.schemes import Scheme
 
 
 def both_layouts(matrix):
@@ -60,7 +60,7 @@ def test_evaluators_agree_across_layouts(data):
     caps = data.draw(arrays(np.float64, (rows, m), elements=values))
     rate = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     window = data.draw(st.integers(1, m))
-    assert_same_on_both(evaluate_mt, caps, rate)
+    assert_same_on_both(Scheme("mt").evaluate, caps, rate)
     assert_same_on_both(evaluate_ets, caps, rate)
     assert_same_on_both(evaluate_pb, caps, rate, window)
     assert_same_on_both(evaluate_wts, caps, rate, window)

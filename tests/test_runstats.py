@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from oracles import run_tails_table, wts_mean_delay_enumerated
 from streamfade.runstats import (
-    delay_distribution,
     enumerate_run_tails,
     mt_mean_max_delay,
     partial_fraction,
@@ -188,6 +187,11 @@ class TestRunTails:
         assert np.all(long[:30] >= short)
         assert long[30] == pytest.approx(0.6**31, rel=1e-12)
 
+    def test_tail_monotone_in_p(self):
+        for d in (1, 3, 6):
+            values = [run_tails(8, p)[d - 1] for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+            assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
 
 class TestMeanMaxDelay:
     def test_degenerate(self):
@@ -203,27 +207,6 @@ class TestMeanMaxDelay:
             assert mt_mean_max_delay(m, p) == pytest.approx(
                 float(enumerate_run_tails(m, p).sum()), abs=1e-10
             )
-
-
-class TestDelayDistribution:
-    def test_monotone_and_mean(self):
-        dist = delay_distribution(12, 0.55)
-        assert np.all(np.diff(dist.tail) <= 1e-15)
-        assert dist.tail[0] <= 1.0 and dist.tail[-1] >= 0.0
-        assert dist.mean == pytest.approx(float(dist.tail.sum()))
-
-    def test_pmf_identity(self):
-        # mean from tails equals mean from the pmf tail[d] - tail[d+1]
-        dist = delay_distribution(10, 0.4)
-        tails = np.append(dist.tail, 0.0)
-        pmf = tails[:-1] - tails[1:]
-        mean_from_pmf = float(np.dot(np.arange(1, 11), pmf))
-        assert dist.mean == pytest.approx(mean_from_pmf, abs=1e-10)
-
-    def test_tail_monotone_in_p(self):
-        for d in (1, 3, 6):
-            values = [run_tails(8, p)[d - 1] for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
-            assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestWtsBounds:

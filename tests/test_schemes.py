@@ -4,7 +4,6 @@ import pytest
 from streamfade.channel import ChannelParams, sample_capacity_matrix
 from streamfade.engine import (
     evaluate_ets,
-    evaluate_mt,
     evaluate_pb,
     evaluate_point,
     evaluate_wts,
@@ -163,7 +162,7 @@ class TestEngineMatchesAllocationPath:
         p = params(snr=snr, blocks=blocks)
         caps = sample_capacity_matrix(p, 11, 0, 64)
         rate = p.rate
-        fast = {"mt": evaluate_mt(caps, rate), "ets": evaluate_ets(caps, rate)}
+        fast = {"mt": Scheme("mt").evaluate(caps, rate), "ets": evaluate_ets(caps, rate)}
         for b in range(1, blocks + 1):
             fast[("pb", b)] = evaluate_pb(caps, rate, b)
             fast[("wts", b)] = evaluate_wts(caps, rate, b)
