@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .channel import (
     mean_capacity_closed_form,
     sample_capacity_matrix,
 )
-from .engine import Accumulator, evaluate_ets, evaluate_pb, evaluate_point, pb_count_sums, tile_sums
+from .engine import Accumulator, evaluate_point, moments, pb_count_sums, tile_sums
 from .errors import ConfigError, NumericFailure
 from .experiments import (
     FIELDS,
@@ -126,7 +125,9 @@ def _default_sweep(variable: str):
     return tuple(float(v) for v in range(-10, 16))
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args, **rows) -> ExperimentConfig:
+    """The file's fields, then the flags', then `rows`: the schemes of a
+    command that writes its own rows, which replace the file's."""
     fields = config_fields(_read_config(args.config)) if args.config else dict(vars(_DEFAULTS))
     flags = _flag_fields(args)
     if args.command == "sweep":
@@ -138,7 +139,7 @@ def _config_from_args(args) -> ExperimentConfig:
         variable = fields["sweep_variable"]
         if variable is not None and flags.get("sweep_variable", variable) != variable:
             fields["sweep_values"] = _default_sweep(flags["sweep_variable"])
-    config = ExperimentConfig(**{**fields, **flags})
+    config = ExperimentConfig(**{**fields, **flags, **rows})
     # Fail before sampling rather than after it.
     for field, path in (("output.csv", config.csv_path), ("output.svg", config.svg_path)):
         if path and not os.path.isdir(os.path.dirname(path) or "."):
@@ -170,9 +171,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    config = _config_from_args(args)
-    if config.svg_path:
-        raise ConfigError("analyze writes no chart: it has no simulated columns", "output.svg")
     try:
         windows = tuple(int(w) for w in args.windows.split(",") if w.strip())
     except ValueError:
@@ -183,13 +181,17 @@ def _cmd_analyze(args) -> int:
         raise ConfigError(f"windows must be >= 1, got {args.windows!r}", "analyze.windows")
     if len(set(windows)) < len(windows):
         raise ConfigError(f"repeated window in {args.windows!r}", "analyze.windows")
-    rows = analytic_rows(config, windows)
+    schemes = (Scheme("mt"), *(Scheme("wts", w) for w in windows))
+    config = _config_from_args(args, schemes=schemes, include_it_bound=False)
+    if config.svg_path:
+        raise ConfigError("analyze writes no chart: it has no simulated columns", "output.svg")
+    rows = analytic_rows(config)
     _write_outputs(rows, config)
     return 0
 
 
 def _cmd_bound(args) -> int:
-    config = replace(_config_from_args(args), schemes=(), include_it_bound=True)
+    config = _config_from_args(args, schemes=(), include_it_bound=True)
     rows = run_experiment(config)
     _write_outputs(rows, config)
     return 0
@@ -240,58 +242,38 @@ def _cmd_verify(args) -> int:
         devs.append(abs(mean_capacity(params) - mean_capacity_closed_form(params)))
     report(f"mean-capacity closed form (worst dev {max(devs):.2e})", max(devs) < 1e-8)
 
-    # Per-realization scheme identities; the PB depth table against
-    # `evaluate_pb` at every depth for each of the table's kernels (M = 24
-    # counts, M = 100 searches); and the sampling pass (`tile_sums`: the
-    # fixed rows of `evaluate_point` and the summed depth table) against the
-    # standalone evaluators on the same traces, on block-major (M = 24) and
-    # row-major (M = 100) tiles.
-    params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=24)
-    caps = sample_capacity_matrix(params, seed, 0, 4000)
-    c_ets, d_ets = evaluate_ets(caps, 1.0)
-    c_pb, d_pb = evaluate_pb(caps, 1.0, 9)
-    ok = bool(np.all(d_ets == 24 - c_ets) and np.all(d_pb == 24 - c_pb))
-    fixed = dict(enumerate(parse_scheme_list("mt,ets,pb:9,wts:3,wts:10") + (Scheme("it"),)))
-    for blocks, trials in ((24, 4000), (100, 1000)):
+    # The tile pass (`evaluate_point`'s rows and the summed depth table)
+    # against references that share none of its kernels: every fixed row and
+    # every PB depth from its allocation matrix, decoded trial by trial, and
+    # the IT bound from the greedy scan of each trial.  The eTS and PB rows'
+    # delay identity, delay = M - count, is held through these references.
+    # M = 12 runs block-major tiles and the depth table's counting kernel;
+    # M = 65, the shortest row-major rows, its search kernel.
+    ok = True
+    for blocks, trials in ((12, 300), (65, 200)):
         params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=blocks)
         caps = sample_capacity_matrix(params, seed, 0, trials)
-        table = pb_count_sums(caps, 1.0)
-        for depth in range(1, blocks + 1):
-            counts, _ = evaluate_pb(caps, 1.0, depth)
-            ok = ok and table[:, depth - 1].tolist() == [counts.sum(), (counts**2).sum()]
-        point = evaluate_point(params, fixed, trials, seed)
-        (summed,) = tile_sums(params, trials, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
-        ok = ok and summed.tolist() == table.tolist()
-        for key, scheme in fixed.items():
-            reference = Accumulator(scheme.window)
-            reference.add(*scheme.evaluate(caps, 1.0))
-            ok = ok and point[key] == reference
-    # The evaluators above run the tile pass's own kernels, so a fault shared
-    # by both passes them.  At M = 12 the tile pass also answers to references
-    # that share none of its kernels: every fixed scheme and every PB depth
-    # from its allocation matrix, decoded trial by trial, and the IT bound
-    # from the greedy scan of each trial.
-    blocks, trials = 12, 300
-    params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=blocks)
-    caps = sample_capacity_matrix(params, seed, 0, trials)
-    schemes = [Scheme(n, b) for n in ("pb", "wts") for b in range(1, blocks + 1)]
-    schemes = [Scheme("mt"), Scheme("ets"), *schemes, Scheme("it")]
-    point = evaluate_point(params, dict(enumerate(schemes)), trials, seed)
-    (table,) = tile_sums(params, trials, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
-    for key, scheme in enumerate(schemes):
-        if scheme.name == "it":
-            counts, delays = np.array([informed.informed_trial(row, 1.0) for row in caps]).T
-        else:
-            alpha = build_allocation(scheme, blocks)
-            decoded = [decode(alpha, row, 1.0) for row in caps]
-            counts = np.array([v.sum() for v in decoded])
-            delays = np.array([max_zero_run(v) for v in decoded])
-        reference = Accumulator(scheme.window)
-        reference.add(counts, delays)
-        ok = ok and point[key] == reference
-        if scheme.name == "pb":
-            sums = [counts.sum(), (counts**2).sum()]
-            ok = ok and table[:, scheme.window - 1].tolist() == sums
+        schemes = [Scheme(n, b) for n in ("pb", "wts") for b in range(1, blocks + 1)]
+        schemes = [Scheme("mt"), Scheme("ets"), *schemes, Scheme("it")]
+        point = evaluate_point(params, dict(enumerate(schemes)), trials, seed)
+        (table,) = tile_sums(params, trials, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
+        for key, scheme in enumerate(schemes):
+            if scheme.name == "it":
+                counts, delays = np.array([informed.informed_trial(row, 1.0) for row in caps]).T
+            else:
+                alpha = build_allocation(scheme, blocks)
+                decoded = np.array([decode(alpha, row, 1.0) for row in caps])
+                counts, delays = decoded.sum(axis=1), [max_zero_run(v) for v in decoded]
+            sums = moments(counts, delays).tolist()
+            ok = ok and point[key] == Accumulator(scheme.window, trials, *sums)
+            if scheme.name == "pb":
+                ok = ok and table[:, scheme.window - 1].tolist() == sums[:2]
+    # A pass of several row tiles sums their depth tables exactly: at M = 65
+    # a tile holds at most 504 rows, so 505 trials make two.
+    params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=65)
+    caps = sample_capacity_matrix(params, seed, 0, 505)
+    (table,) = tile_sums(params, 505, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
+    ok = ok and table.tolist() == pb_count_sums(caps, 1.0).tolist()
     report("equal-share and pre-buffering delay identities, PB depth table, tile pass", ok)
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 1

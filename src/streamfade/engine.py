@@ -293,22 +293,16 @@ def pb_count_sums(caps, rate: float) -> np.ndarray:
 
 @dataclass
 class Accumulator:
-    """Exact integer sums of per-trial statistics at one window B (`window`
-    is None for MT, eTS and IT); `add` takes them from per-trial arrays."""
+    """Exact integer sums of per-trial statistics over `trials` trials at one
+    window B (`window` is None for MT, eTS and IT), in the order of
+    `moments`."""
 
-    window: int | None = None
-    trials: int = 0
-    count_sum: int = 0
-    count_sqsum: int = 0
-    delay_sum: int = 0
-    delay_sqsum: int = 0
-
-    def add(self, counts, delays):
-        self.trials += counts.size
-        self.count_sum += int(counts.sum())
-        self.count_sqsum += int((counts.astype(np.int64) ** 2).sum())
-        self.delay_sum += int(delays.sum())
-        self.delay_sqsum += int((delays.astype(np.int64) ** 2).sum())
+    window: int | None
+    trials: int
+    count_sum: int
+    count_sqsum: int
+    delay_sum: int
+    delay_sqsum: int
 
     def mean_count(self) -> float:
         return self.count_sum / self.trials

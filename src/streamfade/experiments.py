@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -29,12 +30,6 @@ from .schemes import Scheme, format_scheme_token, parse_scheme_list
 
 _SWEEP_VARIABLES = ("messages", "snr_db")
 _SNR_RULE = "snr_db must be finite and give a positive, finite transmit power"
-
-CSV_HEADER = (
-    "sweep_var,scheme,B,avg_throughput_bpcu,avg_decoded_msgs,avg_max_delay,"
-    "stderr_throughput,stderr_delay,analytic_throughput,analytic_delay_lower,"
-    "analytic_delay_upper,trials,seed"
-)
 
 
 @dataclass(frozen=True)
@@ -262,6 +257,26 @@ class ResultRow:
     seed: int
 
 
+# The CSV's columns in order: (header, `ResultRow` field).
+_CSV_COLUMNS = (
+    ("sweep_var", "sweep_value"),
+    ("scheme", "scheme"),
+    ("B", "window"),
+    ("avg_throughput_bpcu", "avg_throughput_bpcu"),
+    ("avg_decoded_msgs", "avg_decoded_msgs"),
+    ("avg_max_delay", "avg_max_delay"),
+    ("stderr_throughput", "stderr_throughput"),
+    ("stderr_delay", "stderr_delay"),
+    ("analytic_throughput", "analytic_throughput"),
+    ("analytic_delay_lower", "analytic_delay_lower"),
+    ("analytic_delay_upper", "analytic_delay_upper"),
+    ("trials", "trials"),
+    ("seed", "seed"),
+)
+CSV_HEADER = ",".join(header for header, _ in _CSV_COLUMNS)
+_csv_values = operator.attrgetter(*(field for _, field in _CSV_COLUMNS))
+
+
 def _analytic_columns(params: ChannelParams, scheme: Scheme, window: int | None, delays: dict):
     """(analytic throughput bpcu, delay lower, delay upper) where closed forms
     exist: the wTS delay bounds at B = `window`, or B = 1 for MT (wTS at
@@ -318,47 +333,32 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def analytic_rows(config: ExperimentConfig, windows) -> list[ResultRow]:
-    """Closed-form-only table: per-block exact values (the wTS bounds at
-    B = 1) plus windowed bounds."""
+def analytic_rows(config: ExperimentConfig) -> list[ResultRow]:
+    """Closed-form-only table: one row per scheme of `config` at each sweep
+    point, skipping a window longer than the point's M (`analyze` asks for
+    MT, whose values are the wTS bounds at B = 1, and windowed bounds)."""
     rows = []
     for sweep_name, sweep_value, params in config.sweep_points():
-        schemes = [Scheme("mt")] + [Scheme("wts", w) for w in windows if w <= params.blocks]
+        schemes = [s for s in config.schemes if (s.window or 1) <= params.blocks]
         cells = [(scheme, scheme.window, None) for scheme in schemes]
         rows += _point_rows(config, sweep_name, sweep_value, params, cells)
     return rows
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # most cells, so tested first
+        return format(value, ".9g")
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".9g")
 
 
 def render_csv(rows: list[ResultRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.sweep_value),
-                    r.scheme,
-                    _fmt(r.window),
-                    _fmt(r.avg_throughput_bpcu),
-                    _fmt(r.avg_decoded_msgs),
-                    _fmt(r.avg_max_delay),
-                    _fmt(r.stderr_throughput),
-                    _fmt(r.stderr_delay),
-                    _fmt(r.analytic_throughput),
-                    _fmt(r.analytic_delay_lower),
-                    _fmt(r.analytic_delay_upper),
-                    _fmt(r.trials),
-                    _fmt(r.seed),
-                ]
-            )
-        )
+    lines = [CSV_HEADER, *(",".join(map(_fmt, _csv_values(r))) for r in rows)]
     return "\n".join(lines) + "\n"
 
 

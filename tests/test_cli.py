@@ -192,7 +192,34 @@ class TestSweep:
         assert "-10,MT," in outs[0].read_text()
 
 
+def _outputs_of_scheme_lists(command, lists, tmp_path, capsys):
+    """(exit code, standard output) of `command --config` on one INI file per
+    `[schemes]` section of `lists`."""
+    results = []
+    for i, schemes in enumerate(lists):
+        cfg = tmp_path / f"exp{i}.ini"
+        cfg.write_text(
+            "[channel]\nsnr_db = -5.0\nrate = 1.0\nmessages = 9\n"
+            f"[run]\ntrials = 150\nseed = 4\n[schemes]\n{schemes}\n"
+        )
+        results.append((run_main([command, "--config", str(cfg)]), capsys.readouterr().out))
+    return results
+
+
+# A file whose own run would evaluate nothing, and one with other rows.
+_UNREAD_SCHEMES = ("list =\ninclude_it_bound = false", "list = ets, pb:2\ninclude_it_bound = true")
+
+
 class TestAnalyze:
+    def test_ignores_the_files_schemes(self, tmp_path, capsys):
+        empty, other = _outputs_of_scheme_lists("analyze", _UNREAD_SCHEMES, tmp_path, capsys)
+        assert empty == other
+        code, out = empty
+        assert code == 0
+        assert [l.split(",")[1:3] for l in out.splitlines()[1:]] == [
+            ["MT", ""], ["wTS", "2"], ["wTS", "3"], ["wTS", "5"]
+        ]
+
     def test_closed_forms_only(self, capsys):
         code = run_main(["analyze", "--messages", "9", "--snr-db", "-5", "--windows", "2,3"])
         assert code == 0
@@ -205,6 +232,14 @@ class TestAnalyze:
 
 
 class TestBound:
+    def test_ignores_the_files_schemes(self, tmp_path, capsys):
+        empty, other = _outputs_of_scheme_lists("bound", _UNREAD_SCHEMES, tmp_path, capsys)
+        assert empty == other
+        code, out = empty
+        assert code == 0
+        body = out.splitlines()[1:]
+        assert len(body) == 1 and body[0].startswith("9,IT,,")
+
     def test_emits_it_rows_only(self, capsys):
         code = run_main(["bound", "--messages", "6", "--trials", "150", "--seed", "4"])
         assert code == 0
@@ -225,6 +260,20 @@ class TestVerify:
         # the tile pass and the standalone evaluators then agree on wrong
         # numbers, which only references without the tile kernels expose.
         monkeypatch.setattr(channel.Tile, "running", property(lambda tile: tile.prefix))
+        assert run_main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  equal-share and pre-buffering delay identities" in out
+        assert "1 check(s) failed" in out
+
+    def test_fails_on_a_row_major_fault(self, monkeypatch, capsys):
+        # W becomes S on row-major tiles only (M > 64): every eTS and PB row
+        # above M = 64 is wrong, and only a row-major reference pass sees it.
+        running = channel.Tile.running
+
+        def faulty(tile):
+            return running.fget(tile) if channel.block_major(tile.caps) else tile.prefix
+
+        monkeypatch.setattr(channel.Tile, "running", property(faulty))
         assert run_main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  equal-share and pre-buffering delay identities" in out

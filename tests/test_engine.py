@@ -26,6 +26,7 @@ from streamfade.engine import (
     evaluate_point,
     evaluate_pb,
     evaluate_wts,
+    moments,
     optimize_pb_window,
     optimize_wts_window,
     pb_accumulator,
@@ -414,9 +415,8 @@ class TestTilePass:
         for layout in (np.ascontiguousarray(caps), np.asfortranarray(caps)):
             assert table.tolist() == pb_count_sums(layout, p.rate).tolist()
             for key, scheme in fixed.items():
-                reference = Accumulator(scheme.window)
-                reference.add(*scheme.evaluate(layout, p.rate))
-                assert point[key] == reference, names
+                sums = moments(*scheme.evaluate(layout, p.rate))
+                assert point[key] == Accumulator(scheme.window, trials, *sums), names
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_needs_a_trial(self, trials):
@@ -483,9 +483,7 @@ class TestAccumulator:
         rng = np.random.default_rng(0)
         counts = rng.integers(0, 12, size=5000)
         delays = rng.integers(0, 12, size=5000)
-        acc = Accumulator()
-        for lo in range(0, 5000, 1000):
-            acc.add(counts[lo : lo + 1000], delays[lo : lo + 1000])
+        acc = Accumulator(None, 5000, *moments(counts, delays))
         assert acc.mean_count() == pytest.approx(counts.mean())
         assert acc.stderr_count() == pytest.approx(counts.std(ddof=1) / math.sqrt(5000))
         assert acc.stderr_delay() == pytest.approx(delays.std(ddof=1) / math.sqrt(5000))

@@ -1,4 +1,5 @@
 import configparser
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -277,7 +278,7 @@ class TestRunExperiment:
 
 class TestAnalyticRows:
     def test_shape_and_emptiness(self):
-        rows = analytic_rows(small_config(), windows=(2, 3))
+        rows = analytic_rows(small_config(schemes=parse_scheme_list("mt,wts:2,wts:3")))
         assert [r.scheme for r in rows] == ["MT", "wTS", "wTS"]
         assert all(r.avg_throughput_bpcu is None for r in rows)
         assert rows[0].analytic_throughput is not None
@@ -295,7 +296,9 @@ class TestAnalyticRows:
             include_it_bound=False,
             trials=200,
         )
-        rows = run_experiment(config) + analytic_rows(config, windows=(1, 2, 5, 40))
+        rows = run_experiment(config) + analytic_rows(
+            replace(config, schemes=parse_scheme_list("mt,wts:1,wts:2,wts:5,wts:40"))
+        )
         assert len(rows) == 2 * 4 + 2 * 5 - 1  # wTS B=40 exceeds M=6
         assert all(r.analytic_delay_upper is not None for r in rows)
 
@@ -310,7 +313,9 @@ class TestAnalyticRows:
             return columns(length, p, depth)
 
         monkeypatch.setattr(runstats, "run_tail_columns", counted)
-        rows = analytic_rows(small_config(messages=200), windows=(1, 2, 3, 5))
+        rows = analytic_rows(
+            small_config(messages=200, schemes=parse_scheme_list("mt,wts:1,wts:2,wts:3,wts:5"))
+        )
         assert lengths == [201, 101, 68, 41]
         mt, wts1 = rows[0], rows[1]
         assert mt.analytic_delay_lower == mt.analytic_delay_upper == wts1.analytic_delay_lower

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import informed_counts_and_delays_loop
 from streamfade import channel, informed
 from streamfade.channel import ChannelParams, sample_capacity_matrix
-from streamfade.engine import Accumulator, evaluate_point
+from streamfade.engine import Accumulator, evaluate_point, moments
 from streamfade.informed import (
     greedy_allocate,
     informed_counts_and_delays,
@@ -247,8 +247,8 @@ class TestClosedForm:
         caps = sample_capacity_matrix(p, 41, 0, 1100)
         assert len(channel.row_blocks(1100, 64)) >= 2
         assert_matches_loop(caps, 1.0)
-        reference = Accumulator()
-        reference.add(*informed_counts_and_delays(caps, 1.0))
+        sums = moments(*informed_counts_and_delays(caps, 1.0))
+        reference = Accumulator(None, 1100, *sums)
         fixed = {"it": Scheme("it")}
         whole = evaluate_point(p, fixed, 1100, 41)["it"]
         assert whole == reference

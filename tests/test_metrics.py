@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import max_zero_run_rows_loop
 from streamfade.channel import ChannelParams
-from streamfade.engine import Accumulator, evaluate_point
+from streamfade.engine import Accumulator, evaluate_point, moments
 from streamfade.metrics import max_zero_run, max_zero_run_at, max_zero_run_rows
 from streamfade.schemes import Scheme
 
@@ -61,9 +61,7 @@ def reduce_trials(vectors):
 
 
 def accumulate(counts, delays) -> Accumulator:
-    acc = Accumulator()
-    acc.add(np.asarray(counts, dtype=np.int64), np.asarray(delays, dtype=np.int64))
-    return acc
+    return Accumulator(None, len(counts), *moments(counts, delays))
 
 
 class TestTrialMetrics:
