@@ -223,12 +223,29 @@ class Tile:
     use, by `scan_blocks`.  Everything else is a `temporary`: the tile has
     one per dtype, and the next request for that dtype overwrites it, so a
     consumer holds at most one of each dtype and none past its return.
+
+    `head(m)` is the tile of the first m columns, which reads this tile's S.
     """
 
-    def __init__(self, caps: np.ndarray, workspace: Workspace):
+    def __init__(self, caps: np.ndarray, workspace: Workspace, whole: Tile | None = None):
         self.caps = caps
         self.workspace = workspace
+        self._whole = whole  # the tile whose first columns these are, if any
         self._prefix = self._running = None
+
+    def head(self, blocks: int) -> Tile:
+        """The tile of this tile's first `blocks` columns, in its workspace.
+
+        A row at M is, bit for bit, the first M capacities of the same row
+        at any larger M (`sample_capacity_matrix`), and S is a left-to-right
+        scan, so the head's capacities and S are views of this tile's first
+        `blocks` columns: a block-major head is contiguous, and this tile's S
+        is built once for all its heads.  W weighs block t by
+        1/(`blocks` - t), so each head builds its own in the "running"
+        buffer, and it stays valid until the next head (or this tile) builds
+        one there.
+        """
+        return Tile(self.caps[:, :blocks], self.workspace, self)
 
     def _array(self, name: str, dtype, cols: int | None = None) -> np.ndarray:
         rows, m = self.caps.shape
@@ -242,7 +259,10 @@ class Tile:
     @property
     def prefix(self) -> np.ndarray:
         if self._prefix is None:
-            self._prefix = scan_blocks(np.add, self.caps, out=self._array("prefix", np.float64))
+            if self._whole is not None:
+                self._prefix = self._whole.prefix[:, : self.caps.shape[1]]
+            else:
+                self._prefix = scan_blocks(np.add, self.caps, out=self._array("prefix", np.float64))
         return self._prefix
 
     @property

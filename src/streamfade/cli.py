@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .rng import SEED_BOUND
 from .metrics import max_zero_run
-from .schemes import Scheme, build_allocation, decode, parse_scheme_list
+from .schemes import Scheme, build_allocation, decode, parse_scheme_list, transmitted_mask
 
 _DEFAULTS = ExperimentConfig(
     snr_db=-5.0,
@@ -127,8 +127,11 @@ def _default_sweep(variable: str):
 
 def _config_from_args(args, **rows) -> ExperimentConfig:
     """The file's fields, then the flags', then `rows`: the schemes of a
-    command that writes its own rows, which replace the file's."""
-    fields = config_fields(_read_config(args.config)) if args.config else dict(vars(_DEFAULTS))
+    command that writes its own rows, which the file's keys do not set."""
+    if args.config:
+        fields = config_fields(_read_config(args.config), unread=rows)
+    else:
+        fields = dict(vars(_DEFAULTS))
     flags = _flag_fields(args)
     if args.command == "sweep":
         # A flag overrides or completes the file's [sweep], and a flag left
@@ -262,7 +265,8 @@ def _cmd_verify(args) -> int:
                 counts, delays = np.array([informed.informed_trial(row, 1.0) for row in caps]).T
             else:
                 alpha = build_allocation(scheme, blocks)
-                decoded = np.array([decode(alpha, row, 1.0) for row in caps])
+                sent = transmitted_mask(alpha)
+                decoded = np.array([decode(alpha, row, 1.0, sent) for row in caps])
                 counts, delays = decoded.sum(axis=1), [max_zero_run(v) for v in decoded]
             sums = moments(counts, delays).tolist()
             ok = ok and point[key] == Accumulator(scheme.window, trials, *sums)

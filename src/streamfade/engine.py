@@ -16,6 +16,13 @@ row-major, up to M = 2^15 (`channel.ROW_BLOCK_ELEMENTS`); a tile of one
 longer row takes up to about 61 M bytes of new arrays while it is
 evaluated, and they are not kept.
 
+A row at M is, bit for bit, the first M capacities of the same row at any
+larger M, so the block-major points of a message sweep share one pass at
+their largest M (`evaluate_points`): each point evaluates the tile's first
+M columns (`channel.Tile.head`), with the tile's S as its own, and the IT
+bound makes one scan of the tile for every point (its row takes horizons).
+A row-major point, and a point of any other link, has a pass of its own.
+
 MT, which sends message t in block t only, is wTS with a window of one
 block: its row is `evaluate_wts` at B = 1.
 
@@ -466,25 +473,11 @@ def optimize_wts_window(params: ChannelParams, maximize_throughput: bool) -> tup
     return best, best_delay
 
 
-def evaluate_point(
-    params: ChannelParams,
-    schemes: dict,
-    trials: int,
-    seed: int,
-    threads: int = 1,
-) -> dict:
-    """Run all requested schemes on shared traces, in one `tile_sums` pass.
-
-    `schemes` maps an arbitrary key to a `schemes.Scheme`.  A scheme whose
-    row has a `table` and that has no fixed window gets the window its row
-    chooses: T-/D-wTS before sampling, PB from the depth table of the pass,
-    which also gives PB's row at that depth.  Every other row's sums are the
-    `moments` of its per-trial counts and delays.
-    Returns key -> Accumulator, whose `window` is the B the statistics were
-    taken at.  The sums are exact integers, so the result is independent of
-    `threads` and of the tile size.
-    """
-    _check_pass(trials, params.blocks)
+def _fixed_rows(params: ChannelParams, schemes: dict) -> tuple[dict, list]:
+    """(key -> scheme evaluated at a fixed window or none, keys of the PB
+    rows whose depth is chosen) at one point.  A scheme whose row has a
+    `table` and that has no fixed window gets the window its row chooses:
+    T-/D-wTS here, before sampling, PB from the depth table of the pass."""
     fixed, chosen_pb = {}, []
     for key, scheme in schemes.items():
         if scheme.window is not None or scheme.row.table is None:
@@ -494,18 +487,108 @@ def evaluate_point(
             fixed[key] = replace(scheme, name="wts", window=window)
         else:
             chosen_pb.append(key)
+    return fixed, chosen_pb
+
+
+def _passes(points: list) -> list[list[int]]:
+    """The indices of the points of each sampling pass, in the order of
+    their first points: the block-major points of one link (SNR and rate)
+    share a pass, and every other point has its own.  A row-major point is
+    never shared: a tile of a larger M holds fewer rows, and at 10,000
+    trials a point of M = 100 would pay a tile's overhead 625 times in a
+    pass at M = 2000, against 31 in its own."""
+    passes, shared = [], {}
+    for i, params in enumerate(points):
+        if params.blocks > BLOCK_MAJOR_MAX_BLOCKS:
+            passes.append([i])
+            continue
+        link = replace(params, blocks=1)
+        if link not in shared:
+            shared[link] = []
+            passes.append(shared[link])
+        shared[link].append(i)
+    return passes
+
+
+def _evaluate_pass(points: list, schemes: dict, trials: int, seed: int, threads: int) -> list:
+    """`evaluate_points` of points of one link, in one `tile_sums` pass at
+    their largest M.  Each point reads its rows off the tile's `head` at its
+    M; a row that takes horizons (IT) is evaluated once per tile for every
+    point."""
+    plans = [_fixed_rows(params, schemes) for params in points]
+    horizons = sorted({params.blocks for params in points})
+    across = {key: scheme for key, scheme in schemes.items() if scheme.row.horizons}
+    rate = points[0].rate
 
     def consumer(tile):
-        sums = [moments(*scheme.evaluate(tile, params.rate)) for scheme in fixed.values()]
-        return sums + [pb_count_sums(tile, params.rate)] if chosen_pb else sums
+        stats = {key: s.row.evaluate(tile, rate, s.window, horizons) for key, s in across.items()}
+        sums = []
+        for params, (fixed, chosen_pb) in zip(points, plans):
+            head, at = tile.head(params.blocks), horizons.index(params.blocks)
+            for key, scheme in fixed.items():
+                row = stats[key][at] if key in stats else scheme.evaluate(head, rate)
+                sums.append(moments(*row))
+            if chosen_pb:
+                sums.append(pb_count_sums(head, rate))
+        return sums
 
-    sums = tile_sums(params, trials, seed, threads, consumer)
-    out = {
-        key: Accumulator(scheme.window, trials, *row.tolist())
-        for (key, scheme), row in zip(fixed.items(), sums)
-    }
-    if chosen_pb:
-        window, _ = optimize_pb_window(sums[-1][0], trials)
-        for key in chosen_pb:
-            out[key] = pb_accumulator(sums[-1], trials, window)
-    return {key: out[key] for key in schemes}
+    widest = max(points, key=lambda params: params.blocks)
+    sums = iter(tile_sums(widest, trials, seed, threads, consumer))
+    out = []
+    for fixed, chosen_pb in plans:
+        accums = {
+            key: Accumulator(scheme.window, trials, *next(sums).tolist())
+            for key, scheme in fixed.items()
+        }
+        if chosen_pb:
+            table = next(sums)
+            window, _ = optimize_pb_window(table[0], trials)
+            for key in chosen_pb:
+                accums[key] = pb_accumulator(table, trials, window)
+        out.append({key: accums[key] for key in schemes})
+    return out
+
+
+def evaluate_points(points, schemes: dict, trials: int, seed: int, threads: int = 1) -> list:
+    """Run all requested schemes at every point (`ChannelParams`), on shared
+    traces: one `tile_sums` pass for the block-major points of each link
+    (`channel.BLOCK_MAJOR_MAX_BLOCKS`), one for every other point.
+
+    A row at M is, bit for bit, the first M capacities of the same row at
+    any larger M, so the points of a message sweep read their tiles as the
+    first M columns (`channel.Tile.head`) of one pass at their largest M,
+    and its prefix sums S as theirs; each builds its own W.  A row that
+    takes horizons (IT) makes one scan of the tile for all of them.  A
+    point alone in its pass reads the whole tile: the pass of
+    `evaluate_point`.
+
+    `schemes` maps an arbitrary key to a `schemes.Scheme`.  A scheme whose
+    row has a `table` and that has no fixed window gets the window its row
+    chooses: T-/D-wTS before sampling, PB from the depth table of the pass,
+    which also gives PB's row at that depth.  Every other row's sums are the
+    `moments` of its per-trial counts and delays.
+    Returns, for each point, key -> Accumulator, whose `window` is the B the
+    statistics were taken at.  The sums are exact integers, so the result is
+    independent of `threads`, of the tile size and of the points evaluated
+    with it.
+    """
+    points = list(points)
+    if points:
+        _check_pass(trials, max(params.blocks for params in points))
+    out = [None] * len(points)
+    for indices in _passes(points):
+        results = _evaluate_pass([points[i] for i in indices], schemes, trials, seed, threads)
+        for i, result in zip(indices, results):
+            out[i] = result
+    return out
+
+
+def evaluate_point(
+    params: ChannelParams,
+    schemes: dict,
+    trials: int,
+    seed: int,
+    threads: int = 1,
+) -> dict:
+    """`evaluate_points` at one point: key -> Accumulator, from one pass."""
+    return evaluate_points([params], schemes, trials, seed, threads)[0]

@@ -186,9 +186,11 @@ FIELDS = (
 )
 
 
-def config_fields(text: str) -> dict:
+def config_fields(text: str, unread=()) -> dict:
     """The `ExperimentConfig` fields of an INI file, unvalidated: each key's
-    value, or its row's default where the file leaves the key out."""
+    value, or its row's default where the file leaves the key out.  The
+    fields named in `unread` are left out: a command that sets them itself
+    neither parses nor requires their keys, which may still appear."""
     # No default section: a [DEFAULT] is an unknown section like any other.
     # `; comment` may end a line, as in the README's example.  Values are literal.
     parser = configparser.ConfigParser(
@@ -213,6 +215,8 @@ def config_fields(text: str) -> dict:
                 raise ConfigError(f"unknown key {key!r}", f"{section}.{key}")
     fields = {}
     for row in FIELDS:
+        if row.attr in unread:
+            continue
         if parser.has_option(row.section, row.key):
             fields[row.attr] = row.read(parser.get(row.section, row.key))
         elif row.default is REQUIRED:
@@ -319,15 +323,23 @@ def _point_rows(config, sweep_name, sweep_value, params, cells) -> list[ResultRo
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """Evaluate every (sweep point, scheme) cell; deterministic in the seed."""
+    """Evaluate every (sweep point, scheme) cell in one `engine.evaluate_points`
+    call, which shares a pass among the points of a message sweep;
+    deterministic in the seed."""
     schemes = config.schemes + ((Scheme("it"),) if config.include_it_bound else ())
-    rows: list[ResultRow] = []
-    for sweep_name, sweep_value, params in config.sweep_points():
+    points = config.sweep_points()
+    for *_, params in points:
         for scheme in schemes:
             scheme.check_window(params.blocks)
-        accums = engine.evaluate_point(
-            params, dict(enumerate(schemes)), config.trials, config.seed, config.threads
-        )
+    results = engine.evaluate_points(
+        [params for *_, params in points],
+        dict(enumerate(schemes)),
+        config.trials,
+        config.seed,
+        config.threads,
+    )
+    rows: list[ResultRow] = []
+    for (sweep_name, sweep_value, params), accums in zip(points, results):
         cells = [(schemes[idx], acc.window, acc) for idx, acc in accums.items()]
         rows += _point_rows(config, sweep_name, sweep_value, params, cells)
     return rows

@@ -151,7 +151,7 @@ def informed_trial(trace, rate: float) -> tuple[int, int]:
     return count, d_it
 
 
-def informed_counts_and_delays(capacity_matrix: np.ndarray, rate: float):
+def informed_counts_and_delays(capacity_matrix, rate: float, horizons=None):
     """Vectorized greedy + delay minimization across trials.
 
     The greedy scan decodes at block t iff I(t) >= fl((psi(t-1) + 1) * R),
@@ -174,10 +174,26 @@ def informed_counts_and_delays(capacity_matrix: np.ndarray, rate: float):
     `capacity_matrix` is one `channel.Tile`, or a matrix taken as one tile
     (`channel.as_tile`).  The running total I is the tile's prefix sum S, and
     the running minimum follows the tile's layout (`channel.scan_blocks`).
+
+    Returns (counts, delays) at the tile's M.  With `horizons`, a rising
+    sequence of message counts h <= M, returns one (counts, delays) per h,
+    from this one scan, each equal to the call on the tile's first h
+    columns.  Those columns are the rows at h (rows are prefixes across M),
+    and S(t) and the greedy test at t do not depend on M.  The cap M + 1
+    for h + 1 changes no psi(t) at t <= h: where K(t) >= t both caps keep
+    K(t) - t >= 0, and where K(t) < t <= h, K(t) is below both.  So the
+    count at h is psi(h), column h - 1 of the running minimum plus h, and
+    the delay at h is the maximum of t/(psi(t)+1) over the first h columns:
+    the maxima of the segments between consecutive horizons, then their
+    running maximum across horizons.  One horizon at M makes exactly the
+    operations of a call without horizons.
     """
     tile = as_tile(capacity_matrix)
     i_tot = tile.prefix
     m = i_tot.shape[1]
+    ends = [m] if horizons is None else [int(h) for h in horizons]
+    if not (ends and 0 < ends[0] and all(a < b for a, b in zip(ends, ends[1:])) and ends[-1] <= m):
+        raise ValueError(f"horizons must rise within 1..{m}, got {horizons}")
     # K - t lies in [-M, M]: int32 halves the traffic of every integer pass.
     t = np.arange(1, m + 1, dtype=np.int32 if m < 1 << 30 else np.int64)
     k = tile.temporary(t.dtype)
@@ -195,8 +211,15 @@ def informed_counts_and_delays(capacity_matrix: np.ndarray, rate: float):
     # min(0, min_{s <= t} (K(s) - s)): the 0 joins the first column's term.
     np.minimum(k[:, 0], 0, out=k[:, 0])
     scan_blocks(np.minimum, k, out=k)
-    counts = k[:, -1] + np.int64(m)  # psi(M)
+    counts = [k[:, h - 1] + np.int64(h) for h in ends]  # psi(h)
     k += t + 1  # psi + 1
     # floor(max_t t/(psi+1)): floor is monotone, and a quotient of
     # integers below 2^52 never rounds up to the next integer.
-    return counts, np.divide(t, k, out=product).max(axis=1).astype(np.int64)
+    ratios = np.divide(t, k, out=product)
+    delays = [ratios[:, lo:hi].max(axis=1) for lo, hi in zip([0, *ends], ends)]
+    for before, here in zip(delays, delays[1:]):
+        np.maximum(before, here, out=here)
+    delays = [d.astype(np.int64) for d in delays]
+    if horizons is None:
+        return counts[0], delays[0]
+    return list(zip(counts, delays))

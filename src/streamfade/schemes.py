@@ -45,6 +45,10 @@ class SchemeRow:
               rate * p_1); None where no closed form exists
     token     accepted as a scheme token; the IT bound is requested by
               `include_it_bound` only
+    horizons  `evaluate` also takes a rising list of message counts h, and
+              then returns one (counts, delays) per h from one evaluation
+              of a tile of the largest, so that the points of a message
+              sweep share it (`engine.evaluate_points`)
     """
 
     label: str
@@ -54,6 +58,7 @@ class SchemeRow:
     maximize: bool = True
     analytic: str | None = None
     token: bool = True
+    horizons: bool = False
 
 
 # Evaluators are looked up on the engine module at call time, so that a
@@ -75,7 +80,13 @@ SCHEMES = {
     "twts": SchemeRow("T-wTS", NONE, _evaluate_wts, table="wts", maximize=True, analytic="bounds"),
     "dwts": SchemeRow("D-wTS", NONE, _evaluate_wts, table="wts", maximize=False, analytic="bounds"),
     "it": SchemeRow(
-        "IT", NONE, lambda caps, rate, _: engine.informed_counts_and_delays(caps, rate), token=False
+        "IT",
+        NONE,
+        lambda caps, rate, _, horizons=None: engine.informed_counts_and_delays(
+            caps, rate, horizons
+        ),
+        token=False,
+        horizons=True,
     ),
 }
 
@@ -179,8 +190,12 @@ def accumulate_mi(alpha: np.ndarray, trace) -> np.ndarray:
     return alpha @ caps
 
 
-def decode(alpha: np.ndarray, trace, rate: float) -> np.ndarray:
-    """Decode vector: transmitted messages whose accumulated MI reaches rate."""
+def decode(alpha: np.ndarray, trace, rate: float, sent: np.ndarray | None = None) -> np.ndarray:
+    """Decode vector: transmitted messages whose accumulated MI reaches rate.
+    `sent` is `transmitted_mask(alpha)`, made here when it is not given: a
+    caller that decodes many traces with one allocation makes it once."""
     if rate <= 0:
         raise ValueError("rate must be positive")
-    return (accumulate_mi(alpha, trace) >= rate) & transmitted_mask(alpha)
+    if sent is None:
+        sent = transmitted_mask(alpha)
+    return (accumulate_mi(alpha, trace) >= rate) & sent

@@ -130,6 +130,17 @@ class TestSampling:
             assert trace.shape == (blocks,) and trace.dtype == np.float64
             assert trace.tobytes() == matrix[i].tobytes()
 
+    @pytest.mark.parametrize("blocks, wider", [(8, 64), (64, 65), (1, 200)])
+    def test_rows_are_prefixes_across_m(self, blocks, wider):
+        # A row at M is the first M capacities of the same row at any larger
+        # M, bit for bit, whether the rows are one tile of a workspace or a
+        # new matrix; the points of a message sweep share one pass on this.
+        narrow, wide = params(snr=3.0, blocks=blocks), params(snr=3.0, blocks=wider)
+        for workspaces in ((None, None), (channel.Workspace(), channel.Workspace())):
+            short = sample_capacity_matrix(narrow, 5, 40, 340, workspaces[0])
+            long = sample_capacity_matrix(wide, 5, 40, 340, workspaces[1])
+            assert short.tobytes("C") == long[:, :blocks].tobytes("C")
+
     def test_empirical_mean_capacity(self):
         # >= 1e6 blocks within four standard errors of the quadrature mean
         p = params(snr=5.0, blocks=40)
@@ -275,6 +286,25 @@ class TestWorkspace:
                 (tile.running, np.cumsum(caps * weights, axis=1)),
             ):
                 assert got.tobytes("C") == expected.tobytes("C")
+
+    @pytest.mark.parametrize("blocks", [1, 8, 63, 64])
+    def test_a_head_is_the_tile_of_its_columns(self, blocks):
+        # The head's capacities and S are views of the wider tile's, block-
+        # major and contiguous, and its W is its own, of weights 1/(M - t).
+        workspace = channel.Workspace()
+        caps = sample_capacity_matrix(params(blocks=64), 5, 0, 300, workspace)
+        wide = channel.Tile(caps, workspace)
+        head = wide.head(blocks)
+        own = channel.as_tile(sample_capacity_matrix(params(blocks=blocks), 5, 0, 300))
+        assert np.shares_memory(head.caps, wide.caps)
+        assert np.shares_memory(head.prefix, wide.prefix)
+        for got, expected in (
+            (head.caps, own.caps),
+            (head.prefix, own.prefix),
+            (head.running, own.running),
+        ):
+            assert got.flags.f_contiguous
+            assert got.tobytes("C") == expected.tobytes("C")
 
     def test_views_of_any_dtype_share_one_buffer(self):
         workspace = channel.Workspace()

@@ -192,22 +192,45 @@ class TestSweep:
         assert "-10,MT," in outs[0].read_text()
 
 
+def _config_of_schemes(path, schemes):
+    """`path`, an INI file of 150 trials at M = 9 with the `[schemes]`
+    section `schemes`."""
+    path.write_text(
+        "[channel]\nsnr_db = -5.0\nrate = 1.0\nmessages = 9\n"
+        f"[run]\ntrials = 150\nseed = 4\n[schemes]\n{schemes}\n"
+    )
+    return str(path)
+
+
 def _outputs_of_scheme_lists(command, lists, tmp_path, capsys):
     """(exit code, standard output) of `command --config` on one INI file per
     `[schemes]` section of `lists`."""
     results = []
     for i, schemes in enumerate(lists):
-        cfg = tmp_path / f"exp{i}.ini"
-        cfg.write_text(
-            "[channel]\nsnr_db = -5.0\nrate = 1.0\nmessages = 9\n"
-            f"[run]\ntrials = 150\nseed = 4\n[schemes]\n{schemes}\n"
-        )
-        results.append((run_main([command, "--config", str(cfg)]), capsys.readouterr().out))
+        cfg = _config_of_schemes(tmp_path / f"exp{i}.ini", schemes)
+        results.append((run_main([command, "--config", cfg]), capsys.readouterr().out))
     return results
 
 
 # A file whose own run would evaluate nothing, and one with other rows.
 _UNREAD_SCHEMES = ("list =\ninclude_it_bound = false", "list = ets, pb:2\ninclude_it_bound = true")
+# Keys that do not parse: `analyze` and `bound` never read them.
+_BAD_SCHEMES = "list = bogus\ninclude_it_bound = maybe"
+
+
+@pytest.mark.parametrize("command", ["analyze", "bound"])
+def test_an_unread_scheme_list_may_not_parse(command, tmp_path, capsys):
+    good, bad = _outputs_of_scheme_lists(
+        command, (_UNREAD_SCHEMES[0], _BAD_SCHEMES), tmp_path, capsys
+    )
+    assert bad == good and bad[0] == 0
+
+
+def test_simulate_rejects_the_scheme_list_that_analyze_ignores(tmp_path, capsys):
+    cfg = _config_of_schemes(tmp_path / "exp.ini", _BAD_SCHEMES)
+    assert run_main(["simulate", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "schemes.list: unknown scheme token 'bogus'" in err
 
 
 class TestAnalyze:

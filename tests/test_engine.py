@@ -24,6 +24,7 @@ from streamfade.channel import (
 from streamfade.engine import (
     Accumulator,
     evaluate_point,
+    evaluate_points,
     evaluate_pb,
     evaluate_wts,
     moments,
@@ -386,6 +387,86 @@ class TestOnePass:
             8,
         )
         assert snapshot(best) == snapshot(fixed)
+
+
+class TestSharedPass:
+    """The block-major points of one link share one pass at their largest M
+    and read their tiles as its first columns; every row equals that of the
+    point's own pass, bit for bit."""
+
+    def schemes(self, names):
+        return dict(enumerate(parse_scheme_list(names) + (Scheme("it"),)))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "blocks, names",
+        [
+            ((1, 7, 8, 63, 64, 65, 100), "mt,ets,pb,pb:1,wts:1,twts,dwts"),
+            ((9, 63, 64, 65, 100), "mt,ets,pb,pb:1,wts:1,wts:9,twts,dwts"),
+        ],
+    )
+    def test_rows_equal_the_points_own_passes(self, blocks, names, threads):
+        # 2100 trials: three tiles at M = 64, one of a point's own at M <= 8.
+        schemes = self.schemes(names)
+        points = [params(snr=0.0, blocks=m) for m in blocks]
+        shared = evaluate_points(points, schemes, 2100, 13, threads)
+        assert len(shared) == len(points)
+        for p, got in zip(points, shared):
+            assert got == evaluate_point(p, schemes, 2100, 13, threads), p.blocks
+
+    def test_points_in_any_order_and_repeated(self):
+        schemes = self.schemes("mt,ets,pb,wts:2,dwts")
+        points = [params(blocks=m) for m in (64, 8, 65, 8, 2)]
+        shared = evaluate_points(points, schemes, 1500, 3)
+        assert shared == [evaluate_point(p, schemes, 1500, 3) for p in points]
+        assert evaluate_points([], schemes, 1500, 3) == []
+
+    def sampled(self, monkeypatch, run):
+        """(M, SNR, lo, hi) of each tile that `run()` samples."""
+        calls = []
+        real = engine.sample_capacity_matrix
+
+        def counted(p, seed, lo, hi, *rest):
+            calls.append((p.blocks, p.snr_db, lo, hi))
+            return real(p, seed, lo, hi, *rest)
+
+        monkeypatch.setattr(engine, "sample_capacity_matrix", counted)
+        run()
+        return calls
+
+    def test_a_message_sweep_samples_once(self, monkeypatch):
+        config = ExperimentConfig(
+            snr_db=-5.0,
+            rate=1.0,
+            messages=8,
+            schemes=parse_scheme_list("mt,ets,pb,twts,dwts"),
+            include_it_bound=True,
+            trials=3000,
+            seed=5,
+            sweep_variable="messages",
+            sweep_values=(8, 16, 24, 64),
+        )
+        calls = self.sampled(monkeypatch, lambda: run_experiment(config))
+        ranges = channel.row_blocks(3000, 64)
+        assert len(calls) == len(ranges) == 3
+        assert calls == [(64, -5.0, lo, hi) for lo, hi in ranges]
+
+    def test_an_snr_sweep_samples_each_point(self, monkeypatch):
+        points = [params(snr=snr, blocks=24) for snr in (-5.0, 0.0, 5.0)]
+        calls = self.sampled(
+            monkeypatch, lambda: evaluate_points(points, self.schemes("mt,pb"), 3000, 5)
+        )
+        ranges = channel.row_blocks(3000, 24)
+        assert calls == [(24, p.snr_db, lo, hi) for p in points for lo, hi in ranges]
+
+    def test_row_major_points_sample_alone(self, monkeypatch):
+        points = [params(blocks=m) for m in (8, 64, 65, 100)]
+        calls = self.sampled(
+            monkeypatch, lambda: evaluate_points(points, self.schemes("ets"), 700, 5)
+        )
+        assert calls == [
+            (m, -5.0, lo, hi) for m in (64, 65, 100) for lo, hi in channel.row_blocks(700, m)
+        ]
 
 
 class TestTilePass:
@@ -827,8 +908,12 @@ class TestBenchmarkSpans:
         assert len(traced) == 9
         # MT is evaluated as wTS at B = 1, and its analytic cells are the wTS
         # bounds at B = 1: `engine.evaluate_mt` and the experiments' binding
-        # of `mt_mean_max_delay` are gone.
-        assert [name for name in traced if summary[f"{name}.calls"] == 0] == ["engine.evaluate_mt"]
+        # of `mt_mean_max_delay` are gone.  A run makes one
+        # `engine.evaluate_points` call, which `evaluate_point` wraps.
+        assert [name for name in traced if summary[f"{name}.calls"] == 0] == [
+            "engine.evaluate_point",
+            "engine.evaluate_mt",
+        ]
         assert dump["absent"] == [
             "streamfade.engine.evaluate_mt",
             "streamfade.experiments.mt_mean_max_delay",

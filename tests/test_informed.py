@@ -254,3 +254,55 @@ class TestClosedForm:
         assert whole == reference
         monkeypatch.setattr(channel, "tile_elements", lambda blocks: blocks)  # one row a tile
         assert evaluate_point(p, fixed, 1100, 41)["it"] == whole
+
+
+class TestHorizons:
+    """One scan of a tile serves every message count h up to its M: the
+    result at h is the call on the tile's first h columns."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_equal_the_call_on_the_first_columns(self, data):
+        m = data.draw(st.integers(1, 70))
+        horizons = sorted(data.draw(st.sets(st.integers(1, m), min_size=1, max_size=11)))
+        # At a tiny rate K is astronomically large, and the cap at M + 1 acts.
+        rate = data.draw(st.floats(1e-3, 9.0))
+        snr = data.draw(st.sampled_from([-10.0, -5.0, 0.0, 5.0, 15.0]))
+        order = data.draw(st.sampled_from("CF"))
+        rows = data.draw(st.integers(1, 12))
+        caps = sample_capacity_matrix(ChannelParams(snr, rate, m), 31, 0, rows)
+        caps = np.asarray(caps, order=order)
+        got = informed_counts_and_delays(caps, rate, horizons)
+        assert len(got) == len(horizons)
+        for h, (counts, delays) in zip(horizons, got):
+            first = np.array(caps[:, :h], order=order)  # a copy
+            want_counts, want_delays = informed_counts_and_delays(first, rate)
+            assert counts.tolist() == want_counts.tolist()
+            assert delays.tolist() == want_delays.tolist()
+            assert list(zip(counts.tolist(), delays.tolist())) == [
+                informed_trial(row, rate) for row in first
+            ]
+
+    @pytest.mark.parametrize("horizons", [[1, 2, 3, 30], [30], list(range(1, 31))])
+    def test_one_scan_for_any_horizons(self, monkeypatch, horizons):
+        caps = sample_capacity_matrix(ChannelParams(-5.0, 1.0, 30), 3, 0, 50)
+        scans = []
+
+        def counted(*args, **kwargs):
+            scans.append(args[0])
+            return channel.scan_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(informed, "scan_blocks", counted)
+        got = informed_counts_and_delays(caps, 1.0, horizons)
+        assert scans == [np.minimum]
+        if horizons == [30]:
+            ((counts, delays),) = got
+            want_counts, want_delays = informed_counts_and_delays(caps, 1.0)
+            assert counts.tolist() == want_counts.tolist()
+            assert delays.tolist() == want_delays.tolist()
+
+    @pytest.mark.parametrize("horizons", [[], [0, 3], [3, 3], [4, 2], [31]])
+    def test_horizons_must_rise_within_the_tile(self, horizons):
+        caps = sample_capacity_matrix(ChannelParams(-5.0, 1.0, 30), 3, 0, 5)
+        with pytest.raises(ValueError, match="horizons must rise within 1..30"):
+            informed_counts_and_delays(caps, 1.0, horizons)
