@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .channel import (
     mean_capacity_closed_form,
     sample_capacity_matrix,
 )
-from .engine import Accumulator, evaluate_point, moments, pb_count_sums, tile_sums
+from .engine import Accumulator, evaluate_points, moments, pb_count_sums, tile_sums
 from .errors import ConfigError, NumericFailure
 from .experiments import (
     FIELDS,
@@ -245,20 +246,24 @@ def _cmd_verify(args) -> int:
         devs.append(abs(mean_capacity(params) - mean_capacity_closed_form(params)))
     report(f"mean-capacity closed form (worst dev {max(devs):.2e})", max(devs) < 1e-8)
 
-    # The tile pass (`evaluate_point`'s rows and the summed depth table)
+    # The tile pass (`evaluate_points`' rows and the summed depth table)
     # against references that share none of its kernels: every fixed row and
     # every PB depth from its allocation matrix, decoded trial by trial, and
     # the IT bound from the greedy scan of each trial.  The eTS and PB rows'
     # delay identity, delay = M - count, is held through these references.
-    # M = 12 runs block-major tiles and the depth table's counting kernel;
-    # M = 65, the shortest row-major rows, its search kernel.
+    # M = 12 runs block-major tiles and the depth table's counting kernel,
+    # and its rows are read as the first 12 columns of a pass at M = 16, as a
+    # message sweep's are; M = 65, the shortest row-major rows, runs the
+    # search kernel in a pass of its own.
     ok = True
-    for blocks, trials in ((12, 300), (65, 200)):
+    for sweep, trials in (((12, 16), 300), ((65,), 200)):
+        blocks = sweep[0]
         params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=blocks)
         caps = sample_capacity_matrix(params, seed, 0, trials)
         schemes = [Scheme(n, b) for n in ("pb", "wts") for b in range(1, blocks + 1)]
         schemes = [Scheme("mt"), Scheme("ets"), *schemes, Scheme("it")]
-        point = evaluate_point(params, dict(enumerate(schemes)), trials, seed)
+        points = [replace(params, blocks=m) for m in sweep]
+        point = evaluate_points(points, dict(enumerate(schemes)), trials, seed)[0]
         (table,) = tile_sums(params, trials, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
         for key, scheme in enumerate(schemes):
             if scheme.name == "it":

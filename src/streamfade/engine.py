@@ -550,27 +550,18 @@ def _evaluate_pass(points: list, schemes: dict, trials: int, seed: int, threads:
 
 
 def evaluate_points(points, schemes: dict, trials: int, seed: int, threads: int = 1) -> list:
-    """Run all requested schemes at every point (`ChannelParams`), on shared
-    traces: one `tile_sums` pass for the block-major points of each link
-    (`channel.BLOCK_MAJOR_MAX_BLOCKS`), one for every other point.
+    """Run all requested schemes at every point (`ChannelParams`) on shared
+    traces: one `tile_sums` pass for the block-major points of each link,
+    which read their rows off the first columns of its tiles (see the module
+    docstring), and one pass for every other point.
 
-    A row at M is, bit for bit, the first M capacities of the same row at
-    any larger M, so the points of a message sweep read their tiles as the
-    first M columns (`channel.Tile.head`) of one pass at their largest M,
-    and its prefix sums S as theirs; each builds its own W.  A row that
-    takes horizons (IT) makes one scan of the tile for all of them.  A
-    point alone in its pass reads the whole tile: the pass of
-    `evaluate_point`.
-
-    `schemes` maps an arbitrary key to a `schemes.Scheme`.  A scheme whose
-    row has a `table` and that has no fixed window gets the window its row
-    chooses: T-/D-wTS before sampling, PB from the depth table of the pass,
-    which also gives PB's row at that depth.  Every other row's sums are the
-    `moments` of its per-trial counts and delays.
-    Returns, for each point, key -> Accumulator, whose `window` is the B the
-    statistics were taken at.  The sums are exact integers, so the result is
-    independent of `threads`, of the tile size and of the points evaluated
-    with it.
+    `schemes` maps an arbitrary key to a `schemes.Scheme`; each gets its
+    window at each point as `_fixed_rows` says, and a chosen PB depth's row
+    is read off the depth table of the pass.  Every other row's sums are
+    the `moments` of its per-trial counts and delays.  Returns, for each
+    point, key -> Accumulator, whose `window` is the B the statistics were
+    taken at.  The sums are exact integers, so the result is independent of
+    `threads`, of the tile size and of the points evaluated with it.
     """
     points = list(points)
     if points:

@@ -191,7 +191,7 @@ def informed_counts_and_delays(capacity_matrix, rate: float, horizons=None):
     tile = as_tile(capacity_matrix)
     i_tot = tile.prefix
     m = i_tot.shape[1]
-    ends = [m] if horizons is None else [int(h) for h in horizons]
+    ends = [m] if horizons is None else list(horizons)
     if not (ends and 0 < ends[0] and all(a < b for a, b in zip(ends, ends[1:])) and ends[-1] <= m):
         raise ValueError(f"horizons must rise within 1..{m}, got {horizons}")
     # K - t lies in [-M, M]: int32 halves the traffic of every integer pass.

@@ -302,6 +302,20 @@ class TestVerify:
         assert "FAIL  equal-share and pre-buffering delay identities" in out
         assert "1 check(s) failed" in out
 
+    def test_fails_on_a_fault_of_a_shared_pass(self, monkeypatch, capsys):
+        # A head reads the wider tile's W, whose weights are those of the
+        # larger M: only the points of a message sweep are wrong.
+        def faulty(tile, blocks):
+            head = channel.Tile(tile.caps[:, :blocks], tile.workspace, tile)
+            head._running = tile.running[:, :blocks]
+            return head
+
+        monkeypatch.setattr(channel.Tile, "head", faulty)
+        assert run_main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  equal-share and pre-buffering delay identities" in out
+        assert "1 check(s) failed" in out
+
 
 class TestBadInputExits2:
     @pytest.mark.parametrize(
