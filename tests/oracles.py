@@ -7,14 +7,14 @@ mutual information summed message by message, as the allocation matrix
 defines it.  The window failure masses are the direct-convolution reference
 of the FFT chain in `channel`.  `run_tails_table` is the n-major run-tail
 table that `runstats.run_tails` replaced; the column order must match it bit
-for bit.
+for bit.  `lowest_usable_snr` finds the edge of the SNR range by bisection.
 """
 import math
 
 import numpy as np
 
 from streamfade.channel import _capacity_masses
-from streamfade.channel import equal_share_weights
+from streamfade.channel import equal_share_weights, usable_snr
 from streamfade.engine import wts_decode_bits
 
 
@@ -143,3 +143,17 @@ def run_tails_table(M: int, p: float) -> np.ndarray:
         table[n, k] = q_pow[k]
     # Rounding can lift a tail near 1 (small p) a few ulps above it.
     return np.minimum(table[M], 1.0)
+
+
+def lowest_usable_snr() -> float:
+    """The lowest SNR `channel.usable_snr` accepts, by bisection: about
+    -3082.5 dB, where 1/P reaches the largest double."""
+    low, high = -4000.0, 0.0
+    while True:
+        mid = (low + high) / 2.0
+        if mid in (low, high):
+            return high
+        if usable_snr(mid):
+            high = mid
+        else:
+            low = mid

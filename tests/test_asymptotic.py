@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import lowest_usable_snr
 from streamfade import channel
 from streamfade.asymptotic import (
     alpha_opt,
@@ -9,7 +10,12 @@ from streamfade.asymptotic import (
     optimal_prebuffer_fraction,
     verify_threshold,
 )
-from streamfade.channel import ChannelParams, mean_capacity_closed_form, sample_capacity_matrix
+from streamfade.channel import (
+    ChannelParams,
+    mean_capacity,
+    mean_capacity_closed_form,
+    sample_capacity_matrix,
+)
 from streamfade.engine import evaluate_pb
 
 # Mean capacity at 5 dB frozen from the pre-build trapezoid oracle.
@@ -37,6 +43,17 @@ class TestAlphaOpt:
             c = mean_capacity_closed_form(ChannelParams(snr_db=snr, rate=1.0, blocks=1))
             p = ChannelParams(snr_db=snr, rate=c / 2.0, blocks=600)
             assert alpha_opt(p) == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_finite_below_the_exponent_range(self):
+        # e^(1/P) overflows below about -28.5 dB.  At the lowest SNR, R/C
+        # overflows for R = 9 and alpha is 0, within a subnormal of C/(R + C).
+        for snr in (-40.0, -300.0, lowest_usable_snr()):
+            for rate in (1e-3, 1.0, 9.0):
+                p = ChannelParams(snr_db=snr, rate=rate, blocks=600)
+                alpha = alpha_opt(p)
+                assert math.isfinite(alpha) and 0.0 <= alpha < 1.0
+                c = mean_capacity(p)
+                assert alpha == pytest.approx(c / (rate + c), rel=1e-12, abs=1e-300)
 
     def test_rayleigh_5db_matches_frozen_value(self):
         p = ChannelParams(snr_db=5.0, rate=1.0, blocks=600)

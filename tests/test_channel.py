@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from streamfade.channel import (
 from streamfade.rng import stream_base
 from streamfade.errors import NumericFailure
 
-from oracles import window_failure_masses_convolved
+from oracles import lowest_usable_snr, window_failure_masses_convolved
 
 # Values computed ahead of the build with an independent high-resolution
 # trapezoid rule (20M+ panels) over the unit-mean exponential density.
@@ -70,6 +69,7 @@ class TestParams:
             dict(snr_db=math.inf, rate=1.0, blocks=3),
             dict(snr_db=4000.0, rate=1.0, blocks=3),  # 10**400 overflows
             dict(snr_db=-4000.0, rate=1.0, blocks=3),  # 10**-400 is 0
+            dict(snr_db=-3100.0, rate=1.0, blocks=3),  # 1 / 10**-310 overflows
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -346,9 +346,14 @@ class TestDecodeProb:
 
 class TestMeanCapacity:
     def test_quadrature_matches_closed_form(self):
-        for snr in np.arange(-10.0, 15.5, 2.5):
+        # Below about -28.5 dB e^(1/P) overflows, and the closed form never
+        # forms it, down to the lowest SNR the channel accepts.
+        snrs = [*np.arange(-10.0, 15.5, 2.5), *np.arange(-80.0, 100.5, 2.0)]
+        for snr in [*snrs, -300.0, lowest_usable_snr()]:
             p = params(snr=snr)
-            assert mean_capacity(p) == pytest.approx(mean_capacity_closed_form(p), abs=1e-8)
+            quad, closed = mean_capacity(p), mean_capacity_closed_form(p)
+            assert quad == pytest.approx(closed, abs=1e-8)
+            assert abs(quad - closed) <= 1e-12 * closed, snr
 
     def test_frozen_trapezoid_values(self):
         for snr, expected in TRAPEZOID_MEAN_CAPACITY.items():
@@ -357,37 +362,48 @@ class TestMeanCapacity:
     def test_vanishing_power(self):
         assert mean_capacity(params(snr=-80.0)) < 1e-7
 
-    def test_integration_warning_is_a_numeric_failure(self, monkeypatch):
-        def quad(*args, **kwargs):
-            warnings.warn("roundoff error is detected", scipy.integrate.IntegrationWarning)
-            return 1.0, 0.0
-
-        monkeypatch.setattr(scipy.integrate, "quad", quad)
-        with pytest.raises(NumericFailure, match="did not converge"):
-            mean_capacity(params(snr=5.0))
-
     def test_error_estimate_above_tolerance_is_a_numeric_failure(self, monkeypatch):
-        calls = []
+        # One panel against two: 7e-8 and 4e-5 relative apart at 5 and 40 dB.
+        monkeypatch.setattr(channel, "_MEAN_CAPACITY_PANELS", 1)
+        for snr in (5.0, 40.0):
+            with pytest.raises(NumericFailure, match="above tolerance"):
+                mean_capacity(params(snr=snr))
 
-        def quad(func, a, b, **kwargs):
-            calls.append((a, b, kwargs))
-            return 2.0, 1e-6
-
-        monkeypatch.setattr(scipy.integrate, "quad", quad)
+    def test_error_tolerance_has_an_absolute_floor(self, monkeypatch):
+        # At -80 dB the value is 1.4e-8, so the 1e-12 floor, not 1e-9 of the
+        # value, bounds the estimate: 6 panels (1.6e-13 from 12) pass, 5
+        # panels (1.3e-12 from 10) do not.
+        monkeypatch.setattr(channel, "_MEAN_CAPACITY_PANELS", 6)
+        assert mean_capacity(params(snr=-80.0)) == pytest.approx(1.4427e-8, rel=1e-4)
+        monkeypatch.setattr(channel, "_MEAN_CAPACITY_PANELS", 5)
         with pytest.raises(NumericFailure, match="above tolerance"):
-            mean_capacity(params(snr=5.0))
-        assert calls == [(0.0, np.inf, dict(epsabs=1e-14, epsrel=1e-10, limit=200))]
+            mean_capacity(params(snr=-80.0))
 
 
 class TestExp1:
     def test_against_scipy(self):
         xs = np.concatenate(
-            [np.linspace(0.01, 1.0, 40), np.linspace(1.0, 40.0, 60), [0.5, 1.0, 2.0]]
+            [
+                np.linspace(0.01, 1.0, 40),
+                np.linspace(1.0, 40.0, 60),
+                np.geomspace(40.0, 700.0, 50),
+                [0.5, 1.0, 2.0],
+            ]
         )
         for x in xs:
             assert exp1(float(x)) == pytest.approx(
                 float(scipy.special.exp1(x)), rel=1e-13, abs=1e-300
             )
+
+    def test_continued_fraction_converges_for_large_x(self):
+        # Near 1 a float steps by 2^-53 below and 2^-52 above, so a stop rule
+        # tighter than an ulp missed for about 1 in 12 x above 1e18.
+        for x in np.geomspace(1e5, 1.7e308, 2000).tolist():
+            # e^x E1(x) = 1/f ~ (1 - 1/x + 2/x^2 - 6/x^3) / x, error below 24/x^5
+            u = 1.0 / x
+            series = 1.0 - u + 2.0 * u * u - 6.0 * u * u * u
+            assert x / channel._exp1_fraction(x) == pytest.approx(series, rel=1e-14)
+            assert exp1(x) >= 0.0
 
     def test_switchover_continuity(self):
         assert exp1(1.0 - 1e-12) == pytest.approx(exp1(1.0 + 1e-12), rel=1e-9)

@@ -358,6 +358,8 @@ class TestBadInputExits2:
             (["sweep", "--variable", "power"], "sweep.variable"),
             (["simulate", "--out-csv", ""], "output.csv"),
             (["sweep", "--values", "4,8", "--out-svg", ""], "output.svg"),
+            (["simulate", "--snr-db", "-3100"], "channel.snr_db"),  # 1 / 10**-310 overflows
+            (["sweep", "--variable", "snr_db", "--values", "-3100,0"], "sweep.values"),
         ],
     )
     def test_names_the_field(self, argv, field, capsys):
@@ -763,23 +765,29 @@ class TestExitCodes:
         assert "simulate" in proc.stdout
 
 
-# Runs in a fresh interpreter: prints the scipy modules loaded after every
-# command but `verify`, then whether `verify` loaded the quadrature.
+# Runs in a fresh interpreter: every command, `verify` included, and the
+# asymptotic helpers, then prints their exit codes and the scipy modules loaded.
 _IMPORT_PROBE = """
 import json, sys
 from streamfade import cli
+from streamfade.asymptotic import alpha_opt, verify_threshold
+from streamfade.channel import ChannelParams
 out = sys.argv[1]
 common = ["--trials", "50", "--seed", "5", "--threads", "1"]
-for argv in (
-    ["simulate", "--messages", "6", *common, "--out-csv", out],
-    ["sweep", "--values", "4,6", "--scheme", "twts,dwts", *common, "--out-csv", out],
-    ["analyze", "--messages", "8", "--out-csv", out],
-    ["bound", "--messages", "6", *common, "--out-csv", out],
-):
-    assert cli.main(argv) == 0, argv
-before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-code = cli.main(["verify"])
-print(json.dumps([before, code, "scipy.integrate" in sys.modules]))
+codes = [
+    cli.main(argv)
+    for argv in (
+        ["simulate", "--messages", "6", *common, "--out-csv", out],
+        ["sweep", "--values", "4,6", "--scheme", "twts,dwts", *common, "--out-csv", out],
+        ["analyze", "--messages", "8", "--out-csv", out],
+        ["bound", "--messages", "6", *common, "--out-csv", out],
+        ["verify"],
+    )
+]
+p = ChannelParams(5.0, 1.0, 600)
+alpha_opt(p)
+verify_threshold(p, blocks=500, delta=0.1, trials=2, seed=1)
+print(json.dumps([codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
 """
 
 
@@ -803,7 +811,7 @@ class TestImportSet:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[False, False]"
 
-    def test_only_verify_loads_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out.csv")],
             capture_output=True,
@@ -811,24 +819,6 @@ class TestImportSet:
             env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
-        before, verify_code, integrate_loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert before == []
-        assert verify_code == 0
-        assert integrate_loaded
-
-    def test_alpha_opt_loads_no_scipy(self):
-        # The asymptotic helpers use the closed-form mean capacity.
-        probe = (
-            "import sys\n"
-            "from streamfade.asymptotic import alpha_opt, verify_threshold\n"
-            "from streamfade.channel import ChannelParams\n"
-            "p = ChannelParams(5.0, 1.0, 600)\n"
-            "alpha_opt(p)\n"
-            "verify_threshold(p, blocks=500, delta=0.1, trials=2, seed=1)\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0, 0, 0]
+        assert loaded == []

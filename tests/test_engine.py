@@ -15,6 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import pb_count_sums_loop, pb_mi_matrix, wts_literal_delay_expanded
 from streamfade import channel, engine
+from streamfade.informed import informed_trial
+from streamfade.metrics import max_zero_run
 from streamfade.channel import (
     ChannelParams,
     decode_success_prob,
@@ -37,7 +39,13 @@ from streamfade.engine import (
 )
 from streamfade.experiments import ExperimentConfig, render_csv, run_experiment
 from streamfade.runstats import wts_mean_delay
-from streamfade.schemes import Scheme, parse_scheme_list
+from streamfade.schemes import (
+    Scheme,
+    build_allocation,
+    decode,
+    parse_scheme_list,
+    transmitted_mask,
+)
 
 
 PB_KERNELS = (engine._pb_tile_by_counting, engine._pb_tile_by_search)
@@ -467,6 +475,98 @@ class TestSharedPass:
         assert calls == [
             (m, -5.0, lo, hi) for m in (64, 65, 100) for lo, hi in channel.row_blocks(700, m)
         ]
+
+
+def _tile_rows(blocks: int) -> int:
+    """Rows in a full row tile of rows of `blocks` blocks."""
+    return max(1, channel.tile_elements(blocks) // blocks)
+
+
+@st.composite
+def _whole_passes(draw):
+    """(points, schemes, trials, seed, threads): a message sweep of one link
+    whose M often cross 64/65, fixed and chosen windows, and trials that
+    often cross a tile boundary of one of the sweep's passes."""
+    snr = draw(st.floats(-10.0, 15.0))
+    rate = draw(st.floats(1e-3, 9.0))
+    sizes = draw(
+        st.lists(
+            st.integers(1, 66) | st.sampled_from([64, 65, 100]), min_size=1, max_size=3, unique=True
+        )
+    )
+    sizes += [m for m in draw(st.sampled_from([(), (64, 65), (63, 66)])) if m not in sizes]
+    points = [ChannelParams(snr_db=snr, rate=rate, blocks=m) for m in sizes]
+    # The block-major points share one pass at their largest M; every
+    # row-major point has its own.
+    shared = [m for m in sizes if m <= channel.BLOCK_MAJOR_MAX_BLOCKS]
+    passes = ([max(shared)] if shared else []) + [m for m in sizes if m not in shared]
+    crossings = [_tile_rows(m) + 1 for m in passes if _tile_rows(m) < 1100]
+    trials = draw(st.sampled_from(crossings or [1]) | st.integers(1, 40))
+    least = min(sizes)
+    names = draw(st.permutations(["mt", "ets", "pb", "pb:B", "wts:B", "twts", "dwts", "it"]))
+    schemes = {}
+    for name in names:
+        kind, _, fixed = name.partition(":")
+        schemes[name] = Scheme(kind, draw(st.integers(1, least)) if fixed else None)
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    return points, schemes, trials, seed, draw(st.sampled_from([1, 2]))
+
+
+class TestWholePass:
+    """Every row of `evaluate_points` equals the row built by references that
+    share none of the engine's kernels: each trial decoded from the scheme's
+    allocation matrix (`build_allocation`, `decode`, `max_zero_run`), the IT
+    bound by `informed_trial`, a chosen PB depth as the argmax of the
+    per-depth references, and a T-/D-wTS window as `optimize_wts_window`
+    chooses it.  Each point's references sample the point on its own."""
+
+    @staticmethod
+    def reference(scheme: Scheme, caps: np.ndarray, rate: float) -> Accumulator:
+        alpha = build_allocation(scheme, caps.shape[1])
+        sent = transmitted_mask(alpha)
+        decoded = [decode(alpha, row, rate, sent) for row in caps]
+        sums = moments([v.sum() for v in decoded], [max_zero_run(v) for v in decoded])
+        return Accumulator(scheme.window, len(caps), *sums.tolist())
+
+    @given(_whole_passes())
+    # The two tile layouts, a head of a shared pass, and two tiles in each
+    # pass: 1024 rows at M = 64, 504 at M = 65.
+    @example(
+        (
+            [ChannelParams(snr_db=-5.0, rate=1.0, blocks=m) for m in (8, 64, 65)],
+            {"pb": Scheme("pb"), "ets": Scheme("ets"), "twts": Scheme("twts"), "it": Scheme("it")},
+            1025,
+            7,
+            2,
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_rows_equal_the_per_trial_references(self, case):
+        points, schemes, trials, seed, threads = case
+        results = evaluate_points(points, schemes, trials, seed, threads)
+        for p, got in zip(points, results):
+            m, rate = p.blocks, p.rate
+            caps = sample_capacity_matrix(p, seed, 0, trials)
+            for key, scheme in schemes.items():
+                if scheme.name == "it":
+                    sums = moments(*zip(*(informed_trial(row, rate) for row in caps)))
+                    expected = Accumulator(None, trials, *sums.tolist())
+                elif scheme.name in ("twts", "dwts"):
+                    window, _ = optimize_wts_window(p, scheme.row.maximize)
+                    expected = self.reference(Scheme("wts", window), caps, rate)
+                elif scheme == Scheme("pb"):
+                    # Each depth's decoded count over all trials: the
+                    # trials are the columns of one trace matrix.
+                    totals = []
+                    for depth in range(1, m + 1):
+                        alpha = build_allocation(Scheme("pb", depth), m)
+                        sent = transmitted_mask(alpha)[:, None]
+                        totals.append(decode(alpha, caps.T, rate, sent).sum())
+                    depth = int(np.argmax(totals)) + 1
+                    expected = self.reference(Scheme("pb", depth), caps, rate)
+                else:
+                    expected = self.reference(scheme, caps, rate)
+                assert got[key] == expected, (m, key)
 
 
 class TestTilePass:
