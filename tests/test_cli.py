@@ -770,24 +770,20 @@ class TestExitCodes:
 _IMPORT_PROBE = """
 import json, sys
 from streamfade import cli
-from streamfade.asymptotic import alpha_opt, verify_threshold
-from streamfade.channel import ChannelParams
 out = sys.argv[1]
 common = ["--trials", "50", "--seed", "5", "--threads", "1"]
-codes = [
-    cli.main(argv)
-    for argv in (
-        ["simulate", "--messages", "6", *common, "--out-csv", out],
-        ["sweep", "--values", "4,6", "--scheme", "twts,dwts", *common, "--out-csv", out],
-        ["analyze", "--messages", "8", "--out-csv", out],
-        ["bound", "--messages", "6", *common, "--out-csv", out],
-        ["verify"],
-    )
-]
-p = ChannelParams(5.0, 1.0, 600)
-alpha_opt(p)
-verify_threshold(p, blocks=500, delta=0.1, trials=2, seed=1)
-print(json.dumps([codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+for argv in (
+    ["simulate", "--messages", "6", *common, "--out-csv", out],
+    ["sweep", "--values", "4,6", "--scheme", "twts,dwts", *common, "--out-csv", out],
+    ["analyze", "--messages", "8", "--out-csv", out],
+    ["bound", "--messages", "6", *common, "--out-csv", out],
+):
+    assert cli.main(argv) == 0, argv
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+before = scipy_modules()
+code = cli.main(["verify"])
+print(json.dumps([before, code, scipy_modules()]))
 """
 
 
@@ -811,7 +807,9 @@ class TestImportSet:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[False, False]"
 
-    def test_no_command_loads_scipy(self, tmp_path):
+    def test_only_verify_loads_scipy(self, tmp_path):
+        # verify was the one command that loaded scipy (for its quadrature);
+        # its mean-capacity check is now a Gauss-Legendre rule, so none does.
         proc = subprocess.run(
             [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out.csv")],
             capture_output=True,
@@ -819,6 +817,24 @@ class TestImportSet:
             env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
-        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert codes == [0, 0, 0, 0, 0]
-        assert loaded == []
+        before, verify_code, after = json.loads(proc.stdout.splitlines()[-1])
+        assert before == []
+        assert verify_code == 0
+        assert after == []
+
+    def test_alpha_opt_loads_no_scipy(self):
+        # The asymptotic helpers use the closed-form mean capacity.
+        probe = (
+            "import sys\n"
+            "from streamfade.asymptotic import alpha_opt, verify_threshold\n"
+            "from streamfade.channel import ChannelParams\n"
+            "p = ChannelParams(5.0, 1.0, 600)\n"
+            "alpha_opt(p)\n"
+            "verify_threshold(p, blocks=500, delta=0.1, trials=2, seed=1)\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
