@@ -59,6 +59,13 @@ _MEAN_CAPACITY_PANELS = 64
 BLOCK_MAJOR_MAX_BLOCKS = 64
 
 
+# Why `usable_snr` refuses an SNR, in ChannelParams and the experiment fields.
+SNR_RULE = (
+    "snr_db must be finite and give a transmit power P = 10**(snr_db/10) > 0 "
+    "whose reciprocal 1/P and 37 P are finite (about -3082.5 to 3066.9 dB)"
+)
+
+
 def usable_snr(snr_db: float) -> bool:
     """Whether `snr_db` gives a positive, finite transmit power 10**(snr_db/10)
     whose reciprocal and capacity grid log2(1 + 37 P) are finite too."""
@@ -85,7 +92,7 @@ class ChannelParams:
 
     def __post_init__(self):
         if not usable_snr(self.snr_db):
-            raise ValueError("snr_db must give a positive, finite transmit power")
+            raise ValueError(SNR_RULE)
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ValueError("rate must be positive and finite")
         if int(self.blocks) != self.blocks or self.blocks < 1:
@@ -387,8 +394,8 @@ def mean_capacity(params: ChannelParams) -> float:
     The cross-check of `mean_capacity_closed_form`, sharing none of its code:
     the integral of the capacity's survival function, exp(-(2^c - 1)/P), over
     [0, log2(1 + 700 P)], beyond which it is below e^-700.  The same rule on
-    twice the panels is its error estimate; an estimate above
-    max(1e-9 |value|, 1e-12) raises NumericFailure.
+    twice the panels is its error estimate; an estimate above 1e-9 |value|
+    raises NumericFailure.
     """
     from numpy.polynomial.legendre import leggauss  # on use: only `verify` integrates
 
@@ -403,7 +410,7 @@ def mean_capacity(params: ChannelParams) -> float:
 
     value = rule(_MEAN_CAPACITY_PANELS)
     error = abs(rule(2 * _MEAN_CAPACITY_PANELS) - value)
-    if error > max(1e-9 * abs(value), 1e-12):
+    if error > 1e-9 * abs(value):
         raise NumericFailure(
             f"mean-capacity quadrature error {error:g} above tolerance at snr={params.snr_db}"
         )

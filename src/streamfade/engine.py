@@ -24,17 +24,21 @@ bound makes one scan of the tile for every point (its row takes horizons).
 A row-major point, and a point of any other link, has a pass of its own.
 
 MT, which sends message t in block t only, is wTS with a window of one
-block: its row is `evaluate_wts` at B = 1.
+block: its row is `evaluate_wts` at B = 1.  eTS, which shares every block
+among all unexpired messages, is PB at depth M: its row is `evaluate_pb`
+with no window.
 
-An optimized PB depth is chosen from the depth table and its row is read off
-it (`pb_accumulator`): `evaluate_pb` decides a decode by the table's own
-comparisons, so the two agree bit for bit.  T-wTS and D-wTS choose their
-window before sampling, from exact objectives (`optimize_wts_window`), and
-are evaluated as a fixed `wts:B` row in the same pass.  Tiles are keyed by
-absolute trial index and reduce to exact integer sums, so results are
-bit-identical regardless of worker count and tile size.  All
-schemes at one point share the same traces (common random numbers), which
-makes per-realization dominance comparisons exact.
+An optimized PB depth is chosen from the depth table, and at such a point
+the chosen row, eTS and every fixed `pb:B` row are read off the table
+(`pb_accumulator`): `evaluate_pb` decides a decode by the table's own
+comparisons, so the two agree bit for bit.  A point with no chosen depth
+builds no table, and its PB rows are `evaluate_pb`'s.  T-wTS and D-wTS
+choose their window before sampling, from exact objectives
+(`optimize_wts_window`), and are evaluated as a fixed `wts:B` row in the
+same pass.  Tiles are keyed by absolute trial index and reduce to exact
+integer sums, so results are bit-identical regardless of worker count and
+tile size.  All schemes at one point share the same traces (common random
+numbers), which makes per-realization dominance comparisons exact.
 
 A tile of rows of at most `channel.BLOCK_MAJOR_MAX_BLOCKS` capacities is
 block-major, and every evaluator then reduces across trials, one contiguous
@@ -79,19 +83,9 @@ from .metrics import max_zero_run_at, max_zero_run_rows
 from .runstats import wts_mean_delay
 
 
-def evaluate_ets(caps, rate: float):
-    """Equal-share time sharing: message m decodes iff its running total W
-    reaches the rate at its deadline.
-
-    `caps` is a `channel.Tile` or a (trials, blocks) capacity matrix, taken
-    as one tile (`channel.as_tile`), as for every evaluator here."""
-    tile = as_tile(caps)
-    counts = np.greater_equal(tile.running, rate, out=tile.temporary(bool)).sum(axis=1)
-    return counts, tile.caps.shape[1] - counts  # totals never fall: decodes form a suffix
-
-
-def evaluate_pb(caps, rate: float, window: int):
-    """Pre-buffering: only the last `window` messages are sent.
+def evaluate_pb(caps, rate: float, window: int | None = None):
+    """Pre-buffering: only the last `window` messages are sent; no window is
+    depth M, where every block is shared by all unexpired messages (eTS).
 
     Decodes are the comparisons of `pb_count_sums` at depth B = `window`.
     Decoded messages always form a suffix, so the longest zero-run equals
@@ -99,14 +93,19 @@ def evaluate_pb(caps, rate: float, window: int):
     """
     tile = as_tile(caps)
     m = tile.caps.shape[1]
+    window = m if window is None else window
     if not (1 <= window <= m):
         raise ValueError(f"need 1 <= window <= blocks, got {window}")
     first = m - window
     running = tile.running
-    tau = rate - tile.prefix[:, first] / window
+    # S_0 is the first capacity, so depth M builds no prefix scan.
+    preload = tile.caps[:, 0] if first == 0 else tile.prefix[:, first]
+    tau = rate - preload / window
     tau += running[:, first]
-    hits = tile.temporary(bool, window)
-    counts = np.greater_equal(running[:, first:], tau[:, None], out=hits).sum(axis=1)
+    hits = np.greater_equal(running[:, first:], tau[:, None], out=tile.temporary(bool, window))
+    # Summed as uint8 into the narrowest type that holds B, then widened: a
+    # bool sum casts each element to int64, 4-8 times slower.
+    counts = hits.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(window)).astype(np.int64)
     return counts, m - counts
 
 
@@ -301,8 +300,8 @@ def pb_count_sums(caps, rate: float) -> np.ndarray:
 @dataclass
 class Accumulator:
     """Exact integer sums of per-trial statistics over `trials` trials at one
-    window B (`window` is None for MT, eTS and IT), in the order of
-    `moments`."""
+    window B, in the order of `moments`.  `window` is the row's own B: None
+    for MT, eTS and IT, though MT is taken at B = 1 and eTS at depth M."""
 
     window: int | None
     trials: int
@@ -473,21 +472,28 @@ def optimize_wts_window(params: ChannelParams, maximize_throughput: bool) -> tup
     return best, best_delay
 
 
-def _fixed_rows(params: ChannelParams, schemes: dict) -> tuple[dict, list]:
-    """(key -> scheme evaluated at a fixed window or none, keys of the PB
-    rows whose depth is chosen) at one point.  A scheme whose row has a
-    `table` and that has no fixed window gets the window its row chooses:
-    T-/D-wTS here, before sampling, PB from the depth table of the pass."""
-    fixed, chosen_pb = {}, []
+def _fixed_rows(params: ChannelParams, schemes: dict) -> tuple[dict, dict]:
+    """(key -> scheme evaluated at a fixed window or none, key -> depth of a
+    PB row read off the depth table) at one point, before sampling.
+
+    T-/D-wTS (`table` "wts") get their window here.  A row whose `table` is
+    "pb" is PB at one depth: its fixed B, M on a row that takes no window
+    (eTS), or else the depth the table chooses (None).  Only a point with a
+    chosen depth builds the table, and then every such row is read off it;
+    at any other point they are fixed rows (`evaluate_pb`)."""
+    fixed, depths = {}, {}
     for key, scheme in schemes.items():
-        if scheme.window is not None or scheme.row.table is None:
-            fixed[key] = scheme
+        scheme.check_window(params.blocks)
+        if scheme.row.table == "pb":
+            depths[key] = scheme.window or (params.blocks if scheme.row.window == "none" else None)
         elif scheme.row.table == "wts":
             window, _ = optimize_wts_window(params, scheme.row.maximize)
             fixed[key] = replace(scheme, name="wts", window=window)
         else:
-            chosen_pb.append(key)
-    return fixed, chosen_pb
+            fixed[key] = scheme
+    if None in depths.values():
+        return fixed, depths
+    return fixed | {key: schemes[key] for key in depths}, {}
 
 
 def _passes(points: list) -> list[list[int]]:
@@ -523,28 +529,29 @@ def _evaluate_pass(points: list, schemes: dict, trials: int, seed: int, threads:
     def consumer(tile):
         stats = {key: s.row.evaluate(tile, rate, s.window, horizons) for key, s in across.items()}
         sums = []
-        for params, (fixed, chosen_pb) in zip(points, plans):
+        for params, (fixed, depths) in zip(points, plans):
             head, at = tile.head(params.blocks), horizons.index(params.blocks)
             for key, scheme in fixed.items():
                 row = stats[key][at] if key in stats else scheme.evaluate(head, rate)
                 sums.append(moments(*row))
-            if chosen_pb:
+            if depths:
                 sums.append(pb_count_sums(head, rate))
         return sums
 
     widest = max(points, key=lambda params: params.blocks)
     sums = iter(tile_sums(widest, trials, seed, threads, consumer))
     out = []
-    for fixed, chosen_pb in plans:
+    for fixed, depths in plans:
         accums = {
             key: Accumulator(scheme.window, trials, *next(sums).tolist())
             for key, scheme in fixed.items()
         }
-        if chosen_pb:
+        if depths:
             table = next(sums)
-            window, _ = optimize_pb_window(table[0], trials)
-            for key in chosen_pb:
-                accums[key] = pb_accumulator(table, trials, window)
+            chosen, _ = optimize_pb_window(table[0], trials)
+            for key, depth in depths.items():
+                acc = pb_accumulator(table, trials, depth or chosen)
+                accums[key] = acc if depth is None else replace(acc, window=schemes[key].window)
         out.append({key: accums[key] for key in schemes})
     return out
 

@@ -22,14 +22,13 @@ from typing import Callable
 import numpy as np
 
 from . import engine
-from .channel import ChannelParams, usable_snr, window_decode_prob
+from .channel import SNR_RULE, ChannelParams, usable_snr, window_decode_prob
 from .errors import ConfigError
 from .rng import SEED_BOUND
 from .runstats import wts_delay_bounds
 from .schemes import Scheme, format_scheme_token, parse_scheme_list
 
 _SWEEP_VARIABLES = ("messages", "snr_db")
-_SNR_RULE = "snr_db must be finite and give a positive, finite transmit power"
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class ExperimentConfig:
         if self.messages < 1:
             raise ConfigError("messages must be >= 1", "channel.messages")
         if not usable_snr(self.snr_db):
-            raise ConfigError(_SNR_RULE, "channel.snr_db")
+            raise ConfigError(SNR_RULE, "channel.snr_db")
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ConfigError("rate must be positive and finite", "channel.rate")
         if not self.schemes and not self.include_it_bound:
@@ -84,7 +83,7 @@ class ExperimentConfig:
             ):
                 raise ConfigError("message sweep values must be positive integers", "sweep.values")
             if self.sweep_variable == "snr_db" and not all(usable_snr(v) for v in values):
-                raise ConfigError(f"SNR sweep values: {_SNR_RULE}", "sweep.values")
+                raise ConfigError(f"SNR sweep values: {SNR_RULE}", "sweep.values")
         elif self.sweep_values is not None:
             raise ConfigError("sweep values given without a sweep variable", "sweep.variable")
         most = int(max(self.sweep_values)) if self.sweep_variable == "messages" else self.messages

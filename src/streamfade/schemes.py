@@ -32,11 +32,13 @@ class SchemeRow:
     label     the CSV `scheme` cell
     window    the window rule: NONE, REQUIRED or OPTIONAL
     evaluate  (caps, rate, B) -> per-trial (decoded counts, longest zero-runs)
-    table     how an absent B is chosen at each point: "wts" (from exact
-              objectives before sampling, `engine.optimize_wts_window`; the
-              row is then evaluated as `wts:B` in the point's one pass) or
-              "pb" (from the PB depth table of that pass, which also gives
-              the row at the chosen depth); None when B is never chosen
+    table     "wts": B is chosen at each point from exact objectives
+              before sampling (`engine.optimize_wts_window`), and the row is
+              evaluated as `wts:B` in the point's one pass.  "pb": the row is
+              PB at one depth of the point's depth table, its fixed B, M on
+              a row whose rule is NONE (eTS), or else the depth the table
+              chooses; a point with a chosen depth reads every such row off
+              the table.  None for every other row
     maximize  the choice maximizes throughput, else it minimizes delay (PB's
               two choices coincide, since delay = M - count per realization)
     analytic  the closed form behind the analytic CSV cells: "bounds" (the
@@ -67,15 +69,18 @@ def _evaluate_wts(caps, rate, window):
     return engine.evaluate_wts(caps, rate, window)
 
 
+def _evaluate_pb(caps, rate, window):
+    return engine.evaluate_pb(caps, rate, window)
+
+
 SCHEMES = {
     # MT sends message t in block t only: wTS with a window of one block.
     "mt": SchemeRow(
         "MT", NONE, lambda caps, rate, _: _evaluate_wts(caps, rate, 1), analytic="exact"
     ),
-    "ets": SchemeRow("eTS", NONE, lambda caps, rate, _: engine.evaluate_ets(caps, rate)),
-    "pb": SchemeRow(
-        "PB", OPTIONAL, lambda caps, rate, b: engine.evaluate_pb(caps, rate, b), table="pb"
-    ),
+    # eTS shares every block among all unexpired messages: PB at depth M.
+    "ets": SchemeRow("eTS", NONE, _evaluate_pb, table="pb"),
+    "pb": SchemeRow("PB", OPTIONAL, _evaluate_pb, table="pb"),
     "wts": SchemeRow("wTS", REQUIRED, _evaluate_wts, analytic="bounds"),
     "twts": SchemeRow("T-wTS", NONE, _evaluate_wts, table="wts", maximize=True, analytic="bounds"),
     "dwts": SchemeRow("D-wTS", NONE, _evaluate_wts, table="wts", maximize=False, analytic="bounds"),
@@ -154,16 +159,14 @@ def format_scheme_token(scheme: Scheme) -> str:
 
 def build_allocation(scheme: Scheme, blocks: int) -> np.ndarray:
     """Construct the (blocks, blocks) time-fraction matrix of a scheme with a
-    fixed window (or none): MT, eTS, `pb:B` or `wts:B`."""
+    fixed window (or none): MT, eTS (`pb:M`), `pb:B` or `wts:B`."""
     scheme.check_window(blocks)
-    m, b = blocks, scheme.window
+    m = blocks
+    b = m if scheme.name == "ets" else scheme.window  # eTS is PB at depth M
     alpha = np.zeros((m, m))
     if scheme.name == "mt":
         np.fill_diagonal(alpha, 1.0)
-    elif scheme.name == "ets":
-        for j in range(m):  # block j+1 shared by messages j+1..M
-            alpha[j:, j] = 1.0 / (m - j)
-    elif scheme.name == "pb" and b is not None:
+    elif scheme.name in ("ets", "pb") and b is not None:
         first = m - b  # transmitted rows are first..m-1 (messages M-B+1..M)
         alpha[first:, : first + 1] = 1.0 / b
         for j in range(first + 1, m):  # later blocks shared by survivors

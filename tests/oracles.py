@@ -7,7 +7,9 @@ mutual information summed message by message, as the allocation matrix
 defines it.  The window failure masses are the direct-convolution reference
 of the FFT chain in `channel`.  `run_tails_table` is the n-major run-tail
 table that `runstats.run_tails` replaced; the column order must match it bit
-for bit.  `lowest_usable_snr` finds the edge of the SNR range by bisection.
+for bit.  `ets_counts_by_running_total` is eTS's rule before eTS was read as
+PB at depth M.  `lowest_usable_snr` finds the edge of the SNR range by
+bisection.
 """
 import math
 
@@ -42,6 +44,13 @@ def informed_counts_and_delays_loop(capacity_matrix: np.ndarray, rate: float):
         psi = psi + decoded
         np.maximum(delay, t // (psi + 1), out=delay)
     return psi, delay
+
+
+def ets_counts_by_running_total(caps: np.ndarray, rate: float) -> np.ndarray:
+    """eTS decoded counts by the rule the engine used before eTS became PB at
+    depth M: message m decodes iff its equal-share running total W_m reaches
+    the rate."""
+    return (np.cumsum(caps * equal_share_weights(caps.shape[1]), axis=1) >= rate).sum(axis=1)
 
 
 def pb_count_sums_loop(caps: np.ndarray, rate: float) -> np.ndarray:

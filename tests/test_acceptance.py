@@ -26,7 +26,6 @@ from streamfade.channel import (
     window_decode_prob,
 )
 from streamfade.engine import (
-    evaluate_ets,
     evaluate_pb,
     evaluate_wts,
     pb_count_sums,
@@ -223,7 +222,7 @@ def _point_results(caps, rate=1.0):
     n, m = caps.shape
     out = {}
     out["MT"] = Scheme("mt").evaluate(caps, rate)
-    out["eTS"] = evaluate_ets(caps, rate)
+    out["eTS"] = Scheme("ets").evaluate(caps, rate)
     b_pb = int(np.argmax(pb_count_sums(caps, rate)[0])) + 1
     out["PB"] = evaluate_pb(caps, rate, b_pb)
     wts_counts = np.zeros(m, dtype=np.int64)

@@ -370,6 +370,21 @@ class TestBadInputExits2:
         assert f"{field}:" in err
         assert "invalid" not in err  # no argparse type or choice error
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--snr-db", "-3100"],
+            ["sweep", "--variable", "snr_db", "--values", "-3100,0"],
+        ],
+    )
+    def test_a_refused_snr_names_the_reciprocal(self, argv, capsys):
+        # At -3100 dB P = 1e-310 is positive and finite; 1 / P overflows.
+        assert run_main([*argv, "--trials", "10", "--scheme", "mt"]) == 2
+        assert channel.SNR_RULE in capsys.readouterr().err
+        assert "reciprocal 1/P" in channel.SNR_RULE
+        with pytest.raises(ValueError, match=re.escape(channel.SNR_RULE)):
+            channel.ChannelParams(snr_db=-3100.0, rate=1.0, blocks=3)
+
     def test_trials_whose_sums_could_wrap(self, capsys):
         assert run_main(["simulate", "--messages", "64", "--trials", str(1 << 51)]) == 2
         assert "run.trials:" in capsys.readouterr().err

@@ -13,7 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import pb_count_sums_loop, pb_mi_matrix, wts_literal_delay_expanded
+from oracles import (
+    ets_counts_by_running_total,
+    pb_count_sums_loop,
+    pb_mi_matrix,
+    wts_literal_delay_expanded,
+)
 from streamfade import channel, engine
 from streamfade.informed import informed_trial
 from streamfade.metrics import max_zero_run
@@ -372,12 +377,41 @@ class TestOnePass:
 
     @pytest.mark.parametrize("blocks", [9, 64, 65, 130])
     def test_fixed_pb_rows_equal_the_depth_table(self, blocks):
-        # 64 and 65 sit on either side of the table's kernel cutoff.
+        # 64 and 65 sit on either side of the table's kernel cutoff.  eTS is
+        # PB at depth M, with no B of its own.  Without a chosen depth each
+        # row is `evaluate_pb`'s; with one, every row is read off the table.
         p = params(snr=0.0, rate=2.0, blocks=blocks)
         table = depth_table(p, 300, 41)
-        fixed = evaluate_point(p, {b: Scheme("pb", b) for b in range(1, blocks + 1)}, 300, 41)
-        for b, acc in fixed.items():
-            assert snapshot({b: acc}) == snapshot({b: pb_accumulator(table, 300, b)}), b
+        schemes = {b: Scheme("pb", b) for b in range(1, blocks + 1)}
+        schemes["ets"] = Scheme("ets")
+        expected = {b: pb_accumulator(table, 300, b) for b in range(1, blocks + 1)}
+        expected["ets"] = replace(pb_accumulator(table, 300, blocks), window=None)
+        expected = snapshot(expected)
+        assert snapshot(evaluate_point(p, schemes, 300, 41)) == expected
+        read_off = evaluate_point(p, {**schemes, "pb": Scheme("pb")}, 300, 41)
+        assert read_off.pop("pb").window == optimize_pb_window(table[0], 300)[0]
+        assert snapshot(read_off) == expected
+
+    def test_a_table_point_evaluates_no_pb_row(self, monkeypatch):
+        # A chosen depth builds the table, and eTS and every `pb:B` row are
+        # read off it.
+        def refuse(*args):
+            raise AssertionError("evaluate_pb called at a point with a depth table")
+
+        monkeypatch.setattr(engine, "evaluate_pb", refuse)
+        schemes = dict(enumerate(parse_scheme_list("mt,ets,pb,pb:1,pb:3,wts:2,twts")))
+        for blocks in (3, 64, 65):
+            evaluate_points([params(blocks=m) for m in (3, blocks)], schemes, 1100, 2)
+
+    def test_a_point_without_a_chosen_depth_builds_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pb_count_sums called at a point without a chosen depth")
+
+        monkeypatch.setattr(engine, "pb_count_sums", refuse)
+        schemes = dict(enumerate(parse_scheme_list("mt,ets,pb:1,pb:3,wts:2,twts,dwts")))
+        schemes["it"] = Scheme("it")
+        for blocks in (3, 64, 65):
+            evaluate_points([params(blocks=m) for m in (3, blocks)], schemes, 1100, 2)
 
     def test_optimized_rows_equal_fixed_rows_at_their_window(self):
         p = params(blocks=9)
@@ -395,6 +429,31 @@ class TestOnePass:
             8,
         )
         assert snapshot(best) == snapshot(fixed)
+
+
+class TestEtsIsPbAtDepthM:
+    """eTS is evaluated as PB at depth M: tau_M = (rate - S_0/M) + W_0 is the
+    rate in exact arithmetic, and its per-trial counts equal those of the
+    rule W >= rate on sampled traces."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_counts_equal_the_running_total_rule(self, data):
+        m = data.draw(st.integers(1, 70) | st.sampled_from([64, 65]) | st.integers(1990, 2000))
+        p = ChannelParams(
+            snr_db=data.draw(st.floats(-10.0, 15.0)),
+            rate=data.draw(st.floats(0.05, 5.0)),
+            blocks=m,
+        )
+        trials = data.draw(st.integers(1, 60))
+        caps = sample_capacity_matrix(p, data.draw(st.integers(0, (1 << 64) - 1)), 0, trials)
+        expected = ets_counts_by_running_total(caps, p.rate)
+        for layout in (np.ascontiguousarray(caps), np.asfortranarray(caps)):
+            counts, delays = Scheme("ets").evaluate(layout, p.rate)
+            assert counts.tolist() == expected.tolist()
+            assert delays.tolist() == (m - expected).tolist()
+            table = pb_count_sums(layout, p.rate)
+            assert table[:, m - 1].tolist() == [expected.sum(), expected @ expected]
 
 
 class TestSharedPass:
@@ -503,7 +562,14 @@ def _whole_passes(draw):
     crossings = [_tile_rows(m) + 1 for m in passes if _tile_rows(m) < 1100]
     trials = draw(st.sampled_from(crossings or [1]) | st.integers(1, 40))
     least = min(sizes)
-    names = draw(st.permutations(["mt", "ets", "pb", "pb:B", "wts:B", "twts", "dwts", "it"]))
+    # Some draws have no chosen PB depth, and their PB rows are `evaluate_pb`'s.
+    names = draw(
+        st.lists(
+            st.sampled_from(["mt", "ets", "pb", "pb:B", "wts:B", "twts", "dwts", "it"]),
+            min_size=1,
+            unique=True,
+        )
+    )
     schemes = {}
     for name in names:
         kind, _, fixed = name.partition(":")
@@ -1008,14 +1074,20 @@ class TestBenchmarkSpans:
         assert len(traced) == 9
         # MT is evaluated as wTS at B = 1, and its analytic cells are the wTS
         # bounds at B = 1: `engine.evaluate_mt` and the experiments' binding
-        # of `mt_mean_max_delay` are gone.  A run makes one
+        # of `mt_mean_max_delay` are gone.  eTS is PB at depth M, so
+        # `engine.evaluate_ets` is gone too, and with a chosen PB depth the
+        # eTS and `pb:3` rows are read off the depth table: no
+        # `engine.evaluate_pb` call.  A run makes one
         # `engine.evaluate_points` call, which `evaluate_point` wraps.
         assert [name for name in traced if summary[f"{name}.calls"] == 0] == [
             "engine.evaluate_point",
             "engine.evaluate_mt",
+            "engine.evaluate_ets",
+            "engine.evaluate_pb",
         ]
         assert dump["absent"] == [
             "streamfade.engine.evaluate_mt",
+            "streamfade.engine.evaluate_ets",
             "streamfade.experiments.mt_mean_max_delay",
             "streamfade.runstats.run_tail",
         ]

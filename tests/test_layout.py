@@ -15,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 from streamfade import engine
 from streamfade.channel import scan_blocks
 from streamfade.engine import (
-    evaluate_ets,
     evaluate_pb,
     evaluate_wts,
     pb_count_sums,
@@ -61,7 +60,7 @@ def test_evaluators_agree_across_layouts(data):
     rate = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     window = data.draw(st.integers(1, m))
     assert_same_on_both(Scheme("mt").evaluate, caps, rate)
-    assert_same_on_both(evaluate_ets, caps, rate)
+    assert_same_on_both(evaluate_pb, caps, rate)  # depth M: eTS
     assert_same_on_both(evaluate_pb, caps, rate, window)
     assert_same_on_both(evaluate_wts, caps, rate, window)
     assert_same_on_both(wts_window_delays, caps, rate, window)

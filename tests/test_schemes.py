@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from streamfade import engine
 from streamfade.channel import ChannelParams, sample_capacity_matrix
 from streamfade.engine import (
-    evaluate_ets,
     evaluate_pb,
     evaluate_point,
     evaluate_wts,
@@ -13,6 +13,7 @@ from streamfade.engine import (
 )
 from streamfade.metrics import max_zero_run
 from streamfade.schemes import (
+    NONE,
     SCHEMES,
     Scheme,
     accumulate_mi,
@@ -34,6 +35,18 @@ ALL_SPECS_FOR = lambda m: (
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("chosen", [{}, {"pb": Scheme("pb")}])
+    @pytest.mark.parametrize("scheme", [Scheme("pb", 5), Scheme("wts", 5)])
+    def test_a_window_longer_than_the_point_is_refused_before_sampling(
+        self, monkeypatch, scheme, chosen
+    ):
+        def no_sampling(*args):
+            raise AssertionError("sampled a point with a window longer than it")
+
+        monkeypatch.setattr(engine, "sample_capacity_matrix", no_sampling)
+        with pytest.raises(ValueError, match="window 5 exceeds messages 4"):
+            evaluate_point(params(blocks=4), {"b": scheme, **chosen}, 10, 1)
+
     def test_window_required(self):
         # wTS needs a window; PB without one has no allocation matrix
         with pytest.raises(ValueError):
@@ -162,7 +175,7 @@ class TestEngineMatchesAllocationPath:
         p = params(snr=snr, blocks=blocks)
         caps = sample_capacity_matrix(p, 11, 0, 64)
         rate = p.rate
-        fast = {"mt": Scheme("mt").evaluate(caps, rate), "ets": evaluate_ets(caps, rate)}
+        fast = {"mt": Scheme("mt").evaluate(caps, rate), "ets": Scheme("ets").evaluate(caps, rate)}
         for b in range(1, blocks + 1):
             fast[("pb", b)] = evaluate_pb(caps, rate, b)
             fast[("wts", b)] = evaluate_wts(caps, rate, b)
@@ -189,9 +202,11 @@ class TestOptimizeWindow:
         assert [acc.window for acc in accums.values()] == [1, 1, 1]
 
     def test_rejects_windowless_kinds(self):
-        # MT, eTS and IT take no window, neither fixed nor chosen
+        # MT, eTS and IT take no window, neither fixed nor chosen: eTS is PB
+        # at depth M, and its B stays None.
         for name in ("mt", "ets", "it"):
-            assert SCHEMES[name].table is None
+            assert SCHEMES[name].window == NONE
+            assert SCHEMES[name].table == ("pb" if name == "ets" else None)
             with pytest.raises(ValueError):
                 Scheme(name, 3)
         accums = evaluate_point(params(), {n: Scheme(n) for n in ("mt", "ets", "it")}, 10, 1)
