@@ -255,39 +255,43 @@ def _cmd_verify(args) -> int:
     # of each trial.  With a chosen depth, eTS (PB at depth M) and the `pb:B`
     # rows are read off the pass's depth table.  The eTS and PB rows' delay
     # identity, delay = M - count, is held through these references.  M = 12
-    # runs block-major tiles and the depth table's counting kernel, and its
-    # rows are read as the first 12 columns of a pass at M = 16, as a message
-    # sweep's are; M = 65, the shortest row-major rows, runs the search
-    # kernel in a pass of its own.
+    # and 16 share one pass of block-major tiles, as a message sweep's points
+    # do, with the depth table's counting kernel, and every wTS window of
+    # M = 12 is one scan read at both horizons; M = 65, the shortest
+    # row-major rows, runs the search kernel in a pass of its own.  At 2 dB
+    # and rate 1 about half the messages decode, so the depths near M, and
+    # the runs of the windows near a horizon, differ on some trials.
     ok = True
+    link = ChannelParams(snr_db=2.0, rate=1.0, blocks=1)
     for sweep, trials in (((12, 16), 300), ((65,), 200)):
-        blocks = sweep[0]
-        params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=blocks)
-        caps = sample_capacity_matrix(params, seed, 0, trials)
-        schemes = [Scheme(n, b) for n in ("pb", "wts") for b in range(1, blocks + 1)]
-        schemes = [Scheme("mt"), Scheme("ets"), *schemes, Scheme("it")]
-        points = [replace(params, blocks=m) for m in sweep]
-        rows = {**dict(enumerate(schemes)), "pb": Scheme("pb")}
-        point = evaluate_points(points, rows, trials, seed)[0]
-        (table,) = tile_sums(params, trials, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
-        refs = {}
-        for key, scheme in enumerate(schemes):
-            if scheme.name == "it":
-                counts, delays = np.array([informed.informed_trial(row, 1.0) for row in caps]).T
-            else:
-                alpha = build_allocation(scheme, blocks)
-                sent = transmitted_mask(alpha)
-                decoded = np.array([decode(alpha, row, 1.0, sent) for row in caps])
-                counts, delays = decoded.sum(axis=1), [max_zero_run(v) for v in decoded]
-            refs[scheme] = moments(counts, delays).tolist()
-            ok = ok and point[key] == Accumulator(scheme.window, trials, *refs[scheme])
-            if scheme.name == "pb":
-                ok = ok and table[:, scheme.window - 1].tolist() == refs[scheme][:2]
-        depth = max(range(1, blocks + 1), key=lambda b: refs[Scheme("pb", b)][0])
-        ok = ok and point["pb"] == Accumulator(depth, trials, *refs[Scheme("pb", depth)])
+        rows = [Scheme(n, b) for n in ("pb", "wts") for b in range(1, sweep[0] + 1)]
+        rows = [Scheme("mt"), Scheme("ets"), *rows, Scheme("it")]
+        points = [replace(link, blocks=m) for m in sweep]
+        schemes = {**dict(enumerate(rows)), "pb": Scheme("pb")}
+        for params, point in zip(points, evaluate_points(points, schemes, trials, seed)):
+            m = params.blocks
+            caps = sample_capacity_matrix(params, seed, 0, trials)
+            (table,) = tile_sums(params, trials, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
+            depths = [Scheme("pb", b) for b in range(1, m + 1)]
+            refs = {}
+            for scheme in {*rows, *depths}:
+                if scheme.name == "it":
+                    counts, delays = np.array([informed.informed_trial(r, 1.0) for r in caps]).T
+                else:
+                    alpha = build_allocation(scheme, m)
+                    sent = transmitted_mask(alpha)
+                    decoded = np.array([decode(alpha, r, 1.0, sent) for r in caps])
+                    counts, delays = decoded.sum(axis=1), [max_zero_run(v) for v in decoded]
+                refs[scheme] = moments(counts, delays).tolist()
+            for key, scheme in enumerate(rows):
+                ok = ok and point[key] == Accumulator(scheme.window, trials, *refs[scheme])
+            for depth in depths:
+                ok = ok and table[:, depth.window - 1].tolist() == refs[depth][:2]
+            best = max(depths, key=lambda depth: refs[depth][0])
+            ok = ok and point["pb"] == Accumulator(best.window, trials, *refs[best])
     # A pass of several row tiles sums their depth tables exactly: at M = 65
     # a tile holds at most 504 rows, so 505 trials make two.
-    params = ChannelParams(snr_db=-5.0, rate=1.0, blocks=65)
+    params = replace(link, blocks=65)
     caps = sample_capacity_matrix(params, seed, 0, 505)
     (table,) = tile_sums(params, 505, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
     ok = ok and table.tolist() == pb_count_sums(caps, 1.0).tolist()

@@ -74,12 +74,13 @@ from .channel import (
     block_major,
     row_blocks,
     sample_capacity_matrix,
+    scan_blocks,
     window_decode_probs,
 )
 # The informed bound is the IT row's evaluator; the scheme table reaches it
 # here, next to the other evaluators.
 from .informed import informed_counts_and_delays
-from .metrics import max_zero_run_at, max_zero_run_rows
+from .metrics import max_zero_run_rows
 from .runstats import wts_mean_delay
 
 
@@ -149,24 +150,64 @@ def wts_decode_bits(caps: np.ndarray, rate: float, window: int):
     return full, short
 
 
-def evaluate_wts(caps, rate: float, window: int):
+def evaluate_wts(caps, rate: float, window: int, horizons=None):
     """Windowed time-sharing: (counts, delays), where `delays` is the literal
     longest zero-run over all M message slots (untransmitted messages count
     as failures); see `wts_window_delays` for the statistic that the wTS
     delay bounds bound.
+
+    Only messages jB, and h after a short last window of h mod B blocks, are
+    ever sent.  With `horizons`, a rising sequence of message counts h with
+    B <= h <= M, returns one (counts, delays) per h, each equal to the call
+    on the tile's first h columns (rows are prefixes across M), from one
+    pass over the first k = floor(h_max/B) windows: their decode bits, the
+    running maximum last_j of 1 + the slot of the last decode among the
+    first j windows, and the running maximum of the zero-runs that end at a
+    window's slot, slot_j - last_j.  Then h, with k_h full windows and the
+    short window's bit s, counts the decodes of its first k_h windows plus
+    s, and its delay is the larger of the runs up to window k_h and the
+    tail h - last_{k_h} - s (a decoded short window leaves the run before
+    it).  A call without horizons is the one horizon M.
     """
     tile = as_tile(caps)
     m = tile.caps.shape[1]
-    full, short = wts_decode_bits(tile.caps, rate, window)
-    counts = full.sum(axis=1)
-    # Only messages kB, and M after a short last window, are ever sent.
-    slots = np.arange(window - 1, full.shape[1] * window, window)
-    bits = full
-    if short is not None:
-        slots = np.append(slots, m - 1)
-        bits = np.column_stack([full, short])  # in the layout of `full`
-        counts = counts + short
-    return counts, max_zero_run_at(bits, slots, m, tile.temporary(np.int32, bits.shape[1] + 1))
+    if not (1 <= window <= m):
+        raise ValueError(f"need 1 <= window <= blocks, got {window}")
+    ends = [m] if horizons is None else list(horizons)
+    if not (ends and window <= ends[0] and all(a < b for a, b in zip(ends, ends[1:]))
+            and ends[-1] <= m):
+        raise ValueError(f"horizons must rise within {window}..{m}, got {horizons}")
+    k = ends[-1] // window
+    sums = window_sums(tile.caps[:, : k * window], window)
+    full = np.greater_equal(sums, rate, out=tile.temporary(bool, k))
+    # Column j holds last_j, and then the runs' running maximum up to window j.
+    last = tile.temporary(np.int32, k + 1)
+    last[:, 0] = 0
+    slots = np.arange(window, (k + 1) * window, window, dtype=np.int32)  # 1 + the slots
+    np.multiply(full, slots, out=last[:, 1:])
+    scan_blocks(np.maximum, last, out=last)
+    ones = full.view(np.uint8)
+    total, lo, counts, tails = np.zeros(tile.caps.shape[0], np.int64), 0, [], []
+    for h in ends:
+        kh = h // window
+        # Summed as uint8 into the narrowest type that holds the segment.
+        total = total + ones[:, lo:kh].sum(axis=1, dtype=np.min_scalar_type(kh - lo))
+        tail = h - last[:, kh].astype(np.int64)
+        if h > kh * window:
+            short = window_sums(tile.caps[:, kh * window : h], h - kh * window)[:, 0] >= rate
+            counts.append(total + short)
+            tail -= short
+        else:
+            counts.append(total)
+        tails.append(tail)
+        lo = kh
+    runs = last[:, :k]
+    np.subtract(slots - 1, runs, out=runs)
+    scan_blocks(np.maximum, runs, out=runs)
+    delays = [np.maximum(runs[:, h // window - 1], tail) for h, tail in zip(ends, tails)]
+    if horizons is None:
+        return counts[0], delays[0]
+    return list(zip(counts, delays))
 
 
 def wts_window_delays(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
@@ -266,7 +307,9 @@ def _pb_tile_by_search(caps, rate: float) -> np.ndarray:
     m = tile.caps.shape[1]
     running, keys = tile.running, tile.temporary(np.float64)  # depth B in column B-1
     _depth_margins(tile, rate, keys[:, ::-1])
-    full = np.less_equal(keys, 0.0, out=tile.temporary(bool)).sum(axis=1).tolist()
+    # Summed as uint8 into the narrowest type that holds M, as in `evaluate_pb`.
+    nonpositive = np.less_equal(keys, 0.0, out=tile.temporary(bool)).view(np.uint8)
+    full = nonpositive.sum(axis=1, dtype=np.min_scalar_type(m)).tolist()
     # tau, added in the keys' order: numpy adds a reversed output half as fast.
     np.add(keys, running[:, ::-1], out=keys)
     counts = tile.temporary(np.int64)
@@ -516,23 +559,40 @@ def _passes(points: list) -> list[list[int]]:
     return passes
 
 
+def _scan(scheme) -> tuple:
+    """What a fixed row that takes horizons evaluates: its row's evaluator at
+    its window.  MT is wTS at B = 1, so it shares the scan of `wts:1`."""
+    return ("wts", 1) if scheme.name == "mt" else (scheme.name, scheme.window)
+
+
 def _evaluate_pass(points: list, schemes: dict, trials: int, seed: int, threads: int) -> list:
     """`evaluate_points` of points of one link, in one `tile_sums` pass at
     their largest M.  Each point reads its rows off the tile's `head` at its
-    M; a row that takes horizons (IT) is evaluated once per tile for every
-    point."""
+    M, but a row that takes horizons (IT, MT and the wTS rows) is evaluated
+    once per tile for each of its scans (`_scan`: IT's one, a wTS row's one
+    per distinct window), at the M of every point whose fixed row makes it."""
     plans = [_fixed_rows(params, schemes) for params in points]
-    horizons = sorted({params.blocks for params in points})
-    across = {key: scheme for key, scheme in schemes.items() if scheme.row.horizons}
+    scans = {}  # scan -> (a fixed row that makes it, the M of its points)
+    for params, (fixed, _) in zip(points, plans):
+        for scheme in fixed.values():
+            if scheme.row.horizons:
+                scans.setdefault(_scan(scheme), (scheme, set()))[1].add(params.blocks)
+    scans = {scan: (scheme, sorted(blocks)) for scan, (scheme, blocks) in scans.items()}
     rate = points[0].rate
 
     def consumer(tile):
-        stats = {key: s.row.evaluate(tile, rate, s.window, horizons) for key, s in across.items()}
+        stats = {
+            scan: dict(zip(hs, s.row.evaluate(tile, rate, s.window, hs)))
+            for scan, (s, hs) in scans.items()
+        }
         sums = []
         for params, (fixed, depths) in zip(points, plans):
-            head, at = tile.head(params.blocks), horizons.index(params.blocks)
-            for key, scheme in fixed.items():
-                row = stats[key][at] if key in stats else scheme.evaluate(head, rate)
+            head = tile.head(params.blocks)
+            for scheme in fixed.values():
+                if scheme.row.horizons:
+                    row = stats[_scan(scheme)][params.blocks]
+                else:
+                    row = scheme.evaluate(head, rate)
                 sums.append(moments(*row))
             if depths:
                 sums.append(pb_count_sums(head, rate))

@@ -65,8 +65,8 @@ class SchemeRow:
 
 # Evaluators are looked up on the engine module at call time, so that a
 # wrapper installed there (a tracer or a test double) sees every call.
-def _evaluate_wts(caps, rate, window):
-    return engine.evaluate_wts(caps, rate, window)
+def _evaluate_wts(caps, rate, window, horizons=None):
+    return engine.evaluate_wts(caps, rate, window, horizons)
 
 
 def _evaluate_pb(caps, rate, window):
@@ -76,12 +76,16 @@ def _evaluate_pb(caps, rate, window):
 SCHEMES = {
     # MT sends message t in block t only: wTS with a window of one block.
     "mt": SchemeRow(
-        "MT", NONE, lambda caps, rate, _: _evaluate_wts(caps, rate, 1), analytic="exact"
+        "MT",
+        NONE,
+        lambda caps, rate, _, horizons=None: _evaluate_wts(caps, rate, 1, horizons),
+        analytic="exact",
+        horizons=True,
     ),
     # eTS shares every block among all unexpired messages: PB at depth M.
     "ets": SchemeRow("eTS", NONE, _evaluate_pb, table="pb"),
     "pb": SchemeRow("PB", OPTIONAL, _evaluate_pb, table="pb"),
-    "wts": SchemeRow("wTS", REQUIRED, _evaluate_wts, analytic="bounds"),
+    "wts": SchemeRow("wTS", REQUIRED, _evaluate_wts, analytic="bounds", horizons=True),
     "twts": SchemeRow("T-wTS", NONE, _evaluate_wts, table="wts", maximize=True, analytic="bounds"),
     "dwts": SchemeRow("D-wTS", NONE, _evaluate_wts, table="wts", maximize=False, analytic="bounds"),
     "it": SchemeRow(

@@ -928,23 +928,63 @@ class TestWtsWindowChoice:
         assert optimize_wts_window(params(blocks=30), True)[0] == 4
         assert optimize_wts_window(params(blocks=30), False)[0] == 6
 
+    def wts_calls(self, monkeypatch):
+        """(tile rows, window, horizons) of each `engine.evaluate_wts` call."""
+        calls = []
+        real = engine.evaluate_wts
+
+        def counted(caps, rate, window, horizons=None):
+            calls.append((caps.caps.shape[0], window, horizons))
+            return real(caps, rate, window, horizons)
+
+        monkeypatch.setattr(engine, "evaluate_wts", counted)
+        return calls
+
     def test_one_scan_per_chunk_per_row(self, monkeypatch):
         # One wTS scan per sampled row tile per T-/D-wTS row at its chosen
         # window, not one per window B = 1..M.
-        windows = []
-        real = engine.evaluate_wts
-
-        def counted(caps, rate, window):
-            windows.append(window)
-            return real(caps, rate, window)
-
-        monkeypatch.setattr(engine, "evaluate_wts", counted)
+        calls = self.wts_calls(monkeypatch)
         p = params(blocks=24)
         out = evaluate_point(p, {"t": Scheme("twts"), "d": Scheme("dwts")}, 8193, 5)
+        windows = [window for _, window, _ in calls]
         tiles = len(channel.row_blocks(8193, 24))
         assert tiles == 4  # of 2048 or 2049 trials
         assert sorted(windows) == [out["t"].window] * tiles + [out["d"].window] * tiles
         assert (out["t"].window, out["d"].window) == (4, 6)
+
+    @pytest.mark.parametrize("snr, windows", [(-5.0, {1, 4, 5, 6, 7}), (5.0, {1, 2, 3})])
+    def test_a_message_sweep_scans_each_window_once_per_tile(self, monkeypatch, snr, windows):
+        # MT is wTS at B = 1 and shares its scan with a T-/D-wTS row at
+        # B = 1 (T-wTS at 5 dB); each scan is made at the M of the points
+        # whose row uses its window.
+        sweep = tuple(range(8, 65, 8))
+        calls = self.wts_calls(monkeypatch)
+        points = [params(snr=snr, blocks=m) for m in sweep]
+        out = evaluate_points(points, dict(enumerate(parse_scheme_list("mt,twts,dwts"))), 3000, 5)
+        horizons = {1: set(sweep)}  # MT's
+        for m, rows in zip(sweep, out):
+            for acc in (rows[1], rows[2]):
+                horizons.setdefault(acc.window, set()).add(m)
+        assert set(horizons) == windows
+        tiles = channel.row_blocks(3000, 64)
+        expected = [(hi - lo, w, sorted(horizons[w])) for w in sorted(windows) for lo, hi in tiles]
+        assert len(tiles) == 3
+        assert sorted(calls, key=lambda call: call[1]) == expected
+
+    def test_equal_choices_share_one_scan(self, monkeypatch):
+        # At 10 dB and M = 8 T-wTS and D-wTS both choose B = 1, MT's window.
+        calls = self.wts_calls(monkeypatch)
+        schemes = {"mt": Scheme("mt"), "t": Scheme("twts"), "d": Scheme("dwts")}
+        out = evaluate_point(params(snr=10.0, blocks=8), schemes, 4000, 5)
+        assert (out["t"].window, out["d"].window, out["mt"].window) == (1, 1, None)
+        tiles = channel.row_blocks(4000, 8)
+        assert calls == [(hi - lo, 1, [8]) for lo, hi in tiles]
+        assert out["t"] == out["d"] == replace(out["mt"], window=1)
+
+    @pytest.mark.parametrize("horizons", [[], [2], [3, 3], [5, 4], [31]])
+    def test_horizons_must_rise_within_the_window_and_the_tile(self, horizons):
+        with pytest.raises(ValueError, match=r"horizons must rise within 3\.\.30"):
+            evaluate_wts(np.ones((2, 30)), 1.0, 3, horizons)
 
     @pytest.mark.parametrize(
         "snr,blocks,window",

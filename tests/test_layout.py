@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from streamfade import engine
-from streamfade.channel import scan_blocks
+from streamfade.channel import as_tile, scan_blocks
 from streamfade.engine import (
     evaluate_pb,
     evaluate_wts,
@@ -68,6 +68,41 @@ def test_evaluators_agree_across_layouts(data):
     for kernel in (engine._pb_tile_by_counting, engine._pb_tile_by_search):
         with mock.patch.object(engine, "pb_tile_kernel", lambda _: kernel):
             assert_same_on_both(pb_count_sums, caps, rate)
+
+
+def wts_at_horizons(matrix, rate, window, horizons):
+    """`evaluate_wts` at `horizons`, flattened to one tuple of arrays."""
+    return tuple(a for row in evaluate_wts(matrix, rate, window, horizons) for a in row)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_wts_horizons_equal_the_heads(data):
+    # Row i of the horizons form is, bit for bit, the call on the tile's
+    # first h_i columns.  B >= 8 sums windows pairwise; h = B, multiples of B
+    # and h with a short last window are drawn, one-row tiles included, and
+    # integer capacities give exact ties.
+    m = data.draw(st.integers(1, 12) | st.integers(13, 80))
+    window = data.draw(st.integers(1, m) | st.integers(min(8, m), m))
+    rows = data.draw(st.integers(1, 9))
+    values = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.0, 4.0)
+    caps = data.draw(arrays(np.float64, (rows, m), elements=values))
+    rate = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    multiples = st.sampled_from(range(window, m + 1, window))
+    horizons = sorted(
+        data.draw(st.sets(st.integers(window, m) | multiples | st.just(window), min_size=1))
+    )
+    assert_same_on_both(wts_at_horizons, caps, rate, window, horizons)
+    for layout in both_layouts(caps):
+        got = evaluate_wts(layout, rate, window, horizons)
+        assert len(got) == len(horizons)
+        for h, row in zip(horizons, got):
+            head = evaluate_wts(as_tile(layout).head(h), rate, window)
+            for x, y in zip(row, head):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (h, window)
+        whole = evaluate_wts(layout, rate, window)
+        (at_m,) = evaluate_wts(layout, rate, window, [m])
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(whole, at_m))
 
 
 @given(st.data())
