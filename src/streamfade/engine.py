@@ -19,14 +19,17 @@ evaluated, and they are not kept.
 A row at M is, bit for bit, the first M capacities of the same row at any
 larger M, so the block-major points of a message sweep share one pass at
 their largest M (`evaluate_points`): each point evaluates the tile's first
-M columns (`channel.Tile.head`), with the tile's S as its own, and the IT
-bound makes one scan of the tile for every point (its row takes horizons).
-A row-major point, and a point of any other link, has a pass of its own.
+M columns (`channel.Tile.head`), with the tile's S as its own.  A row that
+takes horizons is evaluated on the whole tile instead, once for the M of
+every point that makes it: the IT bound makes one scan of the tile, and the
+wTS rows one per distinct window B (`evaluate_wts` reads each M off the
+decodes and zero-runs of the first windows).  A row-major point, and a
+point of any other link, has a pass of its own.
 
 MT, which sends message t in block t only, is wTS with a window of one
-block: its row is `evaluate_wts` at B = 1.  eTS, which shares every block
-among all unexpired messages, is PB at depth M: its row is `evaluate_pb`
-with no window.
+block: its row is `evaluate_wts` at B = 1, and it shares the scan of a
+`wts:1` row.  eTS, which shares every block among all unexpired messages,
+is PB at depth M: its row is `evaluate_pb` with no window.
 
 An optimized PB depth is chosen from the depth table, and at such a point
 the chosen row, eTS and every fixed `pb:B` row are read off the table
@@ -35,10 +38,11 @@ comparisons, so the two agree bit for bit.  A point with no chosen depth
 builds no table, and its PB rows are `evaluate_pb`'s.  T-wTS and D-wTS
 choose their window before sampling, from exact objectives
 (`optimize_wts_window`), and are evaluated as a fixed `wts:B` row in the
-same pass.  Tiles are keyed by absolute trial index and reduce to exact
-integer sums, so results are bit-identical regardless of worker count and
-tile size.  All schemes at one point share the same traces (common random
-numbers), which makes per-realization dominance comparisons exact.
+same pass, so the two share a scan where they choose the same B.  Tiles
+are keyed by absolute trial index and reduce to exact integer sums, so
+results are bit-identical regardless of worker count and tile size.  All
+schemes at one point share the same traces (common random numbers), which
+makes per-realization dominance comparisons exact.
 
 A tile of rows of at most `channel.BLOCK_MAJOR_MAX_BLOCKS` capacities is
 block-major, and every evaluator then reduces across trials, one contiguous

@@ -50,7 +50,10 @@ class SchemeRow:
     horizons  `evaluate` also takes a rising list of message counts h, and
               then returns one (counts, delays) per h from one evaluation
               of a tile of the largest, so that the points of a message
-              sweep share it (`engine.evaluate_points`)
+              sweep share it (`engine.evaluate_points`): IT, MT and `wts:B`,
+              which T-/D-wTS are evaluated as.  A pass makes one evaluation
+              per tile for each window such a row is taken at, and MT is
+              taken at B = 1
     """
 
     label: str
