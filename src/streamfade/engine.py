@@ -36,9 +36,10 @@ the chosen row, eTS and every fixed `pb:B` row are read off the table
 (`pb_accumulator`): `evaluate_pb` decides a decode by the table's own
 comparisons, so the two agree bit for bit.  A point with no chosen depth
 builds no table, and its PB rows are `evaluate_pb`'s.  T-wTS and D-wTS
-choose their window before sampling, from exact objectives
-(`optimize_wts_window`), and are evaluated as a fixed `wts:B` row in the
-same pass, so the two share a scan where they choose the same B.  Tiles
+choose their window before sampling, from exact objectives, at every M of
+a pass in one `optimize_wts_window` call per scheme, and are evaluated as a
+fixed `wts:B` row in the same pass, so the two share a scan where they
+choose the same B.  Tiles
 are keyed by absolute trial index and reduce to exact integer sums, so
 results are bit-identical regardless of worker count and tile size.  All
 schemes at one point share the same traces (common random numbers), which
@@ -85,7 +86,7 @@ from .channel import (
 # here, next to the other evaluators.
 from .informed import informed_counts_and_delays
 from .metrics import max_zero_run_rows
-from .runstats import wts_mean_delay
+from .runstats import check_horizons, wts_mean_delay
 
 
 def evaluate_pb(caps, rate: float, window: int | None = None):
@@ -118,7 +119,7 @@ def evaluate_pb(caps, rate: float, window: int | None = None):
 _PAIRWISE_MIN_TERMS = 8
 
 
-def window_sums(block: np.ndarray, window: int) -> np.ndarray:
+def window_sums(block: np.ndarray, window: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """Sums of consecutive runs of `window` columns of `block`, shape
     (trials, columns // window), bit for bit numpy's row-major
     `reshape(trials, k, window).sum(axis=2)`.
@@ -126,7 +127,9 @@ def window_sums(block: np.ndarray, window: int) -> np.ndarray:
     At window 1 this is `block` itself: a sum of one term is that term.  On
     a block-major block, fewer than _PAIRWISE_MIN_TERMS columns are added one
     at a time across trials, which is the same left-to-right sum; more are
-    summed by numpy over a row-major copy.
+    summed by numpy over a row-major copy, written into `scratch` (a
+    contiguous float64 array of at least the block's size) when it is given
+    and into a new array otherwise.
     """
     if window == 1:
         return block
@@ -135,7 +138,12 @@ def window_sums(block: np.ndarray, window: int) -> np.ndarray:
     if not block_major(block):
         return windows.sum(axis=2)
     if window >= _PAIRWISE_MIN_TERMS:
-        return np.ascontiguousarray(windows).sum(axis=2)
+        if scratch is None:
+            copy = np.empty(windows.shape)
+        else:
+            copy = scratch.ravel(order="K")[: windows.size].reshape(windows.shape)
+        np.copyto(copy, windows)
+        return copy.sum(axis=2)
     sums = windows[:, :, 0].copy(order="K")
     for j in range(1, window):
         sums += windows[:, :, j]
@@ -177,12 +185,12 @@ def evaluate_wts(caps, rate: float, window: int, horizons=None):
     m = tile.caps.shape[1]
     if not (1 <= window <= m):
         raise ValueError(f"need 1 <= window <= blocks, got {window}")
-    ends = [m] if horizons is None else list(horizons)
-    if not (ends and window <= ends[0] and all(a < b for a, b in zip(ends, ends[1:]))
-            and ends[-1] <= m):
-        raise ValueError(f"horizons must rise within {window}..{m}, got {horizons}")
+    ends = check_horizons(m, window, horizons)
     k = ends[-1] // window
-    sums = window_sums(tile.caps[:, : k * window], window)
+    # The row-major copy of a long window goes to the tile's float64 temporary.
+    pairwise = window >= _PAIRWISE_MIN_TERMS and block_major(tile.caps)
+    scratch = tile.temporary(np.float64) if pairwise else None
+    sums = window_sums(tile.caps[:, : k * window], window, scratch)
     full = np.greater_equal(sums, rate, out=tile.temporary(bool, k))
     # Column j holds last_j, and then the runs' running maximum up to window j.
     last = tile.temporary(np.int32, k + 1)
@@ -198,7 +206,8 @@ def evaluate_wts(caps, rate: float, window: int, horizons=None):
         total = total + ones[:, lo:kh].sum(axis=1, dtype=np.min_scalar_type(kh - lo))
         tail = h - last[:, kh].astype(np.int64)
         if h > kh * window:
-            short = window_sums(tile.caps[:, kh * window : h], h - kh * window)[:, 0] >= rate
+            short = window_sums(tile.caps[:, kh * window : h], h - kh * window, scratch)
+            short = short[:, 0] >= rate
             counts.append(total + short)
             tail -= short
         else:
@@ -489,7 +498,7 @@ def pb_accumulator(table: np.ndarray, trials: int, window: int) -> Accumulator:
     )
 
 
-def optimize_wts_window(params: ChannelParams, maximize_throughput: bool) -> tuple[int, float]:
+def optimize_wts_window(params: ChannelParams, maximize_throughput: bool, horizons=None):
     """(window B, objective at B) for T-wTS (maximum mean decoded count) or
     D-wTS (minimum mean literal delay), from exact objectives: no sampling.
 
@@ -499,42 +508,56 @@ def optimize_wts_window(params: ChannelParams, maximize_throughput: bool) -> tup
     `runstats.wts_mean_delay`.  The delay is at least B - 1 on every
     realization (the slots before window 1's message), so the search stops
     at the first B whose B - 1 reaches the best mean so far.  Ties break low.
+
+    With `horizons`, a rising sequence of message counts h <= M, returns one
+    (B, objective) per h, each equal to the call at M = h: every h reads
+    its p_B off one array, and the D-wTS search steps B up over the h whose
+    own search has not stopped, with one `wts_mean_delay` call per B for
+    all of them.  A call without horizons is the one horizon M.
     """
     m = params.blocks
-    probs = window_decode_probs(params, m)
-    windows = np.arange(1, m + 1)
-    short = m % windows
-    p_short = np.where(short > 0, probs[short - 1], 0.0)
+    ends = check_horizons(m, 1, horizons)
+    probs = window_decode_probs(params, ends[-1])
     if maximize_throughput:
-        counts = (m // windows) * probs + p_short
-        best = int(np.argmax(counts)) + 1
-        return best, float(counts[best - 1])
-    best, best_delay = 1, wts_mean_delay(m, 1, probs[0])
-    for b in range(2, m + 1):
-        if b - 1 >= best_delay:
-            break
-        delay = wts_mean_delay(m, b, probs[b - 1], p_short[b - 1])
-        if delay < best_delay:
-            best, best_delay = b, delay
-    return best, best_delay
+        best = []
+        for h in ends:
+            windows = np.arange(1, h + 1)
+            short = h % windows
+            counts = (h // windows) * probs[:h] + np.where(short > 0, probs[short - 1], 0.0)
+            b = int(np.argmax(counts)) + 1
+            best.append((b, float(counts[b - 1])))
+    else:
+        delays = wts_mean_delay(ends[-1], 1, probs[0], [0.0] * len(ends), ends)
+        best = [(1, delay) for delay in delays]
+        searching = range(len(ends))
+        for b in range(2, ends[-1] + 1):
+            searching = [i for i in searching if b <= ends[i] and b - 1 < best[i][1]]
+            if not searching:
+                break
+            hs = [ends[i] for i in searching]
+            shorts = [probs[h % b - 1] if h % b else 0.0 for h in hs]
+            for i, delay in zip(searching, wts_mean_delay(hs[-1], b, probs[b - 1], shorts, hs)):
+                if delay < best[i][1]:
+                    best[i] = (b, delay)
+    return best[0] if horizons is None else best
 
 
-def _fixed_rows(params: ChannelParams, schemes: dict) -> tuple[dict, dict]:
+def _fixed_rows(params: ChannelParams, schemes: dict, windows: dict) -> tuple[dict, dict]:
     """(key -> scheme evaluated at a fixed window or none, key -> depth of a
     PB row read off the depth table) at one point, before sampling.
 
-    T-/D-wTS (`table` "wts") get their window here.  A row whose `table` is
+    T-/D-wTS (`table` "wts") take their window from `windows`: key -> M ->
+    the (B, objective) of `optimize_wts_window`.  A row whose `table` is
     "pb" is PB at one depth: its fixed B, M on a row that takes no window
     (eTS), or else the depth the table chooses (None).  Only a point with a
     chosen depth builds the table, and then every such row is read off it;
     at any other point they are fixed rows (`evaluate_pb`)."""
     fixed, depths = {}, {}
     for key, scheme in schemes.items():
-        scheme.check_window(params.blocks)
         if scheme.row.table == "pb":
             depths[key] = scheme.window or (params.blocks if scheme.row.window == "none" else None)
         elif scheme.row.table == "wts":
-            window, _ = optimize_wts_window(params, scheme.row.maximize)
+            window, _ = windows[key][params.blocks]
             fixed[key] = replace(scheme, name="wts", window=window)
         else:
             fixed[key] = scheme
@@ -574,8 +597,17 @@ def _evaluate_pass(points: list, schemes: dict, trials: int, seed: int, threads:
     their largest M.  Each point reads its rows off the tile's `head` at its
     M, but a row that takes horizons (IT, MT and the wTS rows) is evaluated
     once per tile for each of its scans (`_scan`: IT's one, a wTS row's one
-    per distinct window), at the M of every point whose fixed row makes it."""
-    plans = [_fixed_rows(params, schemes) for params in points]
+    per distinct window), at the M of every point whose fixed row makes it.
+    Each T-/D-wTS row chooses its window at every M of the pass in one
+    `optimize_wts_window` call, before the points are planned."""
+    widest = max(points, key=lambda params: params.blocks)
+    hs = sorted({params.blocks for params in points})
+    windows = {
+        key: dict(zip(hs, optimize_wts_window(widest, scheme.row.maximize, hs)))
+        for key, scheme in schemes.items()
+        if scheme.row.table == "wts"
+    }
+    plans = [_fixed_rows(params, schemes, windows) for params in points]
     scans = {}  # scan -> (a fixed row that makes it, the M of its points)
     for params, (fixed, _) in zip(points, plans):
         for scheme in fixed.values():
@@ -602,7 +634,6 @@ def _evaluate_pass(points: list, schemes: dict, trials: int, seed: int, threads:
                 sums.append(pb_count_sums(head, rate))
         return sums
 
-    widest = max(points, key=lambda params: params.blocks)
     sums = iter(tile_sums(widest, trials, seed, threads, consumer))
     out = []
     for fixed, depths in plans:
@@ -637,6 +668,9 @@ def evaluate_points(points, schemes: dict, trials: int, seed: int, threads: int 
     points = list(points)
     if points:
         _check_pass(trials, max(params.blocks for params in points))
+    for params in points:
+        for scheme in schemes.values():
+            scheme.check_window(params.blocks)
     out = [None] * len(points)
     for indices in _passes(points):
         results = _evaluate_pass([points[i] for i in indices], schemes, trials, seed, threads)

@@ -9,6 +9,8 @@ shared traces and writes one CSV row per (sweep point, scheme).  Analytic
 closed forms are emitted alongside simulated values where they exist: the
 per-block scheme (wTS at B = 1) has exact throughput and delay, windowed
 time-sharing has floor/ceil delay bounds (in whole-window units, see README).
+The points that share a sampling pass share the delay bounds' run tails too:
+one `wts_delay_bounds` call per window B for all of them (`_delay_cells`).
 """
 from __future__ import annotations
 
@@ -280,44 +282,72 @@ CSV_HEADER = ",".join(header for header, _ in _CSV_COLUMNS)
 _csv_values = operator.attrgetter(*(field for _, field in _CSV_COLUMNS))
 
 
-def _analytic_columns(params: ChannelParams, scheme: Scheme, window: int | None, delays: dict):
-    """(analytic throughput bpcu, delay lower, delay upper) where closed forms
-    exist: the wTS delay bounds at B = `window`, or B = 1 for MT (wTS at
-    B = 1, where they coincide), and MT's throughput rate * p_1.  `delays`
-    keeps the point's delay cells by (B, p_B), each built once."""
-    form = scheme.row.analytic
-    if form is None:
-        return None, None, None
+def _window_prob(params: ChannelParams, scheme: Scheme, window: int | None):
+    """(B, p_B) of a cell's closed forms, or None where there are none: the
+    row's window, or B = 1 for MT (wTS at B = 1)."""
+    if scheme.row.analytic is None:
+        return None
     b = 1 if window is None else window
-    p_b = window_decode_prob(params, b)
-    if (b, p_b) not in delays:
-        bounds = wts_delay_bounds(params.blocks, b, p_b)
-        delays[b, p_b] = bounds.delay_lower, bounds.delay_upper
-    return (params.rate * p_b if form == "exact" else None, *delays[b, p_b])
+    return b, window_decode_prob(params, b)
 
 
-def _point_rows(config, sweep_name, sweep_value, params, cells) -> list[ResultRow]:
-    """The rows of one sweep point, one per (scheme, window, accumulator) of
-    `cells`; a cell without an accumulator is closed-form only."""
-    delays: dict = {}
-    scale = params.rate / params.blocks
+def _delay_cells(points: list, probs: list) -> list[dict]:
+    """Per point, B -> (delay lower, delay upper): the wTS delay bounds at
+    each B of `probs[i]`, point i's (B, p_B) cells.  The points that share a
+    sampling pass (`engine._passes`: the block-major points of one link)
+    share one `wts_delay_bounds` call per B, at the M of each of its points;
+    every other point makes its own."""
+    out = [{} for _ in points]
+    for indices in engine._passes(points):
+        wanted = {}  # B -> (p_B, the points that ask for it)
+        for i in indices:
+            for b, p_b in filter(None, probs[i]):
+                wanted.setdefault(b, (p_b, []))[1].append(i)
+        for b, (p_b, asking) in wanted.items():
+            hs = sorted({points[i].blocks for i in asking})
+            bounds = dict(zip(hs, wts_delay_bounds(hs[-1], b, p_b, hs)))
+            for i in asking:
+                cell = bounds[points[i].blocks]
+                out[i][b] = cell.delay_lower, cell.delay_upper
+    return out
+
+
+def _rows(config, points: list, cells: list) -> list[ResultRow]:
+    """The rows of every sweep point (sweep variable, value, params) of
+    `points`, one per (scheme, window, accumulator) of its `cells`; a cell
+    without an accumulator is closed-form only.  Analytic cells exist where
+    a closed form does: the wTS delay bounds at B = the window, or B = 1 for
+    MT (where they coincide), and MT's throughput rate * p_1."""
+    params = [p for *_, p in points]
+    probs = [
+        [_window_prob(p, scheme, window) for scheme, window, _ in row]
+        for p, row in zip(params, cells)
+    ]
+    delays = _delay_cells(params, probs)
     rows = []
-    for scheme, window, acc in cells:
-        simulated = (None,) * 5 if acc is None else (
-            scale * acc.mean_count(),
-            acc.mean_count(),
-            acc.mean_delay(),
-            scale * acc.stderr_count(),
-            acc.stderr_delay(),
-        )
-        analytic = _analytic_columns(params, scheme, window, delays)
-        trials = 0 if acc is None else config.trials
-        rows.append(
-            ResultRow(
-                sweep_name, sweep_value, scheme.label, window, *simulated, *analytic,
-                trials, config.seed,
+    for (sweep_name, sweep_value, point), row, windows, bounds in zip(points, cells, probs, delays):
+        scale = point.rate / point.blocks
+        for (scheme, window, acc), prob in zip(row, windows):
+            simulated = (None,) * 5 if acc is None else (
+                scale * acc.mean_count(),
+                acc.mean_count(),
+                acc.mean_delay(),
+                scale * acc.stderr_count(),
+                acc.stderr_delay(),
             )
-        )
+            if prob is None:
+                analytic = (None, None, None)
+            else:
+                b, p_b = prob
+                exact = point.rate * p_b if scheme.row.analytic == "exact" else None
+                analytic = (exact, *bounds[b])
+            trials = 0 if acc is None else config.trials
+            rows.append(
+                ResultRow(
+                    sweep_name, sweep_value, scheme.label, window, *simulated, *analytic,
+                    trials, config.seed,
+                )
+            )
     return rows
 
 
@@ -337,23 +367,21 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         config.seed,
         config.threads,
     )
-    rows: list[ResultRow] = []
-    for (sweep_name, sweep_value, params), accums in zip(points, results):
-        cells = [(schemes[idx], acc.window, acc) for idx, acc in accums.items()]
-        rows += _point_rows(config, sweep_name, sweep_value, params, cells)
-    return rows
+    cells = [[(schemes[idx], acc.window, acc) for idx, acc in accums.items()] for accums in results]
+    return _rows(config, points, cells)
 
 
 def analytic_rows(config: ExperimentConfig) -> list[ResultRow]:
     """Closed-form-only table: one row per scheme of `config` at each sweep
     point, skipping a window longer than the point's M (`analyze` asks for
     MT, whose values are the wTS bounds at B = 1, and windowed bounds)."""
-    rows = []
-    for sweep_name, sweep_value, params in config.sweep_points():
-        schemes = [s for s in config.schemes if (s.window or 1) <= params.blocks]
-        cells = [(scheme, scheme.window, None) for scheme in schemes]
-        rows += _point_rows(config, sweep_name, sweep_value, params, cells)
-    return rows
+    points = config.sweep_points()
+    cells = [
+        [(scheme, scheme.window, None) for scheme in config.schemes
+         if (scheme.window or 1) <= params.blocks]
+        for *_, params in points
+    ]
+    return _rows(config, points, cells)
 
 
 def _fmt(value) -> str:

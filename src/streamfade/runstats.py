@@ -22,8 +22,11 @@ is computed four independent ways:
 
 The last three are cross-checks of the recurrence.  Every closed form reads
 its columns: `run_tails` (and so `mt_mean_max_delay`) takes the last entry
-of each, `wts_delay_bounds` reads both of its horizons from one pass, and
-`wts_mean_delay`, the D-wTS window objective, iterates them.  MT is wTS at
+of each.  The wTS forms take horizons, a rising list of message counts, so
+that the points of a message sweep share one pass per window B:
+`wts_delay_bounds` reads the floor and ceil window counts of every horizon
+from one pass, and `wts_mean_delay`, the D-wTS window objective, iterates
+the columns at the largest horizon once for all of them.  MT is wTS at
 B = 1, and the CSV's MT cells are both bounds at B = 1: `mt_mean_max_delay`.
 
 In the partial-fraction expansion the z = 1 pole always has residue exactly 1
@@ -375,23 +378,45 @@ class WtsBounds:
     decoded_upper: float
 
 
-def wts_delay_bounds(M: int, B: int, p_B: float) -> WtsBounds:
+def check_horizons(M: int, first: int, horizons) -> list[int]:
+    """The message counts a call over M messages evaluates: M itself when
+    `horizons` is None, else the rising sequence `horizons` of counts h
+    with `first` <= h <= M, as a list."""
+    ends = [M] if horizons is None else list(horizons)
+    if not (ends and first <= ends[0] and all(a < b for a, b in zip(ends, ends[1:]))
+            and ends[-1] <= M):
+        raise ValueError(f"horizons must rise within {first}..{M}, got {horizons}")
+    return ends
+
+
+def wts_delay_bounds(M: int, B: int, p_B: float, horizons=None):
+    """The `WtsBounds` of M messages at window B, or with `horizons`, a
+    rising sequence of message counts h with B <= h <= M, one per h, each
+    equal to the call at M = h.  Every floor and ceil window count of every
+    h is one horizon of one `_horizon_tails` pass."""
     if not (1 <= B <= M):
         raise ValueError(f"need 1 <= B <= M, got B={B}, M={M}")
     if not (0.0 <= p_B <= 1.0):
         raise ValueError("window decode probability must lie in [0, 1]")
-    floor_w = M // B
-    ceil_w = -(-M // B)
-    lower, upper = _horizon_tails(ceil_w, p_B, [floor_w, ceil_w])
-    return WtsBounds(
-        delay_lower=B * _mean_of_tails(lower),
-        delay_upper=B * _mean_of_tails(upper),
-        decoded_lower=floor_w * p_B,
-        decoded_upper=ceil_w * p_B,
-    )
+    ends = check_horizons(M, B, horizons)
+    counts = sorted({w for h in ends for w in (h // B, -(-h // B))})
+    means = {
+        w: B * _mean_of_tails(tails)
+        for w, tails in zip(counts, _horizon_tails(counts[-1], p_B, counts))
+    }
+    bounds = [
+        WtsBounds(
+            delay_lower=means[h // B],
+            delay_upper=means[-(-h // B)],
+            decoded_lower=h // B * p_B,
+            decoded_upper=-(-h // B) * p_B,
+        )
+        for h in ends
+    ]
+    return bounds[0] if horizons is None else bounds
 
 
-def wts_mean_delay(M: int, B: int, p_B: float, p_r: float = 0.0) -> float:
+def wts_mean_delay(M: int, B: int, p_B: float, p_r=0.0, horizons=None):
     """Exact mean literal wTS delay: the longest zero-run over all M message
     slots (the statistic of `engine.evaluate_wts`) when the k = M // B full
     windows decode i.i.d. with probability p_B and the short last window of
@@ -408,31 +433,75 @@ def wts_mean_delay(M: int, B: int, p_B: float, p_r: float = 0.0) -> float:
     summed over the index k - f of the last successful full window; T_n(a)
     is the run tail of `run_tail_columns` (T_n(0) = 1: at x < B the gap before
     any success is already too long).  Every term is nonnegative.  The mean
-    is the sum over x = 1..M, averaged over s.  Memory is O(M): one tail
-    column at a time.
+    is the sum over x = 1..M, averaged over s.
+
+    With `horizons`, a rising sequence of message counts h with
+    B <= h <= M, `p_r` holds one short-window probability per h (that of
+    h mod B blocks) and the call returns one mean per h, each equal to the
+    call at M = h.  A column T_n(a), n < k, is bit for bit a prefix of the
+    same column at a larger k, so one pass over the columns at the largest
+    k serves every h: each h's one or two short-bit rows are stacked, and a
+    column updates only the rows of the h whose k exceeds it.  Memory is
+    O(rows * M): one tail column at a time.
     """
     if not (1 <= B <= M):
         raise ValueError(f"need 1 <= B <= M, got B={B}, M={M}")
-    if not (0.0 <= p_B <= 1.0 and 0.0 <= p_r <= 1.0):
+    ends = check_horizons(M, B, horizons)
+    shorts = [p_r] if horizons is None else list(p_r)
+    if len(shorts) != len(ends):
+        raise ValueError(f"need one short-window probability per horizon, got {p_r}")
+    if not (0.0 <= p_B <= 1.0 and all(0.0 <= p <= 1.0 for p in shorts)):
         raise ValueError("window decode probabilities must lie in [0, 1]")
-    k, r = divmod(M, B)
+    k = ends[-1] // B
     q_pow = (1.0 - p_B) ** np.arange(k + 1, dtype=np.float64)
     weights = p_B * q_pow[:k]
-    # (short window's bit s, its probability); s = 0 when B divides M
-    shorts = [(0, 1.0 - p_r), (1, p_r)] if r else [(0, 1.0)]
-    shorts = [(s, w) for s, w in shorts if w]
-    x = np.arange(1, M + 1)
-    b = np.array([-((r - s - x) // B) for s, _ in shorts])
-    m = np.clip(b, 0, k)
-    tails = np.where(b <= k, q_pow[m], 0.0)
-    prefix = np.zeros(k + 1)
+    x = np.arange(1, ends[-1] + 1)
+    # One row per (h, short window's bit s) of nonzero probability w, in the
+    # order of h; s = 0 only when B divides h.
+    rows = [
+        (i, h % B, s, w)
+        for i, (h, p) in enumerate(zip(ends, shorts))
+        for s, w in ([(0, 1.0 - p), (1, p)] if h % B else [(0, 1.0)])
+        if w
+    ]
+    owner = np.array([i for i, *_ in rows])
+    k_ends = [h // B for h in ends]
+    ks = [k_ends[i] for i, *_ in rows]
+    # Each row's m, and its tails' first term: [b <= k] times q^m.
+    m = np.empty((len(rows), x.size), np.int64)
+    tails = np.empty(m.shape)
+    for row, first, (_, r, s, _), kr in zip(m, tails, rows, ks):
+        np.floor_divide(r - s - x, B, out=row)
+        np.negative(row, out=row)  # b
+        np.less_equal(row, kr, out=first)
+        np.clip(row, 0, kr, out=row)
+    np.multiply(tails, q_pow[m], out=tails)
+    # Row i of `prefix` holds h_i's sums over f < j of p_B q^f T_{k_i-f-1}(a),
+    # the column read in reverse from its own k_i; no j > k_i is ever read.
+    reverse = np.array(k_ends)[:, None] - 1 - np.arange(k)
+    np.maximum(reverse, 0, out=reverse)
+    prefix = np.zeros((len(ends), k + 1))
+    h0 = r0 = 0  # the first h, and the first row, whose k exceeds the column
     # a = k adds nothing: T_n(k) = 0 for n < k
     columns = itertools.chain([np.ones(k)], run_tail_columns(k, p_B, k - 1))
     for a, column in enumerate(columns):
-        np.cumsum(weights * column[::-1], out=prefix[1:])
+        while k_ends[h0] <= a:
+            h0 += 1
+        while ks[r0] <= a:
+            r0 += 1
+        if h0 == len(ends) - 1:  # the largest h alone reads the whole column
+            gathered = np.multiply(column[::-1], weights)[None]
+        else:
+            gathered = column[reverse[h0:]]
+            np.multiply(gathered, weights, out=gathered)
+        np.cumsum(gathered, axis=1, out=prefix[h0:, 1:])
         xs = slice(max(a * B, 1) - 1, (a + 1) * B - 1)
-        tails[:, xs] += prefix[m[:, xs]]
-    return float(sum(w * row.sum() for (_, w), row in zip(shorts, tails)))
+        tails[r0:, xs] += prefix[owner[r0:, None], m[r0:, xs]]
+    means = [0] * len(ends)
+    for (i, _, _, w), row in zip(rows, tails):
+        means[i] += w * row[: ends[i]].sum()
+    means = [float(mean) for mean in means]
+    return means[0] if horizons is None else means
 
 
 def enumerate_run_tails(M: int, p: float) -> np.ndarray:

@@ -998,6 +998,171 @@ class TestWtsWindowChoice:
         assert abs(acc.mean_delay() - exact) <= 4 * acc.stderr_delay()
 
 
+# Links where p_B is 0 at every B (-5 dB, rate 20), near 1 from B = 1
+# (30 dB, rate 0.5), or in between.
+LINKS = st.sampled_from([(-5.0, 20.0), (30.0, 0.5), (-5.0, 1.0), (0.0, 2.0), (5.0, 2.0), (-8.0, 3.0)])
+# Rising message counts from 1 to 64: a window B of one point can exceed
+# another's M, or not divide it.
+MESSAGE_LISTS = st.lists(st.integers(1, 64), min_size=1, max_size=10, unique=True).map(sorted)
+
+
+class TestWtsWindowChoiceAtHorizons:
+    """`optimize_wts_window` at horizons: each point's window and objective
+    are, bit for bit, those of its own call, from one call for all."""
+
+    @given(link=LINKS, hs=MESSAGE_LISTS, maximize=st.booleans(), extra=st.integers(0, 3))
+    @example(link=(-5.0, 1.0), hs=list(range(8, 65, 8)), maximize=False, extra=0)
+    @example(link=(5.0, 2.0), hs=[1, 2, 3, 17, 40, 64], maximize=False, extra=0)
+    @settings(max_examples=80, deadline=None)
+    def test_each_horizon_is_its_own_call(self, link, hs, maximize, extra):
+        p = params(snr=link[0], rate=link[1], blocks=hs[-1] + extra)
+        got = optimize_wts_window(p, maximize, hs)
+        assert got == [optimize_wts_window(replace(p, blocks=h), maximize) for h in hs]
+
+    def test_points_stop_the_search_at_different_windows(self, monkeypatch):
+        # At -5 dB D-wTS chooses B = 4..7 over M = 8..64, and each point's
+        # search stops at its own B; one `wts_mean_delay` call per B serves
+        # the points still searching.
+        p = params(blocks=64)
+        hs = list(range(8, 65, 8))
+        calls = []
+        real = engine.wts_mean_delay
+
+        def counted(M, B, p_B, p_r=0.0, horizons=None):
+            calls.append((B, horizons))
+            return real(M, B, p_B, p_r, horizons)
+
+        monkeypatch.setattr(engine, "wts_mean_delay", counted)
+        reached = []
+        for h in hs:
+            calls.clear()
+            optimize_wts_window(replace(p, blocks=h), False)
+            reached.append(max(b for b, _ in calls))
+        assert len(set(reached)) > 1
+        calls.clear()
+        optimize_wts_window(p, False, hs)
+        assert [b for b, _ in calls] == list(range(1, max(reached) + 1))
+        for b, horizons in calls:
+            assert horizons == [h for h, last in zip(hs, reached) if b <= last]
+
+    @pytest.mark.parametrize("horizons", [[], [0], [3, 3], [5, 4], [21]])
+    def test_horizons_must_rise_within_m(self, horizons):
+        with pytest.raises(ValueError, match=r"horizons must rise within 1\.\.20"):
+            optimize_wts_window(params(), False, horizons)
+
+
+class TestLongWindowsInTheWorkspace:
+    """A window of 8 or more blocks is summed over a row-major copy
+    (`window_sums`); on a tile of a sampling pass the copy goes to the
+    tile's float64 temporary, not a new tile-sized array."""
+
+    def tile(self, blocks=64):
+        p = params(snr=0.0, blocks=blocks)
+        rows = channel.tile_elements(blocks) // blocks
+        workspace = channel.Workspace()
+        caps = sample_capacity_matrix(p, 5, 0, rows, workspace)
+        return channel.Tile(caps, workspace), p
+
+    def test_allocates_no_tile(self):
+        tile, p = self.tile()
+        assert tile.caps.shape == (1024, 64) and channel.block_major(tile.caps)
+        evaluate_wts(tile, p.rate, 8)  # builds the workspace's buffers
+        tracemalloc.start()
+        try:
+            evaluate_wts(tile, p.rate, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tile.caps.nbytes // 2  # a row-major copy of the tile takes 512 KB
+
+    @pytest.mark.parametrize("window, horizons", [(8, None), (9, [9, 17, 26, 64]), (13, [20, 64])])
+    def test_counts_and_delays_are_unchanged(self, window, horizons):
+        # Short windows of 8 or more blocks (h = 17 at B = 9) use the same
+        # temporary; a row-major copy of the tile takes no copy at all.
+        tile, p = self.tile()
+        caps = np.ascontiguousarray(tile.caps)
+        got = evaluate_wts(tile, p.rate, window, horizons)
+        want = evaluate_wts(caps, p.rate, window, horizons)
+        for (c, d), (wc, wd) in zip(*([x] if horizons is None else x for x in (got, want))):
+            assert c.tolist() == wc.tolist() and d.tolist() == wd.tolist()
+        for h, (c, d) in zip(horizons or [64], [got] if horizons is None else got):
+            expanded = wts_literal_delay_expanded(caps[:, :h], p.rate, window)
+            assert d.tolist() == expanded.tolist()
+            counts, _ = evaluate_wts(caps[:, :h], p.rate, window)
+            assert c.tolist() == counts.tolist()
+
+
+class TestClosedFormsOncePerSweep:
+    """A message sweep chooses each T-/D-wTS window and builds each wTS
+    delay cell once per pass, not once per point."""
+
+    SWEEP = tuple(range(8, 65, 8))
+
+    def sweep(self, snr=-5.0, values=SWEEP, schemes="mt,twts,dwts"):
+        return ExperimentConfig(
+            snr_db=snr, rate=1.0, messages=values[0], schemes=parse_scheme_list(schemes),
+            include_it_bound=False, trials=50, seed=3,
+            sweep_variable="messages", sweep_values=values,
+        )
+
+    def spy(self, monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_window_choice_per_optimized_scheme(self, monkeypatch):
+        calls = self.spy(monkeypatch, engine, "optimize_wts_window")
+        rows = run_experiment(self.sweep())
+        assert sorted(maximize for _, maximize, _ in calls) == [False, True]
+        assert all(list(hs) == list(self.SWEEP) for *_, hs in calls)
+        assert len(rows) == 3 * len(self.SWEEP)
+
+    def test_one_tail_pass_per_window_the_search_reaches(self, monkeypatch):
+        import streamfade.runstats as runstats
+
+        searches = self.spy(monkeypatch, engine, "wts_mean_delay")
+        p = params(blocks=64)
+        reached = []
+        for m in self.SWEEP:
+            searches.clear()
+            optimize_wts_window(replace(p, blocks=m), False)
+            reached.append(len(searches))  # one call per B = 1, 2, ...
+        passes = self.spy(monkeypatch, runstats, "run_tail_columns")
+        evaluate_points([replace(p, blocks=m) for m in self.SWEEP], {"d": Scheme("dwts")}, 50, 3)
+        assert len(passes) == max(reached) == 7
+
+    @pytest.mark.parametrize("snr", [-5.0, 5.0])
+    def test_one_delay_bounds_call_per_window(self, monkeypatch, snr):
+        import streamfade.experiments as experiments
+
+        calls = self.spy(monkeypatch, experiments, "wts_delay_bounds")
+        rows = run_experiment(self.sweep(snr))
+        windows = {1} | {r.window for r in rows if r.scheme != "MT"}
+        assert sorted(b for _, b, _, _ in calls) == sorted(windows)
+        for m, b, _, hs in calls:
+            assert hs == sorted({r.sweep_value for r in rows if (r.window or 1) == b})
+            assert m == hs[-1]
+
+    def test_other_points_keep_a_call_each(self, monkeypatch):
+        # Row-major points (M > 64) and the points of an SNR sweep each have
+        # a sampling pass of their own, and so a call of their own.
+        import streamfade.experiments as experiments
+
+        calls = self.spy(monkeypatch, experiments, "wts_delay_bounds")
+        run_experiment(self.sweep(values=(65, 70), schemes="mt"))
+        assert [hs for *_, hs in calls] == [[65], [70]]
+        calls.clear()
+        config = replace(self.sweep(schemes="mt"), sweep_variable="snr_db", sweep_values=(-5.0, 0.0))
+        run_experiment(config)
+        assert [hs for *_, hs in calls] == [[8], [8]]
+
+
 class TestWtsWindowUnits:
     @given(st.data())
     @settings(max_examples=300, deadline=None)

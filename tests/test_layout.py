@@ -139,4 +139,8 @@ def test_window_sums_are_numpys_row_major_sums():
             expected = matrix.reshape(rows, k, window).sum(axis=2)
             for layout in both_layouts(matrix):
                 assert window_sums(layout, window).tobytes() == expected.tobytes(), window
+                # A scratch buffer takes the row-major copy; the bits stay.
+                scratch = np.full(matrix.size + 5, np.nan)
+                got = window_sums(layout, window, scratch)
+                assert got.tobytes() == expected.tobytes(), window
 

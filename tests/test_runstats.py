@@ -25,6 +25,14 @@ from streamfade.runstats import (
 # Success probabilities with the degenerate ends, exactly and nearly.
 PROBS = st.sampled_from([0.0, 1.0, 1e-12, 1e-6, 1 - 1e-6, 1 - 1e-12]) | st.floats(0.0, 1.0)
 
+# (window B, rising horizons h in B..64): B need not divide h.
+HORIZONS = st.integers(1, 64).flatmap(
+    lambda window: st.tuples(
+        st.just(window),
+        st.lists(st.integers(window, 64), min_size=1, max_size=12, unique=True).map(sorted),
+    )
+)
+
 
 class TestTransitionMatrix:
     def test_structure(self):
@@ -244,6 +252,20 @@ class TestWtsBounds:
         with pytest.raises(ValueError):
             wts_delay_bounds(5, 0, 0.5)
 
+    @given(data=st.data(), p_b=PROBS)
+    @settings(max_examples=150, deadline=None)
+    def test_horizons_are_the_one_horizon_calls(self, data, p_b):
+        # One pass over the window counts of every horizon gives each h the
+        # bits of its own call, B dividing h or not.
+        window, hs = data.draw(HORIZONS)
+        got = wts_delay_bounds(hs[-1] + data.draw(st.integers(0, 3)), window, p_b, hs)
+        assert got == [wts_delay_bounds(h, window, p_b) for h in hs]
+
+    @pytest.mark.parametrize("horizons", [[], [2], [5, 5], [6, 5], [11]])
+    def test_horizons_must_rise_within_the_window_and_m(self, horizons):
+        with pytest.raises(ValueError, match=r"horizons must rise within 3\.\.10"):
+            wts_delay_bounds(10, 3, 0.5, horizons)
+
 
 class TestEnumeration:
     def test_guard(self):
@@ -364,3 +386,33 @@ class TestWtsMeanDelay:
             wts_mean_delay(5, 6, 0.5)
         with pytest.raises(ValueError):
             wts_mean_delay(5, 2, 0.5, 1.5)
+        with pytest.raises(ValueError, match="one short-window probability per horizon"):
+            wts_mean_delay(10, 3, 0.5, [0.5], [4, 5])
+        with pytest.raises(ValueError):
+            wts_mean_delay(10, 3, 0.5, [0.5, 1.5], [4, 5])
+        with pytest.raises(ValueError, match=r"horizons must rise within 3\.\.10"):
+            wts_mean_delay(10, 3, 0.5, [0.5, 0.5], [5, 4])
+
+    @given(data=st.data(), p_b=PROBS)
+    @settings(max_examples=200, deadline=None)
+    def test_horizons_are_the_one_horizon_calls(self, data, p_b):
+        # One pass over the tail columns at the largest k gives each h, with
+        # its own short window, the bits of its own call.
+        window, hs = data.draw(HORIZONS)
+        p_r = data.draw(st.lists(PROBS, min_size=len(hs), max_size=len(hs)))
+        got = wts_mean_delay(hs[-1] + data.draw(st.integers(0, 3)), window, p_b, p_r, hs)
+        assert got == [wts_mean_delay(h, window, p_b, p) for h, p in zip(hs, p_r)]
+
+    def test_horizons_make_one_tail_pass(self, monkeypatch):
+        import streamfade.runstats as runstats
+
+        lengths = []
+        columns = runstats.run_tail_columns
+
+        def counted(length, p, depth):
+            lengths.append(length)
+            return columns(length, p, depth)
+
+        monkeypatch.setattr(runstats, "run_tail_columns", counted)
+        wts_mean_delay(64, 3, 0.4, [0.1] * 5, [5, 9, 30, 31, 64])
+        assert lengths == [21]  # k = 64 // 3
