@@ -252,8 +252,8 @@ def _cmd_verify(args) -> int:
     # against references that share none of its kernels: every fixed row and
     # every PB depth from its allocation matrix, decoded trial by trial, the
     # chosen PB depth as their argmax, and the IT bound from the greedy scan
-    # of each trial.  With a chosen depth, eTS (PB at depth M) and the `pb:B`
-    # rows are read off the pass's depth table.  The eTS and PB rows' delay
+    # of each trial.  With a chosen depth, eTS and the `pb:B` rows are read
+    # off the pass's depth table.  The eTS and PB rows' delay
     # identity, delay = M - count, is held through these references.  M = 12
     # and 16 share one pass of block-major tiles, as a message sweep's points
     # do, with the depth table's counting kernel, and every wTS window of

@@ -19,31 +19,26 @@ evaluated, and they are not kept.
 A row at M is, bit for bit, the first M capacities of the same row at any
 larger M, so the block-major points of a message sweep share one pass at
 their largest M (`evaluate_points`): each point evaluates the tile's first
-M columns (`channel.Tile.head`), with the tile's S as its own.  A row that
-takes horizons is evaluated on the whole tile instead, once for the M of
+M columns (`channel.Tile.head`), with the tile's S as its own.  Every
+scheme is evaluated as the fixed row `schemes.Scheme.at` names, and a row
+other than PB is evaluated on the whole tile instead, once for the M of
 every point that makes it: the IT bound makes one scan of the tile, and the
 wTS rows one per distinct window B (`evaluate_wts` reads each M off the
 decodes and zero-runs of the first windows).  A row-major point, and a
 point of any other link, has a pass of its own.
 
-MT, which sends message t in block t only, is wTS with a window of one
-block: its row is `evaluate_wts` at B = 1, and it shares the scan of a
-`wts:1` row.  eTS, which shares every block among all unexpired messages,
-is PB at depth M: its row is `evaluate_pb` with no window.
-
 An optimized PB depth is chosen from the depth table, and at such a point
-the chosen row, eTS and every fixed `pb:B` row are read off the table
-(`pb_accumulator`): `evaluate_pb` decides a decode by the table's own
-comparisons, so the two agree bit for bit.  A point with no chosen depth
-builds no table, and its PB rows are `evaluate_pb`'s.  T-wTS and D-wTS
-choose their window before sampling, from exact objectives, at every M of
-a pass in one `optimize_wts_window` call per scheme, and are evaluated as a
-fixed `wts:B` row in the same pass, so the two share a scan where they
-choose the same B.  Tiles
-are keyed by absolute trial index and reduce to exact integer sums, so
-results are bit-identical regardless of worker count and tile size.  All
-schemes at one point share the same traces (common random numbers), which
-makes per-realization dominance comparisons exact.
+every PB row is read off the table (`pb_accumulator`): `evaluate_pb`
+decides a decode by the table's own comparisons, so the two agree bit for
+bit.  A point with no chosen depth builds no table, and its PB rows are
+`evaluate_pb`'s.  T-wTS and D-wTS choose their window before sampling,
+from exact objectives, at every M of a pass in one `optimize_wts_window`
+call per scheme, and are evaluated as a fixed `wts:B` row in the same
+pass, so the two share a scan where they choose the same B.  Tiles are
+keyed by absolute trial index and reduce to exact integer sums, so results
+are bit-identical regardless of worker count and tile size.  All schemes
+at one point share the same traces (common random numbers), which makes
+per-realization dominance comparisons exact.
 
 A tile of rows of at most `channel.BLOCK_MAJOR_MAX_BLOCKS` capacities is
 block-major, and every evaluator then reduces across trials, one contiguous
@@ -85,13 +80,11 @@ from .channel import (
 # The informed bound is the IT row's evaluator; the scheme table reaches it
 # here, next to the other evaluators.
 from .informed import informed_counts_and_delays
-from .metrics import max_zero_run_rows
 from .runstats import check_horizons, wts_mean_delay
 
 
-def evaluate_pb(caps, rate: float, window: int | None = None):
-    """Pre-buffering: only the last `window` messages are sent; no window is
-    depth M, where every block is shared by all unexpired messages (eTS).
+def evaluate_pb(caps, rate: float, window: int):
+    """Pre-buffering: only the last `window` messages are sent.
 
     Decodes are the comparisons of `pb_count_sums` at depth B = `window`.
     Decoded messages always form a suffix, so the longest zero-run equals
@@ -99,7 +92,6 @@ def evaluate_pb(caps, rate: float, window: int | None = None):
     """
     tile = as_tile(caps)
     m = tile.caps.shape[1]
-    window = m if window is None else window
     if not (1 <= window <= m):
         raise ValueError(f"need 1 <= window <= blocks, got {window}")
     first = m - window
@@ -150,23 +142,10 @@ def window_sums(block: np.ndarray, window: int, scratch: np.ndarray | None = Non
     return sums
 
 
-def wts_decode_bits(caps: np.ndarray, rate: float, window: int):
-    """(full-window decode bits, short-window bit or None) for windowed sharing."""
-    m = caps.shape[1]
-    if not (1 <= window <= m):
-        raise ValueError(f"need 1 <= window <= blocks, got {window}")
-    n_full = m // window
-    remainder = m - n_full * window
-    full = window_sums(caps, window) >= rate
-    short = window_sums(caps[:, n_full * window :], remainder)[:, 0] >= rate if remainder else None
-    return full, short
-
-
 def evaluate_wts(caps, rate: float, window: int, horizons=None):
     """Windowed time-sharing: (counts, delays), where `delays` is the literal
     longest zero-run over all M message slots (untransmitted messages count
-    as failures); see `wts_window_delays` for the statistic that the wTS
-    delay bounds bound.
+    as failures).
 
     Only messages jB, and h after a short last window of h mod B blocks, are
     ever sent.  With `horizons`, a rising sequence of message counts h with
@@ -221,18 +200,6 @@ def evaluate_wts(caps, rate: float, window: int, horizons=None):
     if horizons is None:
         return counts[0], delays[0]
     return list(zip(counts, delays))
-
-
-def wts_window_delays(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
-    """Per-trial wTS delay in whole windows: `window` times the longest run of
-    consecutive failed full windows (a trailing short window is not counted).
-
-    This is the statistic bracketed by the floor/ceil substitution into the
-    run-length closed form (`runstats.wts_delay_bounds`), not the literal
-    delay of `evaluate_wts`; the two coincide at window 1.
-    """
-    full, _ = wts_decode_bits(caps, rate, window)
-    return window * max_zero_run_rows(full)
 
 
 def _depth_margins(tile, rate: float, out: np.ndarray) -> np.ndarray:
@@ -355,9 +322,8 @@ def pb_count_sums(caps, rate: float) -> np.ndarray:
 
 @dataclass
 class Accumulator:
-    """Exact integer sums of per-trial statistics over `trials` trials at one
-    window B, in the order of `moments`.  `window` is the row's own B: None
-    for MT, eTS and IT, though MT is taken at B = 1 and eTS at depth M."""
+    """Exact integer sums of per-trial statistics over `trials` trials, in the
+    order of `moments`, and the row's B cell `window` (`evaluate_points`)."""
 
     window: int | None
     trials: int
@@ -543,27 +509,27 @@ def optimize_wts_window(params: ChannelParams, maximize_throughput: bool, horizo
 
 
 def _fixed_rows(params: ChannelParams, schemes: dict, windows: dict) -> tuple[dict, dict]:
-    """(key -> scheme evaluated at a fixed window or none, key -> depth of a
-    PB row read off the depth table) at one point, before sampling.
+    """(key -> (the fixed row evaluated, its B cell), key -> depth of a PB
+    row read off the depth table) at one point, before sampling.
 
-    T-/D-wTS (`table` "wts") take their window from `windows`: key -> M ->
-    the (B, objective) of `optimize_wts_window`.  A row whose `table` is
-    "pb" is PB at one depth: its fixed B, M on a row that takes no window
-    (eTS), or else the depth the table chooses (None).  Only a point with a
-    chosen depth builds the table, and then every such row is read off it;
-    at any other point they are fixed rows (`evaluate_pb`)."""
+    Each scheme is the row `Scheme.at` names, T-/D-wTS at the window
+    `windows` holds for them (key -> M -> the (B, objective) of
+    `optimize_wts_window`).  A PB row whose depth the table is to choose
+    has depth None: only a point with such a row builds the table, and then
+    every PB row is read off it; at any other point they are fixed rows
+    (`evaluate_pb`)."""
+    m = params.blocks
     fixed, depths = {}, {}
     for key, scheme in schemes.items():
-        if scheme.row.table == "pb":
-            depths[key] = scheme.window or (params.blocks if scheme.row.window == "none" else None)
-        elif scheme.row.table == "wts":
-            window, _ = windows[key][params.blocks]
-            fixed[key] = replace(scheme, name="wts", window=window)
+        chosen = windows[key][m][0] if key in windows else None
+        row = scheme.at(m, chosen)
+        if row.name == "pb":
+            depths[key] = row.window
         else:
-            fixed[key] = scheme
+            fixed[key] = row, scheme.window or chosen
     if None in depths.values():
         return fixed, depths
-    return fixed | {key: schemes[key] for key in depths}, {}
+    return fixed | {key: (schemes[key].at(m), schemes[key].window) for key in depths}, {}
 
 
 def _passes(points: list) -> list[list[int]]:
@@ -586,20 +552,13 @@ def _passes(points: list) -> list[list[int]]:
     return passes
 
 
-def _scan(scheme) -> tuple:
-    """What a fixed row that takes horizons evaluates: its row's evaluator at
-    its window.  MT is wTS at B = 1, so it shares the scan of `wts:1`."""
-    return ("wts", 1) if scheme.name == "mt" else (scheme.name, scheme.window)
-
-
 def _evaluate_pass(points: list, schemes: dict, trials: int, seed: int, threads: int) -> list:
     """`evaluate_points` of points of one link, in one `tile_sums` pass at
-    their largest M.  Each point reads its rows off the tile's `head` at its
-    M, but a row that takes horizons (IT, MT and the wTS rows) is evaluated
-    once per tile for each of its scans (`_scan`: IT's one, a wTS row's one
-    per distinct window), at the M of every point whose fixed row makes it.
-    Each T-/D-wTS row chooses its window at every M of the pass in one
-    `optimize_wts_window` call, before the points are planned."""
+    their largest M.  Each point reads its PB rows off the tile's `head` at
+    its M, and every other fixed row (IT and `wts:B`) is evaluated once per
+    tile, at the M of every point that makes it.  Each T-/D-wTS row chooses
+    its window at every M of the pass in one `optimize_wts_window` call,
+    before the points are planned."""
     widest = max(points, key=lambda params: params.blocks)
     hs = sorted({params.blocks for params in points})
     windows = {
@@ -608,28 +567,25 @@ def _evaluate_pass(points: list, schemes: dict, trials: int, seed: int, threads:
         if scheme.row.table == "wts"
     }
     plans = [_fixed_rows(params, schemes, windows) for params in points]
-    scans = {}  # scan -> (a fixed row that makes it, the M of its points)
+    scans = {}  # a fixed row other than PB -> the M of the points that make it
     for params, (fixed, _) in zip(points, plans):
-        for scheme in fixed.values():
-            if scheme.row.horizons:
-                scans.setdefault(_scan(scheme), (scheme, set()))[1].add(params.blocks)
-    scans = {scan: (scheme, sorted(blocks)) for scan, (scheme, blocks) in scans.items()}
+        for row, _ in fixed.values():
+            if row.name != "pb":
+                scans.setdefault(row, set()).add(params.blocks)
+    scans = {row: sorted(blocks) for row, blocks in scans.items()}
     rate = points[0].rate
 
     def consumer(tile):
         stats = {
-            scan: dict(zip(hs, s.row.evaluate(tile, rate, s.window, hs)))
-            for scan, (s, hs) in scans.items()
+            row: dict(zip(hs, row.row.evaluate(tile, rate, row.window, hs)))
+            for row, hs in scans.items()
         }
         sums = []
         for params, (fixed, depths) in zip(points, plans):
             head = tile.head(params.blocks)
-            for scheme in fixed.values():
-                if scheme.row.horizons:
-                    row = stats[_scan(scheme)][params.blocks]
-                else:
-                    row = scheme.evaluate(head, rate)
-                sums.append(moments(*row))
+            for row, _ in fixed.values():
+                pair = stats[row][params.blocks] if row in stats else row.evaluate(head, rate)
+                sums.append(moments(*pair))
             if depths:
                 sums.append(pb_count_sums(head, rate))
         return sums
@@ -638,8 +594,8 @@ def _evaluate_pass(points: list, schemes: dict, trials: int, seed: int, threads:
     out = []
     for fixed, depths in plans:
         accums = {
-            key: Accumulator(scheme.window, trials, *next(sums).tolist())
-            for key, scheme in fixed.items()
+            key: Accumulator(window, trials, *next(sums).tolist())
+            for key, (_, window) in fixed.items()
         }
         if depths:
             table = next(sums)
@@ -657,13 +613,14 @@ def evaluate_points(points, schemes: dict, trials: int, seed: int, threads: int 
     which read their rows off the first columns of its tiles (see the module
     docstring), and one pass for every other point.
 
-    `schemes` maps an arbitrary key to a `schemes.Scheme`; each gets its
-    window at each point as `_fixed_rows` says, and a chosen PB depth's row
-    is read off the depth table of the pass.  Every other row's sums are
+    `schemes` maps an arbitrary key to a `schemes.Scheme`; each is
+    evaluated at each point as `_fixed_rows` says, and a chosen PB depth's
+    row is read off the depth table of the pass.  Every other row's sums are
     the `moments` of its per-trial counts and delays.  Returns, for each
-    point, key -> Accumulator, whose `window` is the B the statistics were
-    taken at.  The sums are exact integers, so the result is independent of
-    `threads`, of the tile size and of the points evaluated with it.
+    point, key -> Accumulator, whose `window` is the CSV's B cell: the
+    window the row was given or chose, so None for MT, eTS and IT.  The
+    sums are exact integers, so the result is independent of `threads`, of
+    the tile size and of the points evaluated with it.
     """
     points = list(points)
     if points:

@@ -7,8 +7,8 @@ key and its flag take the same text to the same value or `section.key` error.
 A run evaluates a set of schemes over a sweep (message count or SNR) on
 shared traces and writes one CSV row per (sweep point, scheme).  Analytic
 closed forms are emitted alongside simulated values where they exist: the
-per-block scheme (wTS at B = 1) has exact throughput and delay, windowed
-time-sharing has floor/ceil delay bounds (in whole-window units, see README).
+per-block scheme (MT) has exact throughput and delay, windowed time-sharing
+has floor/ceil delay bounds (in whole-window units, see README).
 The points that share a sampling pass share the delay bounds' run tails too:
 one `wts_delay_bounds` call per window B for all of them (`_delay_cells`).
 """
@@ -283,11 +283,11 @@ _csv_values = operator.attrgetter(*(field for _, field in _CSV_COLUMNS))
 
 
 def _window_prob(params: ChannelParams, scheme: Scheme, window: int | None):
-    """(B, p_B) of a cell's closed forms, or None where there are none: the
-    row's window, or B = 1 for MT (wTS at B = 1)."""
+    """(B, p_B) of a cell's closed forms, or None where there are none: B is
+    that of the row `Scheme.at` names at the window the cell reports."""
     if scheme.row.analytic is None:
         return None
-    b = 1 if window is None else window
+    b = scheme.at(params.blocks, window).window
     return b, window_decode_prob(params, b)
 
 
@@ -316,8 +316,8 @@ def _rows(config, points: list, cells: list) -> list[ResultRow]:
     """The rows of every sweep point (sweep variable, value, params) of
     `points`, one per (scheme, window, accumulator) of its `cells`; a cell
     without an accumulator is closed-form only.  Analytic cells exist where
-    a closed form does: the wTS delay bounds at B = the window, or B = 1 for
-    MT (where they coincide), and MT's throughput rate * p_1."""
+    a closed form does: the wTS delay bounds at the row's B (`_window_prob`),
+    and MT's throughput rate * p_1."""
     params = [p for *_, p in points]
     probs = [
         [_window_prob(p, scheme, window) for scheme, window, _ in row]
@@ -357,9 +357,6 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     deterministic in the seed."""
     schemes = config.schemes + ((Scheme("it"),) if config.include_it_bound else ())
     points = config.sweep_points()
-    for *_, params in points:
-        for scheme in schemes:
-            scheme.check_window(params.blocks)
     results = engine.evaluate_points(
         [params for *_, params in points],
         dict(enumerate(schemes)),
@@ -374,11 +371,11 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 def analytic_rows(config: ExperimentConfig) -> list[ResultRow]:
     """Closed-form-only table: one row per scheme of `config` at each sweep
     point, skipping a window longer than the point's M (`analyze` asks for
-    MT, whose values are the wTS bounds at B = 1, and windowed bounds)."""
+    MT and windowed bounds)."""
     points = config.sweep_points()
     cells = [
         [(scheme, scheme.window, None) for scheme in config.schemes
-         if (scheme.window or 1) <= params.blocks]
+         if scheme.at(params.blocks).window <= params.blocks]
         for *_, params in points
     ]
     return _rows(config, points, cells)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import _bits
 from .channel import as_tile, scan_blocks
+from .runstats import check_horizons
 
 
 @dataclass(frozen=True)
@@ -191,9 +192,7 @@ def informed_counts_and_delays(capacity_matrix, rate: float, horizons=None):
     tile = as_tile(capacity_matrix)
     i_tot = tile.prefix
     m = i_tot.shape[1]
-    ends = [m] if horizons is None else list(horizons)
-    if not (ends and 0 < ends[0] and all(a < b for a, b in zip(ends, ends[1:])) and ends[-1] <= m):
-        raise ValueError(f"horizons must rise within 1..{m}, got {horizons}")
+    ends = check_horizons(m, 1, horizons)
     # K - t lies in [-M, M]: int32 halves the traffic of every integer pass.
     t = np.arange(1, m + 1, dtype=np.int32 if m < 1 << 30 else np.int64)
     k = tile.temporary(t.dtype)

@@ -26,8 +26,8 @@ of each.  The wTS forms take horizons, a rising list of message counts, so
 that the points of a message sweep share one pass per window B:
 `wts_delay_bounds` reads the floor and ceil window counts of every horizon
 from one pass, and `wts_mean_delay`, the D-wTS window objective, iterates
-the columns at the largest horizon once for all of them.  MT is wTS at
-B = 1, and the CSV's MT cells are both bounds at B = 1: `mt_mean_max_delay`.
+the columns at the largest horizon once for all of them.  The CSV's MT
+cells are both bounds at B = 1: `mt_mean_max_delay`.
 
 In the partial-fraction expansion the z = 1 pole always has residue exactly 1
 (q_d(1) = (1-p)^d), so it is peeled off in closed form before any numerics;

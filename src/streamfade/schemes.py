@@ -3,7 +3,8 @@
 A `Scheme` is a row name of `SCHEMES` plus, for PB and wTS, an optional
 fixed window B (PB's buffer depth, wTS's window length).  Scheme tokens,
 CSV labels, the engine's evaluation and window choice, and the analytic CSV
-columns all read the table.
+columns all read the table, and every layer takes a scheme at a point as
+the fixed row `Scheme.at` names.
 
 `build_allocation` is the reference path for the fixed-window schemes:
 alpha[m-1, t-1] is the fraction of block t's channel uses spent on message m.
@@ -18,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine
+from .channel import as_tile
 from .errors import ConfigError
 
 # Window rules: a scheme takes no B, needs a fixed B, or takes a fixed B or
@@ -31,29 +33,21 @@ class SchemeRow:
 
     label     the CSV `scheme` cell
     window    the window rule: NONE, REQUIRED or OPTIONAL
-    evaluate  (caps, rate, B) -> per-trial (decoded counts, longest zero-runs)
-    table     "wts": B is chosen at each point from exact objectives
-              before sampling (`engine.optimize_wts_window`), and the row is
-              evaluated as `wts:B` in the point's one pass.  "pb": the row is
-              PB at one depth of the point's depth table, its fixed B, M on
-              a row whose rule is NONE (eTS), or else the depth the table
-              chooses; a point with a chosen depth reads every such row off
-              the table.  None for every other row
+    evaluate  (caps, rate, B) -> per-trial (decoded counts, longest zero-runs);
+              wTS's and IT's also take a rising list of message counts and
+              then return one pair per count
+    table     a row without a window is this row at the window chosen at
+              each point (`Scheme.at`): "wts", from exact objectives before
+              sampling (`engine.optimize_wts_window`), or "pb", by the
+              point's depth table.  None for every other row
     maximize  the choice maximizes throughput, else it minimizes delay (PB's
               two choices coincide, since delay = M - count per realization)
     analytic  the closed form behind the analytic CSV cells: "bounds" (the
-              wTS floor/ceil delay bounds at the row's B, or B = 1 for MT) or
-              "exact" (MT: those bounds, which coincide, and the throughput
+              wTS floor/ceil delay bounds at the row's B) or "exact" (those
+              bounds, which coincide at MT's B = 1, and the throughput
               rate * p_1); None where no closed form exists
     token     accepted as a scheme token; the IT bound is requested by
               `include_it_bound` only
-    horizons  `evaluate` also takes a rising list of message counts h, and
-              then returns one (counts, delays) per h from one evaluation
-              of a tile of the largest, so that the points of a message
-              sweep share it (`engine.evaluate_points`): IT, MT and `wts:B`,
-              which T-/D-wTS are evaluated as.  A pass makes one evaluation
-              per tile for each window such a row is taken at, and MT is
-              taken at B = 1
     """
 
     label: str
@@ -63,7 +57,6 @@ class SchemeRow:
     maximize: bool = True
     analytic: str | None = None
     token: bool = True
-    horizons: bool = False
 
 
 # Evaluators are looked up on the engine module at call time, so that a
@@ -76,30 +69,19 @@ def _evaluate_pb(caps, rate, window):
     return engine.evaluate_pb(caps, rate, window)
 
 
+def _evaluate_it(caps, rate, _, horizons=None):
+    return engine.informed_counts_and_delays(caps, rate, horizons)
+
+
+# MT and eTS are evaluated as the rows `Scheme.at` names.
 SCHEMES = {
-    # MT sends message t in block t only: wTS with a window of one block.
-    "mt": SchemeRow(
-        "MT",
-        NONE,
-        lambda caps, rate, _, horizons=None: _evaluate_wts(caps, rate, 1, horizons),
-        analytic="exact",
-        horizons=True,
-    ),
-    # eTS shares every block among all unexpired messages: PB at depth M.
-    "ets": SchemeRow("eTS", NONE, _evaluate_pb, table="pb"),
+    "mt": SchemeRow("MT", NONE, _evaluate_wts, analytic="exact"),
+    "ets": SchemeRow("eTS", NONE, _evaluate_pb),
     "pb": SchemeRow("PB", OPTIONAL, _evaluate_pb, table="pb"),
-    "wts": SchemeRow("wTS", REQUIRED, _evaluate_wts, analytic="bounds", horizons=True),
+    "wts": SchemeRow("wTS", REQUIRED, _evaluate_wts, analytic="bounds"),
     "twts": SchemeRow("T-wTS", NONE, _evaluate_wts, table="wts", maximize=True, analytic="bounds"),
     "dwts": SchemeRow("D-wTS", NONE, _evaluate_wts, table="wts", maximize=False, analytic="bounds"),
-    "it": SchemeRow(
-        "IT",
-        NONE,
-        lambda caps, rate, _, horizons=None: engine.informed_counts_and_delays(
-            caps, rate, horizons
-        ),
-        token=False,
-        horizons=True,
-    ),
+    "it": SchemeRow("IT", NONE, _evaluate_it, token=False),
 }
 
 
@@ -133,8 +115,25 @@ class Scheme:
     def label(self) -> str:
         return self.row.label
 
-    def evaluate(self, caps: np.ndarray, rate: float):
-        return self.row.evaluate(caps, rate, self.window)
+    def at(self, blocks: int, chosen: int | None = None) -> Scheme:
+        """The fixed row this scheme is evaluated, allocated and closed-formed
+        as at M = `blocks`.  MT, which sends message t in block t only, is
+        `wts:1`; eTS, which shares every block among all unexpired messages,
+        is `pb:M`; a row with a `table` and no window is that table's row at
+        the window `chosen` at its point, once there is one; and every other
+        scheme is itself."""
+        if self.name == "mt":
+            return Scheme("wts", 1)
+        if self.name == "ets":
+            return Scheme("pb", blocks)
+        if self.window is None and self.row.table and chosen is not None:
+            return Scheme(self.row.table, chosen)
+        return self
+
+    def evaluate(self, caps, rate: float):
+        tile = as_tile(caps)
+        fixed = self.at(tile.caps.shape[1])
+        return fixed.row.evaluate(tile, rate, fixed.window)
 
     def check_window(self, blocks: int) -> None:
         if self.window is not None and self.window > blocks:
@@ -165,20 +164,19 @@ def format_scheme_token(scheme: Scheme) -> str:
 
 
 def build_allocation(scheme: Scheme, blocks: int) -> np.ndarray:
-    """Construct the (blocks, blocks) time-fraction matrix of a scheme with a
-    fixed window (or none): MT, eTS (`pb:M`), `pb:B` or `wts:B`."""
-    scheme.check_window(blocks)
-    m = blocks
-    b = m if scheme.name == "ets" else scheme.window  # eTS is PB at depth M
+    """Construct the (blocks, blocks) time-fraction matrix of a scheme whose
+    row at M = `blocks` (`Scheme.at`) is `pb:B` or `wts:B`: MT, eTS, or
+    those rows."""
+    fixed = scheme.at(blocks)
+    fixed.check_window(blocks)
+    m, b = blocks, fixed.window
     alpha = np.zeros((m, m))
-    if scheme.name == "mt":
-        np.fill_diagonal(alpha, 1.0)
-    elif scheme.name in ("ets", "pb") and b is not None:
+    if fixed.name == "pb" and b is not None:
         first = m - b  # transmitted rows are first..m-1 (messages M-B+1..M)
         alpha[first:, : first + 1] = 1.0 / b
         for j in range(first + 1, m):  # later blocks shared by survivors
             alpha[j:, j] = 1.0 / (m - j)
-    elif scheme.name == "wts":
+    elif fixed.name == "wts":
         windows = -(-m // b)
         for k in range(1, windows + 1):
             msg = min(k * b, m)

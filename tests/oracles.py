@@ -8,8 +8,9 @@ defines it.  The window failure masses are the direct-convolution reference
 of the FFT chain in `channel`.  `run_tails_table` is the n-major run-tail
 table that `runstats.run_tails` replaced; the column order must match it bit
 for bit.  `ets_counts_by_running_total` is eTS's rule before eTS was read as
-PB at depth M.  `lowest_usable_snr` finds the edge of the SNR range by
-bisection.
+PB at depth M.  `wts_decode_bits` and `wts_window_delays` give the wTS
+window decodes and the window-unit delay that the wTS delay bounds bound.
+`lowest_usable_snr` finds the edge of the SNR range by bisection.
 """
 import math
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from streamfade.channel import _capacity_masses
 from streamfade.channel import equal_share_weights, usable_snr
-from streamfade.engine import wts_decode_bits
+from streamfade.engine import window_sums
 
 
 def max_zero_run_rows_loop(v) -> np.ndarray:
@@ -30,6 +31,30 @@ def max_zero_run_rows_loop(v) -> np.ndarray:
         run = np.where(arr[:, t], 0, run + 1)
         np.maximum(best, run, out=best)
     return best
+
+
+def wts_decode_bits(caps: np.ndarray, rate: float, window: int):
+    """(full-window decode bits, short-window bit or None) for windowed sharing."""
+    m = caps.shape[1]
+    if not (1 <= window <= m):
+        raise ValueError(f"need 1 <= window <= blocks, got {window}")
+    n_full = m // window
+    remainder = m - n_full * window
+    full = window_sums(caps, window) >= rate
+    short = window_sums(caps[:, n_full * window :], remainder)[:, 0] >= rate if remainder else None
+    return full, short
+
+
+def wts_window_delays(caps: np.ndarray, rate: float, window: int) -> np.ndarray:
+    """Per-trial wTS delay in whole windows: `window` times the longest run of
+    consecutive failed full windows (a trailing short window is not counted).
+
+    This is the statistic bracketed by the floor/ceil substitution into the
+    run-length closed form (`runstats.wts_delay_bounds`), not the literal
+    delay of `engine.evaluate_wts`; the two coincide at window 1.
+    """
+    full, _ = wts_decode_bits(caps, rate, window)
+    return window * max_zero_run_rows_loop(full)
 
 
 def informed_counts_and_delays_loop(capacity_matrix: np.ndarray, rate: float):

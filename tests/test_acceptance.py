@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import streamfade
-from oracles import pb_mi_matrix
+from oracles import max_zero_run_rows_loop, pb_mi_matrix, wts_window_delays
 from streamfade.asymptotic import optimal_prebuffer_fraction, verify_threshold
 from streamfade.channel import (
     ChannelParams,
@@ -29,7 +29,6 @@ from streamfade.engine import (
     evaluate_pb,
     evaluate_wts,
     pb_count_sums,
-    wts_window_delays,
 )
 from streamfade.informed import (
     informed_counts_and_delays,
@@ -37,7 +36,6 @@ from streamfade.informed import (
     min_delay_max_rate,
     oracle_exhaustive,
 )
-from streamfade.metrics import max_zero_run_rows
 from streamfade.runstats import (
     enumerate_run_tails,
     mt_mean_max_delay,
@@ -131,14 +129,14 @@ def test_criterion_4_scheme_delay_identities(caps_m40):
     checked = 0
     for snr, caps in caps_m40.items():
         ets_bits = as_tile(caps).running >= 1.0
-        ets_delay = max_zero_run_rows(ets_bits)
+        ets_delay = max_zero_run_rows_loop(ets_bits)
         ets_count = ets_bits.sum(axis=1)
         assert np.all(ets_delay == BLOCKS - ets_count), f"eTS identity broken at {snr}"
         checked += caps.shape[0]
         for window in (2, 11, 25, 40):
             bits = np.zeros((caps.shape[0], BLOCKS), dtype=bool)
             bits[:, BLOCKS - window :] = pb_mi_matrix(caps, window) >= 1.0
-            delay = max_zero_run_rows(bits)
+            delay = max_zero_run_rows_loop(bits)
             count = bits.sum(axis=1)
             assert np.all(delay == BLOCKS - count), f"PB identity broken at {snr}, B={window}"
             # aggregate corollary: T = R (1 - D/M)

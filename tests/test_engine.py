@@ -18,6 +18,7 @@ from oracles import (
     pb_count_sums_loop,
     pb_mi_matrix,
     wts_literal_delay_expanded,
+    wts_window_delays,
 )
 from streamfade import channel, engine
 from streamfade.informed import informed_trial
@@ -40,7 +41,6 @@ from streamfade.engine import (
     pb_accumulator,
     pb_count_sums,
     tile_sums,
-    wts_window_delays,
 )
 from streamfade.experiments import ExperimentConfig, render_csv, run_experiment
 from streamfade.runstats import wts_mean_delay
@@ -1283,7 +1283,9 @@ class TestBenchmarkSpans:
         # `engine.evaluate_ets` is gone too, and with a chosen PB depth the
         # eTS and `pb:3` rows are read off the depth table: no
         # `engine.evaluate_pb` call.  A run makes one
-        # `engine.evaluate_points` call, which `evaluate_point` wraps.
+        # `engine.evaluate_points` call, which `evaluate_point` wraps.  No
+        # evaluator calls `metrics.max_zero_run_rows`, which is gone with
+        # the engine's binding of it.
         assert [name for name in traced if summary[f"{name}.calls"] == 0] == [
             "engine.evaluate_point",
             "engine.evaluate_mt",
@@ -1293,6 +1295,8 @@ class TestBenchmarkSpans:
         assert dump["absent"] == [
             "streamfade.engine.evaluate_mt",
             "streamfade.engine.evaluate_ets",
+            "streamfade.metrics.max_zero_run_rows",
+            "streamfade.engine.max_zero_run_rows",
             "streamfade.experiments.mt_mean_max_delay",
             "streamfade.runstats.run_tail",
         ]

@@ -345,8 +345,9 @@ class TestSimulationWithinAnalyticBounds:
     def test_mt_and_wts_points_track_their_closed_forms(self):
         # every simulated MT/wTS point within the analytic values +- 4 stderr;
         # the wTS delay bound applies to the whole-window run statistic
+        from oracles import wts_window_delays
         from streamfade.channel import sample_capacity_matrix, window_decode_prob
-        from streamfade.engine import evaluate_wts, wts_window_delays
+        from streamfade.engine import evaluate_wts
         from streamfade.runstats import wts_delay_bounds
 
         config = small_config(

@@ -19,10 +19,8 @@ from streamfade.engine import (
     evaluate_wts,
     pb_count_sums,
     window_sums,
-    wts_window_delays,
 )
 from streamfade.informed import informed_counts_and_delays
-from streamfade.metrics import max_zero_run_at
 from streamfade.schemes import Scheme
 
 
@@ -60,10 +58,9 @@ def test_evaluators_agree_across_layouts(data):
     rate = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     window = data.draw(st.integers(1, m))
     assert_same_on_both(Scheme("mt").evaluate, caps, rate)
-    assert_same_on_both(evaluate_pb, caps, rate)  # depth M: eTS
+    assert_same_on_both(Scheme("ets").evaluate, caps, rate)  # depth M
     assert_same_on_both(evaluate_pb, caps, rate, window)
     assert_same_on_both(evaluate_wts, caps, rate, window)
-    assert_same_on_both(wts_window_delays, caps, rate, window)
     assert_same_on_both(informed_counts_and_delays, caps, rate)
     for kernel in (engine._pb_tile_by_counting, engine._pb_tile_by_search):
         with mock.patch.object(engine, "pb_tile_kernel", lambda _: kernel):
@@ -103,16 +100,6 @@ def test_wts_horizons_equal_the_heads(data):
         whole = evaluate_wts(layout, rate, window)
         (at_m,) = evaluate_wts(layout, rate, window, [m])
         assert all(x.tobytes() == y.tobytes() for x, y in zip(whole, at_m))
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_zero_runs_agree_across_layouts(data):
-    length = data.draw(st.integers(1, 80))
-    slots = sorted(data.draw(st.sets(st.integers(0, length - 1), min_size=1)))
-    rows = data.draw(st.integers(1, 9))
-    bits = data.draw(arrays(bool, (rows, len(slots))))
-    assert_same_on_both(max_zero_run_at, bits, np.array(slots), length)
 
 
 def test_scan_matches_accumulate():

@@ -65,6 +65,34 @@ class TestSpecValidation:
             build_allocation(Scheme("wts", 9), 8)
 
 
+class TestResolution:
+    """`Scheme.at`: the one rule for the fixed row a scheme is evaluated,
+    allocated and closed-formed as at a point."""
+
+    @pytest.mark.parametrize("m", [1, 2, 64, 65])
+    def test_every_row_resolves_to_itself_but_mt_and_ets(self, m):
+        special = {"mt": Scheme("wts", 1), "ets": Scheme("pb", m)}
+        windows = sorted({1, (m + 1) // 2, m})
+        rows = [Scheme(name) for name in ("mt", "ets", "pb", "twts", "dwts", "it")]
+        rows += [Scheme(name, b) for name in ("pb", "wts") for b in windows]
+        for scheme in rows:
+            assert scheme.at(m) == special.get(scheme.name, scheme)
+
+    @pytest.mark.parametrize("m", [1, 2, 64, 65])
+    def test_a_chosen_window_fixes_only_the_rows_that_choose(self, m):
+        assert Scheme("twts").at(m, m) == Scheme("dwts").at(m, m) == Scheme("wts", m)
+        assert Scheme("pb").at(m, m) == Scheme("pb", m)
+        assert Scheme("pb", 1).at(m, m) == Scheme("pb", 1)
+        assert Scheme("mt").at(m, m) == Scheme("wts", 1)
+        assert Scheme("ets").at(m, 1) == Scheme("pb", m)
+
+    @pytest.mark.parametrize("m", [1, 2, 64, 65])
+    def test_allocations_are_those_of_the_resolved_rows(self, m):
+        mt, wts = build_allocation(Scheme("mt"), m), build_allocation(Scheme("wts", 1), m)
+        ets, pb = build_allocation(Scheme("ets"), m), build_allocation(Scheme("pb", m), m)
+        assert np.array_equal(mt, wts) and np.array_equal(ets, pb)
+
+
 class TestAllocationMatrices:
     def test_mt_is_identity(self):
         assert np.array_equal(build_allocation(Scheme("mt"), 3), np.eye(3))
@@ -206,7 +234,7 @@ class TestOptimizeWindow:
         # at depth M, and its B stays None.
         for name in ("mt", "ets", "it"):
             assert SCHEMES[name].window == NONE
-            assert SCHEMES[name].table == ("pb" if name == "ets" else None)
+            assert SCHEMES[name].table is None
             with pytest.raises(ValueError):
                 Scheme(name, 3)
         accums = evaluate_point(params(), {n: Scheme(n) for n in ("mt", "ets", "it")}, 10, 1)
@@ -252,7 +280,7 @@ class TestWtsStructure:
         import scipy.stats
 
         from streamfade.channel import window_decode_prob
-        from streamfade.engine import wts_decode_bits
+        from oracles import wts_decode_bits
 
         p = params(snr=-5.0, blocks=36)
         caps = sample_capacity_matrix(p, 53, 0, 20_000)
