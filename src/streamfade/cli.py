@@ -2,7 +2,8 @@
 
 Subcommands: simulate (one configuration), sweep (messages or SNR grid),
 analyze (closed forms only), bound (informed-transmitter bound only), and
-verify (quick oracle-equivalence self-checks).  Exit codes: 0 success,
+verify (quick oracle-equivalence self-checks and the paper's pre-buffering
+threshold).  Exit codes: 0 success,
 1 verification failure, 2 configuration error, 3 numerical failure.
 """
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import informed, runstats
+from .asymptotic import alpha_opt, decode_all_probability
 from .channel import (
     ChannelParams,
     mean_capacity,
@@ -253,22 +255,26 @@ def _cmd_verify(args) -> int:
     # every PB depth from its allocation matrix, decoded trial by trial, the
     # chosen PB depth as their argmax, and the IT bound from the greedy scan
     # of each trial.  With a chosen depth, eTS and the `pb:B` rows are read
-    # off the pass's depth table.  The eTS and PB rows' delay
-    # identity, delay = M - count, is held through these references.  M = 12
-    # and 16 share one pass of block-major tiles, as a message sweep's points
-    # do, with the depth table's counting kernel, and every wTS window of
-    # M = 12 is one scan read at both horizons; M = 65, the shortest
-    # row-major rows, runs the search kernel in a pass of its own.  At 2 dB
-    # and rate 1 about half the messages decode, so the depths near M, and
-    # the runs of the windows near a horizon, differ on some trials.
+    # off the pass's depth table; the same rows in a pass without one run
+    # `engine.evaluate_pb`, and both passes are held to the references.  The
+    # eTS and PB rows' delay identity, delay = M - count, is held through
+    # these references.  M = 12 and 16 share one pass of block-major tiles,
+    # as a message sweep's points do, with the depth table's counting
+    # kernel, and every wTS window of M = 12 is one scan read at both
+    # horizons; M = 65, the shortest row-major rows, runs the search kernel
+    # in a pass of its own.  At 2 dB and rate 1 about half the messages
+    # decode, so the depths near M, and the runs of the windows near a
+    # horizon, differ on some trials.
     ok = True
     link = ChannelParams(snr_db=2.0, rate=1.0, blocks=1)
     for sweep, trials in (((12, 16), 300), ((65,), 200)):
         rows = [Scheme(n, b) for n in ("pb", "wts") for b in range(1, sweep[0] + 1)]
         rows = [Scheme("mt"), Scheme("ets"), *rows, Scheme("it")]
         points = [replace(link, blocks=m) for m in sweep]
-        schemes = {**dict(enumerate(rows)), "pb": Scheme("pb")}
-        for params, point in zip(points, evaluate_points(points, schemes, trials, seed)):
+        fixed = dict(enumerate(rows))
+        chosen = evaluate_points(points, {**fixed, "pb": Scheme("pb")}, trials, seed)
+        unchosen = evaluate_points(points, fixed, trials, seed)
+        for params, point, plain in zip(points, chosen, unchosen):
             m = params.blocks
             caps = sample_capacity_matrix(params, seed, 0, trials)
             (table,) = tile_sums(params, trials, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
@@ -284,7 +290,8 @@ def _cmd_verify(args) -> int:
                     counts, delays = decoded.sum(axis=1), [max_zero_run(v) for v in decoded]
                 refs[scheme] = moments(counts, delays).tolist()
             for key, scheme in enumerate(rows):
-                ok = ok and point[key] == Accumulator(scheme.window, trials, *refs[scheme])
+                ref = Accumulator(scheme.window, trials, *refs[scheme])
+                ok = ok and point[key] == ref == plain[key]
             for depth in depths:
                 ok = ok and table[:, depth.window - 1].tolist() == refs[depth][:2]
             best = max(depths, key=lambda depth: refs[depth][0])
@@ -296,6 +303,25 @@ def _cmd_verify(args) -> int:
     (table,) = tile_sums(params, 505, seed, 1, lambda t: [pb_count_sums(t, 1.0)])
     ok = ok and table.tolist() == pb_count_sums(caps, 1.0).tolist()
     report("equal-share and pre-buffering delay identities, PB depth table, tile pass", ok)
+
+    # The paper's pre-buffering threshold alpha* = 1/(R/C + 1), at M = 2000
+    # and two links: every buffered message decodes on almost every trial at
+    # depth (alpha* - 0.1) M and on almost none at (alpha* + 0.1) M, and the
+    # depth the pass chooses for a `pb` row lies within 0.05 M of alpha* M.
+    m, delta, trials = 2000, 0.1, 512
+    below, above, worst = 1.0, 0.0, 0.0
+    for snr, rate in ((-5.0, 1.0), (5.0, 2.0)):
+        params = ChannelParams(snr_db=snr, rate=rate, blocks=m)
+        a = alpha_opt(params)
+        below = min(below, decode_all_probability(params, round((a - delta) * m), trials, seed))
+        above = max(above, decode_all_probability(params, round((a + delta) * m), trials, seed))
+        (point,) = evaluate_points([params], {"pb": Scheme("pb")}, trials, seed)
+        worst = max(worst, abs(point["pb"].window / m - a))
+    report(
+        f"pre-buffering threshold at M = {m} (decode-all {below:.3f} below alpha*,"
+        f" {above:.3f} above; worst |B*/M - alpha*| {worst:.4f})",
+        below >= 0.99 and above <= 0.01 and worst < 0.05,
+    )
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 1
 

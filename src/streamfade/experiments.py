@@ -1,8 +1,8 @@
 """Experiment configuration, batch runs, and CSV/SVG emission.
 
 `FIELDS` is the one table of the INI keys of an `ExperimentConfig`; the INI
-reader, `serialize_config` and the command line's flags all read it, so a
-key and its flag take the same text to the same value or `section.key` error.
+reader and the command line's flags both read it, so a key and its flag
+take the same text to the same value or `section.key` error.
 
 A run evaluates a set of schemes over a sweep (message count or SNR) on
 shared traces and writes one CSV row per (sweep point, scheme).  Analytic
@@ -137,7 +137,7 @@ REQUIRED = object()  # a `Field.default`: the file must give the key
 @dataclass(frozen=True)
 class Field:
     """One INI key: the `ExperimentConfig` field it sets, the parser of its
-    text, its flag, its default where a file leaves it out, and its writer."""
+    text, its flag, and its default where a file leaves it out."""
 
     section: str
     key: str
@@ -145,7 +145,6 @@ class Field:
     parse: Callable[[str], object]  # raises ValueError on bad text
     flag: str | None
     default: object = REQUIRED
-    write: Callable[[object], str] = str
 
     @property
     def name(self) -> str:
@@ -161,7 +160,7 @@ class Field:
             raise ConfigError(f"bad value {text!r}", self.name) from exc
 
 
-# Every key of the INI format, in the order a file is read and written.
+# Every key of the INI format, in the order a file is read.
 FIELDS = (
     Field("channel", "snr_db", "snr_db", float, "--snr-db"),
     Field("channel", "rate", "rate", float, "--rate"),
@@ -169,19 +168,10 @@ FIELDS = (
     Field("run", "trials", "trials", int, "--trials"),
     Field("run", "seed", "seed", int, "--seed"),
     Field("run", "threads", "threads", int, "--threads", 1),
-    Field(
-        "schemes", "list", "schemes", parse_scheme_list, "--scheme",
-        write=lambda schemes: ", ".join(format_scheme_token(s) for s in schemes),
-    ),
-    Field(
-        "schemes", "include_it_bound", "include_it_bound", _bool, None, False,
-        write=lambda on: "true" if on else "false",
-    ),
+    Field("schemes", "list", "schemes", parse_scheme_list, "--scheme"),
+    Field("schemes", "include_it_bound", "include_it_bound", _bool, None, False),
     Field("sweep", "variable", "sweep_variable", str, "--variable", None),
-    Field(
-        "sweep", "values", "sweep_values", _floats, "--values", None,
-        write=lambda values: ", ".join(map(str, values)),
-    ),
+    Field("sweep", "values", "sweep_values", _floats, "--values", None),
     Field("output", "csv", "csv_path", _path, "--out-csv", None),
     Field("output", "svg", "svg_path", _path, "--out-svg", None),
 )
@@ -232,16 +222,6 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
     arguments replace fields of the file before the whole is validated, so
     that flags may complete a file (say, a sweep for its `[output] svg`)."""
     return ExperimentConfig(**{**config_fields(text), **overrides})
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """The INI text of `config`, one key per field that is not None."""
-    sections: dict = {}
-    for row in FIELDS:
-        value = getattr(config, row.attr)
-        if value is not None:
-            sections.setdefault(row.section, []).append(f"{row.key} = {row.write(value)}\n")
-    return "\n".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
 
 
 @dataclass(frozen=True)

@@ -105,18 +105,6 @@ def min_delay_max_rate(v) -> tuple[np.ndarray, int]:
     return s_opt, D
 
 
-def min_achievable_delay(psi: np.ndarray) -> int:
-    """Closed form for the smallest dominated D: max_t floor(t/(psi(t)+1)).
-
-    Equivalent to scanning D = 0, 1, 2, ... against the lower-bound patterns;
-    kept separate so the vectorized Monte Carlo path and the literal scan can
-    be cross-checked.
-    """
-    psi = np.asarray(psi, dtype=np.int64)
-    t = np.arange(1, psi.shape[0] + 1, dtype=np.int64)
-    return int(np.max(t // (psi + 1)))
-
-
 def oracle_exhaustive(trace, rate: float) -> tuple[int, int]:
     """Brute-force optimum over all 2^M decode subsets.
 
@@ -161,7 +149,8 @@ def informed_counts_and_delays(capacity_matrix, rate: float, horizons=None):
     is nondecreasing (capacities are nonnegative), so the scan is
     psi(t) = min(psi(t-1) + 1, K(t)) from psi(0) = 0, which unrolls to
     psi(t) = t + min(0, min_{s <= t} (K(s) - s)): one running minimum.  The
-    delay is max_t floor(t/(psi(t)+1)) (see min_achievable_delay).
+    delay is max_t floor(t/(psi(t)+1)), the closed form of the smallest D
+    whose lower-bound pattern psi dominates (`min_delay_max_rate`'s scan).
 
     Any K(s) >= s gives the same psi, so min(K, M + 1) will do.  k starts at
     floor(min(I/R, M)).  For exact x = I/R below M + 1, floor(x) passes the

@@ -10,6 +10,8 @@ table that `runstats.run_tails` replaced; the column order must match it bit
 for bit.  `ets_counts_by_running_total` is eTS's rule before eTS was read as
 PB at depth M.  `wts_decode_bits` and `wts_window_delays` give the wTS
 window decodes and the window-unit delay that the wTS delay bounds bound.
+`min_achievable_delay` is the closed form of the informed bound's delay,
+against which `informed.min_delay_max_rate`'s scan is checked.
 `lowest_usable_snr` finds the edge of the SNR range by bisection.
 """
 import math
@@ -69,6 +71,18 @@ def informed_counts_and_delays_loop(capacity_matrix: np.ndarray, rate: float):
         psi = psi + decoded
         np.maximum(delay, t // (psi + 1), out=delay)
     return psi, delay
+
+
+def min_achievable_delay(psi: np.ndarray) -> int:
+    """Closed form for the smallest dominated D: max_t floor(t/(psi(t)+1)).
+
+    Equivalent to scanning D = 0, 1, 2, ... against the lower-bound patterns;
+    kept separate so the vectorized Monte Carlo path and the literal scan can
+    be cross-checked.
+    """
+    psi = np.asarray(psi, dtype=np.int64)
+    t = np.arange(1, psi.shape[0] + 1, dtype=np.int64)
+    return int(np.max(t // (psi + 1)))
 
 
 def ets_counts_by_running_total(caps: np.ndarray, rate: float) -> np.ndarray:

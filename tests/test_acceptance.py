@@ -15,7 +15,7 @@ import pytest
 
 import streamfade
 from oracles import max_zero_run_rows_loop, pb_mi_matrix, wts_window_delays
-from streamfade.asymptotic import optimal_prebuffer_fraction, verify_threshold
+from streamfade.asymptotic import alpha_opt, decode_all_probability
 from streamfade.channel import (
     ChannelParams,
     as_tile,
@@ -27,6 +27,7 @@ from streamfade.channel import (
 )
 from streamfade.engine import (
     evaluate_pb,
+    evaluate_point,
     evaluate_wts,
     pb_count_sums,
 )
@@ -203,15 +204,17 @@ def test_criterion_7_prebuffer_threshold():
     quad = mean_capacity(point)
     closed = mean_capacity_closed_form(point)
     assert abs(quad - closed) < 1e-8
-    report = verify_threshold(point, blocks=2000, delta=0.1, trials=1000, seed=SEED)
-    assert report.decode_all_prob_below > 0.99
-    assert report.decode_all_prob_above < 0.01
-    window, fraction = optimal_prebuffer_fraction(point, trials=1000, seed=SEED)
-    assert abs(fraction - report.alpha_opt) < 0.05
+    a_opt = alpha_opt(point)
+    below = decode_all_probability(point, round((a_opt - 0.1) * 2000), trials=1000, seed=SEED)
+    above = decode_all_probability(point, round((a_opt + 0.1) * 2000), trials=1000, seed=SEED)
+    assert below > 0.99
+    assert above < 0.01
+    window = evaluate_point(point, {"pb": Scheme("pb")}, 1000, SEED)["pb"].window
+    fraction = window / 2000
+    assert abs(fraction - a_opt) < 0.05
     print(
-        f"\n[criterion 7] PASS - below={report.decode_all_prob_below:.3f}, "
-        f"above={report.decode_all_prob_above:.3f}, B*/M={fraction:.4f} "
-        f"vs alpha_opt={report.alpha_opt:.4f}, |C_quad-C_closed|={abs(quad-closed):.1e}"
+        f"\n[criterion 7] PASS - below={below:.3f}, above={above:.3f}, B*/M={fraction:.4f} "
+        f"vs alpha_opt={a_opt:.4f}, |C_quad-C_closed|={abs(quad-closed):.1e}"
     )
 
 

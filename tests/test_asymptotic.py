@@ -4,23 +4,25 @@ import pytest
 
 from oracles import lowest_usable_snr
 from streamfade import channel
-from streamfade.asymptotic import (
-    alpha_opt,
-    decode_all_probability,
-    optimal_prebuffer_fraction,
-    verify_threshold,
-)
+from streamfade.asymptotic import alpha_opt, decode_all_probability
 from streamfade.channel import (
     ChannelParams,
     mean_capacity,
     mean_capacity_closed_form,
     sample_capacity_matrix,
 )
-from streamfade.engine import evaluate_pb
+from streamfade.engine import evaluate_pb, evaluate_point
+from streamfade.schemes import Scheme
 
 # Mean capacity at 5 dB frozen from the pre-build trapezoid oracle.
 MEAN_CAPACITY_5DB = 1.715974185066
 SNRS_DB = (-10.0, -5.0, 0.0, 5.0, 10.0)
+
+
+def chosen_fraction(params, trials, seed):
+    """The depth `evaluate_point` chooses for a `pb` row, as a fraction of M."""
+    window = evaluate_point(params, {"pb": Scheme("pb")}, trials, seed)["pb"].window
+    return window / params.blocks
 
 
 class TestAlphaOpt:
@@ -62,30 +64,13 @@ class TestAlphaOpt:
 
 
 class TestVerifyThreshold:
-    def test_preconditions(self):
-        p = ChannelParams(snr_db=5.0, rate=1.0, blocks=600)
-        with pytest.raises(ValueError):
-            verify_threshold(p, blocks=100, delta=0.1, trials=10, seed=1)
-        with pytest.raises(ValueError):
-            verify_threshold(p, blocks=600, delta=0.9, trials=10, seed=1)
-        with pytest.raises(ValueError):
-            verify_threshold(p, blocks=600, delta=0.0, trials=10, seed=1)
-        # delta inside (0, min(alpha, 1 - alpha)) whose lower window rounds to 0
-        p = ChannelParams(snr_db=-5.0, rate=1.0, blocks=600)
-        delta = alpha_opt(p) - 1e-4
-        with pytest.raises(ValueError, match=r"delta = .* gives windows 0 and"):
-            verify_threshold(p, blocks=600, delta=delta, trials=10, seed=1)
-        # a delta so small that both windows round to the same depth
-        with pytest.raises(ValueError, match="delta = 1e-05 gives windows 160 and 160"):
-            verify_threshold(p, blocks=600, delta=1e-5, trials=10, seed=1)
-
     def test_threshold_direction_small_scale(self):
         p = ChannelParams(snr_db=5.0, rate=1.0, blocks=600)
-        report = verify_threshold(p, blocks=600, delta=0.12, trials=300, seed=5)
-        assert report.decode_all_prob_below > 0.9
-        assert report.decode_all_prob_above < 0.1
-        assert report.window_below < report.window_above
-        assert report.alpha_opt == pytest.approx(alpha_opt(p))
+        a_opt = alpha_opt(p)
+        below, above = round((a_opt - 0.12) * 600), round((a_opt + 0.12) * 600)
+        assert below < above
+        assert decode_all_probability(p, below, trials=300, seed=5) > 0.9
+        assert decode_all_probability(p, above, trials=300, seed=5) < 0.1
 
     def test_impossible_channel_never_decodes(self):
         # At -10 dB no block carries more than log2(1 + 3.7) = 2.23 bits (the
@@ -125,9 +110,9 @@ class TestVerifyThreshold:
 class TestOptimalFraction:
     def test_tracks_alpha_opt_loosely_at_moderate_scale(self):
         p = ChannelParams(snr_db=5.0, rate=1.0, blocks=400)
-        window, fraction = optimal_prebuffer_fraction(p, trials=400, seed=11)
+        fraction = chosen_fraction(p, trials=400, seed=11)
         assert abs(fraction - alpha_opt(p)) < 0.1
-        assert 1 <= window <= 400
+        assert 0 < fraction <= 1
 
     def test_finite_size_bias_direction_is_seed_consistent(self):
         # At M=40 the optimal fraction deviates from the asymptotic one in a
@@ -138,7 +123,7 @@ class TestOptimalFraction:
         signs = set()
         fractions = []
         for seed in (1, 2, 3):
-            _, fraction = optimal_prebuffer_fraction(p, trials=4000, seed=seed)
+            fraction = chosen_fraction(p, trials=4000, seed=seed)
             fractions.append(fraction)
             signs.add(math.copysign(1.0, fraction - a_opt))
         assert len(signs) == 1, f"direction flipped across seeds: {fractions} vs {a_opt}"
@@ -147,4 +132,4 @@ class TestOptimalFraction:
     def test_needs_a_trial(self, trials):
         p = ChannelParams(snr_db=-5.0, rate=1.0, blocks=20)
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            optimal_prebuffer_fraction(p, trials, 1)
+            chosen_fraction(p, trials, 1)

@@ -1,10 +1,14 @@
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -14,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import streamfade
-from streamfade import channel, cli
+from streamfade import channel, cli, engine
 from streamfade.errors import NumericFailure
 from streamfade.experiments import FIELDS, config_fields
 
@@ -275,7 +279,7 @@ class TestVerify:
     def test_passes(self, capsys):
         assert run_main(["verify", "--seed", "11"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
         assert "FAIL" not in out
 
     def test_fails_on_a_fault_shared_with_the_evaluators(self, monkeypatch, capsys):
@@ -286,7 +290,8 @@ class TestVerify:
         assert run_main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  equal-share and pre-buffering delay identities" in out
-        assert "1 check(s) failed" in out
+        assert "FAIL  pre-buffering threshold" in out
+        assert "2 check(s) failed" in out
 
     def test_fails_on_a_row_major_fault(self, monkeypatch, capsys):
         # W becomes S on row-major tiles only (M > 64): every eTS and PB row
@@ -300,7 +305,8 @@ class TestVerify:
         assert run_main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  equal-share and pre-buffering delay identities" in out
-        assert "1 check(s) failed" in out
+        assert "FAIL  pre-buffering threshold" in out
+        assert "2 check(s) failed" in out
 
     def test_fails_on_a_fault_of_a_shared_pass(self, monkeypatch, capsys):
         # A head reads the wider tile's W, whose weights are those of the
@@ -311,6 +317,28 @@ class TestVerify:
             return head
 
         monkeypatch.setattr(channel.Tile, "head", faulty)
+        assert run_main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  equal-share and pre-buffering delay identities" in out
+        assert "1 check(s) failed" in out
+
+    @pytest.mark.parametrize(
+        "snippet,fault",
+        [
+            # eTS reads the second capacity as S_0 at depth M.
+            ("tile.caps[:, 0] if first == 0", "tile.caps[:, 1] if first == 0"),
+            # The threshold takes the running total one column early.
+            ("tau += running[:, first]", "tau += running[:, first - 1]"),
+        ],
+    )
+    def test_fails_on_a_fault_of_the_fixed_pb_rows(self, snippet, fault, monkeypatch, capsys):
+        # eTS and `pb:B` run `engine.evaluate_pb` only at a point without a
+        # chosen PB depth, which verify's second pass is.
+        source = inspect.getsource(engine.evaluate_pb)
+        assert snippet in source
+        faulty = {}
+        exec(source.replace(snippet, fault), vars(engine), faulty)
+        monkeypatch.setattr(engine, "evaluate_pb", faulty["evaluate_pb"])
         assert run_main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  equal-share and pre-buffering delay identities" in out
@@ -780,6 +808,70 @@ class TestExitCodes:
         assert "simulate" in proc.stdout
 
 
+def test_every_public_function_is_run_by_a_command_or_exported(tmp_path, capsys):
+    # Every command under a profiler: a message sweep of every scheme across
+    # both tile layouts on two threads (M = 65 makes two tiles) with a chart,
+    # an SNR sweep, analyze, bound, the acceptance config, a refused config
+    # and verify.  A public function that none of them calls is library API,
+    # named in `streamfade.__all__`, or has no place in the package.
+    modules = [
+        importlib.import_module(f"streamfade.{info.name}")
+        for info in pkgutil.iter_modules(streamfade.__path__)
+    ]
+    functions = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            # A memoized function is called only on a cache miss.
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+            fn = inspect.unwrap(obj) if callable(obj) else obj
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                if not name.startswith("_"):
+                    functions[f"{module.__name__}.{name}"] = fn
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.ini"
+    runs = [
+        (["sweep", "--variable", "messages", "--values", "64,65", "--trials", "600",
+          "--scheme", "mt,ets,pb,pb:3,wts:3,twts,dwts", "--threads", "2",
+          "--out-svg", str(tmp_path / "sweep.svg")], 0),
+        (["sweep", "--variable", "snr_db", "--values", "-5,5", "--messages", "8",
+          "--trials", "50"], 0),
+        (["analyze", "--messages", "40"], 0),
+        (["bound", "--messages", "8", "--trials", "50"], 0),
+        (["simulate", "--config", str(config), "--trials", "200",
+          "--out-csv", str(tmp_path / "acceptance.csv")], 0),
+        (["simulate", "--scheme", "mt,mt"], 2),
+        (["verify"], 0),
+    ]
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        codes = [run_main(argv) for argv, _ in runs]
+    finally:
+        threading.setprofile(None)
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [code for _, code in runs]
+    missing = sorted(
+        name for name, fn in functions.items()
+        if fn.__code__ not in reached and name.rsplit(".", 1)[1] not in streamfade.__all__
+    )
+    assert not missing, f"no command runs and __all__ does not name: {missing}"
+
+
+def test_all_is_the_readme_library_list():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("The package exports this library API", 1)[1]
+    listed = re.findall(r"`(\w+)`", section.split("\n\n", 2)[1])
+    assert sorted(listed) == sorted(streamfade.__all__)
+    assert all(hasattr(streamfade, name) for name in streamfade.__all__)
+
+
 # Runs in a fresh interpreter: every command, `verify` included, and the
 # asymptotic helpers, then prints their exit codes and the scipy modules loaded.
 _IMPORT_PROBE = """
@@ -841,11 +933,11 @@ class TestImportSet:
         # The asymptotic helpers use the closed-form mean capacity.
         probe = (
             "import sys\n"
-            "from streamfade.asymptotic import alpha_opt, verify_threshold\n"
+            "from streamfade.asymptotic import alpha_opt, decode_all_probability\n"
             "from streamfade.channel import ChannelParams\n"
             "p = ChannelParams(5.0, 1.0, 600)\n"
             "alpha_opt(p)\n"
-            "verify_threshold(p, blocks=500, delta=0.1, trials=2, seed=1)\n"
+            "decode_all_probability(p, 300, trials=2, seed=1)\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
         proc = subprocess.run(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import informed_counts_and_delays_loop
+from oracles import informed_counts_and_delays_loop, min_achievable_delay
 from streamfade import channel, informed
 from streamfade.channel import ChannelParams, sample_capacity_matrix
 from streamfade.engine import Accumulator, evaluate_point, moments
@@ -13,7 +13,6 @@ from streamfade.informed import (
     informed_counts_and_delays,
     informed_trial,
     lower_bound_pattern,
-    min_achievable_delay,
     min_delay_max_rate,
     oracle_exhaustive,
     _dominance_holds,
