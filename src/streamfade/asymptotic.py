@@ -10,8 +10,8 @@ the depth that a `pb` row chooses (`engine.evaluate_points`) near it.
 """
 from __future__ import annotations
 
+from . import engine
 from .channel import ChannelParams, mean_capacity_closed_form
-from .engine import evaluate_pb, tile_sums
 
 
 def alpha_opt(params: ChannelParams) -> float:
@@ -33,8 +33,8 @@ def decode_all_probability(
         raise ValueError("window out of range")
 
     def decoded_all(tile):
-        counts, _ = evaluate_pb(tile, params.rate, window)
+        counts, _ = engine.evaluate_pb(tile, params.rate, window)
         return [(counts == window).sum(keepdims=True)]
 
-    (hits,) = tile_sums(params, trials, seed, 1, decoded_all)
+    (hits,) = engine.tile_sums(params, trials, seed, 1, decoded_all)
     return int(hits[0]) / trials

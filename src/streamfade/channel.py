@@ -19,7 +19,7 @@ The trials of a sampling pass, and the rows the sampler fills, are cut
 into row tiles by one rule, `row_blocks`: a tile holds at most
 `tile_elements` capacities, 2^16 block-major, so that each column
 operation spans twice the trials, and 2^15 row-major.  A `Workspace` holds
-one thread's tile buffers, reused from tile to tile, and a `Tile` is one
+one process's tile buffers, reused from tile to tile, and a `Tile` is one
 tile's capacities with the running sums its consumers share; a capacity
 matrix given to an evaluator is one tile (`as_tile`).
 """
@@ -180,9 +180,9 @@ def row_blocks(rows: int, blocks: int) -> Sequence[tuple[int, int]]:
 class Workspace:
     """Scratch arrays for one row tile at a time, reused from tile to tile:
     one flat byte buffer per name, viewed on each use as a (rows, cols)
-    array of any dtype in the layout of rows of `blocks` blocks.  Each task
-    of a sampling pass samples and evaluates its one tile in a workspace it
-    borrows from `engine.WORKSPACES`, so a pass uses one per worker thread.
+    array of any dtype in the layout of rows of `blocks` blocks.  A worker
+    of a sampling pass samples and evaluates each tile of its share in its
+    process's one workspace, `engine.WORKSPACE`.
 
     A buffer holds 8 * `tile_elements(blocks)` bytes, a tile of float64
     capacities: 512 KB in the block-major layout and 256 KB in the row-major

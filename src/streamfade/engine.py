@@ -4,17 +4,16 @@ Evaluators take one `channel.Tile` of a sampling pass, or a (trials,
 blocks) capacity matrix as one tile (`channel.as_tile`), and return integer
 per-trial statistics.  A sampling pass (`tile_sums`) cuts its trials into
 the row tiles of `channel.row_blocks`, the one partition, which the sampler
-uses too, and each tile is one task for the workers.  A task borrows a
-workspace from the process's pool (`WORKSPACES`: one `channel.Workspace`
-per concurrent task, reused across tiles, points and runs), samples its
-tile into it, builds the tile's prefix sums S and equal-share running
-totals W once, and returns what a consumer makes of them: int64 arrays,
-added to the pass's total as each tile finishes.  A tile holds
-`channel.tile_elements` capacities: 2^16 block-major, 2^15 row-major.
-Memory per thread is the workspace, at most 3.5 MB block-major and 1.75 MB
-row-major, up to M = 2^15 (`channel.ROW_BLOCK_ELEMENTS`); a tile of one
-longer row takes up to about 61 M bytes of new arrays while it is
-evaluated, and they are not kept.
+uses too, and gives each worker process one contiguous share of them.  A
+worker samples each tile of its share into its process's one
+`channel.Workspace` (`WORKSPACE`, reused across tiles, points and runs),
+builds the tile's prefix sums S and equal-share running totals W once, and
+adds what a consumer makes of them, int64 arrays, to its share's total as
+each tile finishes.  A tile holds `channel.tile_elements` capacities: 2^16
+block-major, 2^15 row-major.  Memory per process is the workspace, at most
+3.5 MB block-major and 1.75 MB row-major, up to M = 2^15
+(`channel.ROW_BLOCK_ELEMENTS`); a tile of one longer row takes up to about
+61 M bytes of new arrays while it is evaluated, and they are not kept.
 
 A row at M is, bit for bit, the first M capacities of the same row at any
 larger M, so the block-major points of a message sweep share one pass at
@@ -58,8 +57,7 @@ every message with every depth.
 from __future__ import annotations
 
 import os
-from collections import deque
-from contextlib import contextmanager
+import threading
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -353,52 +351,29 @@ class Accumulator:
         return self._stderr(self.delay_sum, self.delay_sqsum)
 
 
-class Workspaces:
-    """A pool of workspaces for tile tasks: a task borrows one and gives it
-    back, so the pool builds one per concurrent task, and later tasks,
-    points and runs reuse them."""
-
-    def __init__(self):
-        self._free: list[Workspace] = []
-
-    @contextmanager
-    def borrow(self):
-        # list.pop and list.append are atomic: a workspace is built only when
-        # every existing one is lent to another task.
-        try:
-            workspace = self._free.pop()
-        except IndexError:
-            workspace = Workspace()
-        try:
-            yield workspace
-        finally:
-            self._free.append(workspace)
+# The passes of this process sample and evaluate their tiles in this one
+# workspace, taking turns; a forked worker writes to its own copy.
+WORKSPACE = Workspace()
+_ONE_PASS_AT_A_TIME = threading.Lock()
+# A worker's share holds at least this many tiles: on a 2-vCPU VM,
+# `long-file`'s command (64 tiles at M = 2000) ran slower forked than in one
+# process at 8 and at 32 tiles per worker (x0.91 and x0.87 the speed).
+MIN_TILES_PER_WORKER = 64
+_SHARE = None  # in a forked worker, its pass's share function (`_adopt`)
 
 
-# Every tile task of the process borrows from this pool.
-WORKSPACES = Workspaces()
+def _adopt(share) -> None:
+    """A forked worker's start: keep its pass's share function, and leave an
+    interrupt to the parent, which terminates the workers."""
+    import signal  # loaded by `multiprocessing` already
+
+    global _SHARE
+    _SHARE = share
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _map_tiles(task, trials: int, blocks: int, threads: int):
-    """`task(lo, hi)` of each row tile of a pass (`row_blocks`), yielded in
-    tile order.  With more than one worker at most two tiles per worker are
-    submitted ahead of the one yielded, so a pass holds a bounded number of
-    results."""
-    ranges = row_blocks(trials, blocks)
-    workers = min(threads, len(ranges), os.cpu_count() or 1)
-    if workers <= 1:
-        yield from (task(lo, hi) for lo, hi in ranges)
-        return
-    # Imported on use: it loads `logging`, milliseconds a one-thread run skips.
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for lo, hi in ranges:
-            pending.append(pool.submit(task, lo, hi))
-            if len(pending) > 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+def _forked_share(k: int) -> list:
+    return _SHARE(k)
 
 
 def _add(total: list, part: list) -> list:
@@ -416,22 +391,49 @@ def _check_pass(trials: int, blocks: int) -> None:
         raise ValueError(f"trials * M^2 must be < 2^63, got {trials} trials at M = {blocks}")
 
 
+def _workers(tiles: int, threads: int) -> int:
+    """The processes a pass of `tiles` tiles runs on: at most `threads` and
+    `os.cpu_count()`, each with at least MIN_TILES_PER_WORKER tiles, and more
+    than one only where this process can fork safely: the platform offers
+    "fork" and no other thread runs."""
+    workers = min(threads, tiles // MIN_TILES_PER_WORKER, os.cpu_count() or 1)
+    if workers < 2 or threading.active_count() > 1:
+        return 1
+    import multiprocessing  # on use: it adds ~9 ms to every start-up
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
 def tile_sums(params: ChannelParams, trials: int, seed: int, threads: int, consumer) -> list:
     """One sampling pass: the sums over all its row tiles of the new int64
     arrays that `consumer(tile)` returns, a list of the same shapes for each
-    `channel.Tile`.  Each tile is one task, which samples it into a
-    workspace from `WORKSPACES`, and its arrays are added in place to the
-    pass's total as the tile finishes.
+    `channel.Tile`.  Worker k of w samples the contiguous share [k n/w,
+    (k+1) n/w) of the pass's n tiles (`row_blocks`) into its process's
+    `WORKSPACE` and adds each tile's arrays in place to its total; the
+    shares' totals are then added.  One worker runs in this process; more
+    are forked (`_workers`), since a consumer is a closure and cannot be
+    pickled.
     """
     m = params.blocks
     _check_pass(trials, m)
+    ranges = row_blocks(trials, m)
+    n = len(ranges)
+    with _ONE_PASS_AT_A_TIME:
+        workers = _workers(n, threads)
 
-    def task(lo, hi):
-        with WORKSPACES.borrow() as workspace:
-            caps = sample_capacity_matrix(params, seed, lo, hi, workspace)
-            return consumer(Tile(caps, workspace))
+        def share(k: int) -> list:
+            tiles = (ranges[i] for i in range(k * n // workers, (k + 1) * n // workers))
+            caps = (sample_capacity_matrix(params, seed, lo, hi, WORKSPACE) for lo, hi in tiles)
+            return reduce(_add, (consumer(Tile(c, WORKSPACE)) for c in caps))
 
-    return reduce(_add, _map_tiles(task, trials, m, threads))
+        if workers == 1:
+            return share(0)
+        import multiprocessing
+
+        # Shares are added as they finish, so a worker's error is raised as
+        # it arrives (`Pool.map` waits for every share), and leaving the
+        # block terminates the other workers, also on an interrupt.
+        with multiprocessing.get_context("fork").Pool(workers, _adopt, (share,)) as pool:
+            return reduce(_add, pool.imap_unordered(_forked_share, range(workers)))
 
 
 def moments(counts, delays) -> np.ndarray:

@@ -397,22 +397,13 @@ _PALETTE = (
 )
 
 
-def render_svg(rows: list[ResultRow], metric: str = "throughput") -> str:
-    """Line chart of one metric across the sweep, one series per scheme."""
-    if metric == "throughput":
-        get = lambda r: r.avg_throughput_bpcu
-        y_label = "average throughput (bpcu)"
-    elif metric == "delay":
-        get = lambda r: r.avg_max_delay
-        y_label = "average max inter-decoding delay (channel blocks)"
-    else:
-        raise ValueError("metric must be 'throughput' or 'delay'")
-
+def render_svg(rows: list[ResultRow]) -> str:
+    """Line chart of the average throughput across the sweep, one series per
+    scheme."""
     series: dict[str, list[tuple[float, float]]] = {}
     for r in rows:
-        if get(r) is None:
-            continue
-        series.setdefault(r.scheme, []).append((r.sweep_value, float(get(r))))
+        if r.avg_throughput_bpcu is not None:
+            series.setdefault(r.scheme, []).append((r.sweep_value, float(r.avg_throughput_bpcu)))
     series = {k: sorted(v) for k, v in series.items() if len(v) >= 2}
     if not series:
         raise ValueError("need at least two sweep points per scheme to plot")
@@ -470,7 +461,7 @@ def render_svg(rows: list[ResultRow], metric: str = "throughput") -> str:
     )
     out.write(
         f'<text x="18" y="{top + plot_h / 2:.1f}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">{y_label}</text>\n'
+        f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">average throughput (bpcu)</text>\n'
     )
     for i, (name, pts) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
@@ -489,6 +480,6 @@ def render_svg(rows: list[ResultRow], metric: str = "throughput") -> str:
     return out.getvalue()
 
 
-def emit_svg(rows: list[ResultRow], path: str, metric: str = "throughput") -> None:
+def emit_svg(rows: list[ResultRow], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_svg(rows, metric))
+        fh.write(render_svg(rows))

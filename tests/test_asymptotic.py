@@ -3,7 +3,7 @@ import math
 import pytest
 
 from oracles import lowest_usable_snr
-from streamfade import channel
+from streamfade import channel, engine
 from streamfade.asymptotic import alpha_opt, decode_all_probability
 from streamfade.channel import (
     ChannelParams,
@@ -97,6 +97,19 @@ class TestVerifyThreshold:
         for b in (240, 265, 275, 285, 300):
             expected = (evaluate_pb(caps, p.rate, b)[0] == b).mean()
             assert decode_all_probability(p, b, trials=300, seed=3) == expected, b
+
+    def test_reads_the_evaluator_on_engine_at_call_time(self, monkeypatch):
+        # A wrapper or a fault on `engine.evaluate_pb` sees every call.
+        p = ChannelParams(snr_db=5.0, rate=1.0, blocks=600)
+        window = round((alpha_opt(p) - 0.12) * 600)
+        assert decode_all_probability(p, window, trials=300, seed=5) > 0.9
+
+        def none_decode(tile, rate, window):
+            counts, delays = evaluate_pb(tile, rate, window)
+            return counts * 0, delays
+
+        monkeypatch.setattr(engine, "evaluate_pb", none_decode)
+        assert decode_all_probability(p, window, trials=300, seed=5) == 0.0
 
     def test_monotone_in_window(self):
         p = ChannelParams(snr_db=0.0, rate=1.0, blocks=600)

@@ -743,14 +743,16 @@ class TestTinyRate:
 
 
 class TestThreads:
-    def test_long_file_csv_independent_of_threads(self, tmp_path):
-        assert len(channel.row_blocks(300, 2000)) == 19  # two threads split them
+    def test_long_file_csv_independent_of_threads(self, tmp_path, fork_pools):
+        # Tiles of 16 trials: two workers' shares of the least that forks.
+        assert len(channel.row_blocks(2048, 2000)) == 2 * engine.MIN_TILES_PER_WORKER
         outs = []
         for threads in ("1", "2"):
             outs.append(tmp_path / f"t{threads}.csv")
-            argv = ["simulate", "--messages", "2000", "--trials", "300", "--scheme", "ets,pb"]
+            argv = ["simulate", "--messages", "2000", "--trials", "2048", "--scheme", "ets,pb"]
             assert run_main([*argv, "--threads", threads, "--out-csv", str(outs[-1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert fork_pools == [2]
 
 
 class TestGoldenCsv:
@@ -896,14 +898,18 @@ print(json.dumps([before, code, scipy_modules()]))
 
 class TestImportSet:
     def test_one_thread_run_loads_no_thread_pool(self, tmp_path):
-        # `concurrent.futures` loads `logging`: milliseconds of every start-up
+        # `concurrent.futures` loads `logging`, and `multiprocessing` adds
+        # ~9 ms: a run on one worker, here 11 tiles at --threads 1 and 2,
+        # loads neither.
         probe = (
             "import sys\n"
             "from streamfade import cli\n"
-            "loaded = ['concurrent.futures' in sys.modules]\n"
-            "argv = ['simulate', '--messages', '70', '--trials', '5000', '--threads', '1']\n"
-            "assert cli.main([*argv, '--out-csv', sys.argv[1]]) == 0\n"
-            "print(loaded + ['concurrent.futures' in sys.modules])\n"
+            "pools = ['concurrent.futures', 'multiprocessing']\n"
+            "loaded = [pool in sys.modules for pool in pools]\n"
+            "for threads in ('1', '2'):\n"
+            "    argv = ['simulate', '--messages', '70', '--trials', '5000', '--threads', threads]\n"
+            "    assert cli.main([*argv, '--out-csv', sys.argv[1]]) == 0\n"
+            "print(loaded + [pool in sys.modules for pool in pools])\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe, str(tmp_path / "out.csv")],
@@ -912,7 +918,7 @@ class TestImportSet:
             env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[False, False]"
+        assert proc.stdout.splitlines()[-1] == "[False, False, False, False]"
 
     def test_only_verify_loads_scipy(self, tmp_path):
         # verify was the one command that loaded scipy (for its quadrature);

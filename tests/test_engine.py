@@ -1,15 +1,18 @@
-import concurrent.futures
 import gc
 import math
+import multiprocessing
+import sys
+import threading
 import time
 import tracemalloc
+import types
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -87,36 +90,58 @@ def snapshot(accums):
     return out
 
 
+def fake_fork_pool(monkeypatch):
+    """Replaces the fork pool of a pass with one that starts no process: it
+    records its size and runs the shares in this process, in order.
+    Returns (pool sizes, the index k of each share run)."""
+    sizes, shares = [], []
+
+    class Pool:
+        def __init__(self, workers, initializer, initargs):
+            sizes.append(workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items):
+            out = []
+            for k in items:
+                shares.append(k)
+                out.append(fn(k))
+            return out
+
+    monkeypatch.setattr(engine, "_SHARE", None)  # set by the pool's initializer
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: types.SimpleNamespace(Pool=Pool))
+    return sizes, shares
+
+
+# Raised by a forked worker; defined here, so that the parent can unpickle it.
+class Sampled(Exception):
+    pass
+
+
 class TestDeterminism:
-    def test_thread_count_invariant(self):
+    def test_thread_count_invariant(self, forks):
         p = params()
         single = evaluate_point(p, SCHEMES, trials=10_000, seed=42, threads=1)
         quad = evaluate_point(p, SCHEMES, trials=10_000, seed=42, threads=4)
         assert snapshot(single) == snapshot(quad)
+        assert forks == [4]  # one worker per tile
 
     def test_workers_bounded_by_chunks_and_cores(self, monkeypatch):
-        sizes = []
-
-        class Pool:  # records its size and runs the tasks in this thread
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-        ranges = channel.row_blocks(5, 1 << 16)  # five tiles of one row
+        sizes, _ = fake_fork_pool(monkeypatch)
+        monkeypatch.setattr(engine, "MIN_TILES_PER_WORKER", 1)
+        p = params(blocks=1 << 16)
+        assert len(channel.row_blocks(5, p.blocks)) == 5  # five tiles of one row
+        rows = lambda tile: [np.array([tile.caps.shape[0]])]
         # (cores, --threads, pool sizes); no pool when one worker is left
         for cores, threads, pools in (
             (3, 5000, [3]),
+            (2, 10**6, [2]),
             (64, 5000, [5]),
             (64, 2, [2]),
             (64, 1, []),
@@ -124,9 +149,13 @@ class TestDeterminism:
         ):
             monkeypatch.setattr(engine.os, "cpu_count", lambda c=cores: c)
             sizes.clear()
-            results = engine._map_tiles(lambda lo, hi: (lo, hi), 5, 1 << 16, threads)
-            assert list(results) == list(ranges)
+            assert tile_sums(p, 5, 1, threads, rows) == [5]
             assert sizes == pools, (cores, threads)
+        # A share holds at least MIN_TILES_PER_WORKER tiles.
+        monkeypatch.setattr(engine, "MIN_TILES_PER_WORKER", 3)
+        sizes.clear()
+        tile_sums(p, 5, 1, 2, rows)
+        assert sizes == []
 
     def test_chunking_transparent(self):
         # accumulator over row tiles equals one-shot evaluation
@@ -138,13 +167,27 @@ class TestDeterminism:
         assert accums["pb"].delay_sum == delays.sum()
         assert accums["pb"].trials == 9_000
 
-    def test_chunk_ranges_cover(self):
-        # The row tiles a sampling pass hands its workers cover the trials
-        # once, in order, with no gap.
-        ranges = list(engine._map_tiles(lambda lo, hi: (lo, hi), 10_000, 20, 2))
-        assert ranges[0][0] == 0 and ranges[-1][1] == 10_000
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        assert ranges == list(channel.row_blocks(10_000, 20))
+    def test_chunk_ranges_cover(self, monkeypatch):
+        # Worker k of w takes the contiguous share [k n/w, (k+1) n/w) of the
+        # n row tiles, so the shares cover the trials once, in order.
+        _, shares = fake_fork_pool(monkeypatch)
+        monkeypatch.setattr(engine, "MIN_TILES_PER_WORKER", 1)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+        sampled = []  # (share, tile's trial range)
+
+        def sample(params, seed, lo, hi, workspace):
+            sampled.append((shares[-1] if shares else 0, (lo, hi)))
+            return np.zeros((hi - lo, params.blocks))
+
+        monkeypatch.setattr(engine, "sample_capacity_matrix", sample)
+        ranges = list(channel.row_blocks(10_000, 20))
+        assert len(ranges) == 4
+        # (workers, the share of each tile)
+        for workers, owners in ((1, [0] * 4), (2, [0, 0, 1, 1]), (3, [0, 1, 2, 2]), (4, [0, 1, 2, 3])):
+            sampled.clear()
+            shares.clear()
+            tile_sums(params(blocks=20), 10_000, 1, workers, lambda tile: [np.zeros(1, np.int64)])
+            assert sampled == list(zip(owners, ranges)), workers
 
 
 class TestChunkBudget:
@@ -164,8 +207,8 @@ class TestChunkBudget:
     }
 
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_results_independent_of_budget_and_threads(self, data):
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_results_independent_of_budget_and_threads(self, forks, data):
         # M = 60..70 crosses BLOCK_MAJOR_MAX_BLOCKS: tiles are block-major up
         # to 64 and row-major above.  A budget is k whole rows, or any 1..120
         # capacities (at M >= 60 mostly less than a row: one-row tiles).
@@ -185,9 +228,12 @@ class TestChunkBudget:
         whole = snapshot(evaluate_point(p, self.SCHEMES, 97, 23))
         csv = render_csv(run_experiment(config))
         with mock.patch.object(channel, "tile_elements", lambda m: budget):
-            assert len(channel.row_blocks(97, blocks)) == -(-97 // max(1, budget // blocks))
+            tiles = len(channel.row_blocks(97, blocks))
+            assert tiles == -(-97 // max(1, budget // blocks))
+            forks.clear()
             assert snapshot(evaluate_point(p, self.SCHEMES, 97, 23, threads)) == whole
             assert render_csv(run_experiment(replace(config, threads=threads))) == csv
+            assert forks == ([threads] * 2 if threads > 1 and tiles > 1 else [])
 
 
 class TestMemoryBound:
@@ -195,9 +241,9 @@ class TestMemoryBound:
     count."""
 
     @pytest.fixture(autouse=True)
-    def new_pool(self, monkeypatch):
-        # A workspace built before tracing starts would not be counted.
-        monkeypatch.setattr(engine, "WORKSPACES", engine.Workspaces())
+    def new_workspace(self, monkeypatch):
+        # Buffers built before tracing starts would not be counted.
+        monkeypatch.setattr(engine, "WORKSPACE", channel.Workspace())
 
     def test_peak_at_long_file_scale(self):
         p = params(blocks=2000)
@@ -231,44 +277,35 @@ class TestMemoryBound:
 
 
 class TestPassMemory:
-    """A pass adds each tile's sums to its total as the tile finishes and
-    lists no tiles, and its arrays live in its workspace's buffers."""
+    """A pass adds each tile's sums to its share's total as the tile
+    finishes and lists no tiles, and its arrays live in its process's
+    workspace."""
 
     @pytest.fixture(autouse=True)
-    def new_pool(self, monkeypatch):
-        monkeypatch.setattr(engine, "WORKSPACES", engine.Workspaces())
+    def new_workspace(self, monkeypatch):
+        monkeypatch.setattr(engine, "WORKSPACE", channel.Workspace())
 
-    def test_peak_does_not_grow_with_the_chunks(self, monkeypatch):
+    def test_peak_does_not_grow_with_the_chunks(self, monkeypatch, forks):
+        # At two workers this process holds the two shares' totals, and each
+        # worker holds what one pass in a process does.
         monkeypatch.setattr(channel, "tile_elements", lambda blocks: 2 * blocks)  # two rows
         p = params(blocks=2000)
         schemes = {"ets": Scheme("ets"), "pb": Scheme("pb")}
         evaluate_point(p, schemes, 2, 7)  # builds the workspace before tracing
-        peaks, sums = {}, {}
-        for tiles in (64, 256):
-            assert len(channel.row_blocks(2 * tiles, 2000)) == tiles
-            tracemalloc.start()
-            try:
-                sums[tiles] = snapshot(evaluate_point(p, schemes, 2 * tiles, 7))
-                _, peaks[tiles] = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert snapshot(evaluate_point(p, schemes, 2 * tiles, 7, threads=2)) == sums[tiles]
-        # A pass that kept every tile's (2, M) depth table would hold 6 MB more.
-        assert peaks[256] < peaks[64] + 2**16, peaks
-
-    def test_chunks_in_flight_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
-        started = []
-
-        def task(lo, hi):
-            started.append(lo)
-            return lo
-
-        results = engine._map_tiles(task, 100, 1 << 16, threads=2)  # tiles of one row
-        for k, lo in enumerate(results, 1):
-            assert lo == k - 1
-            assert len(started) <= k + 2 * 2  # two tiles ahead per worker
-        assert k == len(started) == 100
+        for threads in (1, 2):
+            peaks, sums = {}, {}
+            for tiles in (64, 256):
+                assert len(channel.row_blocks(2 * tiles, 2000)) == tiles
+                tracemalloc.start()
+                try:
+                    sums[tiles] = snapshot(evaluate_point(p, schemes, 2 * tiles, 7, threads))
+                    _, peaks[tiles] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert snapshot(evaluate_point(p, schemes, 2 * tiles, 7)) == sums[tiles]
+            # A pass that kept every tile's (2, M) depth table would hold 6 MB more.
+            assert peaks[256] < peaks[64] + 2**16, (threads, peaks)
+        assert forks == [2, 2]
 
     def test_nothing_is_kept_after_a_pass(self, monkeypatch):
         # CPython keeps freed small objects on free lists, which tracemalloc
@@ -291,10 +328,8 @@ class TestPassMemory:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_pass_starts_at_once(self, monkeypatch, threads):
         # 2^31 - 1 one-row tiles: a pass that listed its tiles, or made any
-        # work per tile before the first, would not reach the sampler.
-        class Sampled(Exception):
-            pass
-
+        # work per tile before the first, would not reach the sampler.  At
+        # two workers the sentinel is raised in a forked worker.
         def sentinel(*args):
             raise Sampled
 
@@ -328,14 +363,12 @@ class TestPassMemory:
         schemes = dict(enumerate(parse_scheme_list("mt,ets,pb,wts:3,twts,dwts")))
         schemes["it"] = Scheme("it")
         for first, sweep in ((8, (8, 16, 33, 64)), (65, (65, 300, 2000))):
-            pool = engine.Workspaces()
-            monkeypatch.setattr(engine, "WORKSPACES", pool)
+            workspace = channel.Workspace()
+            monkeypatch.setattr(engine, "WORKSPACE", workspace)
             evaluate_point(params(blocks=first), schemes, 5, 3)  # one tile
-            (workspace,) = pool._free
             buffers = dict(workspace._buffers)
             for m in sweep:  # tiles of every size, several to a point
                 evaluate_point(params(blocks=m), schemes, 8193, 3)
-            assert pool._free == [workspace]
             assert workspace._buffers.keys() == buffers.keys()
             assert all(workspace._buffers[k] is v for k, v in buffers.items()), first
 
@@ -472,7 +505,7 @@ class TestSharedPass:
             ((9, 63, 64, 65, 100), "mt,ets,pb,pb:1,wts:1,wts:9,twts,dwts"),
         ],
     )
-    def test_rows_equal_the_points_own_passes(self, blocks, names, threads):
+    def test_rows_equal_the_points_own_passes(self, blocks, names, threads, forks):
         # 2100 trials: three tiles at M = 64, one of a point's own at M <= 8.
         schemes = self.schemes(names)
         points = [params(snr=0.0, blocks=m) for m in blocks]
@@ -480,6 +513,7 @@ class TestSharedPass:
         assert len(shared) == len(points)
         for p, got in zip(points, shared):
             assert got == evaluate_point(p, schemes, 2100, 13, threads), p.blocks
+        assert bool(forks) == (threads > 1)
 
     def test_points_in_any_order_and_repeated(self):
         schemes = self.schemes("mt,ets,pb,wts:2,dwts")
@@ -695,7 +729,9 @@ class TestTilePass:
         engine._check_pass((1 << 31) - 1, 1 << 16)  # just below the bound
 
     @pytest.mark.parametrize("threads, most", [(1, 1), (2, 2)])
-    def test_one_workspace_per_worker_per_run(self, monkeypatch, threads, most):
+    def test_one_workspace_per_worker_per_run(self, monkeypatch, forks, threads, most):
+        # `most` processes at most, each with its copy of the process's one
+        # workspace: no pass builds one.
         built = []
 
         class Counted(channel.Workspace):
@@ -703,10 +739,9 @@ class TestTilePass:
                 built.append(self)
                 super().__init__()
 
+        monkeypatch.setattr(engine, "WORKSPACE", channel.Workspace())  # as in a new process
         monkeypatch.setattr(channel, "Workspace", Counted)
         monkeypatch.setattr(engine, "Workspace", Counted)
-        monkeypatch.setattr(engine, "WORKSPACES", engine.Workspaces())  # as in a new process
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         config = ExperimentConfig(
             snr_db=-5.0,
             rate=1.0,
@@ -720,9 +755,65 @@ class TestTilePass:
             threads=threads,
         )
         run_experiment(config)
-        assert 1 <= len(built) <= most
-        run_experiment(config)  # a second run reuses the pool
-        assert 1 <= len(built) <= most
+        run_experiment(config)  # a second run reuses the workspace
+        assert built == []
+        assert max(forks, default=1) == most
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_uneven_shares_sum_every_tile_once(self, monkeypatch, forks, threads):
+        # Five one-row tiles over 2 and 3 workers: shares of 2 + 3 and 1 + 2 + 2.
+        def sample(params, seed, lo, hi, workspace):
+            return np.full((hi - lo, 1), float(lo))  # the tile's first trial
+
+        monkeypatch.setattr(engine, "sample_capacity_matrix", sample)
+        seen = lambda tile: [np.bincount([int(tile.caps[0, 0])], minlength=5)]
+        (once,) = tile_sums(params(blocks=1 << 16), 5, 1, threads, seen)
+        assert once.tolist() == [1] * 5
+        assert forks == [threads]
+
+    def test_a_workers_error_ends_the_pass(self, monkeypatch, forks):
+        # Worker 1 raises on its first tile while worker 0 is busy for 60 s:
+        # the error reaches the caller at once, and no worker is left.
+        def sample(params, seed, lo, hi, workspace):
+            if lo == 0:
+                time.sleep(60)
+            if lo == 2:
+                raise Sampled
+            return np.zeros((hi - lo, params.blocks))
+
+        monkeypatch.setattr(engine, "sample_capacity_matrix", sample)
+        start = time.perf_counter()
+        with pytest.raises(Sampled):
+            tile_sums(params(blocks=1 << 16), 4, 1, 2, lambda tile: [np.zeros(1, np.int64)])
+        assert time.perf_counter() - start < 10
+        assert multiprocessing.active_children() == []
+        assert forks == [2]
+
+    def test_passes_of_concurrent_threads_match_the_serial_sums(self, forks):
+        # Passes of several threads run in this process, one at a time in its
+        # one workspace, and fork no worker while other threads run.
+        p = params(blocks=70)  # row-major tiles of 468 rows: four tiles
+        schemes = dict(enumerate(parse_scheme_list("mt,ets,pb,wts:3,dwts")))
+        serial = evaluate_point(p, schemes, 1500, 9)
+        results, barrier = [None] * 4, threading.Barrier(4)
+
+        def run(i):
+            barrier.wait()
+            results[i] = evaluate_point(p, schemes, 1500, 9, threads=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == [serial] * 4
+        assert forks == []
 
 
 class TestAccumulator:
