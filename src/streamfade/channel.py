@@ -428,15 +428,28 @@ def mean_capacity_closed_form(params: ChannelParams) -> float:
 
 
 def window_decode_prob(params: ChannelParams, window: int) -> float:
-    """Pr{sum of `window` consecutive block capacities >= rate}.
+    """p_B = Pr{sum of B = `window` consecutive block capacities >= rate};
+    the only reader of the window chain.
 
-    Entry `window` - 1 of `window_decode_probs`: the same memoized chain, so a
-    window's probability is one float however it is asked for.  For
-    window == 1 this is decode_success_prob, and no chain is built.
+    p_1 is decode_success_prob, and no chain is built for it.  For B >= 2
+    the single-block capacity is binned on a uniform grid, and one chain of
+    convolutions carries only the cells that can lie below the rate from B
+    to B + 1, by one FFT product; p_B is one minus their mass.  Memory is set
+    by rate / dc, not by B.  The chain is memoized on the link parameters
+    other than `blocks`, and a read extends it to B and no further, so a
+    window read before costs a lookup.  Where B blocks at the grid's top
+    capacity fall short of the rate, p_B is 0, and no grid is built for it.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    return float(window_decode_probs(params, window)[window - 1])
+    link = replace(params, blocks=1)
+    if window == 1:
+        return decode_success_prob(link)
+    if window * _top_capacity(link.power) <= link.rate:
+        return 0.0
+    chain = _failure_chain(link)
+    chain.extend(window)
+    return chain.probs[window - 1]
 
 
 def _top_capacity(power: float) -> float:
@@ -453,32 +466,6 @@ def _capacity_masses(power: float, grid_size: int):
     mass = np.diff(cdf)
     mass[-1] += 1.0 - cdf[-1]
     return mass, dc
-
-
-def window_decode_probs(params: ChannelParams, windows: int) -> np.ndarray:
-    """Pr{sum of B consecutive block capacities >= rate} for every window
-    B = 1..`windows`, entry B-1; the only code that computes these values.
-
-    p_1 is decode_success_prob, and no grid is built when only B = 1 is
-    asked for.  For B >= 2 the single-block capacity is binned on a uniform
-    grid, and one chain of convolutions carries only the cells that can lie
-    below the rate from B to B + 1, by one FFT product; p_B is one minus
-    their mass.  Memory is set by rate / dc, not by B.  The
-    chain is memoized on the link parameters other than `blocks` and
-    extended, not recomputed, when a later call asks for more windows.
-    Where B blocks at the grid's top capacity fall short of the rate, p_B is
-    0 for B >= 2, and no grid is built if that holds for every B asked for.
-    """
-    if windows < 1:
-        raise ValueError("windows must be >= 1")
-    link = replace(params, blocks=1)
-    if windows == 1 or windows * _top_capacity(link.power) <= link.rate:
-        probs = np.zeros(windows)
-        probs[0] = decode_success_prob(link)
-        return probs
-    chain = _failure_chain(link)
-    chain.extend(windows)
-    return np.array(chain.probs[:windows])
 
 
 class _FailureChain:

@@ -32,12 +32,13 @@ decides a decode by the table's own comparisons, so the two agree bit for
 bit.  A point with no chosen depth builds no table, and its PB rows are
 `evaluate_pb`'s.  T-wTS and D-wTS choose their window before sampling,
 from exact objectives, at every M of a pass in one `optimize_wts_window`
-call per scheme, and are evaluated as a fixed `wts:B` row in the same
-pass, so the two share a scan where they choose the same B.  Tiles are
-keyed by absolute trial index and reduce to exact integer sums, so results
-are bit-identical regardless of worker count and tile size.  All schemes
-at one point share the same traces (common random numbers), which makes
-per-realization dominance comparisons exact.
+call per scheme: one search that steps B up and stops where no larger
+window can win, reading p_B one window at a time.  They are evaluated as a
+fixed `wts:B` row in the same pass, so the two share a scan where they
+choose the same B.  Tiles are keyed by absolute trial index and reduce to
+exact integer sums, so results are bit-identical regardless of worker count
+and tile size.  All schemes at one point share the same traces (common
+random numbers), which makes per-realization dominance comparisons exact.
 
 A tile of rows of at most `channel.BLOCK_MAJOR_MAX_BLOCKS` capacities is
 block-major, and every evaluator then reduces across trials, one contiguous
@@ -56,6 +57,8 @@ every message with every depth.
 """
 from __future__ import annotations
 
+import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -63,6 +66,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import channel
 from .channel import (
     BLOCK_MAJOR_MAX_BLOCKS,
     ChannelParams,
@@ -73,7 +77,6 @@ from .channel import (
     row_blocks,
     sample_capacity_matrix,
     scan_blocks,
-    window_decode_probs,
 )
 # The informed bound is the IT row's evaluator; the scheme table reaches it
 # here, next to the other evaluators.
@@ -203,9 +206,10 @@ def evaluate_wts(caps, rate: float, window: int, horizons=None):
 def _depth_margins(tile, rate: float, out: np.ndarray) -> np.ndarray:
     """rate - S_c/(M-c), the margin of depth B = M - c, in column c of `out`,
     a (rows, M) view.  S_c rises and M - c falls along a row, and rounding
-    keeps that order: the margins never rise."""
+    keeps that order: the margins never rise.  The depths are float64, exact
+    below 2^53: an int64 divisor is cast element by element."""
     m = tile.caps.shape[1]
-    np.divide(tile.prefix, np.arange(m, 0, -1), out=out)
+    np.divide(tile.prefix, np.arange(m, 0, -1, dtype=np.float64), out=out)
     return np.subtract(rate, out, out=out)
 
 
@@ -355,10 +359,11 @@ class Accumulator:
 # workspace, taking turns; a forked worker writes to its own copy.
 WORKSPACE = Workspace()
 _ONE_PASS_AT_A_TIME = threading.Lock()
-# A worker's share holds at least this many tiles: on a 2-vCPU VM,
-# `long-file`'s command (64 tiles at M = 2000) ran slower forked than in one
-# process at 8 and at 32 tiles per worker (x0.91 and x0.87 the speed).
-MIN_TILES_PER_WORKER = 64
+# A worker's share holds at least this many tiles, where forking won in every
+# measurement: on a shared 2-vCPU VM, two workers on a pass of M = 2000 ran
+# x0.91 and x0.87 the speed of one process at 8 and 32 tiles per worker,
+# x0.88 in one measurement and x1.25 in another at 64, and x1.22 and x1.40 at 128.
+MIN_TILES_PER_WORKER = 128
 _SHARE = None  # in a forked worker, its pass's share function (`_adopt`)
 
 
@@ -471,42 +476,45 @@ def optimize_wts_window(params: ChannelParams, maximize_throughput: bool, horizo
     D-wTS (minimum mean literal delay), from exact objectives: no sampling.
 
     The k = M // B full windows decode i.i.d. with probability p_B and the
-    short last window of r = M % B blocks with p_r (`window_decode_probs`).
-    The mean count is k p_B + [r > 0] p_r; the mean delay is
-    `runstats.wts_mean_delay`.  The delay is at least B - 1 on every
-    realization (the slots before window 1's message), so the search stops
-    at the first B whose B - 1 reaches the best mean so far.  Ties break low.
+    short last window of r = M % B blocks with p_r
+    (`channel.window_decode_prob`).  The mean count is k p_B + [r > 0] p_r,
+    the mean delay `runstats.wts_mean_delay`.  B steps up from 1, and the
+    search stops at the first B that no larger window can beat: a count is
+    at most ceil(M/B), which never rises with B (in floats too: fl(k p) <= k
+    for p <= 1, and adding p_r <= 1 keeps it <= k + 1), and a delay is at
+    least B - 1 on every realization (the slots before window 1's message).
+    Both stops are strict and ties break low, so a window skipped could at
+    most tie the best.  The chain is read one window at a time, so it holds
+    no window past the last B any search reads.
 
     With `horizons`, a rising sequence of message counts h <= M, returns one
-    (B, objective) per h, each equal to the call at M = h: every h reads
-    its p_B off one array, and the D-wTS search steps B up over the h whose
-    own search has not stopped, with one `wts_mean_delay` call per B for
-    all of them.  A call without horizons is the one horizon M.
+    (B, objective) per h, each equal to the call at M = h: B steps up over
+    the h whose own search has not stopped, with one `wts_mean_delay` call
+    per B for all of them.  A call without horizons is the one horizon M.
     """
-    m = params.blocks
-    ends = check_horizons(m, 1, horizons)
-    probs = window_decode_probs(params, ends[-1])
-    if maximize_throughput:
-        best = []
-        for h in ends:
-            windows = np.arange(1, h + 1)
-            short = h % windows
-            counts = (h // windows) * probs[:h] + np.where(short > 0, probs[short - 1], 0.0)
-            b = int(np.argmax(counts)) + 1
-            best.append((b, float(counts[b - 1])))
-    else:
-        delays = wts_mean_delay(ends[-1], 1, probs[0], [0.0] * len(ends), ends)
-        best = [(1, delay) for delay in delays]
-        searching = range(len(ends))
-        for b in range(2, ends[-1] + 1):
-            searching = [i for i in searching if b <= ends[i] and b - 1 < best[i][1]]
-            if not searching:
-                break
-            hs = [ends[i] for i in searching]
-            shorts = [probs[h % b - 1] if h % b else 0.0 for h in hs]
-            for i, delay in zip(searching, wts_mean_delay(hs[-1], b, probs[b - 1], shorts, hs)):
-                if delay < best[i][1]:
-                    best[i] = (b, delay)
+    ends = check_horizons(params.blocks, 1, horizons)
+    better = operator.gt if maximize_throughput else operator.lt
+    best = [(0, -math.inf if maximize_throughput else math.inf)] * len(ends)
+    probs = []  # p_1..p_B, each read once
+    searching, b = range(len(ends)), 1
+    while searching:
+        # Looked up at call time, so a wrapper on the channel module sees every read.
+        probs.append(channel.window_decode_prob(params, b))
+        hs = [ends[i] for i in searching]
+        shorts = [probs[h % b - 1] if h % b else 0.0 for h in hs]
+        if maximize_throughput:
+            values = [h // b * probs[-1] + p_r for h, p_r in zip(hs, shorts)]
+        else:
+            values = wts_mean_delay(hs[-1], b, probs[-1], shorts, hs)
+        for i, value in zip(searching, values):
+            if better(value, best[i][1]):
+                best[i] = (b, value)
+        b += 1
+        # The best a window of b or more blocks can reach: ceil(h/b) or b - 1.
+        searching = [
+            i for i in searching
+            if b <= ends[i] and better(-(-ends[i] // b) if maximize_throughput else b - 1, best[i][1])
+        ]
     return best[0] if horizons is None else best
 
 

@@ -9,8 +9,8 @@ shared traces and writes one CSV row per (sweep point, scheme).  Analytic
 closed forms are emitted alongside simulated values where they exist: the
 per-block scheme (MT) has exact throughput and delay, windowed time-sharing
 has floor/ceil delay bounds (in whole-window units, see README).
-The points that share a sampling pass share the delay bounds' run tails too:
-one `wts_delay_bounds` call per window B for all of them (`_delay_cells`).
+The points of one link share the delay bounds' run tails: one
+`wts_delay_bounds` call per window B for all of them (`_delay_cells`).
 """
 from __future__ import annotations
 
@@ -273,22 +273,22 @@ def _window_prob(params: ChannelParams, scheme: Scheme, window: int | None):
 
 def _delay_cells(points: list, probs: list) -> list[dict]:
     """Per point, B -> (delay lower, delay upper): the wTS delay bounds at
-    each B of `probs[i]`, point i's (B, p_B) cells.  The points that share a
-    sampling pass (`engine._passes`: the block-major points of one link)
-    share one `wts_delay_bounds` call per B, at the M of each of its points;
-    every other point makes its own."""
+    each B of `probs[i]`, point i's (B, p_B) cells.  The points of one link
+    (SNR and rate) share one `wts_delay_bounds` call per B, at the M of each
+    of its points: the bounds at horizons are, bit for bit, those of one
+    call per point."""
     out = [{} for _ in points]
-    for indices in engine._passes(points):
-        wanted = {}  # B -> (p_B, the points that ask for it)
-        for i in indices:
-            for b, p_b in filter(None, probs[i]):
-                wanted.setdefault(b, (p_b, []))[1].append(i)
-        for b, (p_b, asking) in wanted.items():
-            hs = sorted({points[i].blocks for i in asking})
-            bounds = dict(zip(hs, wts_delay_bounds(hs[-1], b, p_b, hs)))
-            for i in asking:
-                cell = bounds[points[i].blocks]
-                out[i][b] = cell.delay_lower, cell.delay_upper
+    wanted = {}  # (link, B) -> (p_B, the points that ask for it)
+    for i, params in enumerate(points):
+        link = replace(params, blocks=1)
+        for b, p_b in filter(None, probs[i]):
+            wanted.setdefault((link, b), (p_b, []))[1].append(i)
+    for (_, b), (p_b, asking) in wanted.items():
+        hs = sorted({points[i].blocks for i in asking})
+        bounds = dict(zip(hs, wts_delay_bounds(hs[-1], b, p_b, hs)))
+        for i in asking:
+            cell = bounds[points[i].blocks]
+            out[i][b] = cell.delay_lower, cell.delay_upper
     return out
 
 

@@ -10,6 +10,8 @@ table that `runstats.run_tails` replaced; the column order must match it bit
 for bit.  `ets_counts_by_running_total` is eTS's rule before eTS was read as
 PB at depth M.  `wts_decode_bits` and `wts_window_delays` give the wTS
 window decodes and the window-unit delay that the wTS delay bounds bound.
+`wts_window_search` is the every-B search of the T-/D-wTS window that
+`engine.optimize_wts_window` stops early.
 `min_achievable_delay` is the closed form of the informed bound's delay,
 against which `informed.min_delay_max_rate`'s scan is checked.
 `lowest_usable_snr` finds the edge of the SNR range by bisection.
@@ -19,8 +21,9 @@ import math
 import numpy as np
 
 from streamfade.channel import _capacity_masses
-from streamfade.channel import equal_share_weights, usable_snr
+from streamfade.channel import equal_share_weights, usable_snr, window_decode_prob
 from streamfade.engine import window_sums
+from streamfade.runstats import wts_mean_delay
 
 
 def max_zero_run_rows_loop(v) -> np.ndarray:
@@ -148,6 +151,25 @@ def wts_mean_delay_enumerated(M: int, B: int, p_B: float, p_r: float = 0.0) -> f
             v[:, M - 1] = bool(short)
         total += weight * float((weights * max_zero_run_rows_loop(v)).sum())
     return total
+
+
+def wts_window_search(params, maximize_throughput: bool) -> tuple[int, float]:
+    """(B, objective) of T-wTS or D-wTS at M = `params.blocks`, from the
+    objective at every B = 1..M: the first maximum of the mean count
+    floor(M/B) p_B + [r > 0] p_r over one array of all M windows, or the
+    first minimum of `wts_mean_delay`."""
+    m = params.blocks
+    probs = np.array([window_decode_prob(params, b) for b in range(1, m + 1)])
+    windows = np.arange(1, m + 1)
+    short = m % windows
+    p_short = np.where(short > 0, probs[short - 1], 0.0)
+    if maximize_throughput:
+        objectives = (m // windows) * probs + p_short
+        best = int(np.argmax(objectives))
+    else:
+        objectives = [wts_mean_delay(m, b, probs[b - 1], p_short[b - 1]) for b in range(1, m + 1)]
+        best = int(np.argmin(objectives))
+    return best + 1, float(objectives[best])
 
 
 def window_failure_masses_convolved(

@@ -16,7 +16,6 @@ from streamfade.channel import (
     sample_capacity_matrix,
     sample_trace,
     window_decode_prob,
-    window_decode_probs,
 )
 from streamfade.rng import stream_base
 from streamfade.errors import NumericFailure
@@ -496,6 +495,11 @@ class TestWindowDecodeProb:
         assert len(lengths) > 1 and set(lengths) == {4608}
 
 
+def decode_probs(p, windows):
+    """p_1..p_windows, read one window at a time."""
+    return np.array([window_decode_prob(p, b) for b in range(1, windows + 1)])
+
+
 class TestWindowDecodeProbs:
     """Every window's probability from one chain, against a direct convolution."""
 
@@ -511,20 +515,22 @@ class TestWindowDecodeProbs:
     )
     def test_matches_single_window(self, snr, rate):
         p = params(snr=snr, rate=rate, blocks=40)
-        probs = window_decode_probs(p, 16)
+        probs = decode_probs(p, 16)
         exact = window_failure_masses_convolved(p.power, rate, 16, 1 << 13)
-        assert probs.shape == (16,)
         assert np.max(np.abs((1.0 - probs[1:]) - exact[1:])) <= 1e-12
         assert probs[0] == decode_success_prob(p)
-        assert [window_decode_prob(p, b) for b in range(1, 17)] == probs.tolist()
 
     def test_short_call_agrees_with_long_chain(self):
         # At rate 20 and -5 dB, windows 2..5 cannot reach the rate on the
-        # grid: a call that builds no grid and one that reads the chain agree.
+        # grid: a read that builds no grid and the chain agree.
         p = params(snr=-5.0, rate=20.0, blocks=40)
-        probs = window_decode_probs(p, 12)
-        assert probs[1:5].tolist() == [0.0] * 4
-        assert [window_decode_prob(p, b) for b in range(1, 13)] == probs.tolist()
+        channel._failure_chain.cache_clear()
+        short = decode_probs(p, 5)
+        assert channel._failure_chain.cache_info().currsize == 0
+        assert short[1:].tolist() == [0.0] * 4
+        probs = decode_probs(p, 12)
+        assert channel._failure_chain(replace(p, blocks=1)).probs == probs.tolist()
+        assert probs[:5].tolist() == short.tolist()
 
     def test_window_one_builds_no_chain(self):
         # p_1 is decode_success_prob: a link whose only window is B = 1 (MT,
@@ -537,21 +543,23 @@ class TestWindowDecodeProbs:
 
     def test_extended_not_recomputed(self, monkeypatch):
         p = params(snr=-4.0, rate=1.25, blocks=7)
-        short = window_decode_probs(p, 6)
+        channel._failure_chain.cache_clear()
+        short = decode_probs(p, 6)
         chain = channel._failure_chain(replace(p, blocks=1))
         convolutions = []
         real = np.fft.irfft
         monkeypatch.setattr(
             channel.np.fft, "irfft", lambda *a, **k: convolutions.append(1) or real(*a, **k)
         )
-        longer = window_decode_probs(replace(p, blocks=30), 10)
+        assert window_decode_prob(replace(p, blocks=30), 10) == chain.probs[9]
         assert channel._failure_chain(replace(p, blocks=1)) is chain
         assert len(convolutions) == 4  # windows 7..10 only
-        assert longer[:6].tolist() == short.tolist()
+        assert decode_probs(p, 6).tolist() == short.tolist()
+        assert len(convolutions) == 4
 
     def test_saturated_windows_stay_one(self):
         p = params(snr=10.0, rate=1.0)
-        probs = window_decode_probs(p, 200)
+        probs = decode_probs(p, 200)
         first = int(np.argmax(probs == 1.0))
         assert 1 < first < 20 and np.all(probs[first:] == 1.0)
         assert np.all(np.diff(probs) >= -1e-12)
@@ -562,12 +570,12 @@ class TestWindowDecodeProbs:
 
         monkeypatch.setattr(channel, "_capacity_masses", no_grid)
         for rate in (2000.0, 1e300):
-            probs = window_decode_probs(params(snr=-5.0, rate=rate, blocks=40), 40)
+            probs = decode_probs(params(snr=-5.0, rate=rate, blocks=40), 40)
             assert probs.tolist() == [0.0] * 40
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            window_decode_probs(params(), 0)
+            window_decode_prob(params(), 0)
 
 
 class TestSeedRange:

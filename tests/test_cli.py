@@ -745,14 +745,44 @@ class TestTinyRate:
 class TestThreads:
     def test_long_file_csv_independent_of_threads(self, tmp_path, fork_pools):
         # Tiles of 16 trials: two workers' shares of the least that forks.
-        assert len(channel.row_blocks(2048, 2000)) == 2 * engine.MIN_TILES_PER_WORKER
+        assert len(channel.row_blocks(4096, 2000)) == 2 * engine.MIN_TILES_PER_WORKER
         outs = []
         for threads in ("1", "2"):
             outs.append(tmp_path / f"t{threads}.csv")
-            argv = ["simulate", "--messages", "2000", "--trials", "2048", "--scheme", "ets,pb"]
+            argv = ["simulate", "--messages", "2000", "--trials", "4096", "--scheme", "ets,pb"]
             assert run_main([*argv, "--threads", threads, "--out-csv", str(outs[-1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert fork_pools == [2]
+
+
+class TestWindowChainStopsWhereTheReadsStop:
+    """The memoized window chain of a link holds no window past the last
+    that a command reads."""
+
+    LINK = ("--snr-db", "-5", "--rate", "1")
+
+    def windows_held(self):
+        info = channel._failure_chain.cache_info()
+        assert info.currsize == 1
+        return len(channel._failure_chain(channel.ChannelParams(-5.0, 1.0, 1)).probs)
+
+    def test_message_sweep(self, tmp_path):
+        # The benchmark's M-sweep: D-wTS chooses B = 7 at M = 64, and every
+        # search stops by B = 7; an every-window search would read 64.
+        channel._failure_chain.cache_clear()
+        out = tmp_path / "m.csv"
+        argv = ["sweep", "--variable", "messages", "--values", "8,16,24,32,40,48,56,64",
+                "--scheme", "mt,ets,pb,twts,dwts", "--trials", "200", *self.LINK]
+        assert run_main([*argv, "--out-csv", str(out)]) == 0
+        chosen = [int(row.split(",")[2]) for row in out.read_text().splitlines()[1:]
+                  if row.split(",")[1] in ("T-wTS", "D-wTS")]
+        assert max(chosen) <= self.windows_held() <= 7
+
+    def test_analyze(self, tmp_path):
+        channel._failure_chain.cache_clear()
+        argv = ["analyze", "--messages", "40", "--windows", "2,3,5", *self.LINK]
+        assert run_main([*argv, "--out-csv", str(tmp_path / "a.csv")]) == 0
+        assert self.windows_held() == 5
 
 
 class TestGoldenCsv:

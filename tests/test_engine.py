@@ -22,6 +22,7 @@ from oracles import (
     pb_mi_matrix,
     wts_literal_delay_expanded,
     wts_window_delays,
+    wts_window_search,
 )
 from streamfade import channel, engine
 from streamfade.informed import informed_trial
@@ -30,7 +31,7 @@ from streamfade.channel import (
     ChannelParams,
     decode_success_prob,
     sample_capacity_matrix,
-    window_decode_probs,
+    window_decode_prob,
 )
 from streamfade.engine import (
     Accumulator,
@@ -156,6 +157,25 @@ class TestDeterminism:
         sizes.clear()
         tile_sums(p, 5, 1, 2, rows)
         assert sizes == []
+
+    @pytest.mark.parametrize("per_worker, pools, of_three", [(127, [], 2), (128, [2], 3)])
+    def test_a_share_holds_at_least_128_tiles(self, monkeypatch, per_worker, pools, of_three):
+        # At M = 2000 two workers of 64 tiles each did not win in every
+        # measurement; at 128 they did.
+        sizes, _ = fake_fork_pool(monkeypatch)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(
+            engine, "sample_capacity_matrix",
+            lambda params, seed, lo, hi, workspace: np.zeros((hi - lo, params.blocks)),
+        )
+        assert engine.MIN_TILES_PER_WORKER == 128
+        assert engine._workers(2 * per_worker, 2) == len(pools) + 1
+        assert engine._workers(3 * per_worker, 4) == of_three
+        n = 2 * per_worker
+        p = params(blocks=1 << 16)  # one row per tile
+        assert len(channel.row_blocks(n, p.blocks)) == n
+        assert tile_sums(p, n, 1, 2, lambda tile: [np.array([tile.caps.shape[0]])]) == [n]
+        assert sizes == pools
 
     def test_chunking_transparent(self):
         # accumulator over row tiles equals one-shot evaluation
@@ -920,6 +940,19 @@ class TestPbSweepHelpers:
         assert 0 < sum(starts) < blocks * (blocks + 1) // 2
         assert all(0 <= lo <= blocks - d for d, lo in enumerate(starts))
 
+    @pytest.mark.parametrize("blocks", [8, 64, 65, 300])
+    def test_depth_margins_are_the_column_quotients(self, blocks):
+        # Divided by float64 depths, the margins are bit for bit those of
+        # dividing each column by its depth M - c.
+        p = params(blocks=blocks)
+        lo, hi = channel.row_blocks(3000, blocks)[0]
+        tile = channel.as_tile(sample_capacity_matrix(p, 9, lo, hi))
+        assert channel.block_major(tile.caps) == (blocks <= channel.BLOCK_MAJOR_MAX_BLOCKS)
+        margins = engine._depth_margins(tile, p.rate, tile.temporary(np.float64))
+        for c in range(blocks):
+            expected = p.rate - tile.prefix[:, c] / float(blocks - c)
+            assert margins[:, c].tobytes() == expected.tobytes()
+
     def test_count_sum_dtype_at_the_int32_bound(self):
         # A column's sum of squared counts is at most rows * M^2.
         assert engine._count_sum_dtype((1 << 19) - 1, 64) == np.int32
@@ -977,12 +1010,12 @@ class TestPbSweepHelpers:
         # Rate 20 at -5 dB is out of reach: every p_B is 0, nothing decodes
         # at any B, and every delay is M.
         p = params(snr=-5.0, rate=20.0, blocks=5)
-        assert window_decode_probs(p, 5).tolist() == [0.0] * 5
+        assert [window_decode_prob(p, b) for b in range(1, 6)] == [0.0] * 5
         assert optimize_wts_window(p, True) == (1, 0.0)
         assert optimize_wts_window(p, False) == (1, 5.0)
         # p_B is 0 for B = 1 and 1 above, at M = 5: B=2 decodes 2 full
         # windows, B=3 one full and the short pair.
-        monkeypatch.setattr(engine, "window_decode_probs", lambda *a: np.array([0.0, 1, 1, 1, 1]))
+        monkeypatch.setattr(channel, "window_decode_prob", lambda params, b: 0.0 if b == 1 else 1.0)
         assert optimize_wts_window(p, True) == (2, 2.0)
 
 
@@ -1000,7 +1033,7 @@ class TestWtsWindowChoice:
 
     def test_objectives_are_the_exact_window_statistics(self):
         p = params(blocks=41)
-        probs = window_decode_probs(p, 41)
+        probs = [window_decode_prob(p, b) for b in range(1, 42)]
 
         def p_short(w):
             return probs[41 % w - 1] if 41 % w else 0.0
@@ -1084,8 +1117,8 @@ class TestWtsWindowChoice:
     def test_simulated_delay_tracks_the_exact_mean(self, snr, blocks, window):
         p = params(snr=snr, blocks=blocks)
         acc = evaluate_point(p, {"w": Scheme("wts", window)}, 20_000, 31)["w"]
-        probs = window_decode_probs(p, window)
-        exact = wts_mean_delay(blocks, window, probs[-1], probs[blocks % window - 1])
+        p_r = window_decode_prob(p, blocks % window) if blocks % window else 0.0
+        exact = wts_mean_delay(blocks, window, window_decode_prob(p, window), p_r)
         assert abs(acc.mean_delay() - exact) <= 4 * acc.stderr_delay()
 
 
@@ -1140,6 +1173,42 @@ class TestWtsWindowChoiceAtHorizons:
     def test_horizons_must_rise_within_m(self, horizons):
         with pytest.raises(ValueError, match=r"horizons must rise within 1\.\.20"):
             optimize_wts_window(params(), False, horizons)
+
+
+# Links where p_B is 0 up to B = 5 (-5 dB, rate 20), at every B <= 40
+# (-5 dB, rate 2000), near 1 from B = 1 (30 dB, rate 0.5), or in between.
+ORACLE_LINKS = st.sampled_from(
+    [(-5.0, 1.0), (-5.0, 20.0), (-5.0, 2000.0), (30.0, 0.5), (0.0, 2.0), (5.0, 2.0),
+     (-8.0, 3.0), (-10.0, 0.3)]
+)
+
+
+class TestWtsWindowOracle:
+    """The search that stops where no larger window can win chooses, bit
+    for bit, the (B, objective) of trying every B <= M."""
+
+    def test_the_links_are_what_they_say(self):
+        zero_below_six = params(snr=-5.0, rate=20.0, blocks=40)
+        assert [window_decode_prob(zero_below_six, b) for b in range(1, 6)] == [0.0] * 5
+        never = params(snr=-5.0, rate=2000.0, blocks=40)
+        assert {window_decode_prob(never, b) for b in range(1, 41)} == {0.0}
+        assert wts_window_search(never, True) == optimize_wts_window(never, True) == (1, 0.0)
+        assert wts_window_search(never, False) == optimize_wts_window(never, False) == (1, 40.0)
+
+    @given(
+        link=ORACLE_LINKS,
+        hs=st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True).map(sorted),
+        maximize=st.booleans(),
+    )
+    @example(link=(-5.0, 20.0), hs=[3, 5, 6, 7, 40], maximize=True)
+    @example(link=(-5.0, 20.0), hs=[3, 5, 6, 7, 40], maximize=False)
+    @example(link=(-5.0, 1.0), hs=[8, 16, 24, 32, 40], maximize=False)
+    @settings(max_examples=100, deadline=None)
+    def test_the_stopped_search_is_the_every_window_search(self, link, hs, maximize):
+        p = params(snr=link[0], rate=link[1], blocks=hs[-1])
+        expected = [wts_window_search(replace(p, blocks=h), maximize) for h in hs]
+        assert optimize_wts_window(p, maximize, hs) == expected
+        assert [optimize_wts_window(replace(p, blocks=h), maximize) for h in hs] == expected
 
 
 class TestLongWindowsInTheWorkspace:
@@ -1240,14 +1309,33 @@ class TestClosedFormsOncePerSweep:
             assert hs == sorted({r.sweep_value for r in rows if (r.window or 1) == b})
             assert m == hs[-1]
 
-    def test_other_points_keep_a_call_each(self, monkeypatch):
-        # Row-major points (M > 64) and the points of an SNR sweep each have
-        # a sampling pass of their own, and so a call of their own.
+    @pytest.mark.parametrize("snr", [-5.0, 5.0])
+    def test_cells_across_the_layouts_are_each_points_own(self, snr):
+        # Points on both sides of M = 64 share a call per window; each cell
+        # is, bit for bit, that of a call of its own point.
+        from streamfade.runstats import wts_delay_bounds
+
+        values = (8, 40, 64, 65, 100)
+        rows = run_experiment(self.sweep(snr, values, "mt,wts:2,twts,dwts"))
+        assert len(rows) == 4 * len(values)
+        for row in rows:
+            point = params(snr=snr, blocks=int(row.sweep_value))
+            b = row.window or 1
+            bounds = wts_delay_bounds(point.blocks, b, channel.window_decode_prob(point, b))
+            assert (row.analytic_delay_lower, row.analytic_delay_upper) == (
+                bounds.delay_lower, bounds.delay_upper,
+            )
+
+    def test_one_call_per_link(self, monkeypatch):
+        # Closed forms do not depend on the tile layout: row-major points
+        # (M > 64) of one link share a call though each has a sampling pass
+        # of its own, and the points of an SNR sweep, each its own link,
+        # have a call each.
         import streamfade.experiments as experiments
 
         calls = self.spy(monkeypatch, experiments, "wts_delay_bounds")
         run_experiment(self.sweep(values=(65, 70), schemes="mt"))
-        assert [hs for *_, hs in calls] == [[65], [70]]
+        assert [hs for *_, hs in calls] == [[65, 70]]
         calls.clear()
         config = replace(self.sweep(schemes="mt"), sweep_variable="snr_db", sweep_values=(-5.0, 0.0))
         run_experiment(config)
